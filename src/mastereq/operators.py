@@ -159,20 +159,33 @@ def operator_order_check(algebra: WordAlgebra, op: Operator, n: int, name: str =
     """Differential-operator order certificate: order <= n iff all (n+1)-fold
     iterated graded commutators with left multiplications vanish.
 
-    The commutator is multilinear in the test vectors, so basis words of the
-    augmentation ideal suffice; tuples are budgeted so that no intermediate
-    product overflows the truncation, and the certificate reports the covered
-    budget.
+    The commutator is multilinear in the test vectors, and a bracket with a
+    left multiplication obeys the derivation rule
+
+        [C, L_{ab}] = [C, L_a] L_b + (-1)^{|C||a|} L_a [C, L_b]
+
+    (Koszul, *Crochet de Schouten-Nijenhuis et cohomologie*, Astérisque 1985;
+    Akman, JPAA 120, 1997).  Every word is a combination of products of
+    generators of the same total length, so expanding the test vectors
+    writes the commutator with words as a sum of commutators with
+    generators, composed with left multiplications, each applied within the
+    same length budget.  So tuples of `algebra.generator_words()` decide the
+    order: the letters for symmetric words, every word for the shuffle
+    (tensor) algebra, whose letters do not generate it.
+
+    A tuple of generators of total length `used` is tested on every target
+    word w with used + len(w) <= N - max_raise, so no intermediate product
+    overflows the truncation.  The bound's `checked` counts those
+    (generator tuple, target) pairs.
     """
     budget = algebra.max_len - max(0, op.max_raise)
-    aug = [w for w in algebra.augmentation_ideal_words() if len(w) <= budget]
-    targets = [w for w in algebra.words]
+    gens = [w for w in algebra.generator_words() if len(w) <= budget]
     checked = 0
-    for vs in itertools.combinations_with_replacement(aug, n + 1):
+    for vs in itertools.combinations_with_replacement(gens, n + 1):
         used = sum(len(v) for v in vs)
         if used > budget:
             continue
-        for w in targets:
+        for w in algebra.words:
             if used + len(w) > budget:
                 continue
             checked += 1

@@ -138,6 +138,14 @@ class WordAlgebra:
     def augmentation_ideal_words(self) -> tuple[Word, ...]:
         return tuple(w for w in self.words if w)
 
+    def generator_words(self) -> tuple[Word, ...]:
+        """Words that generate the augmentation ideal under the product.
+
+        Operator-order certificates test iterated commutators on tuples of
+        these words only (see `operators.operator_order_check`).
+        """
+        raise NotImplementedError
+
     # -- multiplication ---------------------------------------------------
 
     def mul_words(self, w1: Word, w2: Word) -> dict[Word, Fraction]:
@@ -236,6 +244,10 @@ class SymmetricWordAlgebra(WordAlgebra):
                     continue
                 yield combo
 
+    def generator_words(self) -> tuple[Word, ...]:
+        """The letters: the free graded-commutative algebra is generated by V."""
+        return tuple(w for w in self.words if len(w) == 1)
+
     def mul_words(self, w1: Word, w2: Word) -> dict[Word, Fraction]:
         word, sign = self.normalize(list(w1) + list(w2))
         if word is None:
@@ -261,6 +273,16 @@ class TensorWordAlgebra(WordAlgebra):
         letters = self.space.labels
         for n in range(self.max_len + 1):
             yield from itertools.product(letters, repeat=n)
+
+    def generator_words(self) -> tuple[Word, ...]:
+        """Every word of the augmentation ideal.
+
+        The letters do not generate the shuffle algebra: it is free
+        commutative on the Lyndon words, so a⊗b is a generator of its own
+        (a ш b = a⊗b + b⊗a reaches only the symmetric part).  The set of all
+        words contains the Lyndon words, so it generates as well.
+        """
+        return self.augmentation_ideal_words()
 
     def mul_words(self, w1: Word, w2: Word) -> dict[Word, Fraction]:
         p, q = len(w1), len(w2)

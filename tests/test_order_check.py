@@ -1,0 +1,218 @@
+"""Operator-order certificates against the all-words definition.
+
+`operator_order_check` tests tuples of the algebra's generating words only.
+`_order_check_oracle` is the definition it shortcuts: every tuple of
+augmentation-ideal words under the same length budget.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mastereq.bv import BVAlgebra
+from mastereq.constructions import ce_bv_from_dg_lie, ce_delta_operator, derivation_extend
+from mastereq.diagnostics import CheckResult
+from mastereq.graded import GradedVectorSpace
+from mastereq.linalg import solve_linear
+from mastereq.linfty import DgLieAlgebra
+from mastereq.operators import Operator, iterated_commutator_apply, operator_order_check
+from mastereq.words import SymmetricWordAlgebra, TensorWordAlgebra
+
+
+def _order_check_oracle(algebra, op, n):
+    """Order <= n tested on every (n+1)-tuple of augmentation-ideal words."""
+    budget = algebra.max_len - max(0, op.max_raise)
+    aug = [w for w in algebra.augmentation_ideal_words() if len(w) <= budget]
+    checked = 0
+    for vs in itertools.combinations_with_replacement(aug, n + 1):
+        used = sum(len(v) for v in vs)
+        if used > budget:
+            continue
+        for w in algebra.words:
+            if used + len(w) > budget:
+                continue
+            checked += 1
+            result = iterated_commutator_apply(algebra, op, list(vs), w)
+            if any(result.values()):
+                witness = {
+                    "test_vectors": [algebra.label(v) for v in vs],
+                    "word": algebra.label(w),
+                    "value": {algebra.label(u): str(c) for u, c in sorted(result.items()) if c},
+                }
+                return CheckResult(f"order<={n}", False, witness=witness,
+                                   bound={"word_length": algebra.max_len, "checked": checked})
+    return CheckResult(f"order<={n}", True,
+                       bound={"word_length": algebra.max_len, "checked": checked})
+
+
+def _assert_witness_reproduces(algebra, op, witness):
+    vs = [algebra.word_of_label(label) for label in witness["test_vectors"]]
+    value = iterated_commutator_apply(algebra, op, vs, algebra.word_of_label(witness["word"]))
+    assert any(value.values())
+    assert {algebra.label(u): str(c) for u, c in sorted(value.items()) if c} == witness["value"]
+
+
+# -- letters-only vs all words on random free graded-commutative algebras ------
+
+coefficients = st.integers(-2, 2).filter(bool).map(Fraction)
+
+
+def _homogeneous_pairs(A, sources, degree):
+    # raising length by at most one leaves a budget for every n the algebra admits
+    return [(w, u) for w in sources for u in A.words
+            if A.degree(u) == A.degree(w) + degree and len(u) <= len(w) + 1]
+
+
+@st.composite
+def order_cases(draw):
+    """(algebra, operator, n, order of the unperturbed operator or None)."""
+    degrees = draw(st.lists(st.sampled_from((-1, 0, 1, 2)), min_size=1, max_size=3))
+    A = SymmetricWordAlgebra(GradedVectorSpace((f"x{i}", d) for i, d in enumerate(degrees)),
+                             draw(st.integers(2, 4)))
+    letters = A.generator_words()
+    kind = draw(st.sampled_from(("sparse", "multiplication", "derivation", "ce-delta")))
+    if kind == "sparse":
+        degree = draw(st.integers(-1, 1))
+        pairs = _homogeneous_pairs(A, A.words, degree)
+        chosen = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+        entries = {}
+        for w, u in chosen:
+            entries.setdefault(w, {})[u] = draw(coefficients)
+        op, order = Operator(A, degree, entries), None
+    elif kind == "multiplication":
+        a = draw(st.sampled_from(((),) + letters))
+        op = Operator.from_function(A, A.degree(a), lambda w: A.mul_words(a, w), name="L")
+        order = 0
+    elif kind == "derivation":
+        degree = draw(st.integers(-1, 1))
+        pairs = _homogeneous_pairs(A, letters, degree)
+        values: dict = {}
+        for (x,), u in draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []:
+            values.setdefault(x, {})[u] = draw(coefficients)
+        op, order = derivation_extend(A, values, degree), 1
+    else:
+        # a bracket of degree -1 on the desuspended letters, read on sorted pairs
+        pairs = [(a + b, (t,)) for a, b in itertools.combinations_with_replacement(letters, 2)
+                 for (t,) in letters if A.degree((t,)) == A.degree(a) + A.degree(b) - 1]
+        bracket: dict = {}
+        for (a, b), (t,) in draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []:
+            bracket.setdefault((a, b), {})[t] = draw(coefficients)
+        op, order = ce_delta_operator(A, lambda a, b: bracket.get((a, b), {})), 2
+    perturbable = _homogeneous_pairs(A, sorted(op.defined), op.degree)
+    if perturbable and draw(st.booleans()):
+        w, u = draw(st.sampled_from(perturbable))
+        entries = {k: dict(v) for k, v in op.entries.items()}
+        image = entries.setdefault(w, {})
+        image[u] = image.get(u, 0) + draw(coefficients)
+        op, order = Operator(A, op.degree, entries, op.defined), None
+    budget = A.max_len - max(0, op.max_raise)
+    return A, op, draw(st.integers(0, min(2, budget - 1))), order
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(order_cases())
+def test_generator_tuples_agree_with_all_words(case):
+    A, op, n, order = case
+    expected = _order_check_oracle(A, op, n)
+    got = operator_order_check(A, op, n)
+    if order is not None and order <= n:
+        assert expected.ok
+    assert got.ok == expected.ok
+    if not got.ok:
+        assert all(len(A.word_of_label(v)) == 1 for v in got.witness["test_vectors"])
+        _assert_witness_reproduces(A, op, got.witness)
+
+
+# -- why tensor words keep every word ------------------------------------------
+
+
+def _lyndon_derivation():
+    """On the shuffle algebra of a, b (degree 0) cut at length 3: the derivation
+    taking the Lyndon generator a⊗b to 1 and killing a, b, a⊗a⊗b, a⊗b⊗b."""
+    A = TensorWordAlgebra(GradedVectorSpace([("a", 0), ("b", 0)]), 3)
+    derivative = {("a",): {}, ("b",): {}, ("a", "b"): {(): Fraction(1)},
+                  ("a", "a", "b"): {}, ("a", "b", "b"): {}}
+    # the shuffle monomials in the Lyndon words form a basis of the 15 words
+    monomials = [m for k in range(4) for m in itertools.combinations_with_replacement(derivative, k)
+                 if sum(map(len, m)) <= 3]
+    assert len(monomials) == len(A.words)
+
+    def product(factors):
+        out = {(): Fraction(1)}
+        for g in factors:
+            out = A.mul(out, {g: Fraction(1)})
+        return out
+
+    expansions = [product(m) for m in monomials]
+    images = []
+    for m in monomials:
+        image: dict = {}
+        for i, g in enumerate(m):
+            for u, c in A.mul(derivative[g], product(m[:i] + m[i + 1:])).items():
+                image[u] = image.get(u, 0) + c
+        images.append(image)
+    rows = [[e.get(w, Fraction(0)) for w in A.words] for e in expansions]
+    entries: dict = {}
+    for u in A.words:
+        column = solve_linear(rows, [image.get(u, Fraction(0)) for image in images])
+        for w, c in zip(A.words, column):
+            if c:
+                entries.setdefault(w, {})[u] = c
+    return A, Operator(A, 0, entries, name="d_L")
+
+
+def test_tensor_words_need_more_than_letters(monkeypatch):
+    A, op = _lyndon_derivation()
+    assert op.apply_word(("a", "b")) == {(): 1}
+    assert op.apply_word(("a",)) == {} and op.apply_word(("a", "a", "b")) == {}
+    low = operator_order_check(A, op, 0)
+    assert not low.ok
+    assert low.witness["test_vectors"] == ["a⊗b"]
+    _assert_witness_reproduces(A, op, low.witness)
+    assert operator_order_check(A, op, 1).ok
+    assert low.ok == _order_check_oracle(A, op, 0).ok
+    # letters alone do not generate the shuffle algebra and miss the defect
+    monkeypatch.setattr(A, "generator_words", lambda: (("a",), ("b",)))
+    assert operator_order_check(A, op, 0).ok
+
+
+# -- the even-letter CE family ---------------------------------------------------
+
+
+def _even_letter_ce(d, N):
+    """x_1..x_d of degree 1, w of degree 2, [x_i, x_i] = w."""
+    letters = [f"x{i}" for i in range(1, d + 1)]
+    space = GradedVectorSpace([(x, 1) for x in letters] + [("w", 2)])
+    return ce_bv_from_dg_lie(DgLieAlgebra(space, {}, {(x, x): {"w": 1} for x in letters}), N)
+
+
+def _generator_pairs(A, op, n):
+    budget = A.max_len - max(0, op.max_raise)
+    return sum(1 for vs in itertools.combinations_with_replacement(A.generator_words(), n + 1)
+               for w in A.words if n + 1 + len(w) <= budget)
+
+
+def test_even_letter_ce_family_order_certificates():
+    bv = _even_letter_ce(3, 5)
+    A = bv.algebra
+    certs = {c.name: c for c in bv.certify()}
+    assert all(c.ok for c in certs.values())
+    assert certs["d order<=1"].bound["checked"] == _generator_pairs(A, bv.d, 1)
+    assert certs["delta order<=2"].bound["checked"] == _generator_pairs(A, bv.delta, 2)
+    assert certs["delta order<=2"].bound["checked"] < _order_check_oracle(A, bv.delta, 2).bound["checked"]
+
+    # Delta has degree -1: only length-3 words holding w have a word one degree lower
+    corruptions = [(w, next(u for u in A.words if A.degree(u) == A.degree(w) - 1))
+                   for w in A.words if len(w) == 3 and "w" in w]
+    assert len(corruptions) == 6
+    for w, u in corruptions:
+        entries = {k: dict(v) for k, v in bv.delta.entries.items()}
+        image = entries.setdefault(w, {})
+        image[u] = image.get(u, 0) + 1
+        delta = Operator(A, bv.delta.degree, entries, bv.delta.defined, bv.delta.name)
+        cert = next(c for c in BVAlgebra(A, bv.d, delta).certify() if c.name == "delta order<=2")
+        assert not cert.ok
+        assert all(v in {"x1", "x2", "x3", "w"} for v in cert.witness["test_vectors"])
+        _assert_witness_reproduces(A, delta, cert.witness)
