@@ -30,7 +30,7 @@ from .diagnostics import CheckResult, PreconditionError, StructureError
 from .linalg import solve_linear
 from .operators import Operator, operator_order_check
 from .series import HbarSeries, SeriesContext
-from .words import TruncationOverflow, Word, WordAlgebra, vec_add_into
+from .words import TruncationOverflow, Word, WordAlgebra, vec_add_into, word_tuples_within
 
 __all__ = [
     "BVAlgebra",
@@ -267,9 +267,7 @@ def derived_brackets_linfty_check(bvi: BVInftyAlgebra, max_arity: int = 4,
     letters = [w for w in A.augmentation_ideal_words() if len(w) <= budget]
     checked = 0
     for n in range(1, max_arity + 1):
-        for vs in itertools.combinations_with_replacement(letters, n):
-            if sum(len(v) for v in vs) > budget:
-                continue
+        for vs in word_tuples_within(letters, n, budget):
             checked += 1
             try:
                 derived_bracket(bvi, list(vs))
@@ -277,37 +275,35 @@ def derived_brackets_linfty_check(bvi: BVInftyAlgebra, max_arity: int = 4,
                 return CheckResult("derived-brackets", False, witness=err.witness)
     # deviation identity on the first few in-budget triples (v-tuple, a, b)
     ctx = SeriesContext(A, TRIVIAL_RING, bvi.hbar_cutoff)
+    triples = ((vs, a, b)
+               for n in range(1, max_arity)
+               for vs in word_tuples_within(letters, n - 1, budget)
+               for a in letters
+               for b in letters
+               if sum(len(v) for v in vs) + len(a) + len(b) <= budget)
     sampled = 0
-    for n in range(1, max_arity):
-        for vs in itertools.combinations_with_replacement(letters, n - 1):
-            for a in letters:
-                for b in letters:
-                    if sampled >= deviation_samples:
-                        break
-                    total = sum(len(v) for v in vs) + len(a) + len(b)
-                    if total > budget:
-                        continue
-                    ab = A.mul_words(a, b)
-                    lhs = HbarSeries()
-                    for w, c in ab.items():
-                        lhs = lhs.add(derived_bracket(bvi, list(vs) + [w]).scale(c))
-                    da = A.degree(a)
-                    db = A.degree(b)
-                    deg_k = 1 + sum(A.degree(v) for v in vs)
-                    rhs = derived_bracket(bvi, list(vs) + [a, b]).shift_hbar(1)
-                    rhs = ctx.truncate(rhs)
-                    s1 = -ONE if ((deg_k + da) * db) % 2 else ONE
-                    s2 = -ONE if (deg_k * da) % 2 else ONE
-                    rhs = rhs.add(ctx.mul(HbarSeries({(b, "1", 0): s1}),
-                                          derived_bracket(bvi, list(vs) + [a])))
-                    rhs = rhs.add(ctx.mul(HbarSeries({(a, "1", 0): s2}),
-                                          derived_bracket(bvi, list(vs) + [b])))
-                    if not lhs.sub(rhs).is_zero():
-                        return CheckResult(
-                            "derived-brackets", False,
-                            witness={"deviation": [A.label(v) for v in vs],
-                                     "a": A.label(a), "b": A.label(b)})
-                    sampled += 1
+    for vs, a, b in itertools.islice(triples, deviation_samples):
+        ab = A.mul_words(a, b)
+        lhs = HbarSeries()
+        for w, c in ab.items():
+            lhs = lhs.add(derived_bracket(bvi, list(vs) + [w]).scale(c))
+        da = A.degree(a)
+        db = A.degree(b)
+        deg_k = 1 + sum(A.degree(v) for v in vs)
+        rhs = derived_bracket(bvi, list(vs) + [a, b]).shift_hbar(1)
+        rhs = ctx.truncate(rhs)
+        s1 = -ONE if ((deg_k + da) * db) % 2 else ONE
+        s2 = -ONE if (deg_k * da) % 2 else ONE
+        rhs = rhs.add(ctx.mul(HbarSeries({(b, "1", 0): s1}),
+                              derived_bracket(bvi, list(vs) + [a])))
+        rhs = rhs.add(ctx.mul(HbarSeries({(a, "1", 0): s2}),
+                              derived_bracket(bvi, list(vs) + [b])))
+        if not lhs.sub(rhs).is_zero():
+            return CheckResult(
+                "derived-brackets", False,
+                witness={"deviation": [A.label(v) for v in vs],
+                         "a": A.label(a), "b": A.label(b)})
+        sampled += 1
     return CheckResult("derived-brackets", True,
                        bound={"word_length": A.max_len, "max_arity": max_arity,
                               "tuples": checked, "deviation_samples": sampled,

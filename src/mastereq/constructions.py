@@ -307,6 +307,8 @@ class BiDgLieData:
         self.name = name
         self.lie = DgLieAlgebra(self.space, d, bracket, name=name)
         self.delta = _graded_map(self.space, delta, -1)
+        self._bv_algebras: dict[int, tuple[BVAlgebra, dict]] = {}
+        self._hbar_extensions: dict[int, DgLieAlgebra] = {}
 
     def axiom_report(self) -> list[CheckResult]:
         out = list(self.lie.axiom_report())
@@ -357,7 +359,17 @@ def bv_from_bi_dg_lie(B: BiDgLieData, max_len: int = 4) -> tuple[BVAlgebra, dict
     (Delta b) + (-1)^{|a|} {a,b} with the Schouten extension of the bracket.
     The inclusion of generators is certified to intertwine d, Delta and the
     brackets.
+
+    The pair is built once per `B`, keyed by max_len, and shared between
+    callers; treat it as read-only.  An input that fails its axioms raises
+    on every call.
     """
+    if max_len not in B._bv_algebras:
+        B._bv_algebras[max_len] = _build_bv_from_bi_dg_lie(B, max_len)
+    return B._bv_algebras[max_len]
+
+
+def _build_bv_from_bi_dg_lie(B: BiDgLieData, max_len: int) -> tuple[BVAlgebra, dict]:
     axioms = B.axiom_report()
     bad = [r for r in axioms if not r.ok]
     if bad:
@@ -484,8 +496,18 @@ def bar_bv_from_associative(A: AssociativeAlgebraData, max_len: int = 4,
 
 def hbar_extended_dg_lie(B: BiDgLieData, hbar_cutoff: int = 3) -> DgLieAlgebra:
     """g[[hbar]] mod hbar^K as a finite-dimensional dg-Lie algebra over k,
-    with differential d + hbar delta; basis labels are x@h{j}, degree |x|+2j."""
-    K = hbar_cutoff
+    with differential d + hbar delta; basis labels are x@h{j}, degree |x|+2j.
+
+    The algebra is built and validated once per `B`, keyed by hbar_cutoff,
+    and shared between callers; treat it as read-only.  A build that fails
+    validation raises on every call.
+    """
+    if hbar_cutoff not in B._hbar_extensions:
+        B._hbar_extensions[hbar_cutoff] = _build_hbar_extended_dg_lie(B, hbar_cutoff)
+    return B._hbar_extensions[hbar_cutoff]
+
+
+def _build_hbar_extended_dg_lie(B: BiDgLieData, K: int) -> DgLieAlgebra:
     basis = [(f"{x}@h{j}", deg + 2 * j) for j in range(K) for (x, deg) in B.space.basis]
     space = GradedVectorSpace(basis)
     d_entries: dict[tuple[str, str], Fraction] = {}

@@ -79,6 +79,7 @@ class DgLieAlgebra:
                 if space.degree(a) % 2 == 0 and val:
                     raise StructureError(f"{name}: [x,x] must vanish for even x", witness=a)
         self.bracket = {k: v for k, v in table.items() if v}
+        self._linfty: LInftyAlgebra | None = None
         if validate:
             report = self.axiom_report()
             bad = [r for r in report if not r.ok]
@@ -145,6 +146,16 @@ class DgLieAlgebra:
         return out
 
     def to_linfty(self) -> "LInftyAlgebra":
+        """The L-infinity algebra with l_1 = d and l_2 the shifted bracket.
+
+        Built once per algebra and shared between callers, together with the
+        word algebras and codifferentials it caches; treat it as read-only.
+        """
+        if self._linfty is None:
+            self._linfty = self._build_linfty()
+        return self._linfty
+
+    def _build_linfty(self) -> "LInftyAlgebra":
         shifted = self.space.shift(1)
         brackets: dict[int, dict[Word, dict[str, Fraction]]] = {1: {}, 2: {}}
         for (s, t), c in self.d.entries.items():
@@ -190,6 +201,7 @@ class LInftyAlgebra:
         self.n_max = n_max or max(self.brackets, default=1)
         self._algebras: dict[int, SymmetricWordAlgebra] = {}
         self._coderivations: dict[int, Coderivation] = {}
+        self._coderivation_algebras: dict[tuple[int, bool], tuple[DgLieAlgebra, dict]] = {}
 
     def word_algebra(self, max_len: int) -> SymmetricWordAlgebra:
         if max_len not in self._algebras:
@@ -518,8 +530,20 @@ def coderivation_dg_lie(h, max_len: int = 3, validate: bool = True) -> tuple[DgL
     bracket is the commutator of coderivation extensions and the differential
     is the bracket with the codifferential of h.  Returns the algebra and the
     label map {(word, target): basis label}.
+
+    The pair is built once per L-infinity algebra of h (a dg-Lie input shares
+    it with its `to_linfty()`), keyed by (max_len, validate), and shared
+    between callers; treat it as read-only.  A build that fails validation
+    is not stored.
     """
     hl = _as_linfty(h)
+    key = (max_len, validate)
+    if key not in hl._coderivation_algebras:
+        hl._coderivation_algebras[key] = _build_coderivation_dg_lie(hl, max_len, validate)
+    return hl._coderivation_algebras[key]
+
+
+def _build_coderivation_dg_lie(hl: LInftyAlgebra, max_len: int, validate: bool) -> tuple[DgLieAlgebra, dict]:
     W = hl.word_algebra(max_len)
     space_entries = []
     key_of: dict[tuple[Word, str], str] = {}

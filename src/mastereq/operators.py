@@ -9,12 +9,11 @@ it actually covers.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Callable, Mapping
 
 from .diagnostics import CheckResult, PreconditionError
-from .words import TruncationOverflow, WordAlgebra, vec_add_into
+from .words import TruncationOverflow, WordAlgebra, vec_add_into, word_tuples_within
 
 __all__ = ["Operator", "operator_order_check", "iterated_commutator_apply"]
 
@@ -181,10 +180,8 @@ def operator_order_check(algebra: WordAlgebra, op: Operator, n: int, name: str =
     budget = algebra.max_len - max(0, op.max_raise)
     gens = [w for w in algebra.generator_words() if len(w) <= budget]
     checked = 0
-    for vs in itertools.combinations_with_replacement(gens, n + 1):
+    for vs in word_tuples_within(gens, n + 1, budget):
         used = sum(len(v) for v in vs)
-        if used > budget:
-            continue
         for w in algebra.words:
             if used + len(w) > budget:
                 continue

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graded import GradedVectorSpace, koszul_sign
 
@@ -31,6 +31,7 @@ __all__ = [
     "vec_scale",
     "vec_clean",
     "vec_is_zero",
+    "word_tuples_within",
 ]
 
 Word = tuple[str, ...]
@@ -78,6 +79,35 @@ def vec_clean(vec: dict) -> dict:
 
 def vec_is_zero(vec: Mapping) -> bool:
     return all(v == 0 for v in vec.values())
+
+
+def word_tuples_within(words: Sequence[Word], n: int, budget: int) -> Iterator[tuple[Word, ...]]:
+    """The tuples of `itertools.combinations_with_replacement(words, n)` of
+    total length at most `budget`, in the same order.
+
+    Tuples are built index by index; a prefix is dropped as soon as even the
+    shortest completion from the words left to it would exceed the budget,
+    so the tuples over budget are never listed.
+    """
+    lengths = [len(w) for w in words]
+    # shortest[i] = min(lengths[i:]), non-decreasing in i
+    shortest = list(itertools.accumulate(reversed(lengths), min))[::-1]
+
+    def extend(start: int, k: int, room: int, prefix: list[Word]) -> Iterator[tuple[Word, ...]]:
+        if k == 0:
+            yield tuple(prefix)
+            return
+        for i in range(start, len(words)):
+            if k * shortest[i] > room:
+                break
+            if lengths[i] + (k - 1) * shortest[i] > room:
+                continue
+            prefix.append(words[i])
+            yield from extend(i, k - 1, room - lengths[i], prefix)
+            prefix.pop()
+
+    if budget >= 0:
+        yield from extend(0, n, budget, [])
 
 
 class WordAlgebra:

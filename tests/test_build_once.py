@@ -1,0 +1,104 @@
+"""Input-only structures are built once per owner object and shared.
+
+`DgLieAlgebra.to_linfty`, `coderivation_dg_lie`, `hbar_extended_dg_lie` and
+`bv_from_bi_dg_lie` depend only on their input, so batteries that call them
+once per instance must not rebuild them.  A build that raises is not kept.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from mastereq import cli, fixtures
+from mastereq.constructions import BiDgLieData, bv_from_bi_dg_lie, hbar_extended_dg_lie
+from mastereq.diagnostics import StructureError
+from mastereq.graded import GradedVectorSpace
+from mastereq.linfty import DgLieAlgebra, coderivation_dg_lie
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def bidg4(**changes):
+    data = dict(fixtures.bidg_fixtures()["bidg4"], **changes)
+    return BiDgLieData(**data, name="bidg4")
+
+
+def test_to_linfty_is_shared():
+    g = fixtures.heis3()
+    gl = g.to_linfty()
+    assert g.to_linfty() is gl
+    assert gl.word_algebra(3) is g.to_linfty().word_algebra(3)
+
+
+def test_coderivation_dg_lie_built_once_per_parameters():
+    g = fixtures.heis3()
+    first = coderivation_dg_lie(g, 3, validate=False)
+    assert coderivation_dg_lie(g, 3, validate=False) is first
+    # a dg-Lie input and its L-infinity form own the same result
+    assert coderivation_dg_lie(g.to_linfty(), 3, validate=False) is first
+    assert coderivation_dg_lie(g, 2, validate=False) is not first
+    assert coderivation_dg_lie(g, 3, validate=True) is not first
+    assert coderivation_dg_lie(fixtures.heis3(), 3, validate=False) is not first
+
+
+def test_bidg_builders_built_once_per_parameters():
+    B = bidg4()
+    gh = hbar_extended_dg_lie(B, 3)
+    assert hbar_extended_dg_lie(B, 3) is gh
+    assert hbar_extended_dg_lie(B, 2) is not gh
+    built = bv_from_bi_dg_lie(B, 4)
+    assert bv_from_bi_dg_lie(B, 4) is built
+    assert bv_from_bi_dg_lie(B, 3) is not built
+
+
+def test_failed_builds_raise_on_every_call():
+    B = bidg4(delta={("q", "p"): -1})  # [delta, d] != 0
+    for _ in range(2):
+        with pytest.raises(StructureError):
+            bv_from_bi_dg_lie(B, 4)
+        with pytest.raises(StructureError):
+            hbar_extended_dg_lie(B, 3)
+    space = GradedVectorSpace([("x", 0), ("y", 0), ("z", 0)])
+    bad = DgLieAlgebra(space, {}, {("x", "y"): {"z": 1}, ("x", "z"): {"x": 1}},
+                       name="bad", validate=False)
+    for _ in range(2):
+        with pytest.raises(StructureError):
+            coderivation_dg_lie(bad, 3, validate=True)
+
+
+def test_same_name_different_delta_not_shared():
+    B, B0 = bidg4(), bidg4(delta={})
+    assert B.name == B0.name
+    assert bv_from_bi_dg_lie(B, 4)[0].delta.entries != bv_from_bi_dg_lie(B0, 4)[0].delta.entries
+    assert hbar_extended_dg_lie(B, 3).d.entries != hbar_extended_dg_lie(B0, 3).d.entries
+
+
+def _dg_lie_work(monkeypatch, argv, instances):
+    """(dg-Lie algebras constructed, axiom reports run) by one CLI command."""
+    built, reports = [], []
+    original_init, original_report = DgLieAlgebra.__init__, DgLieAlgebra.axiom_report
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        original_init(self, *args, **kwargs)
+
+    def counted_report(self):
+        reports.append(self.name)
+        return original_report(self)
+
+    monkeypatch.setattr(DgLieAlgebra, "__init__", counted_init)
+    monkeypatch.setattr(DgLieAlgebra, "axiom_report", counted_report)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*argv, "--instances", str(instances), "--seed", "5", "--format", "machine"])
+    monkeypatch.undo()
+    assert code == 0
+    return len(built), len(reports)
+
+
+@pytest.mark.parametrize("theorem, algebra", [("quillen", "heis3.alg"), ("corollary-bidg", "bidg4.alg")])
+def test_input_only_work_does_not_grow_with_instances(monkeypatch, theorem, algebra):
+    argv = ["verify-representability", theorem, str(FIXTURES / algebra),
+            "--ring", str(FIXTURES / "ring-t3.alg")]
+    assert _dg_lie_work(monkeypatch, argv, 2) == _dg_lie_work(monkeypatch, argv, 20)

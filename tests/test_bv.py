@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from mastereq.linfty import DgLieAlgebra
 from mastereq.operators import Operator, iterated_commutator_apply, operator_order_check
 from mastereq.sampling import random_qme_element
 from mastereq.series import HbarSeries
-from mastereq.words import SymmetricWordAlgebra
+from mastereq.words import SymmetricWordAlgebra, word_tuples_within
 
 
 def ce(name, n=4):
@@ -207,6 +208,21 @@ def test_derived_brackets_linfty_check_fixtures():
         assert derived_brackets_linfty_check(bvi, max_arity=4).ok, name
     bvi = ce_bvinfty_from_linfty(fixtures.linfty_fixtures()["l3demo"], 4)
     assert derived_brackets_linfty_check(bvi, max_arity=4).ok
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_derived_bracket_tuples_match_filtered_combinations(N):
+    # the budgeted generator against the definition it replaces: every tuple
+    # of augmentation-ideal words up to arity 4, filtered by total length
+    bvi = ce_bvinfty_from_linfty(fixtures.linfty_fixtures()["l3demo"], N)
+    budget = N - max(op.max_raise for op in bvi.operators.values())
+    letters = [w for w in bvi.algebra.augmentation_ideal_words() if len(w) <= budget]
+    for n in range(1, 5):
+        naive = [vs for vs in itertools.combinations_with_replacement(letters, n)
+                 if sum(len(v) for v in vs) <= budget]
+        assert list(word_tuples_within(letters, n, budget)) == naive, n
+    tuples = derived_brackets_linfty_check(bvi, max_arity=4).bound["tuples"]
+    assert tuples == {4: 250, 5: 678}[N]
 
 
 def test_derived_brackets_corrupted_delta_detected():

@@ -2,9 +2,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mastereq.graded import GradedVectorSpace
-from mastereq.words import SymmetricWordAlgebra, TensorWordAlgebra, TruncationOverflow
+from mastereq.words import SymmetricWordAlgebra, TensorWordAlgebra, TruncationOverflow, word_tuples_within
 
 ODD3 = GradedVectorSpace([("x", 1), ("y", 1), ("z", 1)])
 MIXED = GradedVectorSpace([("a", 0), ("b", 1), ("c", 2), ("e", -1)])
@@ -182,3 +184,12 @@ def test_tensor_words_keep_order():
     T = TensorWordAlgebra(space, 3)
     assert ("u", "v") in T.words and ("v", "u") in T.words
     assert ("u", "u") in T.words  # repeats allowed in tensor words
+
+
+@given(lengths=st.lists(st.integers(1, 4), max_size=7), n=st.integers(0, 4), budget=st.integers(-1, 9))
+def test_word_tuples_within_is_filtered_combinations(lengths, n, budget):
+    # word lengths in any order, not only sorted as in a word algebra
+    words = [("w",) * (k - 1) + (str(i),) for i, k in enumerate(lengths)]
+    naive = [vs for vs in itertools.combinations_with_replacement(words, n)
+             if sum(len(v) for v in vs) <= budget]
+    assert list(word_tuples_within(words, n, budget)) == naive
