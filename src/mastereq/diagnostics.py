@@ -10,6 +10,7 @@ __all__ = [
     "PreconditionError",
     "StructureError",
     "ManifestError",
+    "InternalError",
 ]
 
 
@@ -27,6 +28,11 @@ class StructureError(MasterEqError):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class InternalError(MasterEqError):
+    """Two routes that agree by construction gave different results: a kernel
+    fault, not an input fault."""
 
 
 class ManifestError(MasterEqError):

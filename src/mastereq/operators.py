@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .diagnostics import CheckResult, PreconditionError
+from .diagnostics import CheckResult, InternalError, PreconditionError
 from .words import TruncationOverflow, WordAlgebra, vec_add_into, word_tuples_within
 
 __all__ = ["Operator", "operator_order_check", "iterated_commutator_apply"]
@@ -128,9 +128,11 @@ class Operator:
 def iterated_commutator_apply(algebra: WordAlgebra, op: Operator, vs: list, target) -> dict:
     """Apply [...[[op, L_{v_0}], L_{v_1}], ..., L_{v_k}] to a basis word.
 
-    Graded commutators with left multiplications, evaluated recursively; the
-    operator is applied exactly once per expansion branch, so the word-length
-    budget of the caller bounds every intermediate product.
+    This is the definition, evaluated recursively with nothing shared: the
+    operator is applied once on each of the 2^(k+1) expansion branches, so
+    the word-length budget of the caller bounds every intermediate product.
+    `operator_order_check` evaluates the same commutators through shared
+    tables and confirms every witness it reports with this function.
     """
 
     def rec(k: int, x: Mapping) -> dict:
@@ -176,24 +178,82 @@ def operator_order_check(algebra: WordAlgebra, op: Operator, n: int, name: str =
     word w with used + len(w) <= N - max_raise, so no intermediate product
     overflows the truncation.  The bound's `checked` counts those
     (generator tuple, target) pairs.
+
+    The commutators are evaluated level by level,
+
+        C_{-1} = op,   C_k(x) = C_{k-1}(v_k x) - (-1)^{|C_{k-1}||v_k|} v_k C_{k-1}(x),
+
+    with a table of C_k on basis words for each level k < n, filled on
+    demand.  C_k depends on the prefix (v_0, ..., v_k) only, and the tuples
+    come in `word_tuples_within` order, where all tuples sharing a prefix are
+    consecutive: so a table serves every tuple of its prefix and is cleared
+    when the prefix changes, and each prefix's table is built once.  The
+    tables hold at most n * |words| entries and live for one call.  A tested
+    pair costs one product into C_{n-1}'s table and one product out of it.
+    A nonzero value is confirmed with `iterated_commutator_apply`, the
+    unshared definition, before it is reported.
     """
     budget = algebra.max_len - max(0, op.max_raise)
     gens = [w for w in algebra.generator_words() if len(w) <= budget]
+    mul_words = algebra.mul_words
+    degree = algebra.degree
+    # tables[k][x] = C_k(x) for the prefix vs[:k + 1] of the current tuple
+    tables: list[dict] = [{} for _ in range(n)]
+    prefix: tuple = (None,) * (n + 1)  # matches no tuple: the first one fills every table
+    # minus_signs[k] = -(-1)^{|C_{k-1}||v_k|}, the coefficient of v_k C_{k-1}(x)
+    minus_signs: list = [ONE] * (n + 1)
+
+    def apply_level(k: int, vs: tuple, x) -> dict:
+        """C_k(x) from C_{k-1}, for a basis word x."""
+        v = vs[k]
+        out: dict = {}
+        for u, s in mul_words(v, x).items():
+            for t, c in lower(k - 1, vs, u).items():
+                vec_add_into(out, t, s * c)
+        for u, c in lower(k - 1, vs, x).items():
+            c = minus_signs[k] * c
+            for t, s in mul_words(v, u).items():
+                vec_add_into(out, t, s * c)
+        return out
+
+    def lower(k: int, vs: tuple, x) -> dict:
+        if k < 0:
+            return op.apply_word(x)
+        table = tables[k]
+        value = table.get(x)
+        if value is None:
+            value = table[x] = apply_level(k, vs, x)
+        return value
+
     checked = 0
     for vs in word_tuples_within(gens, n + 1, budget):
+        shared = next((k for k in range(n) if vs[k] != prefix[k]), n)
+        for table in tables[shared:]:
+            table.clear()
+        prefix = vs
+        deg_c = op.degree
+        for k, v in enumerate(vs):
+            minus_signs[k] = ONE if (deg_c * degree(v)) % 2 else -ONE
+            deg_c += degree(v)
         used = sum(len(v) for v in vs)
         for w in algebra.words:
             if used + len(w) > budget:
                 continue
             checked += 1
+            value = apply_level(n, vs, w)
+            if not value:
+                continue
             result = iterated_commutator_apply(algebra, op, list(vs), w)
-            if any(result.values()):
-                witness = {
-                    "test_vectors": [algebra.label(v) for v in vs],
-                    "word": algebra.label(w),
-                    "value": {algebra.label(u): str(c) for u, c in sorted(result.items()) if c},
-                }
-                return CheckResult(name or f"order<={n}", False, witness=witness,
-                                   bound={"word_length": algebra.max_len, "checked": checked})
+            if result != value:
+                raise InternalError(
+                    f"order check: shared tables and the definition disagree on "
+                    f"{[algebra.label(v) for v in vs]} applied to {algebra.label(w)}")
+            witness = {
+                "test_vectors": [algebra.label(v) for v in vs],
+                "word": algebra.label(w),
+                "value": {algebra.label(u): str(c) for u, c in sorted(result.items()) if c},
+            }
+            return CheckResult(name or f"order<={n}", False, witness=witness,
+                               bound={"word_length": algebra.max_len, "checked": checked})
     return CheckResult(name or f"order<={n}", True,
                        bound={"word_length": algebra.max_len, "checked": checked})

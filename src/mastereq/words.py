@@ -19,7 +19,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .graded import GradedVectorSpace, koszul_sign
+from .graded import GradedVectorSpace
 
 __all__ = [
     "Word",
@@ -84,6 +84,12 @@ def vec_is_zero(vec: Mapping) -> bool:
 def word_tuples_within(words: Sequence[Word], n: int, budget: int) -> Iterator[tuple[Word, ...]]:
     """The tuples of `itertools.combinations_with_replacement(words, n)` of
     total length at most `budget`, in the same order.
+
+    The order is guaranteed: lexicographic in the positions of `words`, so
+    all tuples that share a prefix come one after another, and a prefix
+    never returns once the listing has moved past it.
+    `operators.operator_order_check` relies on this to build each prefix's
+    commutator table once.
 
     Tuples are built index by index; a prefix is dropped as soon as even the
     shortest completion from the words left to it would exceed the budget,
@@ -254,16 +260,19 @@ class SymmetricWordAlgebra(WordAlgebra):
         """Canonical form of an unordered word; (None, 0) if it collapses.
 
         Returns the sorted word and the Koszul sign of the sorting
-        permutation.  A repeated factor of odd degree makes the word zero.
+        permutation: only inversions of two odd factors flip it.  `order` is
+        a permutation by construction, so `graded.koszul_sign` and its
+        validation are not needed here.
         """
-        order = sorted(range(len(labels)), key=lambda i: self._sort_key[labels[i]])
-        degs = [self.space.degree(x) for x in labels]
-        sign = koszul_sign(order, degs)
-        word = tuple(labels[i] for i in order)
-        for a, b in zip(word, word[1:]):
-            if a == b and self.space.degree(a) % 2 != 0:
+        key = self._sort_key  # label -> (degree, declaration index)
+        order = sorted(range(len(labels)), key=lambda i: key[labels[i]])
+        odd = [i for i in order if key[labels[i]][0] % 2]
+        # equal factors sort next to each other
+        for i, j in zip(odd, odd[1:]):
+            if labels[i] == labels[j]:
                 return None, ZERO
-        return word, sign
+        inversions = sum(1 for k, i in enumerate(odd) for j in odd[k + 1:] if i > j)
+        return tuple(labels[i] for i in order), (-ONE if inversions % 2 else ONE)
 
     def _enumerate_words(self) -> Iterable[Word]:
         letters = sorted(self.space.labels, key=self._sort_key.__getitem__)

@@ -172,6 +172,22 @@ def test_identity_check_big_formula_seeded(tmp_path):
     assert "conjugation-identity" in (tmp_path / "r.txt").read_text()
 
 
+def test_vacuous_corruption_battery_does_not_pass(tmp_path, monkeypatch):
+    # every perturbed neighbour is a morphism: there is nothing to detect
+    monkeypatch.setattr(cli, "chuang_lazarev_residual", lambda *args: {})
+    monkeypatch.setattr(cli, "chuang_lazarev_morphism_defect",
+                        lambda *args: cli.CheckResult("defect", True))
+    out = tmp_path / "r.json"
+    code = run_cli("verify-representability", "chuang-lazarev", str(FIXTURES / "sl2.alg"),
+                   "--seed", "5", "--instances", "3", "--format", "machine", "--out", str(out))
+    assert code == 1
+    certs = {c["name"]: c for c in json.loads(out.read_text())["certificates"]}
+    assert certs["chuang-lazarev-valid"]["status"] == "pass"
+    detected = certs["chuang-lazarev-corrupted-detected"]
+    assert detected["status"] == "fail"
+    assert detected["bounds"] == {"detected": 0, "skipped": 3, "total": 3}
+
+
 def test_verify_representability_unknown_variant_exits_2():
     proc = run_cli_capture("verify-representability", "no-such-theorem", "x.alg")
     assert proc.returncode == 2

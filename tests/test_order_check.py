@@ -1,8 +1,11 @@
-"""Operator-order certificates against the all-words definition.
+"""Operator-order certificates against the definition.
 
-`operator_order_check` tests tuples of the algebra's generating words only.
+`operator_order_check` tests tuples of the algebra's generating words only,
+and evaluates their commutators through tables shared along each prefix.
 `_order_check_oracle` is the definition it shortcuts: every tuple of
-augmentation-ideal words under the same length budget.
+augmentation-ideal words under the same length budget, each pair evaluated
+on its own by `iterated_commutator_apply`.  Restricted to the generating
+words, the same loop is the exact reference for the shared tables.
 """
 
 import itertools
@@ -21,12 +24,15 @@ from mastereq.operators import Operator, iterated_commutator_apply, operator_ord
 from mastereq.words import SymmetricWordAlgebra, TensorWordAlgebra
 
 
-def _order_check_oracle(algebra, op, n):
-    """Order <= n tested on every (n+1)-tuple of augmentation-ideal words."""
+def _order_check_oracle(algebra, op, n, vectors=None):
+    """Order <= n tested on every (n+1)-tuple of `vectors` (default: the
+    augmentation-ideal words), one `iterated_commutator_apply` per pair."""
     budget = algebra.max_len - max(0, op.max_raise)
-    aug = [w for w in algebra.augmentation_ideal_words() if len(w) <= budget]
+    if vectors is None:
+        vectors = algebra.augmentation_ideal_words()
+    vectors = [w for w in vectors if len(w) <= budget]
     checked = 0
-    for vs in itertools.combinations_with_replacement(aug, n + 1):
+    for vs in itertools.combinations_with_replacement(vectors, n + 1):
         used = sum(len(v) for v in vs)
         if used > budget:
             continue
@@ -65,12 +71,24 @@ def _homogeneous_pairs(A, sources, degree):
             if A.degree(u) == A.degree(w) + degree and len(u) <= len(w) + 1]
 
 
+def _perturbed(draw, A, op):
+    """`op`, or `op` with one entry changed in a random homogeneous place."""
+    perturbable = _homogeneous_pairs(A, sorted(op.defined), op.degree)
+    if not (perturbable and draw(st.booleans())):
+        return op
+    w, u = draw(st.sampled_from(perturbable))
+    entries = {k: dict(v) for k, v in op.entries.items()}
+    image = entries.setdefault(w, {})
+    image[u] = image.get(u, 0) + draw(coefficients)
+    return Operator(A, op.degree, entries, op.defined)
+
+
 @st.composite
-def order_cases(draw):
+def order_cases(draw, max_len=4, max_n=2):
     """(algebra, operator, n, order of the unperturbed operator or None)."""
     degrees = draw(st.lists(st.sampled_from((-1, 0, 1, 2)), min_size=1, max_size=3))
     A = SymmetricWordAlgebra(GradedVectorSpace((f"x{i}", d) for i, d in enumerate(degrees)),
-                             draw(st.integers(2, 4)))
+                             draw(st.integers(2, max_len)))
     letters = A.generator_words()
     kind = draw(st.sampled_from(("sparse", "multiplication", "derivation", "ce-delta")))
     if kind == "sparse":
@@ -100,15 +118,11 @@ def order_cases(draw):
         for (a, b), (t,) in draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []:
             bracket.setdefault((a, b), {})[t] = draw(coefficients)
         op, order = ce_delta_operator(A, lambda a, b: bracket.get((a, b), {})), 2
-    perturbable = _homogeneous_pairs(A, sorted(op.defined), op.degree)
-    if perturbable and draw(st.booleans()):
-        w, u = draw(st.sampled_from(perturbable))
-        entries = {k: dict(v) for k, v in op.entries.items()}
-        image = entries.setdefault(w, {})
-        image[u] = image.get(u, 0) + draw(coefficients)
-        op, order = Operator(A, op.degree, entries, op.defined), None
+    perturbed = _perturbed(draw, A, op)
+    if perturbed is not op:
+        op, order = perturbed, None
     budget = A.max_len - max(0, op.max_raise)
-    return A, op, draw(st.integers(0, min(2, budget - 1))), order
+    return A, op, draw(st.integers(0, min(max_n, budget - 1))), order
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -123,6 +137,84 @@ def test_generator_tuples_agree_with_all_words(case):
     if not got.ok:
         assert all(len(A.word_of_label(v)) == 1 for v in got.witness["test_vectors"])
         _assert_witness_reproduces(A, op, got.witness)
+
+
+# -- shared prefix tables against one definition call per pair ------------------
+
+
+@st.composite
+def tensor_cases(draw):
+    """(shuffle algebra, operator, n): sparse operators, left multiplications
+    and their products, letter-level derivation extensions, maybe perturbed."""
+    degrees = draw(st.lists(st.sampled_from((-1, 0, 1, 2)), min_size=1, max_size=2))
+    A = TensorWordAlgebra(GradedVectorSpace((f"x{i}", d) for i, d in enumerate(degrees)),
+                          draw(st.integers(2, 4)))
+    letters = [w for w in A.words if len(w) == 1]
+    kind = draw(st.sampled_from(("sparse", "multiplication", "derivation")))
+    if kind == "sparse":
+        degree = draw(st.integers(-1, 1))
+        pairs = _homogeneous_pairs(A, A.words, degree)
+        entries: dict = {}
+        for w, u in draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []:
+            entries.setdefault(w, {})[u] = draw(coefficients)
+        op = Operator(A, degree, entries)
+    elif kind == "multiplication":
+        factors = draw(st.lists(st.sampled_from([()] + letters), min_size=1, max_size=2))
+        op = Operator.from_function(A, A.degree(factors[0]), lambda w: A.mul_words(factors[0], w))
+        for a in factors[1:]:
+            op = Operator.from_function(A, A.degree(a), lambda w: A.mul_words(a, w)).compose(op)
+        if not op.entries:
+            # x ш x = 0 for odd x: state the product as zero on every word
+            op = Operator.zero(A, op.degree)
+    else:
+        degree = draw(st.integers(-1, 1))
+        pairs = _homogeneous_pairs(A, letters, degree)
+        values: dict = {}
+        for (x,), u in draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []:
+            values.setdefault(x, {})[u] = draw(coefficients)
+        op = derivation_extend(A, values, degree)
+    op = _perturbed(draw, A, op)
+    budget = A.max_len - max(0, op.max_raise)
+    return A, op, draw(st.integers(0, max(0, min(3, budget - 1))))
+
+
+def _assert_same_as_generator_loop(A, op, n):
+    expected = _order_check_oracle(A, op, n, A.generator_words())
+    got = operator_order_check(A, op, n)
+    assert (got.ok, got.witness, got.bound["checked"]) == \
+        (expected.ok, expected.witness, expected.bound["checked"])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(order_cases(max_len=5, max_n=3))
+def test_shared_tables_equal_the_definition_on_symmetric_words(case):
+    A, op, n, _ = case
+    _assert_same_as_generator_loop(A, op, n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(tensor_cases())
+def test_shared_tables_equal_the_definition_on_tensor_words(case):
+    _assert_same_as_generator_loop(*case)
+
+
+def test_shared_tables_reset_with_their_prefix():
+    # on the CE algebra of [x1, x1] = [x2, x2] = w, Delta has order 2: n = 2
+    # and n = 3 run through every prefix.  A defect on x2^4 is first seen
+    # after the prefix (x1, x1) gave way to (x1, x2), one on x2^5 after the
+    # prefix (x1) gave way to (x2)
+    bv = _even_letter_ce(2, 5)
+    A = bv.algebra
+    for n in (0, 1, 2, 3):
+        _assert_same_as_generator_loop(A, bv.delta, n)
+    for w, first in ((("x2",) * 4, ["x1", "x2"]), (("x2",) * 5, ["x2", "x2"])):
+        entries = {k: dict(v) for k, v in bv.delta.entries.items()}
+        u = next(u for u in A.words if A.degree(u) == A.degree(w) - 1)
+        entries.setdefault(w, {})[u] = Fraction(1)
+        delta = Operator(A, bv.delta.degree, entries, bv.delta.defined)
+        for n in (2, 3):
+            _assert_same_as_generator_loop(A, delta, n)
+            assert operator_order_check(A, delta, n).witness["test_vectors"][:2] == first
 
 
 # -- why tensor words keep every word ------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mastereq.graded import GradedVectorSpace
+from mastereq.graded import GradedVectorSpace, koszul_sign
 from mastereq.words import SymmetricWordAlgebra, TensorWordAlgebra, TruncationOverflow, word_tuples_within
 
 ODD3 = GradedVectorSpace([("x", 1), ("y", 1), ("z", 1)])
@@ -21,6 +21,23 @@ def test_normalize_sorts_and_signs():
     word, sign = A.normalize(["y", "x"])
     assert word == ("x", "y")
     assert sign == -1  # two odd letters swapped
+
+
+@given(degrees=st.lists(st.integers(-1, 2), min_size=1, max_size=4), data=st.data())
+def test_normalize_sign_is_the_koszul_sign_of_its_sort(degrees, data):
+    space = GradedVectorSpace((f"x{i}", d) for i, d in enumerate(degrees))
+    A = SymmetricWordAlgebra(space, 6)
+    labels = data.draw(st.lists(st.sampled_from(space.labels), max_size=6))
+    # the normal form sorts stably by (degree, declaration index)
+    order = sorted(range(len(labels)), key=lambda i: (space.degree(labels[i]), space.labels.index(labels[i])))
+    word, sign = A.normalize(labels)
+    if word is None:
+        assert sign == 0
+        assert any(a == b and space.degree(a) % 2 for a, b in itertools.combinations(labels, 2))
+        return
+    assert word == tuple(labels[i] for i in order)
+    assert type(sign) is Fraction
+    assert sign == koszul_sign(order, [space.degree(x) for x in labels])
 
 
 def test_normalize_repeated_odd_is_zero():
