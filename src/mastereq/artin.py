@@ -14,19 +14,16 @@ algebra structure with zero products on m* (used by the morphism calculus).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .diagnostics import StructureError
-from .graded import as_scalar
+from .graded import ONE, ZERO, Scalar, as_scalar
 from .linalg import rref, span_contains
 
 __all__ = ["ArtinLocalAlgebra", "DualRingCoalgebra", "DualRingAlgebra", "TRIVIAL_RING", "power_ring", "square_zero_ring"]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
-RingElt = dict[str, Fraction]
+RingElt = dict[str, Scalar]
 
 
 class ArtinLocalAlgebra:
@@ -71,7 +68,7 @@ class ArtinLocalAlgebra:
             return {a: ONE}
         return self.table.get((a, b), {})
 
-    def mul(self, x: Mapping[str, Fraction], y: Mapping[str, Fraction]) -> RingElt:
+    def mul(self, x: Mapping[str, Scalar], y: Mapping[str, Scalar]) -> RingElt:
         out: RingElt = {}
         for a, ca in x.items():
             for b, cb in y.items():
@@ -88,13 +85,13 @@ class ArtinLocalAlgebra:
 
     # -- m-adic filtration ---------------------------------------------------
 
-    def _coords(self, elt: RingElt) -> list[Fraction]:
+    def _coords(self, elt: RingElt) -> list[Scalar]:
         return [elt.get(x, ZERO) for x in self.ideal_labels]
 
     def _compute_filtration(self) -> None:
         """Nilpotency order and the m-adic order of each ideal basis label."""
         n = len(self.ideal_labels)
-        layer_rows: list[list[list[Fraction]]] = []
+        layer_rows: list[list[list[Scalar]]] = []
         current = [[(ONE if j == i else ZERO) for j in range(n)] for i in range(n)]
         current, _ = rref(current)
         k = 1
@@ -173,17 +170,17 @@ class DualRingCoalgebra:
         self.ring = ring
         self.unit = "1"  # the coaugmentation, dual to the augmentation R -> k
         self.basis_keys = ring.labels
-        pairing: dict[str, list[tuple[str, str, Fraction]]] = {c: [] for c in ring.labels}
+        pairing: dict[str, list[tuple[str, str, Scalar]]] = {c: [] for c in ring.labels}
         for a in ring.labels:
             for b in ring.labels:
                 for c, coeff in ring.mul_labels(a, b).items():
                     pairing[c].append((a, b, coeff))
         self._coproduct = pairing
 
-    def coproduct(self, key: str) -> list[tuple[str, str, Fraction]]:
+    def coproduct(self, key: str) -> list[tuple[str, str, Scalar]]:
         return self._coproduct[key]
 
-    def counit_key(self, key: str) -> Fraction:
+    def counit_key(self, key: str) -> Scalar:
         return ONE if key == "1" else ZERO
 
     def degree(self, key: str) -> int:
@@ -199,7 +196,7 @@ class DualRingAlgebra(DualRingCoalgebra):
 
     max_len = None
 
-    def mul_words(self, a: str, b: str) -> dict[str, Fraction]:
+    def mul_words(self, a: str, b: str) -> dict[str, Scalar]:
         if a == "1":
             return {b: ONE}
         if b == "1":

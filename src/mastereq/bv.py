@@ -27,6 +27,7 @@ from typing import Mapping, Sequence
 
 from .artin import ArtinLocalAlgebra, TRIVIAL_RING
 from .diagnostics import CheckResult, PreconditionError, StructureError
+from .graded import ONE, ZERO, Scalar
 from .linalg import solve_linear
 from .operators import Operator, operator_order_check
 from .series import HbarSeries, SeriesContext
@@ -46,8 +47,6 @@ __all__ = [
     "QMESolveResult",
 ]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
@@ -176,7 +175,7 @@ class BVInftyAlgebra:
 # -- brackets -----------------------------------------------------------------
 
 
-def antibracket(bv: BVAlgebra, a: Mapping[Word, Fraction] | Word, b: Mapping[Word, Fraction] | Word) -> dict[Word, Fraction]:
+def antibracket(bv: BVAlgebra, a: Mapping[Word, Scalar] | Word, b: Mapping[Word, Scalar] | Word) -> dict[Word, Scalar]:
     """{a,b} = (-1)^{|a|} (Delta(ab) - (Delta a) b - (-1)^{|a|} a (Delta b)).
 
     Arguments are homogeneous words or word vectors; the result measures the
@@ -191,7 +190,7 @@ def antibracket(bv: BVAlgebra, a: Mapping[Word, Fraction] | Word, b: Mapping[Wor
     t1 = bv.delta.apply(ab)
     t2 = A.mul(bv.delta.apply(va), vb)
     t3 = A.mul(va, bv.delta.apply(vb))
-    out: dict[Word, Fraction] = {}
+    out: dict[Word, Scalar] = {}
     for w, c in t1.items():
         vec_add_into(out, w, sa * c)
     for w, c in t2.items():
@@ -201,7 +200,7 @@ def antibracket(bv: BVAlgebra, a: Mapping[Word, Fraction] | Word, b: Mapping[Wor
     return out
 
 
-def _homogeneous_degree(A: WordAlgebra, vec: Mapping[Word, Fraction]) -> int:
+def _homogeneous_degree(A: WordAlgebra, vec: Mapping[Word, Scalar]) -> int:
     degs = {A.degree(w) for w, c in vec.items() if c}
     if len(degs) > 1:
         raise PreconditionError(f"argument is not homogeneous: degrees {sorted(degs)}")

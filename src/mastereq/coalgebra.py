@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .diagnostics import CheckResult, PreconditionError
-from .graded import GradedLinearMap
+from .graded import ONE, ZERO, GradedLinearMap, Scalar, as_scalar
 from .operators import Operator
 from .series import HbarSeries, SeriesContext
 from .words import SymmetricWordAlgebra, Word, vec_add_into
@@ -35,8 +35,6 @@ __all__ = [
     "MapSeries",
 ]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # A linear map out of a coalgebra, sparse over its basis keys.
 MapSeries = dict
@@ -58,11 +56,11 @@ class Coderivation:
             raise PreconditionError("coderivations are implemented on symmetric word algebras")
         self.algebra = algebra
         self.degree = int(degree)
-        cor: dict[Word, dict[str, Fraction]] = {}
+        cor: dict[Word, dict[str, Scalar]] = {}
         for w, val in corestriction.items():
             if len(w) < 1:
                 raise PreconditionError("corestriction must vanish on the empty word")
-            clean = {t: Fraction(c) for t, c in val.items() if Fraction(c) != 0}
+            clean = {t: as_scalar(c) for t, c in val.items() if as_scalar(c) != 0}
             for t in clean:
                 if algebra.space.degree(t) - algebra.degree(w) != self.degree:
                     raise PreconditionError(
@@ -70,9 +68,9 @@ class Coderivation:
             if clean:
                 cor[w] = clean
         self.corestriction = cor
-        self._cache: dict[Word, dict[Word, Fraction]] = {}
+        self._cache: dict[Word, dict[Word, Scalar]] = {}
 
-    def arity_components(self) -> dict[int, dict[Word, dict[str, Fraction]]]:
+    def arity_components(self) -> dict[int, dict[Word, dict[str, Scalar]]]:
         out: dict[int, dict] = {}
         for w, val in self.corestriction.items():
             out.setdefault(len(w), {})[w] = val
@@ -86,11 +84,11 @@ class Coderivation:
                 entries[(self.algebra.label(w), t)] = c
         return GradedLinearMap(self.algebra.word_space, self.algebra.space, self.degree, entries)
 
-    def expand(self, word: Word) -> dict[Word, Fraction]:
+    def expand(self, word: Word) -> dict[Word, Scalar]:
         cached = self._cache.get(word)
         if cached is not None:
             return cached
-        out: dict[Word, Fraction] = {}
+        out: dict[Word, Scalar] = {}
         for left, right, c in self.algebra.coproduct(word):
             if not left:
                 continue
@@ -105,8 +103,8 @@ class Coderivation:
 
     apply_word = expand
 
-    def apply(self, vec: Mapping[Word, Fraction]) -> dict[Word, Fraction]:
-        out: dict[Word, Fraction] = {}
+    def apply(self, vec: Mapping[Word, Scalar]) -> dict[Word, Scalar]:
+        out: dict[Word, Scalar] = {}
         for w, c in vec.items():
             if not c:
                 continue
@@ -157,7 +155,7 @@ def _basis_keys(coalg):
     return coalg.words
 
 
-def _counit(coalg, key) -> Fraction:
+def _counit(coalg, key) -> Scalar:
     if hasattr(coalg, "counit_key"):
         return coalg.counit_key(key)
     return ONE if key == coalg.unit else ZERO
@@ -251,11 +249,11 @@ class CoalgebraMorphism:
                  corestriction: Mapping[Word, Mapping[str, object]]):
         self.source = source
         self.target = target
-        cor: dict[Word, dict[str, Fraction]] = {}
+        cor: dict[Word, dict[str, Scalar]] = {}
         for w, val in corestriction.items():
             if len(w) < 1:
                 raise PreconditionError("corestriction must vanish on the coaugmentation")
-            clean = {t: Fraction(c) for t, c in val.items() if Fraction(c) != 0}
+            clean = {t: as_scalar(c) for t, c in val.items() if as_scalar(c) != 0}
             for t in clean:
                 if target.space.degree(t) != source.degree(w):
                     raise PreconditionError(f"corestriction entry {w} -> {t} is not degree zero")
@@ -275,7 +273,7 @@ class CoalgebraMorphism:
             self._induced = conv_exp(self.source, ctx, f)
         return self._induced
 
-    def apply_word(self, w: Word) -> dict[Word, Fraction]:
+    def apply_word(self, w: Word) -> dict[Word, Scalar]:
         series = self.induced().get(w)
         if series is None:
             return {}
@@ -285,11 +283,11 @@ class CoalgebraMorphism:
         """Δ_target ∘ F = (F ⊗ F) ∘ Δ_source on every basis word."""
         F = self.induced()
         for w in self.source.words:
-            lhs: dict[tuple[Word, Word], Fraction] = {}
+            lhs: dict[tuple[Word, Word], Scalar] = {}
             for u, c in self.apply_word(w).items():
                 for l, r, s in self.target.coproduct(u):
                     vec_add_into(lhs, (l, r), c * s)
-            rhs: dict[tuple[Word, Word], Fraction] = {}
+            rhs: dict[tuple[Word, Word], Scalar] = {}
             for a, b, s in self.source.coproduct(w):
                 for u1, c1 in ({(): ONE} if not a else self.apply_word(a)).items():
                     for u2, c2 in ({(): ONE} if not b else self.apply_word(b)).items():

@@ -17,14 +17,13 @@ nonassociative input is a legitimate negative fixture.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Mapping
 
 from .artin import ArtinLocalAlgebra
-from .bv import BVAlgebra, BVInftyAlgebra, antibracket, qme_residual
+from .bv import HALF, BVAlgebra, BVInftyAlgebra, antibracket, qme_residual
 from .coalgebra import Coderivation
 from .diagnostics import CheckResult, PreconditionError, StructureError
-from .graded import GradedVectorSpace, as_scalar, koszul_sign
+from .graded import ONE, ZERO, GradedVectorSpace, Scalar, as_scalar, koszul_sign
 from .linfty import DgLieAlgebra, LInftyAlgebra, emce_residual, quillen_bijection_check
 from .operators import Operator
 from .series import HbarSeries
@@ -45,9 +44,6 @@ __all__ = [
     "qm_bidg_residual",
 ]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def derivation_extend(algebra: WordAlgebra, values: Mapping[str, Mapping[Word, object]],
                       degree: int, name: str = "derivation") -> Operator:
@@ -59,8 +55,8 @@ def derivation_extend(algebra: WordAlgebra, values: Mapping[str, Mapping[Word, o
     table = {x: {tuple(w): as_scalar(c) for w, c in val.items() if as_scalar(c) != 0}
              for x, val in values.items()}
 
-    def act(word: Word) -> dict[Word, Fraction]:
-        out: dict[Word, Fraction] = {}
+    def act(word: Word) -> dict[Word, Scalar]:
+        out: dict[Word, Scalar] = {}
         for i, x in enumerate(word):
             val = table.get(x)
             if not val:
@@ -84,8 +80,8 @@ def ce_delta_operator(algebra: SymmetricWordAlgebra, bracket_labels, name: str =
     are the word-algebra degrees (the desuspended grading).
     """
 
-    def act(word: Word) -> dict[Word, Fraction]:
-        out: dict[Word, Fraction] = {}
+    def act(word: Word) -> dict[Word, Scalar]:
+        out: dict[Word, Scalar] = {}
         n = len(word)
         degs = [algebra.space.degree(x) for x in word]
         for i in range(n):
@@ -128,7 +124,7 @@ def ce_bv_from_dg_lie(L: DgLieAlgebra, max_len: int = 4, coproduct: str = "shuff
 
 
 def _merge_generator_values(entries: Mapping[str, Mapping[Word, object]]) -> dict:
-    out: dict[str, dict[Word, Fraction]] = {}
+    out: dict[str, dict[Word, Scalar]] = {}
     for x, val in entries.items():
         bucket = out.setdefault(x, {})
         for w, c in val.items():
@@ -143,7 +139,18 @@ def ce_bvinfty_from_linfty(g: LInftyAlgebra, max_len: int = 4, hbar_cutoff: int 
     The structure constants transport verbatim from S(g[1]): the even shift
     preserves parities, so normal forms and signs agree; Delta_n is the
     coderivation expansion of l_n and in particular has order <= n.
+
+    The algebra is built once per `g`, keyed by (max_len, hbar_cutoff,
+    coproduct), and shared between callers; treat it as read-only.
     """
+    key = (max_len, hbar_cutoff, coproduct)
+    if key not in g._ce_bvinfty:
+        g._ce_bvinfty[key] = _build_ce_bvinfty_from_linfty(g, max_len, hbar_cutoff, coproduct)
+    return g._ce_bvinfty[key]
+
+
+def _build_ce_bvinfty_from_linfty(g: LInftyAlgebra, max_len: int, hbar_cutoff: int,
+                                  coproduct: str) -> BVInftyAlgebra:
     algebra = _desuspension_algebra(g.space, max_len, coproduct)
     operators: dict[int, Operator] = {}
     for n, table in g.brackets.items():
@@ -170,9 +177,9 @@ class LieBialgebraData:
             raise PreconditionError("Lie bialgebra data is supported in degree zero")
         self.lie = DgLieAlgebra(self.space, {}, bracket, name=name)
         self.name = name
-        self.cobracket: dict[str, dict[tuple[str, str], Fraction]] = {}
+        self.cobracket: dict[str, dict[tuple[str, str], Scalar]] = {}
         for x, val in (cobracket or {}).items():
-            clean: dict[tuple[str, str], Fraction] = {}
+            clean: dict[tuple[str, str], Scalar] = {}
             for (a, b), c in val.items():
                 c = as_scalar(c)
                 if not c:
@@ -185,12 +192,12 @@ class LieBialgebraData:
             if clean:
                 self.cobracket[x] = {k: v for k, v in clean.items() if v}
 
-    def delta_vec(self, x: str) -> dict[tuple[str, str], Fraction]:
+    def delta_vec(self, x: str) -> dict[tuple[str, str], Scalar]:
         return self.cobracket.get(x, {})
 
     def involutive(self) -> bool:
         for x in self.space.labels:
-            acc: dict[str, Fraction] = {}
+            acc: dict[str, Scalar] = {}
             for (a, b), c in self.delta_vec(x).items():
                 for t, v in self.lie.bracket_labels(a, b).items():
                     vec_add_into(acc, t, c * v)
@@ -204,9 +211,9 @@ class LieBialgebraData:
         out.append(self._cocycle())
         return out
 
-    def _wedge_action(self, x: str, pair_vec: Mapping[tuple[str, str], Fraction]) -> dict[tuple[str, str], Fraction]:
+    def _wedge_action(self, x: str, pair_vec: Mapping[tuple[str, str], Scalar]) -> dict[tuple[str, str], Scalar]:
         # x . (a ^ b) = [x,a] ^ b + a ^ [x,b], kept in canonical pair order
-        out: dict[tuple[str, str], Fraction] = {}
+        out: dict[tuple[str, str], Scalar] = {}
         for (a, b), c in pair_vec.items():
             for t, v in self.lie.bracket_labels(x, a).items():
                 self._add_pair(out, t, b, c * v)
@@ -224,7 +231,7 @@ class LieBialgebraData:
     def _cocycle(self) -> CheckResult:
         for x in self.space.labels:
             for y in self.space.labels:
-                lhs: dict[tuple[str, str], Fraction] = {}
+                lhs: dict[tuple[str, str], Scalar] = {}
                 for t, v in self.lie.bracket_labels(x, y).items():
                     for pair, c in self.delta_vec(t).items():
                         vec_add_into(lhs, pair, c * v)
@@ -240,7 +247,7 @@ class LieBialgebraData:
     def _co_jacobi(self) -> CheckResult:
         # alternation of (delta (x) id) ∘ delta vanishes
         for x in self.space.labels:
-            acc: dict[tuple[str, str, str], Fraction] = {}
+            acc: dict[tuple[str, str, str], Scalar] = {}
             for (a, b), c in self.delta_vec(x).items():
                 for (u, v), c2 in self.delta_vec(a).items():
                     self._add_cyclic(acc, u, v, b, c * c2)
@@ -324,12 +331,12 @@ class BiDgLieData:
     def _delta_derivation(self) -> CheckResult:
         for x in self.space.labels:
             for y in self.space.labels:
-                lhs: dict[str, Fraction] = {}
+                lhs: dict[str, Scalar] = {}
                 for t, c in self.lie.bracket_labels(x, y).items():
                     for u, v in self.delta.apply_label(t).coeffs.items():
                         vec_add_into(lhs, u, c * v)
                 sx = -ONE if self.space.degree(x) % 2 else ONE
-                rhs: dict[str, Fraction] = {}
+                rhs: dict[str, Scalar] = {}
                 for u, v in self.delta.apply_label(x).coeffs.items():
                     for t, c in self.lie.bracket_labels(u, y).items():
                         vec_add_into(rhs, t, c * v)
@@ -401,7 +408,7 @@ def _inclusion_report(bv: BVAlgebra, B: BiDgLieData) -> list[CheckResult]:
     for x in B.space.labels:
         for y in B.space.labels:
             got = antibracket(bv, (x,), (y,))
-            want: dict[Word, Fraction] = {}
+            want: dict[Word, Scalar] = {}
             for t, c in B.lie.bracket_labels(x, y).items():
                 vec_add_into(want, (t,), c)
             diff = dict(got)
@@ -426,19 +433,19 @@ class AssociativeAlgebraData:
     def __init__(self, basis, product, differential=None, name: str = "A"):
         self.space = GradedVectorSpace(basis)
         self.name = name
-        self.product: dict[tuple[str, str], dict[str, Fraction]] = {}
+        self.product: dict[tuple[str, str], dict[str, Scalar]] = {}
         for (a, b), val in (product or {}).items():
             clean = {c: as_scalar(v) for c, v in val.items() if as_scalar(v) != 0}
             if clean:
                 self.product[(a, b)] = clean
         self.d = _graded_map(self.space, differential, 1)
 
-    def mul_labels(self, a: str, b: str) -> dict[str, Fraction]:
+    def mul_labels(self, a: str, b: str) -> dict[str, Scalar]:
         return self.product.get((a, b), {})
 
     def associator_witness(self):
         for a, b, c in itertools.product(self.space.labels, repeat=3):
-            left: dict[str, Fraction] = {}
+            left: dict[str, Scalar] = {}
             for t, v in self.mul_labels(a, b).items():
                 for u, v2 in self.mul_labels(t, c).items():
                     vec_add_into(left, u, v * v2)
@@ -462,8 +469,8 @@ def bar_bv_from_associative(A: AssociativeAlgebraData, max_len: int = 4,
     """
     algebra = TensorWordAlgebra(A.space.shift(-1), max_len, coproduct=coproduct)
 
-    def delta_act(word: Word) -> dict[Word, Fraction]:
-        out: dict[Word, Fraction] = {}
+    def delta_act(word: Word) -> dict[Word, Scalar]:
+        out: dict[Word, Scalar] = {}
         degs = [algebra.space.degree(x) for x in word]
         for i in range(len(word) - 1):
             val = A.mul_labels(word[i], word[i + 1])
@@ -477,8 +484,8 @@ def bar_bv_from_associative(A: AssociativeAlgebraData, max_len: int = 4,
 
     delta_op = Operator.from_function(algebra, -1, delta_act, name="Delta")
 
-    def d_act(word: Word) -> dict[Word, Fraction]:
-        out: dict[Word, Fraction] = {}
+    def d_act(word: Word) -> dict[Word, Scalar]:
+        out: dict[Word, Scalar] = {}
         degs = [algebra.space.degree(x) for x in word]
         for i, x in enumerate(word):
             img = A.d.apply_label(x)
@@ -510,7 +517,7 @@ def hbar_extended_dg_lie(B: BiDgLieData, hbar_cutoff: int = 3) -> DgLieAlgebra:
 def _build_hbar_extended_dg_lie(B: BiDgLieData, K: int) -> DgLieAlgebra:
     basis = [(f"{x}@h{j}", deg + 2 * j) for j in range(K) for (x, deg) in B.space.basis]
     space = GradedVectorSpace(basis)
-    d_entries: dict[tuple[str, str], Fraction] = {}
+    d_entries: dict[tuple[str, str], Scalar] = {}
     for j in range(K):
         for (s, t), c in B.lie.d.entries.items():
             d_entries[(f"{s}@h{j}", f"{t}@h{j}")] = c
@@ -518,7 +525,7 @@ def _build_hbar_extended_dg_lie(B: BiDgLieData, K: int) -> DgLieAlgebra:
             for (s, t), c in B.delta.entries.items():
                 d_entries[(f"{s}@h{j}", f"{t}@h{j + 1}")] = \
                     d_entries.get((f"{s}@h{j}", f"{t}@h{j + 1}"), ZERO) + c
-    bracket: dict[tuple[str, str], dict[str, Fraction]] = {}
+    bracket: dict[tuple[str, str], dict[str, Scalar]] = {}
     for i in range(K):
         for j in range(K):
             if i + j >= K:
@@ -565,7 +572,7 @@ def qm_bidg_residual(B: BiDgLieData, ring: ArtinLocalAlgebra, S: HbarSeries,
                 continue
             for t, v in B.lie.bracket_labels(x, y).items():
                 for r, rc in rr.items():
-                    _add_term(direct_terms, (t, r, h1 + h2), Fraction(1, 2) * v * c1 * c2 * rc, K)
+                    _add_term(direct_terms, (t, r, h1 + h2), HALF * v * c1 * c2 * rc, K)
     direct = HbarSeries(direct_terms)
     # ambient route
     bv, _ = bv_from_bi_dg_lie(B, max_len)
@@ -588,7 +595,7 @@ def qm_bidg_residual(B: BiDgLieData, ring: ArtinLocalAlgebra, S: HbarSeries,
     }
 
 
-def _add_term(acc: dict, key, coeff: Fraction, cutoff: int) -> None:
+def _add_term(acc: dict, key, coeff: Scalar, cutoff: int) -> None:
     if key[2] >= cutoff or not coeff:
         return
     cur = acc.get(key, ZERO) + coeff

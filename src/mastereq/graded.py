@@ -1,8 +1,12 @@
 """Exact graded linear algebra: spaces, sparse vectors, sparse maps, Koszul signs.
 
-Degrees are arbitrary integers.  All scalars are `fractions.Fraction`; floats
-are rejected at the boundary so that sign-sensitive identities can be checked
-by exact equality.  Sign conventions, fixed once for the whole package:
+Degrees are arbitrary integers.  Scalars are exact rationals under one rule:
+a scalar is a Python `int` when it is integral and a `fractions.Fraction`
+only when its denominator is above 1.  `as_scalar` is the one canonicaliser;
+floats and bools are rejected at the boundary, so sign-sensitive identities
+are checked by exact equality and no float can arise (divide as `Fraction`).
+Signs and structure constants stay `int`, which keeps the hot products off
+`Fraction` arithmetic.  Sign conventions, fixed once for the whole package:
 Koszul rule for permuting homogeneous factors, operators act from the left,
 differentials have degree +1, BV operators have degree -1, and the graded
 commutator is [A, B] = A B - (-1)^{|A||B|} B A.
@@ -15,6 +19,8 @@ from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "Scalar",
+    "ZERO",
+    "ONE",
     "as_scalar",
     "koszul_sign",
     "GradedVectorSpace",
@@ -24,10 +30,10 @@ __all__ = [
     "DegreeError",
 ]
 
-Scalar = Fraction
+Scalar = int | Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 class SpaceMismatch(ValueError):
@@ -38,14 +44,22 @@ class DegreeError(ValueError):
     """A degree constraint is violated."""
 
 
-def as_scalar(value) -> Fraction:
-    """Coerce to an exact rational; floats are deliberately rejected."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise TypeError(f"exact rational required, got {value!r}")
-    return Fraction(value)
+def as_scalar(value) -> Scalar:
+    """The canonical exact scalar: `int` when integral, else `Fraction`.
+
+    Floats and bools are deliberately rejected.
+    """
+    kind = type(value)
+    if kind is int:
+        return value
+    if kind is not Fraction:
+        if kind is bool or isinstance(value, float):
+            raise TypeError(f"exact rational required, got {value!r}")
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
-def koszul_sign(perm: Sequence[int], degrees: Sequence[int]) -> Fraction:
+def koszul_sign(perm: Sequence[int], degrees: Sequence[int]) -> int:
     """Sign acquired by permuting graded factors.
 
     `perm[k]` is the index (in the original sequence) of the factor that ends
@@ -155,7 +169,7 @@ class GradedVector:
 
     def __init__(self, space: GradedVectorSpace, coeffs: Mapping[str, object], degree: int | None = None):
         self.space = space
-        clean: dict[str, Fraction] = {}
+        clean: dict[str, Scalar] = {}
         for label, value in coeffs.items():
             c = as_scalar(value)
             if c != 0:
@@ -233,7 +247,7 @@ class GradedLinearMap:
         self.source = source
         self.target = target
         self.degree = int(degree)
-        clean: dict[tuple[str, str], Fraction] = {}
+        clean: dict[tuple[str, str], Scalar] = {}
         for (src, tgt), value in (entries or {}).items():
             c = as_scalar(value)
             if c == 0:
@@ -264,7 +278,7 @@ class GradedLinearMap:
     def apply(self, vec: GradedVector) -> GradedVector:
         if vec.space != self.source:
             raise SpaceMismatch("vector does not live in the map's source")
-        out: dict[str, Fraction] = {}
+        out: dict[str, Scalar] = {}
         for (src, tgt), c in self.entries.items():
             v = vec.coeffs.get(src)
             if v:
@@ -279,8 +293,8 @@ class GradedLinearMap:
         """self o inner; degrees add."""
         if inner.target != self.source:
             raise SpaceMismatch("composition mismatch: inner target != outer source")
-        out: dict[tuple[str, str], Fraction] = {}
-        by_src: dict[str, list[tuple[str, Fraction]]] = {}
+        out: dict[tuple[str, str], Scalar] = {}
+        by_src: dict[str, list[tuple[str, Scalar]]] = {}
         for (src, mid), c in inner.entries.items():
             by_src.setdefault(mid, []).append((src, c))
         for (mid, tgt), c2 in self.entries.items():

@@ -1,21 +1,23 @@
-"""Exact fraction-free style row reduction for small dense systems.
+"""Exact row reduction for small dense systems.
 
-Everything here works on lists of `Fraction` rows.  Pivots are chosen
-greedily in column order, so the particular solution produced by
-`solve_linear` (free variables set to zero) is supported on the earliest
-possible coordinates of the canonical ordering.
+Everything here works on lists of exact scalars (`int`, or `Fraction` when
+the denominator is above 1; see `graded`).  Division is exact: a pivot row
+is divided as `Fraction` and canonicalised back to `int` where integral,
+so no float can arise.  Pivots are chosen greedily in column order, so the
+particular solution produced by `solve_linear` (free variables set to zero)
+is supported on the earliest possible coordinates of the canonical ordering.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .graded import ONE, ZERO, Scalar, as_scalar
+
 __all__ = ["rref", "rank", "solve_linear", "span_contains"]
 
-ZERO = Fraction(0)
 
-
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     m = [list(r) for r in rows]
     if not m:
@@ -33,11 +35,11 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        m[r] = [as_scalar(Fraction(x, pv)) for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [as_scalar(a - f * b) for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -45,11 +47,11 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return m[:r], pivots
 
 
-def rank(rows: list[list[Fraction]]) -> int:
+def rank(rows: list[list[Scalar]]) -> int:
     return len(rref(rows)[0])
 
 
-def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+def solve_linear(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar] | None:
     """Solve A x = b exactly; None if inconsistent.
 
     Returns the representative with free variables zero (support on pivot
@@ -68,13 +70,13 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
     return sol
 
 
-def span_contains(rows: list[list[Fraction]], vec: list[Fraction]) -> bool:
+def span_contains(rows: list[list[Scalar]], vec: list[Scalar]) -> bool:
     """Is `vec` in the row span of `rows`?"""
     base = rank(rows)
     return rank(rows + [list(vec)]) == base
 
 
-def nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+def nullspace(rows: list[list[Scalar]]) -> list[list[Scalar]]:
     """Basis of the kernel of A (as column vectors), one per free column."""
     if not rows:
         return []
@@ -84,7 +86,7 @@ def nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     basis = []
     for f in free:
         vec = [ZERO] * ncols
-        vec[f] = Fraction(1)
+        vec[f] = ONE
         for row, p in zip(reduced, pivots):
             vec[p] = -row[f]
         basis.append(vec)

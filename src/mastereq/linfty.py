@@ -18,15 +18,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .artin import ArtinLocalAlgebra
 from .coalgebra import Coderivation, check_codifferential, conv_exp
 from .diagnostics import CheckResult, PreconditionError, StructureError
-from .graded import GradedLinearMap, GradedVectorSpace, as_scalar
+from .graded import ONE, ZERO, GradedLinearMap, GradedVectorSpace, Scalar, as_scalar
 from .linalg import solve_linear
 from .series import HbarSeries, SeriesContext
 from .words import SymmetricWordAlgebra, Word, vec_add_into
+
+if TYPE_CHECKING:
+    from .bv import BVInftyAlgebra
 
 __all__ = [
     "DgLieAlgebra",
@@ -44,9 +47,6 @@ __all__ = [
     "deformed_bracket_check",
 ]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 class DgLieAlgebra:
     """Graded Lie algebra with a degree-one differential.
@@ -62,7 +62,7 @@ class DgLieAlgebra:
             self.d = d
         else:
             self.d = GradedLinearMap(space, space, 1, {(s, t): c for (s, t), c in (d or {}).items()})
-        table: dict[tuple[str, str], dict[str, Fraction]] = {}
+        table: dict[tuple[str, str], dict[str, Scalar]] = {}
         for (a, b), val in (bracket or {}).items():
             clean = {c: as_scalar(v) for c, v in val.items() if as_scalar(v) != 0}
             table[(a, b)] = clean
@@ -86,11 +86,11 @@ class DgLieAlgebra:
             if bad:
                 raise StructureError(f"{name}: {bad[0].name} fails", witness=bad[0].witness)
 
-    def bracket_labels(self, a: str, b: str) -> dict[str, Fraction]:
+    def bracket_labels(self, a: str, b: str) -> dict[str, Scalar]:
         return self.bracket.get((a, b), {})
 
-    def bracket_vec(self, v1: Mapping[str, Fraction], v2: Mapping[str, Fraction]) -> dict[str, Fraction]:
-        out: dict[str, Fraction] = {}
+    def bracket_vec(self, v1: Mapping[str, Scalar], v2: Mapping[str, Scalar]) -> dict[str, Scalar]:
+        out: dict[str, Scalar] = {}
         for a, c1 in v1.items():
             for b, c2 in v2.items():
                 for t, s in self.bracket_labels(a, b).items():
@@ -109,11 +109,11 @@ class DgLieAlgebra:
         leib_ok, leib_wit = True, None
         for x in labels:
             for y in labels:
-                left: dict[str, Fraction] = {}
+                left: dict[str, Scalar] = {}
                 for t, c in self.bracket_labels(x, y).items():
                     for u, v in self.d.apply_label(t).coeffs.items():
                         vec_add_into(left, u, c * v)
-                right: dict[str, Fraction] = {}
+                right: dict[str, Scalar] = {}
                 for u, v in self.d.apply_label(x).coeffs.items():
                     for t, c in self.bracket_labels(u, y).items():
                         vec_add_into(right, t, c * v)
@@ -157,7 +157,7 @@ class DgLieAlgebra:
 
     def _build_linfty(self) -> "LInftyAlgebra":
         shifted = self.space.shift(1)
-        brackets: dict[int, dict[Word, dict[str, Fraction]]] = {1: {}, 2: {}}
+        brackets: dict[int, dict[Word, dict[str, Scalar]]] = {1: {}, 2: {}}
         for (s, t), c in self.d.entries.items():
             brackets[1].setdefault((s,), {})[t] = c
         helper = SymmetricWordAlgebra(shifted, 2)
@@ -187,9 +187,9 @@ class LInftyAlgebra:
         self.space = space
         self.shifted = space.shift(1)
         self.name = name
-        self.brackets: dict[int, dict[Word, dict[str, Fraction]]] = {}
+        self.brackets: dict[int, dict[Word, dict[str, Scalar]]] = {}
         for n, table in brackets.items():
-            clean_table: dict[Word, dict[str, Fraction]] = {}
+            clean_table: dict[Word, dict[str, Scalar]] = {}
             for w, val in table.items():
                 if len(w) != n:
                     raise StructureError(f"bracket arity {n} given a word of length {len(w)}")
@@ -202,6 +202,7 @@ class LInftyAlgebra:
         self._algebras: dict[int, SymmetricWordAlgebra] = {}
         self._coderivations: dict[int, Coderivation] = {}
         self._coderivation_algebras: dict[tuple[int, bool], tuple[DgLieAlgebra, dict]] = {}
+        self._ce_bvinfty: dict[tuple[int, int, str], BVInftyAlgebra] = {}
 
     def word_algebra(self, max_len: int) -> SymmetricWordAlgebra:
         if max_len not in self._algebras:
@@ -211,7 +212,7 @@ class LInftyAlgebra:
     def codifferential(self, max_len: int) -> Coderivation:
         if max_len not in self._coderivations:
             algebra = self.word_algebra(max_len)
-            cor: dict[Word, dict[str, Fraction]] = {}
+            cor: dict[Word, dict[str, Scalar]] = {}
             for n, table in self.brackets.items():
                 if n > max_len:
                     continue
@@ -220,7 +221,7 @@ class LInftyAlgebra:
             self._coderivations[max_len] = Coderivation(algebra, 1, cor)
         return self._coderivations[max_len]
 
-    def corestriction_value(self, word: Word) -> dict[str, Fraction]:
+    def corestriction_value(self, word: Word) -> dict[str, Scalar]:
         return self.brackets.get(len(word), {}).get(word, {})
 
     def validate(self, max_len: int = 4) -> CheckResult:
@@ -309,18 +310,18 @@ def _exp_map_from_element(gl: LInftyAlgebra, ring: ArtinLocalAlgebra, S: HbarSer
 
 def _dual_morphism_check(dual, algebra: SymmetricWordAlgebra, F: Mapping) -> bool:
     """Coproduct compatibility of a map R* -> S(g[1]) with degree-zero values."""
-    def word_vec(key) -> dict[Word, Fraction]:
+    def word_vec(key) -> dict[Word, Scalar]:
         series = F.get(key)
         if series is None:
             return {}
         return {k[0]: c for k, c in series.terms.items()}
 
     for key in dual.basis_keys:
-        lhs: dict[tuple[Word, Word], Fraction] = {}
+        lhs: dict[tuple[Word, Word], Scalar] = {}
         for u, c in word_vec(key).items():
             for l, r, s in algebra.coproduct(u):
                 vec_add_into(lhs, (l, r), c * s)
-        rhs: dict[tuple[Word, Word], Fraction] = {}
+        rhs: dict[tuple[Word, Word], Scalar] = {}
         for a, b, s in dual.coproduct(key):
             for u1, c1 in word_vec(a).items():
                 for u2, c2 in word_vec(b).items():
@@ -377,12 +378,12 @@ def quillen_bijection_check(g, ring: ArtinLocalAlgebra, S: HbarSeries,
     }
 
 
-def _corestriction_map_series(S: Mapping[Word, Mapping[str, Fraction]]):
+def _corestriction_map_series(S: Mapping[Word, Mapping[str, Scalar]]):
     return {w: HbarSeries({((t,), "1", 0): c for t, c in val.items()}) for w, val in S.items()}
 
 
 def chuang_lazarev_residual(target, source, S: Mapping[Word, Mapping[str, object]],
-                            max_len: int = 4) -> dict[Word, dict[str, Fraction]]:
+                            max_len: int = 4) -> dict[Word, dict[str, Scalar]]:
     """DS + [S,S]/2 in the convolution algebra hom(S(g'[1]), g).
 
     Computed as the corestriction of the intertwining defect of the coalgebra
@@ -394,7 +395,7 @@ def chuang_lazarev_residual(target, source, S: Mapping[Word, Mapping[str, object
     Wsrc = sl.word_algebra(max_len)
     Dsrc = sl.codifferential(max_len)
     Wt = tl.word_algebra(max_len)
-    S_clean: dict[Word, dict[str, Fraction]] = {}
+    S_clean: dict[Word, dict[str, Scalar]] = {}
     for w, val in S.items():
         clean = {t: as_scalar(c) for t, c in val.items() if as_scalar(c) != 0}
         for t in clean:
@@ -404,11 +405,11 @@ def chuang_lazarev_residual(target, source, S: Mapping[Word, Mapping[str, object
             S_clean[tuple(w)] = clean
     ctx = SeriesContext(Wt)
     F = conv_exp(Wsrc, ctx, _corestriction_map_series(S_clean))
-    residual: dict[Word, dict[str, Fraction]] = {}
+    residual: dict[Word, dict[str, Scalar]] = {}
     for w in Wsrc.words:
         if not w:
             continue
-        acc: dict[str, Fraction] = {}
+        acc: dict[str, Scalar] = {}
         Fw = F.get(w)
         if Fw is not None:
             for (u, _, _), c in Fw.terms.items():
@@ -434,13 +435,13 @@ def chuang_lazarev_morphism_defect(target, source, S: Mapping[Word, Mapping[str,
     ctx = SeriesContext(tl.word_algebra(max_len))
     F = conv_exp(Wsrc, ctx, S_series)
 
-    def f_vec(w: Word) -> dict[Word, Fraction]:
+    def f_vec(w: Word) -> dict[Word, Scalar]:
         series = F.get(w)
         return {} if series is None else {k[0]: c for k, c in series.terms.items()}
 
     for w in Wsrc.words:
         lhs = Dt.apply(f_vec(w))
-        rhs: dict[Word, Fraction] = {}
+        rhs: dict[Word, Scalar] = {}
         for u, c in Dsrc.expand(w).items():
             for v, c2 in f_vec(u).items():
                 vec_add_into(rhs, v, c * c2)
@@ -483,7 +484,7 @@ def mc_solve_perturbative(g, ring: ArtinLocalAlgebra, seed: HbarSeries,
         if ring.order(r) != 1:
             continue
         vec = {x: c for (x, rr, _), c in seed.terms.items() if rr == r}
-        img: dict[str, Fraction] = {}
+        img: dict[str, Scalar] = {}
         for x, c in vec.items():
             for t, v in l1.get((x,), {}).items():
                 vec_add_into(img, t, v * c)
@@ -556,11 +557,11 @@ def _build_coderivation_dg_lie(hl: LInftyAlgebra, max_len: int, validate: bool) 
             space_entries.append((label, hl.shifted.degree(t) - W.degree(w)))
     space_c = GradedVectorSpace(space_entries)
 
-    def extension(cor: Mapping[Word, Mapping[str, Fraction]], degree: int) -> Coderivation:
+    def extension(cor: Mapping[Word, Mapping[str, Scalar]], degree: int) -> Coderivation:
         return Coderivation(W, degree, cor)
 
-    def compose_cor(f: Mapping, g_ext: Coderivation) -> dict[tuple[Word, str], Fraction]:
-        out: dict[tuple[Word, str], Fraction] = {}
+    def compose_cor(f: Mapping, g_ext: Coderivation) -> dict[tuple[Word, str], Scalar]:
+        out: dict[tuple[Word, str], Scalar] = {}
         for w in W.words:
             if not w:
                 continue
@@ -578,7 +579,7 @@ def _build_coderivation_dg_lie(hl: LInftyAlgebra, max_len: int, validate: bool) 
                         out.pop(key, None)
         return out
 
-    def bracket_cor(f: Mapping, deg_f: int, g: Mapping, deg_g: int) -> dict[tuple[Word, str], Fraction]:
+    def bracket_cor(f: Mapping, deg_f: int, g: Mapping, deg_g: int) -> dict[tuple[Word, str], Scalar]:
         left = compose_cor(f, extension(g, deg_g))
         right = compose_cor(g, extension(f, deg_f))
         sign = -ONE if (deg_f * deg_g) % 2 else ONE
@@ -591,15 +592,15 @@ def _build_coderivation_dg_lie(hl: LInftyAlgebra, max_len: int, validate: bool) 
                 out.pop(key, None)
         return out
 
-    mu: dict[Word, dict[str, Fraction]] = {}
+    mu: dict[Word, dict[str, Scalar]] = {}
     for n, table in hl.brackets.items():
         if n > max_len:
             continue
         for w, val in table.items():
             mu[w] = dict(val)
 
-    bracket_table: dict[tuple[str, str], dict[str, Fraction]] = {}
-    d_entries: dict[tuple[str, str], Fraction] = {}
+    bracket_table: dict[tuple[str, str], dict[str, Scalar]] = {}
+    d_entries: dict[tuple[str, str], Scalar] = {}
     basis_keys = list(key_of)
     for (w1, t1) in basis_keys:
         lab1 = key_of[(w1, t1)]
@@ -633,7 +634,7 @@ def deformed_bracket_check(h: DgLieAlgebra, ring: ArtinLocalAlgebra,
     if any(deg != 0 for _, deg in h.space.basis) or not self_d_is_zero(h):
         raise PreconditionError("deformed-bracket check expects a classical Lie algebra")
     labels = h.space.labels
-    table: dict[tuple[str, str], dict[str, dict[str, Fraction]]] = {}
+    table: dict[tuple[str, str], dict[str, dict[str, Scalar]]] = {}
     for (a, b), val in S.items():
         entry = {c: {r: as_scalar(v) for r, v in relt.items() if as_scalar(v) != 0}
                  for c, relt in val.items()}
@@ -645,8 +646,8 @@ def deformed_bracket_check(h: DgLieAlgebra, ring: ArtinLocalAlgebra,
         table[(a, b)] = entry
         table.setdefault((b, a), {c: {r: -v for r, v in relt.items()} for c, relt in entry.items()})
 
-    def deformed(u: Mapping[tuple[str, str], Fraction], v: Mapping[tuple[str, str], Fraction]):
-        out: dict[tuple[str, str], Fraction] = {}
+    def deformed(u: Mapping[tuple[str, str], Scalar], v: Mapping[tuple[str, str], Scalar]):
+        out: dict[tuple[str, str], Scalar] = {}
         for (x, r1), c1 in u.items():
             for (y, r2), c2 in v.items():
                 coeff = c1 * c2
@@ -665,7 +666,7 @@ def deformed_bracket_check(h: DgLieAlgebra, ring: ArtinLocalAlgebra,
     jacobi_ok = True
     witness = None
     for x, y, z in itertools.combinations(labels, 3):
-        acc: dict[tuple[str, str], Fraction] = {}
+        acc: dict[tuple[str, str], Scalar] = {}
         for (a, b, c) in ((x, y, z), (y, z, x), (z, x, y)):
             inner = deformed({(a, "1"): ONE}, {(b, "1"): ONE})
             for key, v in deformed(inner, {(c, "1"): ONE}).items():

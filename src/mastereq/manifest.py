@@ -14,14 +14,13 @@ entries sorted, arrays normalized.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Mapping
 
 from .artin import ArtinLocalAlgebra
 from .bv import BVAlgebra, BVInftyAlgebra
 from .constructions import AssociativeAlgebraData, BiDgLieData, LieBialgebraData
 from .diagnostics import ManifestError, StructureError
-from .graded import GradedVectorSpace
+from .graded import ONE, ZERO, GradedVectorSpace, Scalar, as_scalar
 from .linfty import DgLieAlgebra, LInftyAlgebra
 from .operators import Operator
 from .words import SymmetricWordAlgebra
@@ -45,16 +44,15 @@ class Manifest:
         self.truncation = truncation
 
 
-def parse_rational(text) -> Fraction:
-    if isinstance(text, int):
-        return Fraction(text)
+def parse_rational(text) -> Scalar:
+    if isinstance(text, int) and not isinstance(text, bool):
+        return text
     if not isinstance(text, str):
         raise ManifestError(f"rational coefficients must be strings, got {text!r}")
     try:
-        value = Fraction(text)
+        return as_scalar(text)
     except (ValueError, ZeroDivisionError) as err:
         raise ManifestError(f"bad rational {text!r}: {err}") from None
-    return value
 
 
 def _entries(block, arity=None, out_arity=1) -> list:
@@ -148,12 +146,12 @@ def _build_dg_lie(name, basis, structure, truncation) -> DgLieAlgebra:
     space = GradedVectorSpace(basis)
     d = {}
     for inputs, outputs, coeff in _entries(_block(structure, "differential"), arity=1):
-        d[(inputs[0], outputs[0])] = d.get((inputs[0], outputs[0]), Fraction(0)) + coeff
+        d[(inputs[0], outputs[0])] = d.get((inputs[0], outputs[0]), ZERO) + coeff
     bracket: dict = {}
     for inputs, outputs, coeff in _entries(_block(structure, "bracket"), arity=2):
         bracket.setdefault((inputs[0], inputs[1]), {})
         tgt = bracket[(inputs[0], inputs[1])]
-        tgt[outputs[0]] = tgt.get(outputs[0], Fraction(0)) + coeff
+        tgt[outputs[0]] = tgt.get(outputs[0], ZERO) + coeff
     return DgLieAlgebra(space, d, bracket, name=name)
 
 
@@ -168,7 +166,7 @@ def _build_linfty(name, basis, structure, truncation) -> LInftyAlgebra:
         if word is None:
             raise ManifestError(f"bracket entry on a collapsing word {inputs}")
         table = brackets.setdefault(len(word), {}).setdefault(word, {})
-        table[outputs[0]] = table.get(outputs[0], Fraction(0)) + sign * coeff
+        table[outputs[0]] = table.get(outputs[0], ZERO) + sign * coeff
     return LInftyAlgebra(space, brackets, name=name)
 
 
@@ -216,7 +214,7 @@ def _build_artin(name, basis, structure, truncation) -> ArtinLocalAlgebra:
             raise ManifestError("ring product entries have at most one output")
         tgt = products.setdefault((inputs[0], inputs[1]), {})
         if outputs:
-            tgt[outputs[0]] = tgt.get(outputs[0], Fraction(0)) + coeff
+            tgt[outputs[0]] = tgt.get(outputs[0], ZERO) + coeff
     return ArtinLocalAlgebra([label for label, _ in basis], products, name=name)
 
 
@@ -225,11 +223,11 @@ def _word_operator(algebra, block, degree, name) -> Operator:
     for inputs, outputs, coeff in _entries(block, arity=None, out_arity=None):
         win = _normalize_input_word(algebra, inputs)
         wout, sign = (algebra.normalize(list(outputs)) if algebra.symmetric
-                      else (tuple(outputs), Fraction(1)))
+                      else (tuple(outputs), ONE))
         if wout is None:
             continue
         entries.setdefault(win, {})
-        entries[win][wout] = entries[win].get(wout, Fraction(0)) + sign * coeff
+        entries[win][wout] = entries[win].get(wout, ZERO) + sign * coeff
     return Operator(algebra, degree, entries, name=name)
 
 

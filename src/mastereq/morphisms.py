@@ -19,13 +19,13 @@ gives hbar(f* - e) because (m*)^2 = 0.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Mapping
 
 from .artin import ArtinLocalAlgebra
 from .bv import BVAlgebra, BVInftyAlgebra, qme_exp_check
 from .coalgebra import conv_exp, conv_log
 from .diagnostics import CheckResult, PreconditionError, StructureError
+from .graded import ONE, ZERO, Scalar, as_scalar
 from .linfty import LInftyAlgebra, _as_linfty
 from .series import HbarSeries, SeriesContext
 from .words import Word, vec_add_into
@@ -42,9 +42,6 @@ __all__ = [
     "identity_bv_morphism",
     "twisted_linfty_morphism",
 ]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class BVMorphism:
@@ -64,7 +61,7 @@ class BVMorphism:
             n = int(n)
             clean_table = {}
             for key, val in table.items():
-                clean = {t: Fraction(c) for t, c in val.items() if Fraction(c) != 0}
+                clean = {t: as_scalar(c) for t, c in val.items() if as_scalar(c) != 0}
                 for t in clean:
                     got = target.algebra.degree(t) - source.algebra.degree(key)
                     if got != 2 - 2 * n:
@@ -75,6 +72,7 @@ class BVMorphism:
             if clean_table:
                 comps[n] = clean_table
         self.components = comps
+        self._exp: dict | None = None
 
     def as_map(self) -> dict:
         """phi as a map source key -> target HbarSeries."""
@@ -88,10 +86,16 @@ class BVMorphism:
         return {k: HbarSeries(v.terms) for k, v in out.items()}
 
     def exp_map(self) -> dict:
-        """exp(phi/hbar) in the convolution algebra, Laurent window included."""
-        ctx = SeriesContext(self.target.algebra, hbar_cutoff=self._window())
-        f = {k: v.shift_hbar(-1) for k, v in self.as_map().items()}
-        return conv_exp(self.source.algebra, ctx, f)
+        """exp(phi/hbar) in the convolution algebra, Laurent window included.
+
+        Computed once per morphism and shared between callers; treat it as
+        read-only.
+        """
+        if self._exp is None:
+            ctx = SeriesContext(self.target.algebra, hbar_cutoff=self._window())
+            f = {k: v.shift_hbar(-1) for k, v in self.as_map().items()}
+            self._exp = conv_exp(self.source.algebra, ctx, f)
+        return self._exp
 
     def _window(self) -> int:
         return self.target.hbar_cutoff + _conilpotency(self.source.algebra) + 1
@@ -181,20 +185,8 @@ def compose_bv_morphisms(phi: BVMorphism, psi: BVMorphism) -> BVMorphism:
     """
     if not _same_algebra(psi.target.algebra, phi.source.algebra):
         raise PreconditionError("composition mismatch: target(psi) != source(phi)")
-    window = phi.target.hbar_cutoff + _conilpotency(psi.source.algebra) + _conilpotency(phi.source.algebra) + 2
-    ctx = SeriesContext(phi.target.algebra, hbar_cutoff=window)
-    E_phi = {k: v for k, v in phi.exp_map().items()}
-    E_psi = psi.exp_map()
-    composite: dict = {}
-    for key, series in E_psi.items():
-        acc = HbarSeries()
-        for (u, r, h), c in series.terms.items():
-            acc = acc.add(E_phi.get(u, HbarSeries()).shift_hbar(h).scale(c))
-        if not acc.is_zero():
-            composite[key] = acc
-    log = conv_log(psi.source.algebra, ctx, composite)
     components: dict[int, dict] = {}
-    for key, series in log.items():
+    for key, series in _composite_log(phi, psi).items():
         for (t, r, h), c in series.terms.items():
             if h < -1:
                 raise StructureError(
@@ -209,21 +201,25 @@ def compose_bv_morphisms(phi: BVMorphism, psi: BVMorphism) -> BVMorphism:
                       name=f"{phi.name}∘{psi.name}")
 
 
-def log_hbar_minus_one_coefficient(phi: BVMorphism, psi: BVMorphism) -> dict:
-    """The hbar^{-1} log coefficient of the composite, for certification."""
+def _composite_log(phi: BVMorphism, psi: BVMorphism) -> dict:
+    """log(exp(phi/hbar) ∘ exp(psi/hbar)) in the convolution algebra of psi's source."""
     window = phi.target.hbar_cutoff + _conilpotency(psi.source.algebra) + _conilpotency(phi.source.algebra) + 2
     ctx = SeriesContext(phi.target.algebra, hbar_cutoff=window)
     E_phi = phi.exp_map()
-    E_psi = psi.exp_map()
     composite: dict = {}
-    for key, series in E_psi.items():
+    for key, series in psi.exp_map().items():
         acc = HbarSeries()
         for (u, r, h), c in series.terms.items():
             acc = acc.add(E_phi.get(u, HbarSeries()).shift_hbar(h).scale(c))
-        composite[key] = acc
-    log = conv_log(psi.source.algebra, ctx, composite)
+        if not acc.is_zero():
+            composite[key] = acc
+    return conv_log(psi.source.algebra, ctx, composite)
+
+
+def log_hbar_minus_one_coefficient(phi: BVMorphism, psi: BVMorphism) -> dict:
+    """The hbar^{-1} log coefficient of the composite, for certification."""
     out = {}
-    for key, series in log.items():
+    for key, series in _composite_log(phi, psi).items():
         coeff = series.hbar_coefficient(-1)
         if coeff:
             out[key] = coeff
@@ -246,9 +242,9 @@ def ring_map_to_bv_morphism(source_ring: ArtinLocalAlgebra, target_ring: ArtinLo
     `entries[r]` is f(r) as a sparse element of S for each ideal label r;
     f(1) = 1 is implied.  Locality (f(m_R) inside m_S) is enforced.
     """
-    f_table: dict[str, dict[str, Fraction]] = {"1": {"1": ONE}}
+    f_table: dict[str, dict[str, Scalar]] = {"1": {"1": ONE}}
     for r in source_ring.ideal_labels:
-        img = {s: Fraction(c) for s, c in entries.get(r, {}).items() if Fraction(c) != 0}
+        img = {s: as_scalar(c) for s, c in entries.get(r, {}).items() if as_scalar(c) != 0}
         if "1" in img:
             raise PreconditionError(f"ring map is not local: f({r}) has a unit component")
         for s in img:
@@ -258,7 +254,7 @@ def ring_map_to_bv_morphism(source_ring: ArtinLocalAlgebra, target_ring: ArtinLo
     # multiplicativity of f, checked exactly
     for a in source_ring.ideal_labels:
         for b in source_ring.ideal_labels:
-            lhs: dict[str, Fraction] = {}
+            lhs: dict[str, Scalar] = {}
             for t, c in source_ring.mul_labels(a, b).items():
                 for s, v in f_table.get(t, {}).items():
                     vec_add_into(lhs, s, c * v)
@@ -268,7 +264,7 @@ def ring_map_to_bv_morphism(source_ring: ArtinLocalAlgebra, target_ring: ArtinLo
             if any(lhs.values()):
                 raise PreconditionError(f"entries do not define a ring map: ({a})({b})")
     # dual map: phi_1(b*) = sum_r <f(r), b> r*, minus e which only hits 1* -> 1*
-    dual_table: dict[str, dict[str, Fraction]] = {}
+    dual_table: dict[str, dict[str, Scalar]] = {}
     for r, img in f_table.items():
         for s, c in img.items():
             dual_table.setdefault(s, {})[r] = dual_table.get(s, {}).get(r, ZERO) + c
@@ -331,7 +327,7 @@ def _linfty_phi_components(g: LInftyAlgebra, table: Mapping[Word, Mapping[str, o
     components: dict[int, dict] = {}
     for w, val in table.items():
         n = len(w)
-        clean = {(t,): Fraction(c) for t, c in val.items() if Fraction(c) != 0}
+        clean = {(t,): as_scalar(c) for t, c in val.items() if as_scalar(c) != 0}
         if clean:
             components.setdefault(n, {})[tuple(w)] = clean
     return components
@@ -404,7 +400,7 @@ def _components_by_weight(table: Mapping) -> dict[int, dict]:
     basis keys already."""
     components: dict[int, dict] = {}
     for w, val in table.items():
-        clean = {t: Fraction(c) for t, c in val.items() if Fraction(c) != 0}
+        clean = {t: as_scalar(c) for t, c in val.items() if as_scalar(c) != 0}
         if clean:
             components.setdefault(len(w), {})[tuple(w)] = clean
     return components
@@ -429,7 +425,7 @@ def twisted_linfty_morphism(g, rng: random.Random, max_len: int = 3,
     F = conv_exp(W, ctx, f_map)
 
     def apply_map(mapping, vec):
-        out: dict[Word, Fraction] = {}
+        out: dict[Word, Scalar] = {}
         for w, c in vec.items():
             series = mapping.get(w)
             if series is None:
@@ -440,7 +436,7 @@ def twisted_linfty_morphism(g, rng: random.Random, max_len: int = 3,
 
     # compositional inverse: F = id + N with N strictly length-lowering, so
     # F^{-1} = sum_k (-N)^k terminates (the convolution inverse is not it)
-    nil: dict[Word, dict[Word, Fraction]] = {}
+    nil: dict[Word, dict[Word, Scalar]] = {}
     for w in W.words:
         img = apply_map(F, {w: ONE})
         vec_add_into(img, w, -ONE)

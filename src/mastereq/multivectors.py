@@ -18,11 +18,10 @@ A bivector S0 and a function S1 define a unimodular Poisson structure when
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 from .diagnostics import PreconditionError
-from .graded import as_scalar
+from .graded import ONE, ZERO, Scalar, as_scalar
 
 __all__ = [
     "Polyvector",
@@ -32,8 +31,6 @@ __all__ = [
     "unimodular_poisson_check",
 ]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # term key: (exponent tuple, xi bitmask)
 Key = tuple[tuple[int, ...], int]
@@ -51,7 +48,7 @@ class Polyvector:
         if not 1 <= dim <= MAX_DIM:
             raise PreconditionError(f"dimension {dim} outside 1..{MAX_DIM}")
         self.dim = dim
-        clean: dict[Key, Fraction] = {}
+        clean: dict[Key, Scalar] = {}
         for (alpha, mask), value in (terms or {}).items():
             alpha = tuple(int(a) for a in alpha)
             if len(alpha) != dim:
@@ -93,7 +90,7 @@ class Polyvector:
         return Polyvector(self.dim, {k: c * v for k, v in self.terms.items()})
 
     def mul(self, other: "Polyvector") -> "Polyvector":
-        out: dict[Key, Fraction] = {}
+        out: dict[Key, Scalar] = {}
         for (a1, m1), c1 in self.terms.items():
             for (a2, m2), c2 in other.terms.items():
                 if m1 & m2:
@@ -111,7 +108,7 @@ class Polyvector:
         return Polyvector(self.dim, out)
 
     def dx(self, i: int) -> "Polyvector":
-        out: dict[Key, Fraction] = {}
+        out: dict[Key, Scalar] = {}
         for (alpha, mask), c in self.terms.items():
             if alpha[i] == 0:
                 continue
@@ -122,7 +119,7 @@ class Polyvector:
 
     def dxi(self, i: int) -> "Polyvector":
         """Left derivative: remove xi_i, with the sign of moving it to the front."""
-        out: dict[Key, Fraction] = {}
+        out: dict[Key, Scalar] = {}
         bit = 1 << i
         for (alpha, mask), c in self.terms.items():
             if not mask & bit:
@@ -146,7 +143,7 @@ class Polyvector:
         return "Polyvector(" + " + ".join(bits) + ")"
 
 
-def _interleave_sign(m1: int, m2: int) -> Fraction:
+def _interleave_sign(m1: int, m2: int) -> int:
     # sign of sorting xi(m1) xi(m2) into increasing order: count pairs i>j
     inv = 0
     for j in range(MAX_DIM):

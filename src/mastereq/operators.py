@@ -9,16 +9,13 @@ it actually covers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Mapping
 
 from .diagnostics import CheckResult, InternalError, PreconditionError
+from .graded import ONE, Scalar
 from .words import TruncationOverflow, WordAlgebra, vec_add_into, word_tuples_within
 
 __all__ = ["Operator", "operator_order_check", "iterated_commutator_apply"]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class Operator:
@@ -100,7 +97,7 @@ class Operator:
             entries[w] = out
         return Operator(self.algebra, self.degree, entries, defined, f"{self.name}+{other.name}")
 
-    def scale(self, c: Fraction) -> "Operator":
+    def scale(self, c: Scalar) -> "Operator":
         return Operator(
             self.algebra, self.degree,
             {w: {u: c * v for u, v in img.items()} for w, img in self.entries.items()},
@@ -177,7 +174,9 @@ def operator_order_check(algebra: WordAlgebra, op: Operator, n: int, name: str =
     A tuple of generators of total length `used` is tested on every target
     word w with used + len(w) <= N - max_raise, so no intermediate product
     overflows the truncation.  The bound's `checked` counts those
-    (generator tuple, target) pairs.
+    (generator tuple, target) pairs.  `max_raise` sees only stored entries:
+    an operator undefined on a word inside that budget cannot be certified
+    there, and the check raises a `PreconditionError` naming the word.
 
     The commutators are evaluated level by level,
 
@@ -218,7 +217,13 @@ def operator_order_check(algebra: WordAlgebra, op: Operator, n: int, name: str =
 
     def lower(k: int, vs: tuple, x) -> dict:
         if k < 0:
-            return op.apply_word(x)
+            try:
+                return op.apply_word(x)
+            except TruncationOverflow:
+                raise PreconditionError(
+                    f"order check: {op.name or 'the operator'} is undefined on "
+                    f"{algebra.label(x)}, a word inside the length budget "
+                    f"N - max_raise = {algebra.max_len} - {op.max_raise}") from None
         table = tables[k]
         value = table.get(x)
         if value is None:

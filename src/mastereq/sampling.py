@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .artin import ArtinLocalAlgebra
 from .bv import BVAlgebra
+from .graded import ONE, Scalar, as_scalar
 from .series import HbarSeries
 
 __all__ = [
@@ -23,10 +24,10 @@ __all__ = [
 ]
 
 
-def random_rational(rng: random.Random, span: int = 2) -> Fraction:
+def random_rational(rng: random.Random, span: int = 2) -> Scalar:
     num = rng.randint(-span, span)
     den = rng.choice([1, 1, 2])
-    return Fraction(num, den)
+    return as_scalar(Fraction(num, den))
 
 
 def random_mc_element(g, ring: ArtinLocalAlgebra, rng: random.Random,
@@ -80,7 +81,7 @@ def random_corestriction_twist(g, rng: random.Random, max_len: int = 3,
     from .linfty import _as_linfty
     gl = _as_linfty(g)
     W = gl.word_algebra(max_len)
-    cor = {(x,): {x: Fraction(1)} for x in gl.shifted.labels}
+    cor = {(x,): {x: ONE} for x in gl.shifted.labels}
     for w in W.words:
         if len(w) != 2:
             continue

@@ -15,23 +15,34 @@ from typing import Mapping
 
 from .artin import ArtinLocalAlgebra, TRIVIAL_RING
 from .diagnostics import PreconditionError
-from .graded import as_scalar
+from .graded import ONE, ZERO, Scalar, as_scalar
 
 __all__ = ["HbarSeries", "SeriesContext"]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 Key = tuple[object, str, int]
 
 
+def _canonical(terms: dict) -> dict:
+    """Coefficients of a fresh sum or product, with each integral `Fraction` made `int`."""
+    for key, v in terms.items():
+        if type(v) is Fraction:
+            terms[key] = as_scalar(v)
+    return terms
+
+
 class HbarSeries:
-    """Sparse A (x) R element with integer hbar powers."""
+    """Sparse A (x) R element with integer hbar powers.
+
+    Coefficients follow the scalar rule of `graded`: every operation here
+    returns `int` coefficients where they are integral, so products of
+    integral series never enter `Fraction` arithmetic.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Key, object] | None = None):
-        clean: dict[Key, Fraction] = {}
+        clean: dict[Key, Scalar] = {}
         for key, value in (terms or {}).items():
             c = as_scalar(value)
             if c:
@@ -46,7 +57,7 @@ class HbarSeries:
         for key, c in other.terms.items():
             v = out.get(key, ZERO) + c
             if v:
-                out[key] = v
+                out[key] = v if type(v) is int else as_scalar(v)
             else:
                 out.pop(key, None)
         s = HbarSeries.__new__(HbarSeries)
@@ -58,8 +69,10 @@ class HbarSeries:
 
     def scale(self, c) -> "HbarSeries":
         c = as_scalar(c)
+        terms = {k: c * v for k, v in self.terms.items()} if c else {}
         s = HbarSeries.__new__(HbarSeries)
-        s.terms = {k: c * v for k, v in self.terms.items()} if c else {}
+        # a sign keeps coefficients canonical; 1/n! or 2 may clear a denominator
+        s.terms = terms if c == 1 or c == -1 else _canonical(terms)
         return s
 
     def shift_hbar(self, j: int) -> "HbarSeries":
@@ -67,7 +80,7 @@ class HbarSeries:
         s.terms = {(a, r, h + j): c for (a, r, h), c in self.terms.items()}
         return s
 
-    def hbar_coefficient(self, j: int) -> dict[tuple[object, str], Fraction]:
+    def hbar_coefficient(self, j: int) -> dict[tuple[object, str], Scalar]:
         return {(a, r): c for (a, r, h), c in self.terms.items() if h == j}
 
     def min_hbar(self) -> int | None:
@@ -113,7 +126,7 @@ class SeriesContext:
     def unit(self) -> HbarSeries:
         return HbarSeries({(self.algebra.unit, "1", 0): ONE})
 
-    def from_vector(self, vec: Mapping[object, Fraction], rlabel: str = "1", hpow: int = 0) -> HbarSeries:
+    def from_vector(self, vec: Mapping[object, Scalar], rlabel: str = "1", hpow: int = 0) -> HbarSeries:
         return HbarSeries({(k, rlabel, hpow): c for k, c in vec.items()})
 
     # -- degree bookkeeping ----------------------------------------------------
@@ -131,7 +144,7 @@ class SeriesContext:
         return self.hbar_cutoff is None or h < self.hbar_cutoff
 
     def mul(self, s1: HbarSeries, s2: HbarSeries) -> HbarSeries:
-        out: dict[Key, Fraction] = {}
+        out: dict[Key, Scalar] = {}
         for (a1, r1, h1), c1 in s1.terms.items():
             for (a2, r2, h2), c2 in s2.terms.items():
                 h = h1 + h2
@@ -151,7 +164,7 @@ class SeriesContext:
                         else:
                             out.pop(key, None)
         res = HbarSeries.__new__(HbarSeries)
-        res.terms = out
+        res.terms = _canonical(out)
         return res
 
     def truncate(self, s: HbarSeries) -> HbarSeries:
@@ -188,7 +201,7 @@ class SeriesContext:
 
     def apply_word_operator(self, op, s: HbarSeries, hbar_shift: int = 0) -> HbarSeries:
         """Apply a word-level operator (key -> dict) hbar- and ring-linearly."""
-        out: dict[Key, Fraction] = {}
+        out: dict[Key, Scalar] = {}
         for (a, r, h), c in s.terms.items():
             hh = h + hbar_shift
             if not self.keep(hh):
@@ -201,5 +214,5 @@ class SeriesContext:
                 else:
                     out.pop(key, None)
         res = HbarSeries.__new__(HbarSeries)
-        res.terms = out
+        res.terms = _canonical(out)
         return res

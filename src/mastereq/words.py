@@ -16,10 +16,9 @@ and coaugmentation; the counit is the coefficient of the empty word.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .graded import GradedVectorSpace
+from .graded import ONE, ZERO, GradedVectorSpace, Scalar
 
 __all__ = [
     "Word",
@@ -35,9 +34,6 @@ __all__ = [
 ]
 
 Word = tuple[str, ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class TruncationOverflow(ArithmeticError):
@@ -57,9 +53,9 @@ class TruncationOverflow(ArithmeticError):
         )
 
 
-# -- small sparse-vector helpers (dict word -> Fraction) ---------------------
+# -- small sparse-vector helpers (dict word -> Scalar) -----------------------
 
-def vec_add_into(acc: dict, key, coeff: Fraction) -> None:
+def vec_add_into(acc: dict, key, coeff: Scalar) -> None:
     c = acc.get(key, ZERO) + coeff
     if c:
         acc[key] = c
@@ -67,7 +63,7 @@ def vec_add_into(acc: dict, key, coeff: Fraction) -> None:
         acc.pop(key, None)
 
 
-def vec_scale(vec: Mapping, c: Fraction) -> dict:
+def vec_scale(vec: Mapping, c: Scalar) -> dict:
     if not c:
         return {}
     return {k: c * v for k, v in vec.items()}
@@ -168,7 +164,7 @@ class WordAlgebra:
             )
         return self._word_space
 
-    def counit(self, vec: Mapping[Word, Fraction]) -> Fraction:
+    def counit(self, vec: Mapping[Word, Scalar]) -> Scalar:
         return vec.get((), ZERO)
 
     def augmentation_ideal_words(self) -> tuple[Word, ...]:
@@ -184,11 +180,11 @@ class WordAlgebra:
 
     # -- multiplication ---------------------------------------------------
 
-    def mul_words(self, w1: Word, w2: Word) -> dict[Word, Fraction]:
+    def mul_words(self, w1: Word, w2: Word) -> dict[Word, Scalar]:
         raise NotImplementedError
 
-    def mul(self, v1: Mapping[Word, Fraction], v2: Mapping[Word, Fraction]) -> dict[Word, Fraction]:
-        out: dict[Word, Fraction] = {}
+    def mul(self, v1: Mapping[Word, Scalar], v2: Mapping[Word, Scalar]) -> dict[Word, Scalar]:
+        out: dict[Word, Scalar] = {}
         for w1, c1 in v1.items():
             if not c1:
                 continue
@@ -202,7 +198,7 @@ class WordAlgebra:
 
     # -- comultiplication -------------------------------------------------
 
-    def coproduct(self, word: Word) -> list[tuple[Word, Word, Fraction]]:
+    def coproduct(self, word: Word) -> list[tuple[Word, Word, Scalar]]:
         """Full coproduct of a basis word as a list of (left, right, coeff)."""
         cached = self._coproduct_cache.get(word)
         if cached is None:
@@ -213,17 +209,17 @@ class WordAlgebra:
             self._coproduct_cache[word] = cached
         return cached
 
-    def reduced_coproduct(self, word: Word) -> list[tuple[Word, Word, Fraction]]:
+    def reduced_coproduct(self, word: Word) -> list[tuple[Word, Word, Scalar]]:
         return [(l, r, c) for (l, r, c) in self.coproduct(word) if l and r]
 
-    def _trivial_coproduct(self, word: Word) -> list[tuple[Word, Word, Fraction]]:
+    def _trivial_coproduct(self, word: Word) -> list[tuple[Word, Word, Scalar]]:
         if not word:
             return [((), (), ONE)]
         return [(word, (), ONE), ((), word, ONE)]
 
-    def _shuffle_coproduct(self, word: Word) -> list[tuple[Word, Word, Fraction]]:
+    def _shuffle_coproduct(self, word: Word) -> list[tuple[Word, Word, Scalar]]:
         degs = [self.space.degree(x) for x in word]
-        acc: dict[tuple[Word, Word], Fraction] = {}
+        acc: dict[tuple[Word, Word], Scalar] = {}
         n = len(word)
         for mask in range(1 << n):
             left = tuple(word[i] for i in range(n) if mask >> i & 1)
@@ -256,7 +252,7 @@ class SymmetricWordAlgebra(WordAlgebra):
     symmetric = True
     _joiner = "·"  # middle dot
 
-    def normalize(self, labels: Sequence[str]) -> tuple[Word | None, Fraction]:
+    def normalize(self, labels: Sequence[str]) -> tuple[Word | None, int]:
         """Canonical form of an unordered word; (None, 0) if it collapses.
 
         Returns the sorted word and the Koszul sign of the sorting
@@ -287,7 +283,7 @@ class SymmetricWordAlgebra(WordAlgebra):
         """The letters: the free graded-commutative algebra is generated by V."""
         return tuple(w for w in self.words if len(w) == 1)
 
-    def mul_words(self, w1: Word, w2: Word) -> dict[Word, Fraction]:
+    def mul_words(self, w1: Word, w2: Word) -> dict[Word, Scalar]:
         word, sign = self.normalize(list(w1) + list(w2))
         if word is None:
             return {}
@@ -323,13 +319,13 @@ class TensorWordAlgebra(WordAlgebra):
         """
         return self.augmentation_ideal_words()
 
-    def mul_words(self, w1: Word, w2: Word) -> dict[Word, Fraction]:
+    def mul_words(self, w1: Word, w2: Word) -> dict[Word, Scalar]:
         p, q = len(w1), len(w2)
         if p + q > self.max_len:
             raise TruncationOverflow(w1, w2, self.max_len)
         degs1 = [self.space.degree(x) for x in w1]
         degs2 = [self.space.degree(x) for x in w2]
-        out: dict[Word, Fraction] = {}
+        out: dict[Word, Scalar] = {}
         for positions in itertools.combinations(range(p + q), p):
             chosen = set(positions)
             word: list[str] = []

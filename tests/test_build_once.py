@@ -1,18 +1,25 @@
 """Input-only structures are built once per owner object and shared.
 
-`DgLieAlgebra.to_linfty`, `coderivation_dg_lie`, `hbar_extended_dg_lie` and
-`bv_from_bi_dg_lie` depend only on their input, so batteries that call them
-once per instance must not rebuild them.  A build that raises is not kept.
+`DgLieAlgebra.to_linfty`, `coderivation_dg_lie`, `hbar_extended_dg_lie`,
+`bv_from_bi_dg_lie`, `ce_bvinfty_from_linfty` and `BVMorphism.exp_map`
+depend only on their input, so batteries that call them once per instance
+must not rebuild them.  A build that raises is not kept.
 """
 
 import contextlib
 import io
+import random
 from pathlib import Path
 
 import pytest
 
-from mastereq import cli, fixtures
-from mastereq.constructions import BiDgLieData, bv_from_bi_dg_lie, hbar_extended_dg_lie
+from mastereq import cli, constructions, fixtures, morphisms
+from mastereq.constructions import (
+    BiDgLieData,
+    bv_from_bi_dg_lie,
+    ce_bvinfty_from_linfty,
+    hbar_extended_dg_lie,
+)
 from mastereq.diagnostics import StructureError
 from mastereq.graded import GradedVectorSpace
 from mastereq.linfty import DgLieAlgebra, coderivation_dg_lie
@@ -51,6 +58,48 @@ def test_bidg_builders_built_once_per_parameters():
     built = bv_from_bi_dg_lie(B, 4)
     assert bv_from_bi_dg_lie(B, 4) is built
     assert bv_from_bi_dg_lie(B, 3) is not built
+
+
+def test_ce_bvinfty_from_linfty_built_once_per_parameters():
+    gl = fixtures.heis3().to_linfty()
+    V = ce_bvinfty_from_linfty(gl, 3, 3)
+    assert ce_bvinfty_from_linfty(gl, 3, 3) is V
+    others = [ce_bvinfty_from_linfty(gl, 2, 3), ce_bvinfty_from_linfty(gl, 3, 2),
+              ce_bvinfty_from_linfty(gl, 3, 3, coproduct="trivial"),
+              ce_bvinfty_from_linfty(fixtures.heis3().to_linfty(), 3, 3)]
+    assert all(other is not V for other in others)
+
+
+def _counted(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_theorem_second_builds_its_source_and_exponential_once(monkeypatch):
+    g = fixtures.bidg_as_dg_lie()
+    V = ce_bvinfty_from_linfty(g.to_linfty(), 3, 3)
+    g_tw, cor = morphisms.twisted_linfty_morphism(g, random.Random(17), 3)
+    table = {w: {(t,): c for t, c in val.items()} for w, val in cor.items()}
+    exps = _counted(monkeypatch, morphisms, "conv_exp")
+    builds = _counted(monkeypatch, constructions, "_build_ce_bvinfty_from_linfty")
+    report = morphisms.theorem_second_bijection_check(V, g_tw, table, 3, 3)
+    assert report["qme_zero"] and report["is_morphism"]
+    # one exp(S/hbar) serves the intertwining check and the convolution-QME route
+    assert (len(exps), len(builds)) == (1, 1)
+    key = sorted(table)[-1]
+    bad = dict(table)
+    bad[key] = {t: c + 1 for t, c in table[key].items()}
+    report = morphisms.theorem_second_bijection_check(V, g_tw, bad, 3, 3)
+    assert report["equivalence"] and not report["is_morphism"]
+    # a corrupted attempt on the same twisted algebra reuses its S(g[-1])
+    assert (len(exps), len(builds)) == (2, 1)
 
 
 def test_failed_builds_raise_on_every_call():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from mastereq import cli
+from mastereq.bv import QMESolveResult
 from mastereq.diagnostics import ManifestError
 from mastereq.linfty import DgLieAlgebra
 from mastereq.manifest import emit_manifest, parse_manifest, parse_manifest_text
@@ -186,6 +187,40 @@ def test_vacuous_corruption_battery_does_not_pass(tmp_path, monkeypatch):
     detected = certs["chuang-lazarev-corrupted-detected"]
     assert detected["status"] == "fail"
     assert detected["bounds"] == {"detected": 0, "skipped": 3, "total": 3}
+
+
+def _theorem_first_valid(tmp_path, monkeypatch, obstructed_calls):
+    """theorem-first on sl2 with the solver reporting an obstruction on the
+    given (0-based) calls; returns the exit code and the valid certificate."""
+    solve = cli.qme_solve_perturbative
+    calls = []
+
+    def solver(V, ring, seed, hbar_cutoff=None):
+        calls.append(seed)
+        if len(calls) - 1 in obstructed_calls:
+            return QMESolveResult(status="obstructed", obstruction_order=2, partial=seed)
+        return solve(V, ring, seed, hbar_cutoff)
+
+    monkeypatch.setattr(cli, "qme_solve_perturbative", solver)
+    out = tmp_path / "r.json"
+    code = run_cli("verify-representability", "theorem-first", str(FIXTURES / "sl2.alg"),
+                   "--ring", str(FIXTURES / "ring-t3.alg"), "--seed", "5", "--instances", "3",
+                   "--format", "machine", "--out", str(out))
+    assert len(calls) == 3
+    certs = {c["name"]: c for c in json.loads(out.read_text())["certificates"]}
+    return code, certs["theorem-first-valid"]
+
+
+def test_obstructed_theorem_first_seeds_are_skipped_not_valid(tmp_path, monkeypatch):
+    # an obstructed seed has no solution to test: it is no valid instance
+    code, valid = _theorem_first_valid(tmp_path, monkeypatch, {0, 1, 2})
+    assert code == 1
+    assert valid["status"] == "fail"
+    assert valid["bounds"] == {"passed": 0, "skipped": 3, "total": 3}
+    code, valid = _theorem_first_valid(tmp_path, monkeypatch, {1})
+    assert code == 0
+    assert valid["status"] == "pass"
+    assert valid["bounds"] == {"passed": 2, "skipped": 1, "total": 3}
 
 
 def test_verify_representability_unknown_variant_exits_2():

@@ -11,12 +11,13 @@ words, the same loop is the exact reference for the shared tables.
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mastereq.bv import BVAlgebra
 from mastereq.constructions import ce_bv_from_dg_lie, ce_delta_operator, derivation_extend
-from mastereq.diagnostics import CheckResult
+from mastereq.diagnostics import CheckResult, PreconditionError
 from mastereq.graded import GradedVectorSpace
 from mastereq.linalg import solve_linear
 from mastereq.linfty import DgLieAlgebra
@@ -308,3 +309,19 @@ def test_even_letter_ce_family_order_certificates():
         assert not cert.ok
         assert all(v in {"x1", "x2", "x3", "w"} for v in cert.witness["test_vectors"])
         _assert_witness_reproduces(A, delta, cert.witness)
+
+
+def test_undefined_word_inside_the_budget_is_a_precondition_error():
+    # L_x on the shuffle algebra of one odd letter, N = 3: x ш x = 0, and
+    # L_x is undefined on x⊗x⊗x.  L_x∘L_x is zero where it is defined, so its
+    # max_raise reads 0, but it is undefined on x⊗x and x⊗x⊗x; the order
+    # check reaches x⊗x⊗x as x ш (x⊗x) inside the budget N - max_raise = 3.
+    A = TensorWordAlgebra(GradedVectorSpace([("x", 1)]), 3)
+    L = Operator.from_function(A, 1, lambda w: A.mul({("x",): 1}, {w: 1}), name="L_x")
+    op = L.compose(L)
+    assert op.entries == {} and op.defined == {(), ("x",)} and op.max_raise == 0
+    with pytest.raises(PreconditionError, match=r"undefined on x⊗x⊗x.*N - max_raise = 3 - 0"):
+        operator_order_check(A, op, 0)
+    # L_x raises length by one and is defined on every word within N - 1
+    assert operator_order_check(A, L, 0) == _order_check_oracle(A, L, 0, A.generator_words())
+    assert operator_order_check(A, L, 0).ok
