@@ -34,6 +34,7 @@ __all__ = [
     "BVMorphism",
     "check_bv_morphism",
     "compose_bv_morphisms",
+    "compose_with_log_residue",
     "clalg_embed",
     "ring_map_to_bv_morphism",
     "theorem_first_bijection_check",
@@ -183,10 +184,21 @@ def compose_bv_morphisms(phi: BVMorphism, psi: BVMorphism) -> BVMorphism:
     Raises if the log keeps any power below hbar^{-1}: such a term would
     obstruct finiteness of hbar·log as hbar -> 0 and signals invalid input.
     """
+    return compose_with_log_residue(phi, psi)[0]
+
+
+def compose_with_log_residue(phi: BVMorphism, psi: BVMorphism) -> tuple[BVMorphism, dict]:
+    """phi ∘ psi and the hbar^{-1} coefficient of its log, from one log.
+
+    The composite is `compose_bv_morphisms(phi, psi)` and the coefficient is
+    `log_hbar_minus_one_coefficient(phi, psi)`; a certificate that needs both
+    computes the convolution log once.
+    """
     if not _same_algebra(psi.target.algebra, phi.source.algebra):
         raise PreconditionError("composition mismatch: target(psi) != source(phi)")
+    log = _composite_log(phi, psi)
     components: dict[int, dict] = {}
-    for key, series in _composite_log(phi, psi).items():
+    for key, series in log.items():
         for (t, r, h), c in series.terms.items():
             if h < -1:
                 raise StructureError(
@@ -197,8 +209,8 @@ def compose_bv_morphisms(phi: BVMorphism, psi: BVMorphism) -> BVMorphism:
                 continue
             components.setdefault(n, {}).setdefault(key, {})[t] = \
                 components.get(n, {}).get(key, {}).get(t, ZERO) + c
-    return BVMorphism(psi.source, phi.target, components,
-                      name=f"{phi.name}∘{psi.name}")
+    composite = BVMorphism(psi.source, phi.target, components, name=f"{phi.name}∘{psi.name}")
+    return composite, _hbar_minus_one_part(log)
 
 
 def _composite_log(phi: BVMorphism, psi: BVMorphism) -> dict:
@@ -216,14 +228,18 @@ def _composite_log(phi: BVMorphism, psi: BVMorphism) -> dict:
     return conv_log(psi.source.algebra, ctx, composite)
 
 
-def log_hbar_minus_one_coefficient(phi: BVMorphism, psi: BVMorphism) -> dict:
-    """The hbar^{-1} log coefficient of the composite, for certification."""
+def _hbar_minus_one_part(log: dict) -> dict:
     out = {}
-    for key, series in _composite_log(phi, psi).items():
+    for key, series in log.items():
         coeff = series.hbar_coefficient(-1)
         if coeff:
             out[key] = coeff
     return out
+
+
+def log_hbar_minus_one_coefficient(phi: BVMorphism, psi: BVMorphism) -> dict:
+    """The hbar^{-1} log coefficient of the composite, for certification."""
+    return _hbar_minus_one_part(_composite_log(phi, psi))
 
 
 __all__.append("log_hbar_minus_one_coefficient")

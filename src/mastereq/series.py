@@ -145,20 +145,24 @@ class SeriesContext:
 
     def mul(self, s1: HbarSeries, s2: HbarSeries) -> HbarSeries:
         out: dict[Key, Scalar] = {}
+        get = out.get
+        cutoff = self.hbar_cutoff
+        mul_labels = self.ring.mul_labels
+        mul_words = self.algebra.mul_words
         for (a1, r1, h1), c1 in s1.terms.items():
             for (a2, r2, h2), c2 in s2.terms.items():
                 h = h1 + h2
-                if not self.keep(h):
+                if cutoff is not None and h >= cutoff:
                     continue
-                rprod = self.ring.mul_labels(r1, r2)
+                rprod = mul_labels(r1, r2)
                 if not rprod:
                     continue
                 c = c1 * c2
-                words = self.algebra.mul_words(a1, a2)
-                for w, s in words.items():
+                for w, s in mul_words(a1, a2).items():
+                    cs = c * s
                     for r, rc in rprod.items():
                         key = (w, r, h)
-                        v = out.get(key, ZERO) + c * s * rc
+                        v = get(key, ZERO) + cs * rc
                         if v:
                             out[key] = v
                         else:
@@ -202,13 +206,16 @@ class SeriesContext:
     def apply_word_operator(self, op, s: HbarSeries, hbar_shift: int = 0) -> HbarSeries:
         """Apply a word-level operator (key -> dict) hbar- and ring-linearly."""
         out: dict[Key, Scalar] = {}
+        get = out.get
+        cutoff = self.hbar_cutoff
+        apply_word = op.apply_word
         for (a, r, h), c in s.terms.items():
             hh = h + hbar_shift
-            if not self.keep(hh):
+            if cutoff is not None and hh >= cutoff:
                 continue
-            for w, v in op.apply_word(a).items():
+            for w, v in apply_word(a).items():
                 key = (w, r, hh)
-                val = out.get(key, ZERO) + v * c
+                val = get(key, ZERO) + v * c
                 if val:
                     out[key] = val
                 else:

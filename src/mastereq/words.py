@@ -3,13 +3,15 @@
 Words are tuples of basis labels of an underlying graded space.  Symmetric
 words are kept in a canonical normal form: factors sorted stably by
 (degree, declaration index), with the Koszul sign of the sorting permutation
-recorded; a repeated odd factor normalizes to zero.  Tensor words keep their
-order.  Both flavors are cut at a hard word length N; products that would
-overflow raise `TruncationOverflow` instead of silently truncating.
+recorded; a repeated odd factor normalizes to zero.  `normalize` brings an
+arbitrary label list into this form.  Tensor words keep their order.  Both
+flavors are cut at a hard word length N; products that would overflow raise
+`TruncationOverflow` instead of silently truncating.
 
-The multiplication is concatenation (symmetric) or the shuffle product
-(tensor); the coproduct is the unshuffle coproduct by default, or the trivial
-one (1 -> 1(x)1, w -> w(x)1 + 1(x)w) on request.  The empty word is the unit
+The symmetric product merges the normal forms of its two factors, in time
+linear in their lengths; the tensor product is the shuffle product.  The
+coproduct is the unshuffle coproduct by default, or the trivial one
+(1 -> 1(x)1, w -> w(x)1 + 1(x)w) on request.  The empty word is the unit
 and coaugmentation; the counit is the coefficient of the empty word.
 """
 
@@ -252,6 +254,10 @@ class SymmetricWordAlgebra(WordAlgebra):
     symmetric = True
     _joiner = "·"  # middle dot
 
+    def __init__(self, space: GradedVectorSpace, max_len: int, coproduct: str = "shuffle"):
+        self._odd_letters = frozenset(x for x in space.labels if space.degree(x) % 2)
+        super().__init__(space, max_len, coproduct)
+
     def normalize(self, labels: Sequence[str]) -> tuple[Word | None, int]:
         """Canonical form of an unordered word; (None, 0) if it collapses.
 
@@ -272,7 +278,7 @@ class SymmetricWordAlgebra(WordAlgebra):
 
     def _enumerate_words(self) -> Iterable[Word]:
         letters = sorted(self.space.labels, key=self._sort_key.__getitem__)
-        odd = {x for x in letters if self.space.degree(x) % 2 != 0}
+        odd = self._odd_letters
         for n in range(self.max_len + 1):
             for combo in itertools.combinations_with_replacement(letters, n):
                 if any(a == b and a in odd for a, b in zip(combo, combo[1:])):
@@ -284,13 +290,46 @@ class SymmetricWordAlgebra(WordAlgebra):
         return tuple(w for w in self.words if len(w) == 1)
 
     def mul_words(self, w1: Word, w2: Word) -> dict[Word, Scalar]:
-        word, sign = self.normalize(list(w1) + list(w2))
-        if word is None:
-            return {}
-        # normalize first: a vanishing product never overflows
-        if len(word) > self.max_len:
+        """The product of two basis words of this algebra, by merging them.
+
+        Precondition: `w1` and `w2` are basis words, that is normal forms
+        (sorted by `_sort_key`, no odd letter twice); `normalize` handles
+        arbitrary label lists.  On a tie the letter of `w1` goes first, as in
+        the stable sort of `normalize`.  Each odd letter taken from `w2`
+        jumps over the odd letters still left in `w1`, and the sign is the
+        parity of these crossings.  An odd letter in both factors makes the
+        product zero; that is found before the length check, so a vanishing
+        product never overflows.
+        """
+        if not w1:
+            return {w2: ONE}
+        if not w2:
+            return {w1: ONE}
+        key = self._sort_key
+        odd = self._odd_letters
+        merged: list[str] = []
+        i, p = 0, len(w1)
+        # odd letters of w1 not yet taken; a basis word holds each at most once
+        odd_left = len(odd.intersection(w1))
+        crossings = 0
+        for y in w2:
+            ky = key[y]
+            while i < p and key[w1[i]] <= ky:
+                x = w1[i]
+                merged.append(x)
+                if x in odd:
+                    odd_left -= 1
+                i += 1
+            if y in odd:
+                # an odd y of w1 was taken just before, on the tie
+                if merged and merged[-1] == y:
+                    return {}
+                crossings += odd_left
+            merged.append(y)
+        if len(merged) + p - i > self.max_len:
             raise TruncationOverflow(w1, w2, self.max_len)
-        return {word: sign}
+        merged.extend(w1[i:])
+        return {tuple(merged): -ONE if crossings % 2 else ONE}
 
 
 class TensorWordAlgebra(WordAlgebra):
@@ -323,8 +362,10 @@ class TensorWordAlgebra(WordAlgebra):
         p, q = len(w1), len(w2)
         if p + q > self.max_len:
             raise TruncationOverflow(w1, w2, self.max_len)
-        degs1 = [self.space.degree(x) for x in w1]
         degs2 = [self.space.degree(x) for x in w2]
+        # tail[i]: total degree of w1[i:], the letters a w2 letter taken at i jumps over
+        tail = list(itertools.accumulate((self.space.degree(x) for x in reversed(w1)),
+                                         initial=0))[::-1]
         out: dict[Word, Scalar] = {}
         for positions in itertools.combinations(range(p + q), p):
             chosen = set(positions)
@@ -336,8 +377,7 @@ class TensorWordAlgebra(WordAlgebra):
                     word.append(w1[i])
                     i += 1
                 else:
-                    # this letter of w2 jumps over the remaining letters of w1
-                    exp += degs2[j] * sum(degs1[i:])
+                    exp += degs2[j] * tail[i]
                     word.append(w2[j])
                     j += 1
             sign = ONE if exp % 2 == 0 else -ONE

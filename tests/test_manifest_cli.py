@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -226,6 +228,56 @@ def test_obstructed_theorem_first_seeds_are_skipped_not_valid(tmp_path, monkeypa
 def test_verify_representability_unknown_variant_exits_2():
     proc = run_cli_capture("verify-representability", "no-such-theorem", "x.alg")
     assert proc.returncode == 2
+
+
+RING3 = ["--ring", str(FIXTURES / "ring-t3.alg")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-representability", "quillen", "heis3.alg", *RING3],
+    ["verify-representability", "corollary-bidg", "bidg4.alg", *RING3],
+    ["verify-representability", "chuang-lazarev", "sl2.alg"],
+    ["verify-representability", "theorem-first", "sl2.alg", *RING3],
+    ["verify-representability", "theorem-second", "bidg4-dglie.alg"],
+    ["identity-check", "big-formula", "sl2.alg", *RING3],
+    ["identity-check", "qme-forms", "sl2.alg", *RING3],
+], ids=lambda argv: argv[1])
+def test_battery_without_instances_fails(argv, tmp_path):
+    # a battery that tested nothing must not pass
+    argv = [str(FIXTURES / a) if a.endswith(".alg") and "/" not in a else a for a in argv]
+    out = tmp_path / "r.json"
+    code = run_cli(*argv, "--instances", "0", "--format", "machine", "--out", str(out))
+    assert code == 1
+    certs = json.loads(out.read_text())["certificates"]
+    assert certs and all(c["status"] == "fail" for c in certs)
+
+
+def test_compose_morphisms_takes_one_convolution_log(monkeypatch):
+    from mastereq import morphisms
+    conv_log = morphisms.conv_log
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return conv_log(*args, **kwargs)
+
+    monkeypatch.setattr(morphisms, "conv_log", counted)
+    rings = [str(FIXTURES / f"ring-t{m}.alg") for m in (4, 3, 2)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_cli("compose-morphisms", *rings, "--format", "machine") == 0
+    assert json.loads(out.getvalue())["status"] == "pass"
+    assert len(calls) == 1
+
+
+def test_python_dash_m_mastereq_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, "-m", "mastereq", "check", "fixtures/heis3.alg",
+                           "fixtures/ring-t3.alg", "--format", "machine"],
+                          capture_output=True, text=True, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "pass"
 
 
 def test_operation_coverage_registry():

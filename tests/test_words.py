@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mastereq.graded import GradedVectorSpace, koszul_sign
@@ -152,6 +152,25 @@ def test_product_of_odd_repeats_vanishes_before_overflow():
     assert A.mul_words(("x", "y"), ("x",)) == {}
 
 
+@settings(derandomize=True, max_examples=300)
+@given(degrees=st.lists(st.integers(-1, 2), min_size=1, max_size=4), n=st.integers(2, 5),
+       data=st.data())
+def test_symmetric_product_merge_matches_normalize(degrees, n, data):
+    # normalize sorts the concatenation from scratch: the oracle of the merge
+    space = GradedVectorSpace((f"x{i}", d) for i, d in enumerate(degrees))
+    A = SymmetricWordAlgebra(space, n)
+    u = data.draw(st.sampled_from(A.words))  # words[0] is the unit
+    v = data.draw(st.sampled_from(A.words))
+    word, sign = A.normalize(list(u) + list(v))
+    if word is not None and len(word) > n:
+        with pytest.raises(TruncationOverflow):
+            A.mul_words(u, v)
+        return
+    got = A.mul_words(u, v)
+    assert got == ({} if word is None else {word: sign})
+    assert all(type(c) is int for c in got.values())
+
+
 def test_symmetric_product_graded_commutative():
     A = sym(MIXED, 4)
     for w1 in A.words:
@@ -194,6 +213,47 @@ def test_tensor_shuffle_associative_and_commutative():
                 left = mulv(T.mul_words(w1, w2), {w3: Fraction(1)})
                 right = mulv({w1: Fraction(1)}, T.mul_words(w2, w3))
                 assert left == right
+
+
+def _shuffle_oracle(T, w1, w2):
+    """The shuffle product with each crossing's degree sum recomputed from scratch."""
+    p, q = len(w1), len(w2)
+    degs1 = [T.space.degree(x) for x in w1]
+    degs2 = [T.space.degree(x) for x in w2]
+    out = {}
+    for positions in itertools.combinations(range(p + q), p):
+        chosen = set(positions)
+        word = []
+        i = j = 0
+        exp = 0
+        for k in range(p + q):
+            if k in chosen:
+                word.append(w1[i])
+                i += 1
+            else:
+                # this letter of w2 jumps over the remaining letters of w1
+                exp += degs2[j] * sum(degs1[i:])
+                word.append(w2[j])
+                j += 1
+        sign = 1 if exp % 2 == 0 else -1
+        key = tuple(word)
+        c = out.get(key, 0) + sign
+        if c:
+            out[key] = c
+        else:
+            out.pop(key, None)
+    return out
+
+
+@settings(derandomize=True, max_examples=200)
+@given(degrees=st.lists(st.integers(-1, 2), min_size=1, max_size=3), n=st.integers(2, 4),
+       data=st.data())
+def test_tensor_shuffle_matches_oracle(degrees, n, data):
+    space = GradedVectorSpace((f"x{i}", d) for i, d in enumerate(degrees))
+    T = TensorWordAlgebra(space, n)
+    u = data.draw(st.sampled_from(T.words))
+    v = data.draw(st.sampled_from([w for w in T.words if len(u) + len(w) <= n]))
+    assert list(T.mul_words(u, v).items()) == list(_shuffle_oracle(T, u, v).items())
 
 
 def test_tensor_words_keep_order():
