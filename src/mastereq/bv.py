@@ -21,7 +21,6 @@ which is the source of both QME forms and of the conjugation identity check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -30,7 +29,7 @@ from .diagnostics import CheckResult, PreconditionError, StructureError
 from .graded import ONE, ZERO, Scalar
 from .linalg import solve_linear
 from .operators import Operator, operator_order_check
-from .series import HbarSeries, SeriesContext
+from .series import HbarSeries, SeriesContext, SolveResult
 from .words import TruncationOverflow, Word, WordAlgebra, vec_add_into, word_tuples_within
 
 __all__ = [
@@ -463,14 +462,7 @@ def conjugation_identity_check(V, ring: ArtinLocalAlgebra, S: HbarSeries,
                               "tested": tested, "skipped": skipped})
 
 
-@dataclass
-class QMESolveResult:
-    status: str
-    element: HbarSeries | None = None
-    obstruction_order: int | None = None
-    obstruction: HbarSeries | None = None
-    partial: HbarSeries | None = None
-    bound: dict = field(default_factory=dict)
+QMESolveResult = SolveResult
 
 
 def qme_solve_perturbative(V, ring: ArtinLocalAlgebra, seed: HbarSeries,

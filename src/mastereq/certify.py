@@ -4,22 +4,19 @@ A certificate is one named check with a pass/fail status, the truncation
 bounds it was verified under, and an optional witness.  Machine-format
 reports are byte-identical across runs for fixed inputs and seed: fields are
 ordered, certificates sorted by name, and wall-clock timing is reported only
-in the human format.  The battery runner fans out to a thread pool when
-QME_KERNEL_THREADS asks for one; assembly order never depends on scheduling.
+in the human format.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .diagnostics import CheckResult
 
-__all__ = ["Certificate", "Report", "run_battery", "worker_count"]
+__all__ = ["Certificate", "Report", "run_battery"]
 
 FORMAT_VERSION = 1
 
@@ -44,17 +41,8 @@ class Certificate:
         return self.status == "pass"
 
 
-def worker_count() -> int:
-    raw = os.environ.get("QME_KERNEL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_battery(tasks: Iterable[tuple[str, Callable[[], CheckResult]]]) -> list[Certificate]:
-    """Run named checks, possibly in a worker pool; results sorted by name."""
-    tasks = list(tasks)
+    """Run named checks in order; results sorted by name."""
 
     def run_one(item):
         name, fn = item
@@ -66,14 +54,7 @@ def run_battery(tasks: Iterable[tuple[str, Callable[[], CheckResult]]]) -> list[
         result.name = name
         return Certificate.from_check(result, timing_ms=elapsed)
 
-    workers = worker_count()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            certs = list(pool.map(run_one, tasks))
-    else:
-        certs = [run_one(t) for t in tasks]
-    certs.sort(key=lambda c: c.name)
-    return certs
+    return sorted(map(run_one, tasks), key=lambda c: c.name)
 
 
 class Report:

@@ -7,8 +7,10 @@ BV operator coming from a bracket follows the sum-over-pairs formula
     Delta(x_1 ... x_n) = sum_{i<j} (-1)^{|x_1|+...+|x_i|} eps_{ij}
                           x_1 ... [x_i, x_j] ... (x_j omitted) ... x_n,
 
-with eps_{ij} the Koszul sign of commuting x_j next to x_i, computed by the
-sign oracle on the explicit permutation rather than a closed-form shortcut.
+with eps_{ij} = (-1)^{|x_j|(|x_{i+1}|+...+|x_{j-1}|)} the Koszul sign of
+commuting x_j next to x_i.  On symmetric words the term of a bracket letter t
+inserts t into the word without x_i, x_j, with (-1)^{|t|(|x_1|+...+|x_{i-1}|)}
+for moving t to the front; all three parities come from one running sum.
 Every construction certifies its axioms up to the requested word length, and
 failures are returned as certificates with witnesses, not exceptions: a
 nonassociative input is a legitimate negative fixture.
@@ -23,7 +25,7 @@ from .artin import ArtinLocalAlgebra
 from .bv import HALF, BVAlgebra, BVInftyAlgebra, antibracket, qme_residual
 from .coalgebra import Coderivation
 from .diagnostics import CheckResult, PreconditionError, StructureError
-from .graded import ONE, ZERO, GradedVectorSpace, Scalar, as_scalar, koszul_sign
+from .graded import ONE, ZERO, GradedVectorSpace, Scalar, as_scalar
 from .linfty import DgLieAlgebra, LInftyAlgebra, emce_residual, quillen_bijection_check
 from .operators import Operator
 from .series import HbarSeries
@@ -74,32 +76,33 @@ def derivation_extend(algebra: WordAlgebra, values: Mapping[str, Mapping[Word, o
 
 
 def ce_delta_operator(algebra: SymmetricWordAlgebra, bracket_labels, name: str = "Delta") -> Operator:
-    """BV operator of a bracket on the word algebra of the desuspension.
+    """BV operator of a bracket on the symmetric word algebra of the desuspension.
 
     `bracket_labels(a, b)` returns the sparse bracket value; letter degrees
     are the word-algebra degrees (the desuspended grading).
     """
+    if not algebra.symmetric:
+        raise PreconditionError("the CE Delta is defined on symmetric words only")
+    degree = algebra.space.degree
+    mul_words = algebra.mul_words
 
     def act(word: Word) -> dict[Word, Scalar]:
         out: dict[Word, Scalar] = {}
         n = len(word)
-        degs = [algebra.space.degree(x) for x in word]
+        # odd[k]: odd letters in word[:k], of the parity of their degree sum
+        odd = list(itertools.accumulate((degree(x) % 2 for x in word), initial=0))
         for i in range(n):
             for j in range(i + 1, n):
                 value = bracket_labels(word[i], word[j])
                 if not value:
                     continue
-                prefactor = sum(degs[: i + 1])
-                perm = list(range(i + 1)) + [j] + [k for k in range(i + 1, n) if k != j]
-                eps = koszul_sign(perm, degs)
-                sign = eps if prefactor % 2 == 0 else -eps
-                prefix = word[:i]
-                suffix = word[i + 1:j] + word[j + 1:]
+                pair_sign = odd[i + 1] + (odd[j + 1] - odd[j]) * (odd[j] - odd[i + 1])
+                rest = word[:i] + word[i + 1:j] + word[j + 1:]
                 for t, c in value.items():
-                    # the bracket value replaces the pair in place at slot i
-                    mid = algebra.mul({prefix: ONE}, {(t,): c})
-                    for w, s in algebra.mul(mid, {suffix: ONE}).items():
-                        vec_add_into(out, w, sign * s)
+                    if (pair_sign + degree(t) * odd[i]) % 2:
+                        c = -c
+                    for w, s in mul_words((t,), rest).items():
+                        vec_add_into(out, w, s * c)
         return out
 
     return Operator.from_function(algebra, -1, act, name=name)

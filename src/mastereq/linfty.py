@@ -16,7 +16,6 @@ exp(S) - 1 computed in the word algebra.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
@@ -25,7 +24,7 @@ from .coalgebra import Coderivation, check_codifferential, conv_exp
 from .diagnostics import CheckResult, PreconditionError, StructureError
 from .graded import ONE, ZERO, GradedLinearMap, GradedVectorSpace, Scalar, as_scalar
 from .linalg import solve_linear
-from .series import HbarSeries, SeriesContext
+from .series import HbarSeries, SeriesContext, SolveResult
 from .words import SymmetricWordAlgebra, Word, vec_add_into
 
 if TYPE_CHECKING:
@@ -452,14 +451,7 @@ def chuang_lazarev_morphism_defect(target, source, S: Mapping[Word, Mapping[str,
     return CheckResult("intertwining", True)
 
 
-@dataclass
-class MCSolveResult:
-    status: str  # "solved" | "obstructed"
-    element: HbarSeries | None = None
-    obstruction_order: int | None = None
-    obstruction: HbarSeries | None = None
-    partial: HbarSeries | None = None
-    bound: dict = field(default_factory=dict)
+MCSolveResult = SolveResult
 
 
 def mc_solve_perturbative(g, ring: ArtinLocalAlgebra, seed: HbarSeries,

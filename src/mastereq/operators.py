@@ -22,8 +22,8 @@ class Operator:
     def __init__(self, algebra: WordAlgebra, degree: int, entries: Mapping, defined: set | None = None, name: str = ""):
         self.algebra = algebra
         self.degree = int(degree)
-        self.entries = {w: {u: c for u, c in img.items() if c} for w, img in entries.items()}
-        self.entries = {w: img for w, img in self.entries.items() if img}
+        self.entries = {w: kept for w, img in entries.items()
+                        if (kept := {u: c for u, c in img.items() if c})}
         self.defined = set(algebra.words) if defined is None else set(defined)
         self.name = name
 

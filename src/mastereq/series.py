@@ -10,6 +10,7 @@ which is sound because products and BV operators only ever raise the power.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -17,7 +18,7 @@ from .artin import ArtinLocalAlgebra, TRIVIAL_RING
 from .diagnostics import PreconditionError
 from .graded import ONE, ZERO, Scalar, as_scalar
 
-__all__ = ["HbarSeries", "SeriesContext"]
+__all__ = ["HbarSeries", "SeriesContext", "SolveResult"]
 
 
 Key = tuple[object, str, int]
@@ -223,3 +224,16 @@ class SeriesContext:
         res = HbarSeries.__new__(HbarSeries)
         res.terms = _canonical(out)
         return res
+
+
+@dataclass
+class SolveResult:
+    """A perturbative lift: the solution, or the first obstructed order with its
+    residual and the lift so far.  Bound as `MCSolveResult` and `QMESolveResult`."""
+
+    status: str  # "solved" | "obstructed"
+    element: HbarSeries | None = None
+    obstruction_order: int | None = None
+    obstruction: HbarSeries | None = None
+    partial: HbarSeries | None = None
+    bound: dict = field(default_factory=dict)

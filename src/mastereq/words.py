@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .graded import ONE, ZERO, GradedVectorSpace, Scalar
+from .graded import ONE, ZERO, GradedVectorSpace, Scalar, koszul_sign
 
 __all__ = [
     "Word",
@@ -224,18 +224,11 @@ class WordAlgebra:
         acc: dict[tuple[Word, Word], Scalar] = {}
         n = len(word)
         for mask in range(1 << n):
-            left = tuple(word[i] for i in range(n) if mask >> i & 1)
-            right = tuple(word[i] for i in range(n) if not mask >> i & 1)
-            # Koszul sign of pulling the chosen positions to the front.
-            exp = 0
-            for j in range(n):
-                if mask >> j & 1:
-                    for i in range(j):
-                        if not mask >> i & 1:
-                            exp += degs[i] * degs[j]
-            sign = ONE if exp % 2 == 0 else -ONE
-            key = (left, right)
-            acc[key] = acc.get(key, ZERO) + sign
+            chosen = [i for i in range(n) if mask >> i & 1]
+            rest = [i for i in range(n) if not mask >> i & 1]
+            key = (tuple(word[i] for i in chosen), tuple(word[i] for i in rest))
+            # the sign of pulling the chosen positions to the front
+            acc[key] = acc.get(key, ZERO) + koszul_sign(chosen + rest, degs)
         return [(l, r, c) for (l, r), c in acc.items() if c]
 
     def _enumerate_words(self) -> Iterable[Word]:
@@ -294,12 +287,13 @@ class SymmetricWordAlgebra(WordAlgebra):
 
         Precondition: `w1` and `w2` are basis words, that is normal forms
         (sorted by `_sort_key`, no odd letter twice); `normalize` handles
-        arbitrary label lists.  On a tie the letter of `w1` goes first, as in
-        the stable sort of `normalize`.  Each odd letter taken from `w2`
-        jumps over the odd letters still left in `w1`, and the sign is the
-        parity of these crossings.  An odd letter in both factors makes the
-        product zero; that is found before the length check, so a vanishing
-        product never overflows.
+        arbitrary label lists.  One forward scan of `w2` puts each letter of
+        `w1` after the letters of `w2` that sort below it; on a tie the
+        letter of `w1` goes first, as in the stable sort of `normalize`.
+        Each odd letter of `w1` crosses the odd letters of `w2` placed
+        before it, and the sign is the parity of these crossings.  An odd
+        letter in both factors makes the product zero; that is found before
+        the length check, so a vanishing product never overflows.
         """
         if not w1:
             return {w2: ONE}
@@ -307,29 +301,25 @@ class SymmetricWordAlgebra(WordAlgebra):
             return {w1: ONE}
         key = self._sort_key
         odd = self._odd_letters
-        merged: list[str] = []
-        i, p = 0, len(w1)
-        # odd letters of w1 not yet taken; a basis word holds each at most once
-        odd_left = len(odd.intersection(w1))
-        crossings = 0
-        for y in w2:
-            ky = key[y]
-            while i < p and key[w1[i]] <= ky:
-                x = w1[i]
-                merged.append(x)
-                if x in odd:
-                    odd_left -= 1
-                i += 1
-            if y in odd:
-                # an odd y of w1 was taken just before, on the tie
-                if merged and merged[-1] == y:
+        merged: Word = ()
+        n, k = len(w2), 0
+        # odd letters of w2 placed so far
+        odd_before = crossings = 0
+        for x in w1:
+            kx = key[x]
+            start = k
+            while k < n and key[w2[k]] < kx:
+                odd_before += w2[k] in odd
+                k += 1
+            if x in odd:
+                # the tie puts x first, so an odd x in w2 comes right after it
+                if k < n and w2[k] == x:
                     return {}
-                crossings += odd_left
-            merged.append(y)
-        if len(merged) + p - i > self.max_len:
+                crossings += odd_before
+            merged += w2[start:k] + (x,)
+        if len(w1) + n > self.max_len:
             raise TruncationOverflow(w1, w2, self.max_len)
-        merged.extend(w1[i:])
-        return {tuple(merged): -ONE if crossings % 2 else ONE}
+        return {merged + w2[k:]: -ONE if crossings % 2 else ONE}
 
 
 class TensorWordAlgebra(WordAlgebra):

@@ -7,6 +7,7 @@ import pytest
 from mastereq import fixtures
 from mastereq.artin import power_ring
 from mastereq.bv import (
+    QMESolveResult,
     antibracket,
     bvinfty_qme_residual,
     conjugation_identity_check,
@@ -19,10 +20,10 @@ from mastereq.bv import (
 from mastereq.constructions import BiDgLieData, bv_from_bi_dg_lie, ce_bv_from_dg_lie, ce_bvinfty_from_linfty, qm_bidg_residual, corollary_bidg_check
 from mastereq.diagnostics import PreconditionError
 from mastereq.graded import GradedVectorSpace
-from mastereq.linfty import DgLieAlgebra
+from mastereq.linfty import DgLieAlgebra, MCSolveResult
 from mastereq.operators import Operator, iterated_commutator_apply, operator_order_check
 from mastereq.sampling import random_qme_element
-from mastereq.series import HbarSeries
+from mastereq.series import HbarSeries, SolveResult
 from mastereq.words import SymmetricWordAlgebra, word_tuples_within
 
 
@@ -345,6 +346,10 @@ def test_qme_solver_trivial():
     result = qme_solve_perturbative(bv, R, seed)
     assert result.status == "solved"
     assert result.element == seed
+
+
+def test_solver_results_share_one_type():
+    assert QMESolveResult is MCSolveResult is SolveResult
 
 
 def test_qme_solver_validates_output():

@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mastereq import fixtures
 from mastereq.bv import antibracket, qme_residual
@@ -13,11 +16,79 @@ from mastereq.constructions import (
     ce_bv_from_dg_lie,
     ce_bvinfty_from_linfty,
     ce_bv_from_ibl,
+    ce_delta_operator,
     hbar_extended_dg_lie,
 )
-from mastereq.diagnostics import StructureError
-from mastereq.graded import GradedVectorSpace
+from mastereq.diagnostics import PreconditionError, StructureError
+from mastereq.graded import ONE, GradedVectorSpace, koszul_sign
 from mastereq.linfty import DgLieAlgebra
+from mastereq.operators import Operator
+from mastereq.words import SymmetricWordAlgebra, TensorWordAlgebra, vec_add_into
+
+
+def _ce_delta_oracle(algebra, bracket_labels):
+    """The CE Delta term by term from its definition: the sign of each pair
+    from `koszul_sign` on the explicit permutation that brings x_j next to
+    x_i, and the bracket value multiplied back in place at slot i through
+    two `WordAlgebra.mul` calls on the prefix and the rest of the word."""
+
+    def act(word):
+        out = {}
+        n = len(word)
+        degs = [algebra.space.degree(x) for x in word]
+        for i in range(n):
+            for j in range(i + 1, n):
+                value = bracket_labels(word[i], word[j])
+                if not value:
+                    continue
+                prefactor = sum(degs[: i + 1])
+                perm = list(range(i + 1)) + [j] + [k for k in range(i + 1, n) if k != j]
+                eps = koszul_sign(perm, degs)
+                sign = eps if prefactor % 2 == 0 else -eps
+                prefix = word[:i]
+                suffix = word[i + 1:j] + word[j + 1:]
+                for t, c in value.items():
+                    mid = algebra.mul({prefix: ONE}, {(t,): c})
+                    for w, s in algebra.mul(mid, {suffix: ONE}).items():
+                        vec_add_into(out, w, sign * s)
+        return out
+
+    return Operator.from_function(algebra, -1, act, name="Delta")
+
+
+@st.composite
+def ce_delta_cases(draw):
+    """A symmetric word algebra on 1-4 letters and a sparse degree -1
+    bracket; bracket letters are drawn from the same letters, so an odd one
+    may already sit in the word it is inserted into."""
+    degrees = draw(st.lists(st.integers(-1, 2), min_size=1, max_size=4))
+    space = GradedVectorSpace((f"x{i}", d) for i, d in enumerate(degrees))
+    A = SymmetricWordAlgebra(space, draw(st.integers(2, 5)))
+    terms = [(a, b, t) for a, b in itertools.product(space.labels, repeat=2) for t in space.labels
+             if space.degree(t) == space.degree(a) + space.degree(b) - 1]
+    coefficients = st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-3, 2)))
+    bracket: dict = {}
+    for a, b, t in draw(st.lists(st.sampled_from(terms), max_size=5)) if terms else []:
+        bracket.setdefault((a, b), {})[t] = draw(coefficients)
+    return A, bracket
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ce_delta_cases())
+def test_ce_delta_closed_form_matches_pair_sum(case):
+    A, bracket = case
+    labels = lambda a, b: bracket.get((a, b), {})  # noqa: E731
+    got, want = ce_delta_operator(A, labels), _ce_delta_oracle(A, labels)
+    assert got.entries == want.entries
+    assert got.defined == want.defined
+    types = lambda op: {(w, u): type(c) for w, img in op.entries.items() for u, c in img.items()}  # noqa: E731
+    assert types(got) == types(want)
+
+
+def test_ce_delta_needs_symmetric_words():
+    T = TensorWordAlgebra(GradedVectorSpace([("a", 0)]), 2)
+    with pytest.raises(PreconditionError):
+        ce_delta_operator(T, lambda a, b: {})
 
 
 def test_ce_abelian_delta_zero():

@@ -171,6 +171,26 @@ def test_symmetric_product_merge_matches_normalize(degrees, n, data):
     assert all(type(c) is int for c in got.values())
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(degrees=st.lists(st.integers(-1, 2), min_size=1, max_size=4), n=st.integers(1, 5))
+def test_one_letter_product_matches_normalize_on_every_word(degrees, n):
+    # every letter times every basis word, the product the CE Delta builds:
+    # the merge against sorting the concatenation, odd repeats ({}) and
+    # overflows at N included
+    space = GradedVectorSpace((f"x{i}", d) for i, d in enumerate(degrees))
+    A = SymmetricWordAlgebra(space, n)
+    for y in space.labels:
+        for x in A.words:
+            word, sign = A.normalize([y, *x])
+            if word is not None and len(word) > n:
+                with pytest.raises(TruncationOverflow):
+                    A.mul_words((y,), x)
+                continue
+            got = A.mul_words((y,), x)
+            assert got == ({} if word is None else {word: sign})
+            assert all(type(c) is int for c in got.values())
+
+
 def test_symmetric_product_graded_commutative():
     A = sym(MIXED, 4)
     for w1 in A.words:
