@@ -19,6 +19,7 @@ from typing import Iterable, Mapping
 from .diagnostics import StructureError
 from .graded import ONE, ZERO, Scalar, as_scalar
 from .linalg import rref, span_contains
+from .words import vec_add_into
 
 __all__ = ["ArtinLocalAlgebra", "DualRingCoalgebra", "DualRingAlgebra", "TRIVIAL_RING", "power_ring", "square_zero_ring"]
 
@@ -76,11 +77,7 @@ class ArtinLocalAlgebra:
                 if not c:
                     continue
                 for t, s in self.mul_labels(a, b).items():
-                    v = out.get(t, ZERO) + s * c
-                    if v:
-                        out[t] = v
-                    else:
-                        out.pop(t, None)
+                    vec_add_into(out, t, s * c)
         return out
 
     # -- m-adic filtration ---------------------------------------------------

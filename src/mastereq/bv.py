@@ -12,10 +12,12 @@ A BV-infinity algebra carries operators Delta_n of order <= n and degree
 Everything QME-related reduces to iterated graded commutators of dhat with
 left multiplications: with K_0 = dhat and K_j = [K_{j-1}, L_S],
 
-    e^{-S/hbar} dhat e^{S/hbar} = sum_j (1/j!) hbar^{-j} K_j   (as operators),
-    residual = sum_{j>=1} (1/j!) hbar^{-(j-1)} K_j(1),
+    e^{-S/hbar} dhat e^{S/hbar} = sum_{0<=j<=M-1} (1/j!) hbar^{-j} K_j   (as operators),
+    residual = sum_{1<=j<=M-1} (1/j!) hbar^{-(j-1)} K_j(1),
 
 which is the source of both QME forms and of the conjugation identity check.
+Both sums stop at j = M-1: S has coefficients in m, so K_j carries m^j, and
+m^M = 0 makes every K_j with j >= M vanish.
 """
 
 from __future__ import annotations
@@ -344,13 +346,13 @@ def qme_residual(bv: BVAlgebra, ring: ArtinLocalAlgebra, S: HbarSeries,
 def bvinfty_qme_residual(bvi: BVInftyAlgebra, ring: ArtinLocalAlgebra, S: HbarSeries) -> HbarSeries:
     """dhat S + {S,S}/2! + {S,S,S}/3! + ..., via iterated commutators K_j(1).
 
-    K_j(1) carries a coefficient in m^j, so the sum stops at the nilpotency
-    order of the ring.
+    K_j(1) carries a coefficient in m^j and m^M = 0, so the sum runs over
+    1 <= j <= M-1, where M is the nilpotency order of the ring.
     """
     _validate_qme_element(bvi, ring, S)
     ctx = SeriesContext(bvi.algebra, ring, bvi.hbar_cutoff + ring.nilpotency)
     out = HbarSeries()
-    for j in range(1, ring.nilpotency + 1):
+    for j in range(1, ring.nilpotency):
         val = _k_apply(bvi, ctx, S, j, ctx.unit())
         if val.is_zero():
             continue
@@ -360,7 +362,13 @@ def bvinfty_qme_residual(bvi: BVInftyAlgebra, ring: ArtinLocalAlgebra, S: HbarSe
 
 def _k_apply(bvi: BVInftyAlgebra, ctx: SeriesContext, S: HbarSeries, j: int,
              x: HbarSeries) -> HbarSeries:
-    """K_j applied to x, with K_0 = dhat and K_j = [K_{j-1}, L_S]; S is even."""
+    """K_j applied to x, with K_0 = dhat and K_j = [K_{j-1}, L_S]; S is even.
+
+    K_j(x) is a sum of S^a dhat(S^b x) with a + b = j; its ring-nonzero
+    partial products are those with a + b < M. With the ring basis adapted to
+    the m-adic filtration, every such product of K_M(x) is also made by
+    K_{M-1}(x), so dropping K_M(x) hides no TruncationOverflow.
+    """
     if j == 0:
         return bvi.dhat(x, ctx)
     return _k_apply(bvi, ctx, S, j - 1, ctx.mul(S, x)).sub(
@@ -417,7 +425,10 @@ def conjugation_identity_check(V, ring: ArtinLocalAlgebra, S: HbarSeries,
 
     with all brackets hbar-multilinear derived brackets.  Both sides are
     computed independently: the left by multiplying out exponentials, the
-    right from iterated commutators K_j.
+    right from iterated commutators K_j, 1 <= j <= M-1 (K_M is zero). Each
+    K_{M-1}(x) is evaluated before the dropped K_M(x) would have been, and in
+    an adapted ring basis makes every ring-nonzero product K_M(x) makes, so a
+    word raises TruncationOverflow, and is skipped, exactly as with K_M.
     """
     bvi = V.as_bvinfty(hbar_cutoff or 3) if isinstance(V, BVAlgebra) else V
     _validate_qme_element(bvi, ring, S)
@@ -427,9 +438,9 @@ def conjugation_identity_check(V, ring: ArtinLocalAlgebra, S: HbarSeries,
     narrow = bvi.context(ring)
     exp_plus = wide.exp_over_hbar(S)
     exp_minus = wide.exp_over_hbar(S.scale(-ONE))
-    # K_j(1), j >= 1, assembled into the residual sum_{j>=1} hbar^{-(j-1)} K_j(1)/j!
+    # K_j(1), 1 <= j <= M-1, assembled into the residual sum_j hbar^{-(j-1)} K_j(1)/j!
     k_of_one: list[HbarSeries] = []
-    for j in range(1, M + 1):
+    for j in range(1, M):
         k_of_one.append(_k_apply(bvi, wide, S, j, wide.unit()))
     residual = HbarSeries()
     for idx, val in enumerate(k_of_one, start=1):

@@ -599,13 +599,8 @@ def qm_bidg_residual(B: BiDgLieData, ring: ArtinLocalAlgebra, S: HbarSeries,
 
 
 def _add_term(acc: dict, key, coeff: Scalar, cutoff: int) -> None:
-    if key[2] >= cutoff or not coeff:
-        return
-    cur = acc.get(key, ZERO) + coeff
-    if cur:
-        acc[key] = cur
-    else:
-        acc.pop(key, None)
+    if key[2] < cutoff and coeff:
+        vec_add_into(acc, key, coeff)
 
 
 def corollary_bidg_check(B: BiDgLieData, ring: ArtinLocalAlgebra, S: HbarSeries,

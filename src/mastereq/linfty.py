@@ -278,12 +278,7 @@ def emce_residual(g, ring: ArtinLocalAlgebra, S: HbarSeries, max_len: int | None
     out: dict = {}
     for (w, r, h), c in acc.terms.items():
         for t, v in gl.corestriction_value(w).items():
-            key = (t, r, h)
-            val = out.get(key, ZERO) + v * c
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
+            vec_add_into(out, (t, r, h), v * c)
     return HbarSeries(out)
 
 
@@ -563,12 +558,7 @@ def _build_coderivation_dg_lie(hl: LInftyAlgebra, max_len: int, validate: bool) 
                 if not val:
                     continue
                 for t, v in val.items():
-                    key = (w, t)
-                    cur = out.get(key, ZERO) + v * c
-                    if cur:
-                        out[key] = cur
-                    else:
-                        out.pop(key, None)
+                    vec_add_into(out, (w, t), v * c)
         return out
 
     def bracket_cor(f: Mapping, deg_f: int, g: Mapping, deg_g: int) -> dict[tuple[Word, str], Scalar]:
@@ -577,11 +567,7 @@ def _build_coderivation_dg_lie(hl: LInftyAlgebra, max_len: int, validate: bool) 
         sign = -ONE if (deg_f * deg_g) % 2 else ONE
         out = dict(left)
         for key, c in right.items():
-            cur = out.get(key, ZERO) - sign * c
-            if cur:
-                out[key] = cur
-            else:
-                out.pop(key, None)
+            vec_add_into(out, key, -sign * c)
         return out
 
     mu: dict[Word, dict[str, Scalar]] = {}

@@ -465,12 +465,7 @@ def twisted_linfty_morphism(g, rng: random.Random, max_len: int = 3,
         for w, img in power.items():
             acc = F_inv[w]
             for u, c in img.items():
-                key = (u, "1", 0)
-                val = acc.terms.get(key, ZERO) + sign * c
-                if val:
-                    acc.terms[key] = val
-                else:
-                    acc.terms.pop(key, None)
+                vec_add_into(acc.terms, (u, "1", 0), sign * c)
         power = {w: _compose_word_vec(nil, img) for w, img in power.items()}
         power = {w: img for w, img in power.items() if img}
         sign = -sign

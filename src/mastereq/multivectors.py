@@ -22,6 +22,7 @@ from typing import Mapping
 
 from .diagnostics import PreconditionError
 from .graded import ONE, ZERO, Scalar, as_scalar
+from .words import vec_add_into
 
 __all__ = [
     "Polyvector",
@@ -78,11 +79,7 @@ class Polyvector:
     def add(self, other: "Polyvector") -> "Polyvector":
         out = dict(self.terms)
         for key, c in other.terms.items():
-            v = out.get(key, ZERO) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+            vec_add_into(out, key, c)
         return Polyvector(self.dim, out)
 
     def scale(self, c) -> "Polyvector":
@@ -99,12 +96,7 @@ class Polyvector:
                 alpha = tuple(x + y for x, y in zip(a1, a2))
                 if sum(alpha) > MAX_POLY_DEGREE:
                     raise PreconditionError("product exceeds the polynomial degree budget")
-                key = (alpha, m1 | m2)
-                v = out.get(key, ZERO) + sign * c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
+                vec_add_into(out, (alpha, m1 | m2), sign * c1 * c2)
         return Polyvector(self.dim, out)
 
     def dx(self, i: int) -> "Polyvector":

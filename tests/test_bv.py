@@ -3,11 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mastereq import fixtures
 from mastereq.artin import power_ring
 from mastereq.bv import (
     QMESolveResult,
+    _factorial,
+    _k_apply,
+    _validate_qme_element,
     antibracket,
     bvinfty_qme_residual,
     conjugation_identity_check,
@@ -23,7 +28,7 @@ from mastereq.graded import GradedVectorSpace
 from mastereq.linfty import DgLieAlgebra, MCSolveResult
 from mastereq.operators import Operator, iterated_commutator_apply, operator_order_check
 from mastereq.sampling import random_qme_element
-from mastereq.series import HbarSeries, SolveResult
+from mastereq.series import HbarSeries, SeriesContext, SolveResult
 from mastereq.words import SymmetricWordAlgebra, word_tuples_within
 
 
@@ -281,6 +286,49 @@ def test_bvinfty_residual_agrees_with_dg_bv():
         assert qme_residual(bv, R, S, 3) == bvinfty_qme_residual(bv.as_bvinfty(3), R, S)
 
 
+def _residual_through_nilpotency(bvi, ring, S):
+    """The QME residual with the K_j(1) sum run through j = M, the
+    nilpotency order, K_M(1) included."""
+    _validate_qme_element(bvi, ring, S)
+    ctx = SeriesContext(bvi.algebra, ring, bvi.hbar_cutoff + ring.nilpotency)
+    out = HbarSeries()
+    for j in range(1, ring.nilpotency + 1):
+        val = _k_apply(bvi, ctx, S, j, ctx.unit())
+        if val.is_zero():
+            continue
+        out = out.add(val.shift_hbar(-(j - 1)).scale(Fraction(1, _factorial(j))))
+    return bvi.context(ring).truncate(out)
+
+
+_ORACLE_ALGEBRAS = {
+    "ce-sl2": lambda: ce("sl2", 4).as_bvinfty(3),
+    "l3demo": lambda: ce_bvinfty_from_linfty(fixtures.linfty_fixtures()["l3demo"], 4),
+}
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args), None
+    except Exception as exc:  # compared by type against the oracle
+        return None, type(exc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_ORACLE_ALGEBRAS)), st.integers(2, 5),
+       st.one_of(st.none(), st.integers(1, 4)), st.integers(0, 2**32 - 1))
+def test_residual_stops_at_nilpotency_minus_one(name, M, word_len_cap, seed):
+    # caps above the sampler's default reach TruncationOverflow draws
+    bvi = _ORACLE_ALGEBRAS[name]()
+    R = power_ring(M)
+    S = random_qme_element(bvi, R, random.Random(seed), word_len_cap=word_len_cap)
+    got, got_exc = _outcome(bvinfty_qme_residual, bvi, R, S)
+    want, want_exc = _outcome(_residual_through_nilpotency, bvi, R, S)
+    assert (got, got_exc) == (want, want_exc)
+    if want_exc is None:
+        ctx = SeriesContext(bvi.algebra, R, bvi.hbar_cutoff + M)
+        assert _k_apply(bvi, ctx, S, M, ctx.unit()).is_zero()
+
+
 def test_qme_exp_check_equivalence_battery():
     rng = random.Random(101)
     R = power_ring(3)
@@ -337,6 +385,29 @@ def test_conjugation_identity_bvinfty_generalization():
         S = random_qme_element(bvi, R, rng, word_len_cap=1)
         result = conjugation_identity_check(bvi, R, S, test_words=words)
         assert result.ok, result.witness
+
+
+# (tested, shortest skipped word length) for seed 0; every longer word
+# leaves the window and is skipped
+_CONJUGATION_OVERFLOW_PINS = {
+    ("l3demo", 4): (5, 2), ("l3demo", 5): (20, 4), ("l3demo", 6): (12, 3),
+    ("lift3", 4): (9, 3), ("lift3", 5): (25, 5), ("lift3", 6): (1, 1),
+}
+
+
+@pytest.mark.parametrize("name,M", sorted(_CONJUGATION_OVERFLOW_PINS))
+def test_conjugation_identity_per_word_overflow_pinned(name, M):
+    if name == "l3demo":
+        V = ce_bvinfty_from_linfty(fixtures.linfty_fixtures()["l3demo"], 4)
+    else:
+        V = ce("lift3", 5)
+    R = power_ring(M)
+    result = conjugation_identity_check(V, R, random_qme_element(V, R, random.Random(0)))
+    tested, shortest = _CONJUGATION_OVERFLOW_PINS[(name, M)]
+    assert result.ok
+    assert result.bound["tested"] == tested
+    assert result.bound["skipped"] == [V.algebra.label(w) for w in V.algebra.words
+                                       if len(w) >= shortest]
 
 
 def test_qme_solver_trivial():
