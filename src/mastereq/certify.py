@@ -30,8 +30,9 @@ class Certificate:
     timing_ms: float = 0.0
 
     @classmethod
-    def from_check(cls, result: CheckResult, timing_ms: float = 0.0, prefix: str = "") -> "Certificate":
-        name = f"{prefix}{result.name}"
+    def from_check(cls, result: CheckResult, timing_ms: float = 0.0, name: str | None = None) -> "Certificate":
+        """Certificate of `result`, named `name` if given; `result` is left as it is."""
+        name = result.name if name is None else name
         return cls(name=name, status="pass" if result.ok else "fail",
                    bounds=dict(result.bound or {}), witness=result.witness,
                    timing_ms=timing_ms)
@@ -42,7 +43,11 @@ class Certificate:
 
 
 def run_battery(tasks: Iterable[tuple[str, Callable[[], CheckResult]]]) -> list[Certificate]:
-    """Run named checks in order; results sorted by name."""
+    """Run named checks in order; results sorted by name.
+
+    Each certificate takes its task's name.  The check results are not
+    renamed: a task may hand back a result that its algebra caches.
+    """
 
     def run_one(item):
         name, fn = item
@@ -51,8 +56,7 @@ def run_battery(tasks: Iterable[tuple[str, Callable[[], CheckResult]]]) -> list[
         elapsed = (time.perf_counter() - start) * 1000.0
         if not isinstance(result, CheckResult):
             result = CheckResult(name, bool(result))
-        result.name = name
-        return Certificate.from_check(result, timing_ms=elapsed)
+        return Certificate.from_check(result, timing_ms=elapsed, name=name)
 
     return sorted(map(run_one, tasks), key=lambda c: c.name)
 

@@ -13,6 +13,7 @@ byte-identical for identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -115,8 +116,16 @@ DEFAULT_INSTANCES = 20
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns the exit code.
+
+    `main` may be called any number of times in one process.  The parser is
+    built on the first call and shared read-only by every later one, since
+    `parse_args` leaves it unchanged and returns a fresh namespace.  So
+    in-process callers (scripts, the golden-report tests, the benchmark)
+    pay for the build once; a one-shot `python -m mastereq` builds it once
+    as before.
+    """
+    args = _parser().parse_args(argv)
     try:
         report = args.handler(args)
     except ManifestError as err:
@@ -135,6 +144,12 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     return 0 if report.ok else 1
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use rather than at import."""
+    return build_parser()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,6 +28,18 @@ class Operator:
         self.name = name
 
     @classmethod
+    def _adopt(cls, algebra: WordAlgebra, degree: int, entries: dict, defined: set, name: str) -> "Operator":
+        """An operator that keeps `entries` and `defined` as given, uncopied.
+
+        For data built by the caller with no empty image and no zero
+        coefficient, as `__init__` would leave them.  Operators are not
+        changed after construction, so `defined` may be shared.
+        """
+        op = cls.__new__(cls)
+        op.algebra, op.degree, op.entries, op.defined, op.name = algebra, degree, entries, defined, name
+        return op
+
+    @classmethod
     def from_function(cls, algebra: WordAlgebra, degree: int, fn: Callable, name: str = "") -> "Operator":
         """Tabulate `fn` over the basis; words where it overflows stay undefined."""
         entries = {}
@@ -80,10 +92,11 @@ class Operator:
             for u, c in img.items():
                 for t, v in self.entries.get(u, {}).items():
                     vec_add_into(out, t, v * c)
-            entries[w] = out
+            if out:
+                entries[w] = out
             defined.add(w)
-        return Operator(self.algebra, self.degree + inner.degree, entries, defined,
-                        f"{self.name}∘{inner.name}")
+        return Operator._adopt(self.algebra, self.degree + inner.degree, entries, defined,
+                               f"{self.name}∘{inner.name}")
 
     def add(self, other: "Operator") -> "Operator":
         if other.degree != self.degree:
@@ -94,15 +107,14 @@ class Operator:
             out = dict(self.entries.get(w, {}))
             for u, c in other.entries.get(w, {}).items():
                 vec_add_into(out, u, c)
-            entries[w] = out
-        return Operator(self.algebra, self.degree, entries, defined, f"{self.name}+{other.name}")
+            if out:
+                entries[w] = out
+        return Operator._adopt(self.algebra, self.degree, entries, defined, f"{self.name}+{other.name}")
 
     def scale(self, c: Scalar) -> "Operator":
-        return Operator(
-            self.algebra, self.degree,
-            {w: {u: c * v for u, v in img.items()} for w, img in self.entries.items()},
-            self.defined, self.name,
-        )
+        # stored coefficients are nonzero, so only c = 0 empties an image
+        entries = {w: {u: c * v for u, v in img.items()} for w, img in self.entries.items()} if c else {}
+        return Operator._adopt(self.algebra, self.degree, entries, self.defined, self.name)
 
     def graded_commutator(self, other: "Operator") -> "Operator":
         """[self, other] = self other - (-1)^{|self||other|} other self."""

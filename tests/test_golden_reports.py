@@ -5,6 +5,9 @@ exit code, stdout, stderr and (for `--emit`) the emitted manifest with the
 stored files.  The cases are `check` on every fixture plus one run of each
 command of the cli-fixtures benchmark workload at a fixed seed.
 
+`test_one_parser_serves_repeated_calls` runs every case twice in one
+process, as scripts and the benchmark do, against the same files.
+
 The golden files are the report contract: a kernel change that alters the
 product order, a sign or a witness shows up here.  Regenerate them with
 
@@ -16,10 +19,13 @@ change description.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -86,6 +92,17 @@ def _golden(name: str, part: str) -> Path:
     return GOLDEN / f"{name}.{part}"
 
 
+def _assert_golden(name: str, got: dict) -> None:
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    assert got["exit"] == codes[name], name
+    for part in ("stdout", "stderr", "emit"):
+        path = _golden(name, part)
+        expected = path.read_bytes() if path.exists() else None
+        text = got["parts"].get(part)
+        # an empty stdout or stderr has no file
+        assert (text.encode("utf-8") if text else None) == expected, f"{name}: {part} differs"
+
+
 def test_cases_cover_every_fixture_and_workload_command():
     # 17 workload commands that are not a plain check of one fixture
     names = [name for name, _ in COMMANDS]
@@ -95,19 +112,56 @@ def test_cases_cover_every_fixture_and_workload_command():
 @pytest.mark.parametrize("name,argv", COMMANDS, ids=[name for name, _ in COMMANDS])
 def test_machine_report_matches_golden(name, argv, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
-    got = run_case(argv, tmp_path / "emitted.alg")
-    codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
-    assert got["exit"] == codes[name]
-    # an empty stdout or stderr has no file
-    for part in ("stdout", "stderr"):
-        path = _golden(name, part)
-        expected = path.read_bytes() if path.exists() else b""
-        assert got["parts"][part].encode("utf-8") == expected, f"{name}: {part} differs"
-    emitted = got["parts"].get("emit")
-    path = _golden(name, "emit")
-    assert (emitted is None) == (not path.exists())
-    if emitted is not None:
-        assert emitted.encode("utf-8") == path.read_bytes()
+    _assert_golden(name, run_case(argv, tmp_path / "emitted.alg"))
+
+
+def test_one_parser_serves_repeated_calls(tmp_path, monkeypatch):
+    """`cli.main` builds its parser on the first call and reuses it unchanged."""
+    monkeypatch.chdir(ROOT)
+    cli._parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    emit = tmp_path / "emitted.alg"
+    first_name, first_argv = COMMANDS[0]
+    _assert_golden(first_name, run_case(first_argv, emit))
+    assert built, "the first call builds the parser"
+    built.clear()
+
+    for name, argv in COMMANDS[1:]:
+        _assert_golden(name, run_case(argv, emit))
+    # a human-format report and a usage error between the two passes
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["check", _f("heis3.alg")]) == 0
+    assert out.getvalue().startswith("== check ==")
+    with contextlib.redirect_stderr(io.StringIO()) as err, pytest.raises(SystemExit) as exc:
+        cli.main(["check"])
+    assert exc.value.code == 2 and "usage: mastereq check" in err.getvalue()
+    for name, argv in reversed(COMMANDS):
+        _assert_golden(name, run_case(argv, emit))
+
+    # no default carries over from an earlier call
+    solve = ["solve-mc", _f("lift3.alg"), _f("ring-t3.alg")]
+    seeded = run_case([*solve, "--seed", "5"], emit)
+    unseeded = run_case(solve, emit)
+    seed0 = run_case([*solve, "--seed", "0"], emit)
+    assert json.loads(unseeded["parts"]["stdout"])["inputs"]["seed"] == 0
+    assert unseeded == seed0 != seeded
+    assert built == []
+
+
+def test_parser_is_built_on_first_use_not_at_import():
+    code = "import mastereq.cli as c; print(c._parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 def regenerate() -> None:

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from mastereq import cli
-from mastereq.bv import QMESolveResult
+from mastereq.bv import QMESolveResult, derived_brackets_linfty_check
+from mastereq.certify import run_battery
 from mastereq.diagnostics import ManifestError
 from mastereq.linfty import DgLieAlgebra
 from mastereq.manifest import emit_manifest, parse_manifest, parse_manifest_text
@@ -99,6 +100,17 @@ def test_check_exit_codes(tmp_path, capsys):
                    "--out", str(tmp_path / "r.json")) == 0
     assert run_cli("check", str(FIXTURES / "jacobi-violator.alg")) == 1
     capsys.readouterr()
+
+
+def test_run_battery_leaves_cached_certificates_named():
+    # BV(inf)-algebras hand out their cached certificate list; prefixing the
+    # task names, as `check` does, must not rename the cached results
+    obj = parse_manifest(str(FIXTURES / "ce-l3demo.alg")).obj
+    names = [r.name for r in obj.certify()]
+    certs = run_battery([(f"ce-l3demo: {r.name}", lambda r=r: r) for r in obj.certify()])
+    assert sorted(c.name for c in certs) == sorted(f"ce-l3demo: {n}" for n in names)
+    assert [r.name for r in obj.certify()] == names
+    assert derived_brackets_linfty_check(obj, max_arity=4).ok
 
 
 def test_usage_error_exit_2():

@@ -1,0 +1,113 @@
+"""Operator composition, sums and multiples keep what they build uncopied.
+
+`Operator.compose`, `add` and `scale` hand their freshly built entries and
+defined set to the operator they return instead of passing them through the
+public constructor, which copies both and drops zero coefficients and empty
+images.  The oracles below build the same data naively, zeros and empty
+images included, and pass it through the public constructor: the results
+must agree exactly.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mastereq.graded import GradedVectorSpace
+from mastereq.operators import Operator
+from mastereq.words import SymmetricWordAlgebra
+
+# small coefficients of both signs, so sums and products often cancel
+coefficients = st.sampled_from((-2, -1, 1, 2))
+
+
+@st.composite
+def algebras(draw):
+    degrees = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=1, max_size=3))
+    space = GradedVectorSpace((f"x{i}", d) for i, d in enumerate(degrees))
+    return SymmetricWordAlgebra(space, draw(st.integers(1, 3)))
+
+
+def operators(A, degree):
+    """Sparse degree-homogeneous operators, defined on a random set of words."""
+
+    @st.composite
+    def build(draw):
+        words = list(A.words)
+        defined = {w for w in words if draw(st.booleans())}
+        entries = {}
+        for w in sorted(defined):
+            targets = [u for u in words if A.degree(u) == A.degree(w) + degree]
+            for u in draw(st.lists(st.sampled_from(targets), max_size=2)) if targets else []:
+                entries.setdefault(w, {})[u] = draw(coefficients)
+        return Operator(A, degree, entries, defined, name=draw(st.sampled_from(("a", "b"))))
+
+    return build()
+
+
+def _compose_oracle(outer, inner):
+    entries, defined = {}, set()
+    for w in inner.defined:
+        img = inner.apply_word(w)
+        if any(u not in outer.defined for u in img):
+            continue
+        targets = {t for u in img for t in outer.apply_word(u)}
+        entries[w] = {t: sum(c * outer.apply_word(u).get(t, 0) for u, c in img.items())
+                      for t in targets}
+        defined.add(w)
+    return Operator(outer.algebra, outer.degree + inner.degree, entries, defined,
+                    f"{outer.name}∘{inner.name}")
+
+
+def _add_oracle(a, b):
+    defined = a.defined & b.defined
+    entries = {w: {u: a.entries.get(w, {}).get(u, 0) + b.entries.get(w, {}).get(u, 0)
+                   for u in {*a.entries.get(w, {}), *b.entries.get(w, {})}}
+               for w in defined}
+    return Operator(a.algebra, a.degree, entries, defined, f"{a.name}+{b.name}")
+
+
+def _scale_oracle(a, c):
+    return Operator(a.algebra, a.degree,
+                    {w: {u: c * v for u, v in img.items()} for w, img in a.entries.items()},
+                    a.defined, a.name)
+
+
+def _assert_same(got, want):
+    assert got.degree == want.degree and got.name == want.name
+    assert got.entries == want.entries
+    assert got.defined == want.defined
+
+
+@st.composite
+def operator_pairs(draw):
+    """(a, b) on one algebra, with b often a multiple of a plus noise, so a + b cancels."""
+    A = draw(algebras())
+    a = draw(operators(A, draw(st.integers(-1, 1))))
+    if draw(st.booleans()):
+        b = draw(operators(A, a.degree))
+    else:
+        b = a.scale(draw(st.sampled_from((-1, -2)))).add(draw(operators(A, a.degree)).scale(
+            draw(st.sampled_from((0, 1)))))
+    return a, b, draw(operators(A, draw(st.integers(-1, 1))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(operator_pairs(), st.sampled_from((0, 1, -1, 2)))
+def test_compose_add_scale_match_the_public_constructor(pair, c):
+    a, b, other = pair
+    _assert_same(a.compose(other), _compose_oracle(a, other))
+    _assert_same(other.compose(a), _compose_oracle(other, a))
+    _assert_same(a.compose(a), _compose_oracle(a, a))
+    _assert_same(a.add(b), _add_oracle(a, b))
+    _assert_same(a.scale(c), _scale_oracle(a, c))
+    _assert_same(a.graded_commutator(other),
+                 _add_oracle(_compose_oracle(a, other),
+                             _scale_oracle(_compose_oracle(other, a),
+                                           1 if (a.degree * other.degree) % 2 else -1)))
+
+
+def test_scale_by_zero_keeps_the_defined_set():
+    A = SymmetricWordAlgebra(GradedVectorSpace([("x", 0)]), 2)
+    a = Operator(A, 0, {(): {("x",): 1}}, {(), ("x",)}, "a")
+    zero = a.scale(0)
+    assert zero.entries == {} and zero.defined == {(), ("x",)}
+    assert a.add(a.scale(-1)).entries == {}
