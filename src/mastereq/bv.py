@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .artin import ArtinLocalAlgebra, TRIVIAL_RING
 from .diagnostics import CheckResult, PreconditionError, StructureError
 from .graded import ONE, ZERO, Scalar
-from .linalg import solve_linear
 from .operators import Operator, operator_order_check
-from .series import HbarSeries, SeriesContext, SolveResult
+from .series import HbarSeries, LinearPart, SeriesContext, SolveResult, lift_perturbative
 from .words import TruncationOverflow, Word, WordAlgebra, vec_add_into, word_tuples_within
 
 __all__ = [
@@ -44,6 +43,7 @@ __all__ = [
     "bvinfty_qme_residual",
     "qme_exp_check",
     "conjugation_identity_check",
+    "qme_linear_part",
     "qme_solve_perturbative",
     "QMESolveResult",
 ]
@@ -210,17 +210,27 @@ def _homogeneous_degree(A: WordAlgebra, vec: Mapping[Word, Scalar]) -> int:
 
 def _commutator_chain(bvi: BVInftyAlgebra, ctx: SeriesContext, args: Sequence[HbarSeries],
                       arg_degrees: Sequence[int], x: HbarSeries) -> HbarSeries:
-    """Apply [...[dhat, L_{args[0]}], ..., L_{args[-1]}] to x, graded signs included."""
+    """Apply [...[dhat, L_{args[0]}], ..., L_{args[-1]}] to x, graded signs included.
 
-    def rec(j: int, y: HbarSeries) -> HbarSeries:
-        if j < 0:
-            return bvi.dhat(y, ctx)
-        v = args[j]
-        deg_k = 1 + sum(arg_degrees[:j])
-        sign = -ONE if (deg_k * arg_degrees[j]) % 2 else ONE
-        return rec(j - 1, ctx.mul(v, y)).sub(ctx.mul(v, rec(j - 1, y)).scale(sign))
+    With every argument an even S this is K_j(x), K_0 = dhat and K_j =
+    [K_{j-1}, L_S]: a sum of S^a dhat(S^b x) with a + b = j, whose
+    ring-nonzero partial products are those with a + b < M. With the ring
+    basis adapted to the m-adic filtration, every such product of K_M(x) is
+    also made by K_{M-1}(x), so dropping K_M(x) hides no TruncationOverflow.
+    """
+    return _commutator_prefix(bvi, ctx, args, arg_degrees, len(args) - 1, x)
 
-    return rec(len(args) - 1, x)
+
+def _commutator_prefix(bvi: BVInftyAlgebra, ctx: SeriesContext, args: Sequence[HbarSeries],
+                       arg_degrees: Sequence[int], j: int, x: HbarSeries) -> HbarSeries:
+    """`_commutator_chain` of args[:j+1], recursing on the index j."""
+    if j < 0:
+        return bvi.dhat(x, ctx)
+    v = args[j]
+    outer = _commutator_prefix(bvi, ctx, args, arg_degrees, j - 1, ctx.mul(v, x))
+    inner = ctx.mul(v, _commutator_prefix(bvi, ctx, args, arg_degrees, j - 1, x))
+    # [K, L_v] = K L_v - (-1)^{|K||v|} L_v K, |K| = 1 + earlier degrees: odd iff |v| odd, sum even
+    return outer.add(inner) if arg_degrees[j] % 2 and not sum(arg_degrees[:j]) % 2 else outer.sub(inner)
 
 
 def derived_bracket(bvi: BVInftyAlgebra, words: Sequence[Word],
@@ -351,28 +361,19 @@ def bvinfty_qme_residual(bvi: BVInftyAlgebra, ring: ArtinLocalAlgebra, S: HbarSe
     """
     _validate_qme_element(bvi, ring, S)
     ctx = SeriesContext(bvi.algebra, ring, bvi.hbar_cutoff + ring.nilpotency)
-    out = HbarSeries()
-    for j in range(1, ring.nilpotency):
-        val = _k_apply(bvi, ctx, S, j, ctx.unit())
-        if val.is_zero():
-            continue
-        out = out.add(val.shift_hbar(-(j - 1)).scale(Fraction(1, _factorial(j))))
-    return bvi.context(ring).truncate(out)
+    return bvi.context(ring).truncate(_k_of_one(bvi, ctx, S)[1])
 
 
-def _k_apply(bvi: BVInftyAlgebra, ctx: SeriesContext, S: HbarSeries, j: int,
-             x: HbarSeries) -> HbarSeries:
-    """K_j applied to x, with K_0 = dhat and K_j = [K_{j-1}, L_S]; S is even.
-
-    K_j(x) is a sum of S^a dhat(S^b x) with a + b = j; its ring-nonzero
-    partial products are those with a + b < M. With the ring basis adapted to
-    the m-adic filtration, every such product of K_M(x) is also made by
-    K_{M-1}(x), so dropping K_M(x) hides no TruncationOverflow.
-    """
-    if j == 0:
-        return bvi.dhat(x, ctx)
-    return _k_apply(bvi, ctx, S, j - 1, ctx.mul(S, x)).sub(
-        ctx.mul(S, _k_apply(bvi, ctx, S, j - 1, x)))
+def _k_of_one(bvi: BVInftyAlgebra, ctx: SeriesContext,
+              S: HbarSeries) -> tuple[list[HbarSeries], HbarSeries]:
+    """K_j(1) for 1 <= j <= M-1, and the residual sum_j hbar^{-(j-1)} K_j(1)/j! they make."""
+    k_of_one = [_commutator_chain(bvi, ctx, [S] * j, [2] * j, ctx.unit())
+                for j in range(1, ctx.ring.nilpotency)]
+    residual = HbarSeries()
+    for j, val in enumerate(k_of_one, start=1):
+        if not val.is_zero():
+            residual = residual.add(val.shift_hbar(-(j - 1)).scale(Fraction(1, _factorial(j))))
+    return k_of_one, residual
 
 
 def _factorial(n: int) -> int:
@@ -438,13 +439,7 @@ def conjugation_identity_check(V, ring: ArtinLocalAlgebra, S: HbarSeries,
     narrow = bvi.context(ring)
     exp_plus = wide.exp_over_hbar(S)
     exp_minus = wide.exp_over_hbar(S.scale(-ONE))
-    # K_j(1), 1 <= j <= M-1, assembled into the residual sum_j hbar^{-(j-1)} K_j(1)/j!
-    k_of_one: list[HbarSeries] = []
-    for j in range(1, M):
-        k_of_one.append(_k_apply(bvi, wide, S, j, wide.unit()))
-    residual = HbarSeries()
-    for idx, val in enumerate(k_of_one, start=1):
-        residual = residual.add(val.shift_hbar(-(idx - 1)).scale(Fraction(1, _factorial(idx))))
+    k_of_one, residual = _k_of_one(bvi, wide, S)
 
     words = test_words if test_words is not None else bvi.algebra.words
     tested, skipped = 0, []
@@ -456,7 +451,7 @@ def conjugation_identity_check(V, ring: ArtinLocalAlgebra, S: HbarSeries,
             sw = -ONE if deg_w % 2 else ONE
             rhs = bvi.dhat(x, wide)
             for idx, kj1 in enumerate(k_of_one, start=1):
-                term = _k_apply(bvi, wide, S, idx, x)
+                term = _commutator_chain(bvi, wide, [S] * idx, [2] * idx, x)
                 term = term.sub(wide.mul(x, kj1).scale(sw))
                 rhs = rhs.add(term.shift_hbar(-idx).scale(Fraction(1, _factorial(idx))))
             rhs = rhs.add(wide.mul(residual, x).shift_hbar(-1))
@@ -476,73 +471,46 @@ def conjugation_identity_check(V, ring: ArtinLocalAlgebra, S: HbarSeries,
 QMESolveResult = SolveResult
 
 
+def qme_linear_part(bvi: BVInftyAlgebra, unknown_word: Callable[[Word], bool]) -> LinearPart:
+    """The banded system sum_n Delta_n u_{j-(n-1)} from total degree two to
+    three, keyed (word, hbar power) for `lift_perturbative`; the unknowns are
+    the degree-two keys whose word passes `unknown_word`."""
+    A = bvi.algebra
+    K = bvi.hbar_cutoff
+    unknowns = [(w, j) for j in range(K) for w in A.words
+                if A.degree(w) + 2 * j == 2 and unknown_word(w)]
+    equations = [(w, j) for j in range(K) for w in A.words if A.degree(w) + 2 * j == 3]
+    delta = {n: op.entries for n, op in bvi.operators.items() if n >= 1}  # Delta_n, n = i - j + 1
+    rows = [[delta[i - j + 1].get(w, {}).get(u, ZERO) if i - j + 1 in delta else ZERO
+             for w, j in unknowns] for u, i in equations]
+    return unknowns, equations, rows
+
+
 def qme_solve_perturbative(V, ring: ArtinLocalAlgebra, seed: HbarSeries,
                            hbar_cutoff: int | None = None) -> QMESolveResult:
     """Order-by-order lift of a first-order QME solution along the m-adic
     filtration, with dhat = d + hbar Delta (+ higher) as the linear part.
 
-    The linear solve couples the hbar components through the banded system
-    sum_n Delta_n u_{j-(n-1)} = -rho_j; representatives pick the earliest
+    `lift_perturbative` solves the banded system of `qme_linear_part` on the
+    words every Delta_n is defined on; representatives pick the earliest
     coordinates in canonical word-then-power order.
     """
     bvi = V.as_bvinfty(hbar_cutoff or 3) if isinstance(V, BVAlgebra) else V
     if not ring.adapted:
         raise PreconditionError("ring basis is not adapted to the m-adic filtration")
     _validate_qme_element(bvi, ring, seed)
-    M = ring.nilpotency
-    K = bvi.hbar_cutoff
-    ctx = bvi.context(ring)
     for (w, r, h) in seed.terms:
         if ring.order(r) != 1:
             raise PreconditionError("seed must live in m/m^2")
-    for r in ring.ideal_labels:
-        if ring.order(r) != 1:
-            continue
-        layer = HbarSeries({(w, rr, h): c for (w, rr, h), c in seed.terms.items() if rr == r})
-        if not bvi.dhat(layer, ctx).is_zero():
-            raise PreconditionError("seed is not closed under the linear part dhat")
-
-    A = bvi.algebra
-    unknown_keys = [(w, j) for j in range(K) for w in A.words
-                    if A.degree(w) + 2 * j == 2 and all(w in op.defined for op in bvi.operators.values())]
-    equation_keys = [(w, j) for j in range(K) for w in A.words if A.degree(w) + 2 * j == 3]
-    rows = []
-    for (u, i) in equation_keys:
-        row = []
-        for (w, j) in unknown_keys:
-            coeff = ZERO
-            n = i - j + 1
-            op = bvi.operators.get(n)
-            if op is not None and n >= 1:
-                coeff = op.entries.get(w, {}).get(u, ZERO)
-            row.append(coeff)
-        rows.append(row)
-
-    partial = seed
-    for k in range(2, M):
-        rho = bvinfty_qme_residual(bvi, ring, partial)
-        rho_k = rho.ring_project(ring, k)
-        if rho_k.is_zero():
-            continue
-        new_terms: dict = {}
-        for r in ring.ideal_labels:
-            if ring.order(r) != k:
-                continue
-            b = {(w, h): c for (w, rr, h), c in rho_k.terms.items() if rr == r}
-            if not b:
-                continue
-            rhs = [-b.get(key, ZERO) for key in equation_keys]
-            sol = solve_linear(rows, rhs)
-            if sol is None:
-                return QMESolveResult(status="obstructed", obstruction_order=k,
-                                      obstruction=rho_k, partial=partial,
-                                      bound={"nilpotency": M, "hbar_cutoff": K})
-            for (w, j), c in zip(unknown_keys, sol):
-                if c:
-                    new_terms[(w, r, j)] = c
-        partial = partial.add(HbarSeries(new_terms))
-    report = qme_exp_check(V, ring, partial, hbar_cutoff)
-    if not (report["exp_zero"] and report["residual_zero"]):
-        raise StructureError("perturbative QME lift failed validation", witness=report)
-    return QMESolveResult(status="solved", element=partial,
-                          bound={"nilpotency": M, "hbar_cutoff": K})
+    # dhat keeps ring labels, so this is dhat of each ring layer at once
+    if not bvi.dhat(seed, bvi.context(ring)).is_zero():
+        raise PreconditionError("seed is not closed under the linear part dhat")
+    result = lift_perturbative(
+        ring, seed, lambda S: bvinfty_qme_residual(bvi, ring, S),
+        qme_linear_part(bvi, lambda w: all(w in op.defined for op in bvi.operators.values())),
+        {"nilpotency": ring.nilpotency, "hbar_cutoff": bvi.hbar_cutoff})
+    if result.status == "solved":
+        report = qme_exp_check(V, ring, result.element, hbar_cutoff)
+        if not (report["exp_zero"] and report["residual_zero"]):
+            raise StructureError("perturbative QME lift failed validation", witness=report)
+    return result

@@ -28,11 +28,13 @@ __all__ = [
     "Coderivation",
     "check_codifferential",
     "CoalgebraMorphism",
+    "coproduct_defect",
     "conv_unit",
     "convolve",
     "conv_exp",
     "conv_log",
     "MapSeries",
+    "word_vector",
 ]
 
 
@@ -155,15 +157,15 @@ def _basis_keys(coalg):
     return coalg.words
 
 
-def _counit(coalg, key) -> Scalar:
-    if hasattr(coalg, "counit_key"):
-        return coalg.counit_key(key)
-    return ONE if key == coalg.unit else ZERO
-
-
 def _value(f: MapSeries, key) -> HbarSeries:
     v = f.get(key)
     return v if v is not None else HbarSeries()
+
+
+def word_vector(F: MapSeries, key) -> dict[Word, Scalar]:
+    """F(key) as a vector over words, for a map whose values carry no ring or hbar part."""
+    series = F.get(key)
+    return {} if series is None else {k[0]: c for k, c in series.terms.items()}
 
 
 def convolve(coalg, ctx: SeriesContext, f: MapSeries, g: MapSeries, g_degree: int = 0) -> MapSeries:
@@ -274,28 +276,28 @@ class CoalgebraMorphism:
         return self._induced
 
     def apply_word(self, w: Word) -> dict[Word, Scalar]:
-        series = self.induced().get(w)
-        if series is None:
-            return {}
-        return {key[0]: c for key, c in series.terms.items()}
+        return word_vector(self.induced(), w)
 
     def respects_coproducts(self) -> CheckResult:
         """Δ_target ∘ F = (F ⊗ F) ∘ Δ_source on every basis word."""
-        F = self.induced()
-        for w in self.source.words:
-            lhs: dict[tuple[Word, Word], Scalar] = {}
-            for u, c in self.apply_word(w).items():
-                for l, r, s in self.target.coproduct(u):
-                    vec_add_into(lhs, (l, r), c * s)
-            rhs: dict[tuple[Word, Word], Scalar] = {}
-            for a, b, s in self.source.coproduct(w):
-                for u1, c1 in ({(): ONE} if not a else self.apply_word(a)).items():
-                    for u2, c2 in ({(): ONE} if not b else self.apply_word(b)).items():
-                        vec_add_into(rhs, (u1, u2), s * c1 * c2)
-            diff = dict(lhs)
-            for key, c in rhs.items():
-                vec_add_into(diff, key, -c)
-            if any(diff.values()):
-                return CheckResult("coalgebra-morphism", False,
-                                   witness={"word": self.source.label(w)})
+        w = coproduct_defect(self.source, self.target, self.induced())
+        if w is not None:
+            return CheckResult("coalgebra-morphism", False, witness={"word": self.source.label(w)})
         return CheckResult("coalgebra-morphism", True)
+
+
+def coproduct_defect(source, target, F: MapSeries):
+    """The first basis key of `source` on which Δ_target ∘ F ≠ (F ⊗ F) ∘ Δ_source,
+    or None; F maps source keys to plain series over target words, as `conv_exp` does."""
+    for key in _basis_keys(source):
+        diff: dict[tuple[Word, Word], Scalar] = {}
+        for u, c in word_vector(F, key).items():
+            for l, r, s in target.coproduct(u):
+                vec_add_into(diff, (l, r), c * s)
+        for a, b, s in source.coproduct(key):
+            for u1, c1 in word_vector(F, a).items():
+                for u2, c2 in word_vector(F, b).items():
+                    vec_add_into(diff, (u1, u2), -s * c1 * c2)
+        if diff:
+            return key
+    return None

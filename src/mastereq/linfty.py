@@ -20,11 +20,10 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
 from .artin import ArtinLocalAlgebra
-from .coalgebra import Coderivation, check_codifferential, conv_exp
+from .coalgebra import Coderivation, check_codifferential, conv_exp, coproduct_defect, word_vector
 from .diagnostics import CheckResult, PreconditionError, StructureError
 from .graded import ONE, ZERO, GradedLinearMap, GradedVectorSpace, Scalar, as_scalar
-from .linalg import solve_linear
-from .series import HbarSeries, SeriesContext, SolveResult
+from .series import HbarSeries, LinearPart, SeriesContext, SolveResult, lift_perturbative
 from .words import SymmetricWordAlgebra, Word, vec_add_into
 
 if TYPE_CHECKING:
@@ -40,6 +39,7 @@ __all__ = [
     "quillen_bijection_check",
     "chuang_lazarev_residual",
     "chuang_lazarev_morphism_defect",
+    "mc_linear_part",
     "mc_solve_perturbative",
     "MCSolveResult",
     "coderivation_dg_lie",
@@ -302,31 +302,6 @@ def _exp_map_from_element(gl: LInftyAlgebra, ring: ArtinLocalAlgebra, S: HbarSer
     return dual, ctx, conv_exp(dual, ctx, f)
 
 
-def _dual_morphism_check(dual, algebra: SymmetricWordAlgebra, F: Mapping) -> bool:
-    """Coproduct compatibility of a map R* -> S(g[1]) with degree-zero values."""
-    def word_vec(key) -> dict[Word, Scalar]:
-        series = F.get(key)
-        if series is None:
-            return {}
-        return {k[0]: c for k, c in series.terms.items()}
-
-    for key in dual.basis_keys:
-        lhs: dict[tuple[Word, Word], Scalar] = {}
-        for u, c in word_vec(key).items():
-            for l, r, s in algebra.coproduct(u):
-                vec_add_into(lhs, (l, r), c * s)
-        rhs: dict[tuple[Word, Word], Scalar] = {}
-        for a, b, s in dual.coproduct(key):
-            for u1, c1 in word_vec(a).items():
-                for u2, c2 in word_vec(b).items():
-                    vec_add_into(rhs, (u1, u2), s * c1 * c2)
-        for k2, c in rhs.items():
-            vec_add_into(lhs, k2, -c)
-        if any(lhs.values()):
-            return False
-    return True
-
-
 def quillen_bijection_check(g, ring: ArtinLocalAlgebra, S: HbarSeries,
                             max_len: int | None = None, corrupt=None) -> dict:
     """Representability instance check over Spec R.
@@ -350,14 +325,10 @@ def quillen_bijection_check(g, ring: ArtinLocalAlgebra, S: HbarSeries,
         key, word, delta = corrupt
         bumped = F.get(key, HbarSeries()).add(HbarSeries({(tuple(word), "1", 0): delta}))
         F[key] = bumped
-    morphism_ok = _dual_morphism_check(dual, algebra, F)
+    morphism_ok = coproduct_defect(dual, algebra, F) is None
     d_exp_zero = True
     for key in dual.basis_keys:
-        series = F.get(key)
-        if series is None:
-            continue
-        vec = {k[0]: c for k, c in series.terms.items()}
-        if any(D.apply(vec).values()):
+        if any(D.apply(word_vector(F, key)).values()):
             d_exp_zero = False
             break
     residual_zero = emce_residual(gl, ring, S).is_zero()
@@ -428,16 +399,11 @@ def chuang_lazarev_morphism_defect(target, source, S: Mapping[Word, Mapping[str,
                                           for w, val in S.items()})
     ctx = SeriesContext(tl.word_algebra(max_len))
     F = conv_exp(Wsrc, ctx, S_series)
-
-    def f_vec(w: Word) -> dict[Word, Scalar]:
-        series = F.get(w)
-        return {} if series is None else {k[0]: c for k, c in series.terms.items()}
-
     for w in Wsrc.words:
-        lhs = Dt.apply(f_vec(w))
+        lhs = Dt.apply(word_vector(F, w))
         rhs: dict[Word, Scalar] = {}
         for u, c in Dsrc.expand(w).items():
-            for v, c2 in f_vec(u).items():
+            for v, c2 in word_vector(F, u).items():
                 vec_add_into(rhs, v, c * c2)
         for u, c in rhs.items():
             vec_add_into(lhs, u, -c)
@@ -449,66 +415,44 @@ def chuang_lazarev_morphism_defect(target, source, S: Mapping[Word, Mapping[str,
 MCSolveResult = SolveResult
 
 
-def mc_solve_perturbative(g, ring: ArtinLocalAlgebra, seed: HbarSeries,
-                          max_len: int | None = None) -> MCSolveResult:
+def mc_linear_part(gl: LInftyAlgebra) -> LinearPart:
+    """l_1 from degree one to degree two, keyed (label, 0) for `lift_perturbative`."""
+    l1 = gl.brackets.get(1, {})
+    unknowns = [(x, 0) for x in gl.space.labels if gl.space.degree(x) == 1]
+    equations = [(x, 0) for x in gl.space.labels if gl.space.degree(x) == 2]
+    rows = [[l1.get((x,), {}).get(e, ZERO) for x, _ in unknowns] for e, _ in equations]
+    return unknowns, equations, rows
+
+
+def mc_solve_perturbative(g, ring: ArtinLocalAlgebra, seed: HbarSeries) -> MCSolveResult:
     """Lift a first-order solution along the m-adic filtration.
 
-    At each order k the linear equation l_1(s_k) = -(residual at order k) is
-    solved by exact row reduction, one ring monomial at a time; the first
-    unsolvable layer is reported as an obstruction together with the residual
-    representative.  Any returned solution satisfies the Maurer-Cartan
-    equation exactly.
+    `lift_perturbative` solves l_1(s_k) = -(residual at order k) one ring
+    monomial at a time and reports the first unsolvable layer as an
+    obstruction together with the residual representative.  Any returned
+    solution satisfies the Maurer-Cartan equation exactly.
     """
     gl = _as_linfty(g)
     if not ring.adapted:
         raise PreconditionError("ring basis is not adapted to the m-adic filtration")
-    M = ring.nilpotency
     for (x, r, h) in seed.terms:
         if h != 0 or ring.order(r) != 1 or gl.space.degree(x) != 1:
             raise PreconditionError("seed must be a degree-one element of g (x) m/m^2")
     l1 = gl.brackets.get(1, {})
-    for r in ring.ideal_labels:
-        if ring.order(r) != 1:
-            continue
-        vec = {x: c for (x, rr, _), c in seed.terms.items() if rr == r}
-        img: dict[str, Scalar] = {}
-        for x, c in vec.items():
-            for t, v in l1.get((x,), {}).items():
-                vec_add_into(img, t, v * c)
-        if any(img.values()):
-            raise PreconditionError("seed is not closed under l_1")
+    img: dict = {}  # l_1 of every ring layer of the seed at once
+    for (x, r, _), c in seed.terms.items():
+        for t, v in l1.get((x,), {}).items():
+            vec_add_into(img, (t, r), v * c)
+    if img:
+        raise PreconditionError("seed is not closed under l_1")
 
-    unknowns = [x for x in gl.space.labels if gl.space.degree(x) == 1]
-    equations = [x for x in gl.space.labels if gl.space.degree(x) == 2]
-    rows = [[l1.get((x,), {}).get(e, ZERO) for x in unknowns] for e in equations]
-
-    partial = seed
-    for k in range(2, M):
-        rho = emce_residual(gl, ring, partial)
-        rho_k = rho.ring_project(ring, k)
-        if rho_k.is_zero():
-            continue
-        new_terms: dict = {}
-        for r in ring.ideal_labels:
-            if ring.order(r) != k:
-                continue
-            b = {x: c for (x, rr, _), c in rho_k.terms.items() if rr == r}
-            if not b:
-                continue
-            rhs = [-b.get(e, ZERO) for e in equations]
-            sol = solve_linear(rows, rhs)
-            if sol is None:
-                return MCSolveResult(status="obstructed", obstruction_order=k,
-                                     obstruction=rho_k, partial=partial,
-                                     bound={"nilpotency": M})
-            for x, c in zip(unknowns, sol):
-                if c:
-                    new_terms[(x, r, 0)] = c
-        partial = partial.add(HbarSeries(new_terms))
-    final = emce_residual(gl, ring, partial)
-    if not final.is_zero():
-        raise StructureError("perturbative lift left a nonzero residual", witness=final)
-    return MCSolveResult(status="solved", element=partial, bound={"nilpotency": M})
+    result = lift_perturbative(ring, seed, lambda S: emce_residual(gl, ring, S),
+                               mc_linear_part(gl), {"nilpotency": ring.nilpotency})
+    if result.status == "solved":
+        final = emce_residual(gl, ring, result.element)
+        if not final.is_zero():
+            raise StructureError("perturbative lift left a nonzero residual", witness=final)
+    return result
 
 
 def coderivation_dg_lie(h, max_len: int = 3, validate: bool = True) -> tuple[DgLieAlgebra, dict]:

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .artin import ArtinLocalAlgebra, TRIVIAL_RING
 from .diagnostics import PreconditionError
 from .graded import ONE, ZERO, Scalar, as_scalar
+from .linalg import nullspace, solve_linear
 
-__all__ = ["HbarSeries", "SeriesContext", "SolveResult"]
+__all__ = ["HbarSeries", "SeriesContext", "SolveResult", "lift_perturbative", "closed_seed"]
 
 
 Key = tuple[object, str, int]
@@ -228,8 +229,9 @@ class SeriesContext:
 
 @dataclass
 class SolveResult:
-    """A perturbative lift: the solution, or the first obstructed order with its
-    residual and the lift so far.  Bound as `MCSolveResult` and `QMESolveResult`."""
+    """What `lift_perturbative` returns for either equation: the solution, or
+    the first obstructed order with its residual and the lift so far.  Bound
+    as `MCSolveResult` and `QMESolveResult`."""
 
     status: str  # "solved" | "obstructed"
     element: HbarSeries | None = None
@@ -237,3 +239,64 @@ class SolveResult:
     obstruction: HbarSeries | None = None
     partial: HbarSeries | None = None
     bound: dict = field(default_factory=dict)
+
+
+# The linear part of an equation: unknown keys, equation keys and the matrix
+# whose row i holds the coefficients of equation i in the unknowns.  Keys are
+# (basis label, hbar power); the classical Maurer-Cartan equation uses power 0.
+LinearPart = tuple[list[tuple[object, int]], list[tuple[object, int]], list[list[Scalar]]]
+
+
+def lift_perturbative(ring: ArtinLocalAlgebra, seed: HbarSeries,
+                      residual: Callable[[HbarSeries], HbarSeries],
+                      linear: LinearPart, bound: dict) -> SolveResult:
+    """Lift a first-order solution order by order along the m-adic filtration.
+
+    At each order 2 <= k < M the order-k part of `residual(partial)` is
+    cancelled one ring monomial r at a time: rows u = -rho_r is solved by
+    exact row reduction and u, times r, joins the lift.  The first monomial
+    with no solution is an obstruction, reported with the order-k residual
+    and the lift so far.  The ring basis must be adapted to the filtration;
+    the caller validates the seed and the returned solution.
+    """
+    unknowns, equations, rows = linear
+    partial = seed
+    for k in range(2, ring.nilpotency):
+        rho_k = residual(partial).ring_project(ring, k)
+        if rho_k.is_zero():
+            continue
+        new_terms: dict = {}
+        for r in ring.ideal_labels:  # rho_k has order-k labels only
+            b = {(a, h): c for (a, rr, h), c in rho_k.terms.items() if rr == r}
+            if not b:
+                continue
+            sol = solve_linear(rows, [-b.get(key, ZERO) for key in equations])
+            if sol is None:
+                return SolveResult(status="obstructed", obstruction_order=k,
+                                   obstruction=rho_k, partial=partial, bound=bound)
+            for (a, h), c in zip(unknowns, sol):
+                if c:
+                    new_terms[(a, r, h)] = c
+        partial = partial.add(HbarSeries(new_terms))
+    return SolveResult(status="solved", element=partial, bound=bound)
+
+
+def closed_seed(ring: ArtinLocalAlgebra, linear: LinearPart, rng, spread: int) -> HbarSeries:
+    """A random first-order solution: on each ring monomial of order one, a
+    combination of kernel vectors of the linear part with integer weights
+    drawn from [-spread, spread]."""
+    unknowns, equations, rows = linear
+    kernel = nullspace(rows or [[ZERO] * len(unknowns)])  # no equations: every unknown is free
+    terms: dict = {}
+    for r in ring.ideal_labels:
+        if ring.order(r) != 1:
+            continue
+        for vec in kernel:
+            c = rng.randint(-spread, spread)
+            if not c:
+                continue
+            for (a, h), v in zip(unknowns, vec):
+                if v:
+                    key = (a, r, h)
+                    terms[key] = terms.get(key, ZERO) + c * v
+    return HbarSeries(terms)

@@ -10,8 +10,8 @@ from mastereq import fixtures
 from mastereq.artin import power_ring
 from mastereq.bv import (
     QMESolveResult,
+    _commutator_chain,
     _factorial,
-    _k_apply,
     _validate_qme_element,
     antibracket,
     bvinfty_qme_residual,
@@ -293,7 +293,7 @@ def _residual_through_nilpotency(bvi, ring, S):
     ctx = SeriesContext(bvi.algebra, ring, bvi.hbar_cutoff + ring.nilpotency)
     out = HbarSeries()
     for j in range(1, ring.nilpotency + 1):
-        val = _k_apply(bvi, ctx, S, j, ctx.unit())
+        val = _commutator_chain(bvi, ctx, [S] * j, [2] * j, ctx.unit())
         if val.is_zero():
             continue
         out = out.add(val.shift_hbar(-(j - 1)).scale(Fraction(1, _factorial(j))))
@@ -326,7 +326,7 @@ def test_residual_stops_at_nilpotency_minus_one(name, M, word_len_cap, seed):
     assert (got, got_exc) == (want, want_exc)
     if want_exc is None:
         ctx = SeriesContext(bvi.algebra, R, bvi.hbar_cutoff + M)
-        assert _k_apply(bvi, ctx, S, M, ctx.unit()).is_zero()
+        assert _commutator_chain(bvi, ctx, [S] * M, [2] * M, ctx.unit()).is_zero()
 
 
 def test_qme_exp_check_equivalence_battery():

@@ -3,7 +3,8 @@
 Each case runs `mastereq` in process with `--format machine` and compares the
 exit code, stdout, stderr and (for `--emit`) the emitted manifest with the
 stored files.  The cases are `check` on every fixture plus one run of each
-command of the cli-fixtures benchmark workload at a fixed seed.
+command of the cli-fixtures benchmark workload at a fixed seed, and both
+solvers on an obstructed input.
 
 `test_one_parser_serves_repeated_calls` runs every case twice in one
 process, as scripts and the benchmark do, against the same files.
@@ -52,6 +53,9 @@ COMMANDS = [
     ("construct-ttw-nonassoc3", ["construct", "ttw", _f("nonassoc3.alg")]),
     ("solve-mc-lift3", ["solve-mc", _f("lift3.alg"), _f("ring-t3.alg"), "--seed", "11"]),
     ("solve-qme-sl2", ["solve-qme", _f("sl2.alg"), _f("ring-t3.alg"), "--seed", "12"]),
+    # the obstructed branch of both solvers: order 2, residual (1/2) w t^2
+    ("solve-mc-obst2", ["solve-mc", _f("obst2.alg"), _f("ring-t3.alg"), "--seed", "1"]),
+    ("solve-qme-obst2", ["solve-qme", _f("obst2.alg"), _f("ring-t3.alg"), "--seed", "1"]),
     ("quillen-heis3", ["verify-representability", "quillen", _f("heis3.alg"), *RING3, "--seed", "13"]),
     ("theorem-second-bidg4", ["verify-representability", "theorem-second", _f("bidg4-dglie.alg"),
                               "--seed", "14"]),
@@ -104,9 +108,9 @@ def _assert_golden(name: str, got: dict) -> None:
 
 
 def test_cases_cover_every_fixture_and_workload_command():
-    # 17 workload commands that are not a plain check of one fixture
+    # 17 workload commands and 2 obstructed solves, none a plain check of one fixture
     names = [name for name, _ in COMMANDS]
-    assert len(set(names)) == len(names) == 17 + len(list((ROOT / "fixtures").glob("*.alg")))
+    assert len(set(names)) == len(names) == 19 + len(list((ROOT / "fixtures").glob("*.alg")))
 
 
 @pytest.mark.parametrize("name,argv", COMMANDS, ids=[name for name, _ in COMMANDS])
