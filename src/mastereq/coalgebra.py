@@ -11,6 +11,15 @@ Convolution: for f, g from a coalgebra C to a commutative algebra A,
 (f ⋆ g)(w) = mult ∘ (f ⊗ g) ∘ Δ(w), with the Koszul sign of g crossing the
 first tensor factor.  The exponential and logarithm are finite sums here
 because every source coalgebra in this package is conilpotent.
+
+On a word coalgebra the exponential is a sum over the set partitions of
+each word's positions (the exponential formula), taken in length order
+through the block of the first letter: one pass over the first-letter half
+of the unshuffles, with no 1/k!, so integral maps stay `int`.  The dual R*
+of a parameter ring has no letters to split at, so its exponential stays the
+power series sum_k f^{⋆k}/k!; R* has at most M keys, and on word coalgebras
+the same series is the tests' oracle for the recursion.  The logarithm is
+the power series on every coalgebra.
 """
 
 from __future__ import annotations
@@ -19,10 +28,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from .diagnostics import CheckResult, PreconditionError
-from .graded import ONE, ZERO, GradedLinearMap, Scalar, as_scalar
+from .graded import ONE, ZERO, Scalar, as_scalar
 from .operators import Operator
 from .series import HbarSeries, SeriesContext
-from .words import SymmetricWordAlgebra, Word, vec_add_into
+from .words import SymmetricWordAlgebra, Word, WordAlgebra, vec_add_into
 
 __all__ = [
     "Coderivation",
@@ -33,6 +42,7 @@ __all__ = [
     "convolve",
     "conv_exp",
     "conv_log",
+    "corestriction_series",
     "MapSeries",
     "word_vector",
 ]
@@ -71,20 +81,6 @@ class Coderivation:
                 cor[w] = clean
         self.corestriction = cor
         self._cache: dict[Word, dict[Word, Scalar]] = {}
-
-    def arity_components(self) -> dict[int, dict[Word, dict[str, Scalar]]]:
-        out: dict[int, dict] = {}
-        for w, val in self.corestriction.items():
-            out.setdefault(len(w), {})[w] = val
-        return out
-
-    @property
-    def corestriction_map(self) -> GradedLinearMap:
-        entries = {}
-        for w, val in self.corestriction.items():
-            for t, c in val.items():
-                entries[(self.algebra.label(w), t)] = c
-        return GradedLinearMap(self.algebra.word_space, self.algebra.space, self.degree, entries)
 
     def expand(self, word: Word) -> dict[Word, Scalar]:
         cached = self._cache.get(word)
@@ -172,16 +168,15 @@ def convolve(coalg, ctx: SeriesContext, f: MapSeries, g: MapSeries, g_degree: in
     """f ⋆ g; `g_degree` is the total degree of g (hbar weight included)."""
     out: MapSeries = {}
     for key in _basis_keys(coalg):
-        acc = HbarSeries()
+        acc: dict = {}
         for k1, k2, c in coalg.coproduct(key):
             fv = f.get(k1)
             gv = g.get(k2)
             if fv is None or gv is None:
                 continue
-            sign = -ONE if (g_degree * coalg.degree(k1)) % 2 else ONE
-            acc = acc.add(ctx.mul(fv, gv).scale(sign * c))
-        if not acc.is_zero():
-            out[key] = acc
+            ctx.mul_into(acc, fv, gv, -c if (g_degree * coalg.degree(k1)) % 2 else c)
+        if acc:
+            out[key] = HbarSeries(acc)
     return out
 
 
@@ -189,14 +184,42 @@ def _map_is_zero(f: MapSeries) -> bool:
     return all(v.is_zero() for v in f.values())
 
 
-def conv_exp(coalg, ctx: SeriesContext, f: MapSeries, max_steps: int | None = None) -> MapSeries:
-    """Convolution exponential of a degree-zero map killing the coaugmentation."""
-    fu = _value(f, coalg.unit)
-    if not fu.is_zero():
+def corestriction_series(corestriction: Mapping[Word, Mapping[str, Scalar]]) -> MapSeries:
+    """A corestriction (word -> sparse vector over letters) as a map into
+    series over one-letter words, the form `conv_exp` takes."""
+    return {w: HbarSeries({((t,), "1", 0): c for t, c in val.items()})
+            for w, val in corestriction.items()}
+
+
+def conv_exp(coalg, ctx: SeriesContext, f: MapSeries) -> MapSeries:
+    """Convolution exponential of a degree-zero map killing the coaugmentation.
+
+    On a word coalgebra, E(1) = 1 and E(w) = sum c f(l) E(r) over the terms
+    (l, r, c) of `WordAlgebra.first_letter_coproduct(w)`; each set partition
+    is reached once, through the block of w's first letter.
+    """
+    if not _value(f, coalg.unit).is_zero():
         raise PreconditionError("conv_exp requires f(1) = 0")
+    if not isinstance(coalg, WordAlgebra):
+        return _conv_exp_series(coalg, ctx, f)
+    out: MapSeries = {coalg.unit: ctx.unit()}
+    for w in coalg.words[1:]:  # after the unit, in length order: each E(r) is ready
+        acc: dict = {}
+        for l, r, c in coalg.first_letter_coproduct(w):
+            fl = f.get(l)
+            er = out.get(r)
+            if fl is not None and er is not None:
+                ctx.mul_into(acc, fl, er, c)
+        if acc:
+            out[w] = HbarSeries(acc)
+    return out
+
+
+def _conv_exp_series(coalg, ctx: SeriesContext, f: MapSeries) -> MapSeries:
+    """sum_k f^{⋆k}/k!, one convolution per k; for any conilpotent coalgebra."""
     out = conv_unit(coalg, ctx)
     power: MapSeries = dict(f)
-    limit = max_steps or (len(list(_basis_keys(coalg))) + 4)
+    limit = len(list(_basis_keys(coalg))) + 4
     n = 1
     while not _map_is_zero(power):
         for key, val in power.items():
@@ -212,7 +235,7 @@ def conv_exp(coalg, ctx: SeriesContext, f: MapSeries, max_steps: int | None = No
     return out
 
 
-def conv_log(coalg, ctx: SeriesContext, F: MapSeries, max_steps: int | None = None) -> MapSeries:
+def conv_log(coalg, ctx: SeriesContext, F: MapSeries) -> MapSeries:
     """Convolution logarithm of a map with F(1) = 1."""
     unit_val = _value(F, coalg.unit).sub(ctx.unit())
     if not unit_val.is_zero():
@@ -225,7 +248,7 @@ def conv_log(coalg, ctx: SeriesContext, F: MapSeries, max_steps: int | None = No
             base[key] = d
     out: MapSeries = {}
     power = dict(base)
-    limit = max_steps or (len(list(_basis_keys(coalg))) + 4)
+    limit = len(list(_basis_keys(coalg))) + 4
     n = 1
     while not _map_is_zero(power):
         sign = ONE if n % 2 == 1 else -ONE
@@ -267,12 +290,8 @@ class CoalgebraMorphism:
     def induced(self) -> MapSeries:
         """The full morphism, as a map from source words to target-word series."""
         if self._induced is None:
-            ctx = SeriesContext(self.target)
-            f: MapSeries = {
-                w: HbarSeries({((t,), "1", 0): c for t, c in val.items()})
-                for w, val in self.corestriction.items()
-            }
-            self._induced = conv_exp(self.source, ctx, f)
+            self._induced = conv_exp(self.source, SeriesContext(self.target),
+                                     corestriction_series(self.corestriction))
         return self._induced
 
     def apply_word(self, w: Word) -> dict[Word, Scalar]:

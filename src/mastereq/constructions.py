@@ -108,10 +108,6 @@ def ce_delta_operator(algebra: SymmetricWordAlgebra, bracket_labels, name: str =
     return Operator.from_function(algebra, -1, act, name=name)
 
 
-def _desuspension_algebra(space: GradedVectorSpace, max_len: int, coproduct: str = "shuffle") -> SymmetricWordAlgebra:
-    return SymmetricWordAlgebra(space.shift(-1), max_len, coproduct=coproduct)
-
-
 def ce_bv_from_dg_lie(L: DgLieAlgebra, max_len: int = 4, coproduct: str = "shuffle") -> BVAlgebra:
     """Homology-complex BV structure of a dg-Lie algebra on its desuspension.
 
@@ -119,7 +115,7 @@ def ce_bv_from_dg_lie(L: DgLieAlgebra, max_len: int = 4, coproduct: str = "shuff
     bracket contraction; Delta^2 = 0 re-proves Jacobi and is certified, not
     assumed.
     """
-    algebra = _desuspension_algebra(L.space, max_len, coproduct)
+    algebra = L.space.symmetric_algebra(-1, max_len, coproduct)
     d_vals = {s: {(t,): c} for (s, t), c in L.d.entries.items()}
     d_op = derivation_extend(algebra, _merge_generator_values(d_vals), 1, name="d")
     delta_op = ce_delta_operator(algebra, L.bracket_labels)
@@ -154,7 +150,7 @@ def ce_bvinfty_from_linfty(g: LInftyAlgebra, max_len: int = 4, hbar_cutoff: int 
 
 def _build_ce_bvinfty_from_linfty(g: LInftyAlgebra, max_len: int, hbar_cutoff: int,
                                   coproduct: str) -> BVInftyAlgebra:
-    algebra = _desuspension_algebra(g.space, max_len, coproduct)
+    algebra = g.space.symmetric_algebra(-1, max_len, coproduct)
     operators: dict[int, Operator] = {}
     for n, table in g.brackets.items():
         if n > max_len:
@@ -278,7 +274,7 @@ def ce_bv_from_ibl(B: LieBialgebraData, max_len: int = 4) -> tuple[BVAlgebra, di
     bad = [r for r in axioms if not r.ok]
     if bad:
         raise StructureError(f"{B.name}: bialgebra axiom {bad[0].name} fails", witness=bad[0].witness)
-    algebra = _desuspension_algebra(B.space, max_len)
+    algebra = B.space.symmetric_algebra(-1, max_len)
     d_values = {
         x: {_pair_word(algebra, a, b): c for (a, b), c in val.items()}
         for x, val in B.cobracket.items()
@@ -384,7 +380,7 @@ def _build_bv_from_bi_dg_lie(B: BiDgLieData, max_len: int) -> tuple[BVAlgebra, d
     bad = [r for r in axioms if not r.ok]
     if bad:
         raise StructureError(f"{B.name}: axiom {bad[0].name} fails", witness=bad[0].witness)
-    algebra = _desuspension_algebra(B.space, max_len)
+    algebra = B.space.symmetric_algebra(-1, max_len)
     d_vals = {s: {(t,): c} for (s, t), c in B.lie.d.entries.items()}
     d_op = derivation_extend(algebra, _merge_generator_values(d_vals), 1, name="d")
     delta_internal_vals = {s: {(t,): c} for (s, t), c in B.delta.entries.items()}

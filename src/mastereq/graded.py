@@ -85,7 +85,7 @@ class GradedVectorSpace:
     normalize symmetric words built on top of this space.
     """
 
-    __slots__ = ("basis", "_index", "_degree")
+    __slots__ = ("basis", "_index", "_degree", "_symmetric_algebras")
 
     def __init__(self, basis: Iterable[tuple[str, int]]):
         self.basis = tuple((str(label), int(deg)) for label, deg in basis)
@@ -96,6 +96,7 @@ class GradedVectorSpace:
                 raise ValueError(f"duplicate basis label {label!r}")
             self._index[label] = i
             self._degree[label] = deg
+        self._symmetric_algebras = {}
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -123,12 +124,24 @@ class GradedVectorSpace:
             out[deg] = out.get(deg, 0) + 1
         return dict(sorted(out.items()))
 
-    def labels_of_degree(self, deg: int) -> tuple[str, ...]:
-        return tuple(label for label, d in self.basis if d == deg)
-
     def shift(self, n: int) -> "GradedVectorSpace":
         """Shifted space: the element of degree p + n sits in degree p."""
         return GradedVectorSpace((label, deg - n) for label, deg in self.basis)
+
+    def symmetric_algebra(self, shift: int, max_len: int, coproduct: str = "shuffle"):
+        """S(self[shift]) cut at word length `max_len`, as a `SymmetricWordAlgebra`.
+
+        Built once per space object and (shift, max_len, coproduct), so every
+        structure on this space shares one word basis and coproduct table;
+        treat it as read-only.  An equal space built elsewhere gets its own.
+        """
+        key = (shift, max_len, coproduct)
+        algebra = self._symmetric_algebras.get(key)
+        if algebra is None:
+            from .words import SymmetricWordAlgebra  # words builds on this module
+            algebra = SymmetricWordAlgebra(self.shift(shift), max_len, coproduct)
+            self._symmetric_algebras[key] = algebra
+        return algebra
 
     def dual(self) -> "GradedVectorSpace":
         """Dual space on the dual basis; the dual of a degree-p vector has degree -p.
@@ -188,13 +201,6 @@ class GradedVector:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def homogeneous_degree(self) -> int | None:
-        """The common degree of the support, or None if mixed or zero."""
-        degs = {self.space.degree(label) for label in self.coeffs}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
 
     def __add__(self, other: "GradedVector") -> "GradedVector":
         if self.space != other.space:

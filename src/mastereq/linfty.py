@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
 from .artin import ArtinLocalAlgebra
-from .coalgebra import Coderivation, check_codifferential, conv_exp, coproduct_defect, word_vector
+from .coalgebra import (Coderivation, check_codifferential, conv_exp, coproduct_defect,
+                        corestriction_series, word_vector)
 from .diagnostics import CheckResult, PreconditionError, StructureError
 from .graded import ONE, ZERO, GradedLinearMap, GradedVectorSpace, Scalar, as_scalar
 from .series import HbarSeries, LinearPart, SeriesContext, SolveResult, lift_perturbative
@@ -198,15 +199,13 @@ class LInftyAlgebra:
             if clean_table:
                 self.brackets[n] = clean_table
         self.n_max = n_max or max(self.brackets, default=1)
-        self._algebras: dict[int, SymmetricWordAlgebra] = {}
         self._coderivations: dict[int, Coderivation] = {}
         self._coderivation_algebras: dict[tuple[int, bool], tuple[DgLieAlgebra, dict]] = {}
         self._ce_bvinfty: dict[tuple[int, int, str], BVInftyAlgebra] = {}
 
     def word_algebra(self, max_len: int) -> SymmetricWordAlgebra:
-        if max_len not in self._algebras:
-            self._algebras[max_len] = SymmetricWordAlgebra(self.shifted, max_len)
-        return self._algebras[max_len]
+        """S(g[1]) cut at `max_len`, shared by every structure on `space`."""
+        return self.space.symmetric_algebra(1, max_len)
 
     def codifferential(self, max_len: int) -> Coderivation:
         if max_len not in self._coderivations:
@@ -343,10 +342,6 @@ def quillen_bijection_check(g, ring: ArtinLocalAlgebra, S: HbarSeries,
     }
 
 
-def _corestriction_map_series(S: Mapping[Word, Mapping[str, Scalar]]):
-    return {w: HbarSeries({((t,), "1", 0): c for t, c in val.items()}) for w, val in S.items()}
-
-
 def chuang_lazarev_residual(target, source, S: Mapping[Word, Mapping[str, object]],
                             max_len: int = 4) -> dict[Word, dict[str, Scalar]]:
     """DS + [S,S]/2 in the convolution algebra hom(S(g'[1]), g).
@@ -369,7 +364,7 @@ def chuang_lazarev_residual(target, source, S: Mapping[Word, Mapping[str, object
         if clean:
             S_clean[tuple(w)] = clean
     ctx = SeriesContext(Wt)
-    F = conv_exp(Wsrc, ctx, _corestriction_map_series(S_clean))
+    F = conv_exp(Wsrc, ctx, corestriction_series(S_clean))
     residual: dict[Word, dict[str, Scalar]] = {}
     for w in Wsrc.words:
         if not w:
@@ -395,8 +390,8 @@ def chuang_lazarev_morphism_defect(target, source, S: Mapping[Word, Mapping[str,
     Wsrc = sl.word_algebra(max_len)
     Dsrc = sl.codifferential(max_len)
     Dt = tl.codifferential(max_len)
-    S_series = _corestriction_map_series({tuple(w): {t: as_scalar(c) for t, c in val.items()}
-                                          for w, val in S.items()})
+    S_series = corestriction_series({tuple(w): {t: as_scalar(c) for t, c in val.items()}
+                                     for w, val in S.items()})
     ctx = SeriesContext(tl.word_algebra(max_len))
     F = conv_exp(Wsrc, ctx, S_series)
     for w in Wsrc.words:

@@ -23,7 +23,7 @@ from typing import Mapping
 
 from .artin import ArtinLocalAlgebra
 from .bv import BVAlgebra, BVInftyAlgebra, qme_exp_check
-from .coalgebra import conv_exp, conv_log
+from .coalgebra import conv_exp, conv_log, corestriction_series, word_vector
 from .diagnostics import CheckResult, PreconditionError, StructureError
 from .graded import ONE, ZERO, Scalar, as_scalar
 from .linfty import LInftyAlgebra, _as_linfty
@@ -117,18 +117,6 @@ def _same_algebra(a, b) -> bool:
     return type(a) is type(b) and tuple(a.words) == tuple(b.words)
 
 
-def _compose_word_vec(mapping: Mapping, vec: Mapping) -> dict:
-    out: dict = {}
-    for w, c in vec.items():
-        for u, v in mapping.get(w, {}).items():
-            vec_add_into(out, u, c * v)
-    return out
-
-
-def _source_keys(algebra):
-    return algebra.words
-
-
 def check_bv_morphism(phi: BVMorphism) -> dict:
     """The three defining conditions, each reported with a witness.
 
@@ -159,7 +147,7 @@ def check_bv_morphism(phi: BVMorphism) -> dict:
     E = phi.exp_map()
     narrow = SeriesContext(tgt.algebra, hbar_cutoff=tgt.hbar_cutoff)
     cond2_ok, cond2_wit = True, None
-    for key in _source_keys(src.algebra):
+    for key in src.algebra.words:
         Ew = E.get(key, HbarSeries())
         lhs = tgt.dhat(Ew, ctx)
         rhs = HbarSeries()
@@ -434,53 +422,31 @@ def twisted_linfty_morphism(g, rng: random.Random, max_len: int = 3,
     from .sampling import random_corestriction_twist
     gl = _as_linfty(g)
     W = gl.word_algebra(max_len)
-    ctx = SeriesContext(W)
     cor = random_corestriction_twist(gl, rng, max_len, density)
-    f_map = {w: HbarSeries({((t,), "1", 0): c for t, c in val.items()})
-             for w, val in cor.items()}
-    F = conv_exp(W, ctx, f_map)
+    F = conv_exp(W, SeriesContext(W), corestriction_series(cor))
 
-    def apply_map(mapping, vec):
-        out: dict[Word, Scalar] = {}
-        for w, c in vec.items():
-            series = mapping.get(w)
-            if series is None:
-                continue
-            for (u, r, h), c2 in series.terms.items():
-                vec_add_into(out, u, c * c2)
-        return out
-
-    # compositional inverse: F = id + N with N strictly length-lowering, so
-    # F^{-1} = sum_k (-N)^k terminates (the convolution inverse is not it)
-    nil: dict[Word, dict[Word, Scalar]] = {}
+    # D' = F^{-1} D F needs only the letter part g = pi F^{-1}.  F = id + N
+    # with N strictly length-lowering, and F^{-1} = id - F^{-1} N, so in
+    # length order g(w) = [w] - sum_u N(w)_u g(u), [w] = w on letters and 0
+    # on longer words.  (The convolution inverse is not F^{-1}.)
+    letter_part: dict[Word, dict[str, Scalar]] = {}
     for w in W.words:
-        img = apply_map(F, {w: ONE})
-        vec_add_into(img, w, -ONE)
-        if img:
-            nil[w] = img
-    F_inv: dict[Word, HbarSeries] = {w: HbarSeries({(w, "1", 0): ONE}) for w in W.words}
-    power = {w: dict(img) for w, img in nil.items()}
-    sign = -ONE
-    while any(power.values()):
-        for w, img in power.items():
-            acc = F_inv[w]
-            for u, c in img.items():
-                vec_add_into(acc.terms, (u, "1", 0), sign * c)
-        power = {w: _compose_word_vec(nil, img) for w, img in power.items()}
-        power = {w: img for w, img in power.items() if img}
-        sign = -sign
-    F_inv = {w: HbarSeries(v.terms) for w, v in F_inv.items()}
+        acc = {w[0]: ONE} if len(w) == 1 else {}
+        for (u, _, _), c in F[w].terms.items():
+            if u != w:
+                for t, v in letter_part[u].items():
+                    vec_add_into(acc, t, -c * v)
+        letter_part[w] = acc
     D = gl.codifferential(max_len)
 
-    # D' = F^{-1} D F, so that F: (g', D') -> (g, D) intertwines D' with D
     twisted_cor: dict[int, dict] = {}
     for w in W.words:
         if not w:
             continue
-        vec = apply_map(F, {w: ONE})
-        vec = D.apply(vec)
-        vec = apply_map(F_inv, vec)
-        letters = {u[0]: c for u, c in vec.items() if len(u) == 1 and c}
+        letters: dict[str, Scalar] = {}
+        for u, c in D.apply(word_vector(F, w)).items():
+            for t, v in letter_part[u].items():
+                vec_add_into(letters, t, c * v)
         if letters:
             twisted_cor.setdefault(len(w), {})[w] = letters
     g_twisted = LInftyAlgebra(gl.space, twisted_cor, name=f"{gl.name}-twisted")

@@ -128,17 +128,11 @@ class SeriesContext:
     def unit(self) -> HbarSeries:
         return HbarSeries({(self.algebra.unit, "1", 0): ONE})
 
-    def from_vector(self, vec: Mapping[object, Scalar], rlabel: str = "1", hpow: int = 0) -> HbarSeries:
-        return HbarSeries({(k, rlabel, hpow): c for k, c in vec.items()})
-
     # -- degree bookkeeping ----------------------------------------------------
 
     def degree(self, key: Key) -> int:
         a, _, h = key
         return self.algebra.degree(a) + 2 * h
-
-    def is_homogeneous(self, s: HbarSeries, degree: int) -> bool:
-        return all(self.degree(k) == degree for k in s.terms)
 
     # -- ring/hbar-bilinear multiplication ------------------------------------
 
@@ -147,11 +141,23 @@ class SeriesContext:
 
     def mul(self, s1: HbarSeries, s2: HbarSeries) -> HbarSeries:
         out: dict[Key, Scalar] = {}
+        self.mul_into(out, s1, s2)
+        res = HbarSeries.__new__(HbarSeries)
+        res.terms = _canonical(out)
+        return res
+
+    def mul_into(self, out: dict, s1: HbarSeries, s2: HbarSeries, scale: Scalar = ONE) -> None:
+        """Add scale * s1 * s2 into the term dict `out`: the one product loop.
+
+        `out` keeps no zero entry and is not canonicalised, so a sum of
+        products builds one dict; `HbarSeries(out)` canonicalises it."""
         get = out.get
         cutoff = self.hbar_cutoff
         mul_labels = self.ring.mul_labels
         mul_words = self.algebra.mul_words
-        for (a1, r1, h1), c1 in s1.terms.items():
+        # a Fraction times 1 is a full Fraction product: leave unit scales out
+        terms = s1.terms.items() if scale == 1 else [(k, c * scale) for k, c in s1.terms.items()]
+        for (a1, r1, h1), c1 in terms:
             for (a2, r2, h2), c2 in s2.terms.items():
                 h = h1 + h2
                 if cutoff is not None and h >= cutoff:
@@ -169,9 +175,6 @@ class SeriesContext:
                             out[key] = v
                         else:
                             out.pop(key, None)
-        res = HbarSeries.__new__(HbarSeries)
-        res.terms = _canonical(out)
-        return res
 
     def truncate(self, s: HbarSeries) -> HbarSeries:
         res = HbarSeries.__new__(HbarSeries)

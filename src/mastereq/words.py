@@ -11,8 +11,10 @@ flavors are cut at a hard word length N; products that would overflow raise
 The symmetric product merges the normal forms of its two factors, in time
 linear in their lengths; the tensor product is the shuffle product.  The
 coproduct is the unshuffle coproduct by default, or the trivial one
-(1 -> 1(x)1, w -> w(x)1 + 1(x)w) on request.  The empty word is the unit
-and coaugmentation; the counit is the coefficient of the empty word.
+(1 -> 1(x)1, w -> w(x)1 + 1(x)w) on request; one pass over the subsets of a
+word's positions also gives its first-letter part, the unshuffles whose left
+factor holds position 0.  The empty word is the unit and coaugmentation;
+the counit is the coefficient of the empty word.
 """
 
 from __future__ import annotations
@@ -131,8 +133,7 @@ class WordAlgebra:
         self.words: tuple[Word, ...] = tuple(self._enumerate_words())
         self._word_set = set(self.words)
         self._degree = {w: sum(space.degree(x) for x in w) for w in self.words}
-        self._coproduct_cache: dict[Word, list] = {}
-        self._word_space: GradedVectorSpace | None = None
+        self._coproduct_cache: dict[Word, tuple[list, list]] = {}
 
     # -- basis ----------------------------------------------------------
 
@@ -156,15 +157,6 @@ class WordAlgebra:
         if label == "1":
             return ()
         return tuple(label.split(self._joiner))
-
-    @property
-    def word_space(self) -> GradedVectorSpace:
-        """The word basis repackaged as a plain graded space."""
-        if self._word_space is None:
-            self._word_space = GradedVectorSpace(
-                (self.label(w), self._degree[w]) for w in self.words
-            )
-        return self._word_space
 
     def counit(self, vec: Mapping[Word, Scalar]) -> Scalar:
         return vec.get((), ZERO)
@@ -204,32 +196,49 @@ class WordAlgebra:
         """Full coproduct of a basis word as a list of (left, right, coeff)."""
         cached = self._coproduct_cache.get(word)
         if cached is None:
-            if self.coproduct_kind == "trivial":
-                cached = self._trivial_coproduct(word)
-            else:
-                cached = self._shuffle_coproduct(word)
-            self._coproduct_cache[word] = cached
+            cached = self._coproducts(word)
+        return cached[0]
+
+    def first_letter_coproduct(self, word: Word) -> list[tuple[Word, Word, Scalar]]:
+        """The part of the coproduct of a nonempty basis word whose left factor
+        holds its first letter (position 0, not merely an equal letter): the
+        blocks of that letter in the set partitions of the word's positions,
+        as `coalgebra.conv_exp` takes them.  Under the trivial coproduct the
+        only term is w (x) 1.
+        """
+        cached = self._coproduct_cache.get(word)
+        if cached is None:
+            cached = self._coproducts(word)
+        return cached[1]
+
+    def _coproducts(self, word: Word) -> tuple[list, list]:
+        if self.coproduct_kind != "trivial":
+            cached = self._shuffle_coproduct(word)
+        elif word:
+            cached = ([(word, (), ONE), ((), word, ONE)], [(word, (), ONE)])
+        else:
+            cached = ([((), (), ONE)], [])
+        self._coproduct_cache[word] = cached
         return cached
 
-    def reduced_coproduct(self, word: Word) -> list[tuple[Word, Word, Scalar]]:
-        return [(l, r, c) for (l, r, c) in self.coproduct(word) if l and r]
-
-    def _trivial_coproduct(self, word: Word) -> list[tuple[Word, Word, Scalar]]:
-        if not word:
-            return [((), (), ONE)]
-        return [(word, (), ONE), ((), word, ONE)]
-
-    def _shuffle_coproduct(self, word: Word) -> list[tuple[Word, Word, Scalar]]:
+    def _shuffle_coproduct(self, word: Word) -> tuple[list, list]:
+        """The unshuffle coproduct and its first-letter part, from one pass
+        over the subsets of positions."""
         degs = [self.space.degree(x) for x in word]
-        acc: dict[tuple[Word, Word], Scalar] = {}
+        full: dict[tuple[Word, Word], Scalar] = {}
+        first: dict[tuple[Word, Word], Scalar] = {}
         n = len(word)
         for mask in range(1 << n):
             chosen = [i for i in range(n) if mask >> i & 1]
             rest = [i for i in range(n) if not mask >> i & 1]
             key = (tuple(word[i] for i in chosen), tuple(word[i] for i in rest))
             # the sign of pulling the chosen positions to the front
-            acc[key] = acc.get(key, ZERO) + koszul_sign(chosen + rest, degs)
-        return [(l, r, c) for (l, r), c in acc.items() if c]
+            sign = koszul_sign(chosen + rest, degs)
+            full[key] = full.get(key, ZERO) + sign
+            if mask & 1:
+                first[key] = first.get(key, ZERO) + sign
+        return ([(l, r, c) for (l, r), c in full.items() if c],
+                [(l, r, c) for (l, r), c in first.items() if c])
 
     def _enumerate_words(self) -> Iterable[Word]:
         raise NotImplementedError

@@ -3,7 +3,10 @@
 `DgLieAlgebra.to_linfty`, `coderivation_dg_lie`, `hbar_extended_dg_lie`,
 `bv_from_bi_dg_lie`, `ce_bvinfty_from_linfty` and `BVMorphism.exp_map`
 depend only on their input, so batteries that call them once per instance
-must not rebuild them.  A build that raises is not kept.
+must not rebuild them.  A build that raises is not kept.  The word algebras
+S(V[1]) and S(V[-1]) belong to the space V, so every algebra built on V (a
+twisted algebra is built on its parent's) shares one word basis and one
+coproduct table.
 """
 
 import contextlib
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from mastereq import cli, constructions, fixtures, morphisms
+from mastereq import cli, constructions, fixtures, morphisms, words
 from mastereq.constructions import (
     BiDgLieData,
     bv_from_bi_dg_lie,
@@ -151,3 +154,30 @@ def test_input_only_work_does_not_grow_with_instances(monkeypatch, theorem, alge
     argv = ["verify-representability", theorem, str(FIXTURES / algebra),
             "--ring", str(FIXTURES / "ring-t3.alg")]
     assert _dg_lie_work(monkeypatch, argv, 2) == _dg_lie_work(monkeypatch, argv, 20)
+
+
+def test_twisted_algebra_shares_its_parents_word_algebras():
+    gl = fixtures.heis3().to_linfty()
+    g_tw, _ = morphisms.twisted_linfty_morphism(gl, random.Random(3), 3)
+    assert ce_bvinfty_from_linfty(g_tw, 3, 3).algebra is ce_bvinfty_from_linfty(gl, 3, 3).algebra
+    assert g_tw.word_algebra(3) is gl.word_algebra(3)
+    # the space owns them: an equal space built elsewhere does not share
+    assert fixtures.heis3().to_linfty().word_algebra(3) is not gl.word_algebra(3)
+
+
+@pytest.mark.parametrize("theorem", ["theorem-second", "chuang-lazarev"])
+def test_battery_unshuffles_each_word_once(monkeypatch, theorem):
+    seen = {}
+    original = words.WordAlgebra._shuffle_coproduct
+
+    def counted(self, word):
+        key = (self.space, word)  # one word of one word basis
+        seen[key] = seen.get(key, 0) + 1
+        return original(self, word)
+
+    monkeypatch.setattr(words.WordAlgebra, "_shuffle_coproduct", counted)
+    argv = ["verify-representability", theorem, str(FIXTURES / "heis3.alg"),
+            "--instances", "5", "--seed", "5", "--format", "machine"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert seen and max(seen.values()) == 1

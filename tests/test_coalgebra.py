@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mastereq.artin import power_ring
+from mastereq.artin import TRIVIAL_RING, power_ring
 from mastereq.coalgebra import (
     CoalgebraMorphism,
     Coderivation,
+    _conv_exp_series,
     check_codifferential,
     conv_exp,
     conv_log,
@@ -16,7 +19,7 @@ from mastereq.coalgebra import (
 from mastereq.diagnostics import PreconditionError
 from mastereq.graded import GradedVectorSpace
 from mastereq.series import HbarSeries, SeriesContext
-from mastereq.words import SymmetricWordAlgebra
+from mastereq.words import SymmetricWordAlgebra, TensorWordAlgebra, TruncationOverflow
 
 HEIS1 = GradedVectorSpace([("x", -1), ("y", -1), ("z", -1)])  # heis3[1]
 ABELIAN2 = GradedVectorSpace([("x", -1), ("y", -1)])
@@ -259,3 +262,96 @@ def test_artin_dual_exp_log():
     back = conv_log(dual, ctx, F)
     for key in dual.basis_keys:
         assert back.get(key, HbarSeries()) == f.get(key, HbarSeries())
+
+
+def _word_algebra(data, max_lens, coproduct="shuffle"):
+    degrees = data.draw(st.lists(st.integers(-1, 2), min_size=1, max_size=3))
+    kind = data.draw(st.sampled_from([SymmetricWordAlgebra, TensorWordAlgebra]))
+    space = GradedVectorSpace((f"x{i}", d) for i, d in enumerate(degrees))
+    return kind(space, data.draw(max_lens), coproduct=coproduct)
+
+
+def _exp_or_overflow(route, coalg, ctx, f):
+    try:
+        return route(coalg, ctx, f)
+    except TruncationOverflow:
+        return TruncationOverflow
+
+
+def _repeats_an_odd_letter(algebra, w):
+    return any(w.count(x) > 1 and algebra.space.degree(x) % 2 for x in w)
+
+
+def _below(F, top):
+    """F with every hbar power >= top dropped (all of F when top is None)."""
+    out = {}
+    for key, series in F.items():
+        kept = {k: c for k, c in series.terms.items() if top is None or k[2] < top}
+        if kept:
+            out[key] = HbarSeries(kept)
+    return out
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(st.data())
+def test_conv_exp_by_set_partitions_equals_the_power_series(data):
+    """The power series sum_k f^k/k! is the oracle of the set-partition recursion
+    on word coalgebras: symmetric and tensor, shuffle and trivial coproducts,
+    odd and repeated even letters, int, Fraction, ring-labelled and
+    hbar-shifted values, with and without an hbar cutoff."""
+    source = _word_algebra(data, st.integers(1, 3), data.draw(st.sampled_from(["shuffle", "trivial"])))
+    target = _word_algebra(data, st.integers(2, 4))
+    ring = data.draw(st.sampled_from([TRIVIAL_RING, power_ring(3)]))
+    lowest = data.draw(st.sampled_from([0, -1]))  # -1: f = phi/hbar, as in BVMorphism.exp_map
+    cutoff = data.draw(st.sampled_from([None, 1, 2, 3]))
+    ints = data.draw(st.booleans())
+    scalars = st.integers(-3, 3) if ints else st.fractions(-3, 3, max_denominator=4)
+    f = {}
+    for w in source.words[1:]:
+        # degree zero up to the even hbar weight, which keeps every Koszul sign
+        targets = [u for u in target.words if (target.degree(u) - source.degree(w)) % 2 == 0]
+        if not targets or not data.draw(st.booleans()):
+            continue
+        keys = st.tuples(st.sampled_from(targets), st.sampled_from(ring.labels), st.integers(lowest, 1))
+        f[w] = HbarSeries(data.draw(st.dictionaries(keys, scalars, max_size=2)))
+    ctx = SeriesContext(target, ring, hbar_cutoff=cutoff)
+    got = _exp_or_overflow(conv_exp, source, ctx, f)
+    want = _exp_or_overflow(_conv_exp_series, source, ctx, f)
+    # A cutoff drops powers at or above it: in a product of the recursion, but
+    # not in the first term f of the series.  With hbar^-1 factors each route
+    # also drops partial products that later factors would lower back; the
+    # routes group the factors differently, so they drop, and may overflow on,
+    # different ones; below cutoff - max_len neither drops a partial product of
+    # a kept term.
+    exact = cutoff is None or lowest == 0
+    top = None if cutoff is None else cutoff - (0 if exact else source.max_len)
+    if exact and want is TruncationOverflow:
+        assert got is TruncationOverflow
+    if exact and got is TruncationOverflow and want is not TruncationOverflow:
+        # the one kind of input where only the recursion raises (pinned below):
+        # full unshuffles cancel only on tensor words that repeat an odd letter
+        assert isinstance(source, TensorWordAlgebra)
+        assert any(_repeats_an_odd_letter(source, w) for w in source.words)
+    if TruncationOverflow in (got, want):
+        return
+    assert _below(got, top) == _below(want, top)
+    if ints:
+        assert all(type(c) is int for F in (got, want) for s in F.values() for c in s.terms.values())
+
+
+def test_only_the_recursion_overflows_on_a_repeated_odd_tensor_letter():
+    # x odd: the unshuffles x|x of x⊗x cancel in the full coproduct, so the power
+    # series never forms f(x)·f(x); the first-letter unshuffle x|x does not
+    # cancel, and f(x)·f(x) = 0 (f(x) odd) only once its terms are summed, after
+    # the length check
+    source = TensorWordAlgebra(GradedVectorSpace([("x", 1)]), 2)
+    f = {("x",): HbarSeries({(("a",), "1", 0): 1, (("b", "c"), "1", 0): 1})}
+    target = GradedVectorSpace([("a", 1), ("b", 0), ("c", 1)])
+    for kind in (SymmetricWordAlgebra, TensorWordAlgebra):
+        narrow = SeriesContext(kind(target, 2))
+        assert _conv_exp_series(source, narrow, f) == {(): narrow.unit(), **f}
+        with pytest.raises(TruncationOverflow):
+            conv_exp(source, narrow, f)
+        # with room for the product both routes agree: it vanishes
+        wide = SeriesContext(kind(target, 4))
+        assert conv_exp(source, wide, f) == _conv_exp_series(source, wide, f) == {(): wide.unit(), **f}

@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mastereq import fixtures
 from mastereq.artin import power_ring, square_zero_ring
 from mastereq.bv import qme_solve_perturbative
+from mastereq.coalgebra import _conv_exp_series, corestriction_series, word_vector
 from mastereq.constructions import ce_bv_from_dg_lie, ce_bvinfty_from_linfty
 from mastereq.diagnostics import PreconditionError
-from mastereq.linfty import chuang_lazarev_morphism_defect, chuang_lazarev_residual
+from mastereq.linfty import LInftyAlgebra, _as_linfty, chuang_lazarev_morphism_defect, chuang_lazarev_residual
 from mastereq.morphisms import (
     BVMorphism,
     check_bv_morphism,
@@ -22,8 +25,9 @@ from mastereq.morphisms import (
     theorem_second_bijection_check,
     twisted_linfty_morphism,
 )
-from mastereq.sampling import random_qme_element
-from mastereq.series import HbarSeries
+from mastereq.sampling import random_corestriction_twist, random_qme_element
+from mastereq.series import HbarSeries, SeriesContext
+from mastereq.words import vec_add_into
 
 
 def truncation_map(a: int, b: int):
@@ -319,3 +323,50 @@ def test_twisted_morphisms_validate_against_chuang_lazarev():
         bad[key][t] = bad[key][t] + 1
         res_bad = chuang_lazarev_residual(g, g_tw, bad, 3)
         assert res_bad != {}
+
+
+def _compose(mapping, vec):
+    out = {}
+    for w, c in vec.items():
+        for u, v in mapping.get(w, {}).items():
+            vec_add_into(out, u, c * v)
+    return out
+
+
+def _twist_by_neumann_series(g, rng, max_len=3):
+    """The twisted brackets of `twisted_linfty_morphism`, with F = exp(cor) by
+    the power series and F^{-1} = sum_k (-N)^k over F = id + N."""
+    gl = _as_linfty(g)
+    W = gl.word_algebra(max_len)
+    F = _conv_exp_series(W, SeriesContext(W), corestriction_series(random_corestriction_twist(gl, rng, max_len)))
+    nil = {}
+    for w in W.words:
+        img = word_vector(F, w)
+        vec_add_into(img, w, -1)
+        if img:
+            nil[w] = img
+    inverse = {w: {w: 1} for w in W.words}
+    power, sign = dict(nil), -1
+    while power:
+        for w, img in power.items():
+            for u, c in img.items():
+                vec_add_into(inverse[w], u, sign * c)
+        power = {w: v for w, v in ((w, _compose(nil, img)) for w, img in power.items()) if v}
+        sign = -sign
+    D = gl.codifferential(max_len)
+    twisted = {}
+    for w in W.words[1:]:
+        vec = _compose(inverse, D.apply(word_vector(F, w)))
+        letters = {u[0]: c for u, c in vec.items() if len(u) == 1 and c}
+        if letters:
+            twisted.setdefault(len(w), {})[w] = letters
+    return LInftyAlgebra(gl.space, twisted).brackets
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.sampled_from(["heis3", "sl2", "aff2", "lift3", "l3demo", "bidg"]), st.integers(0, 10**6))
+def test_twist_back_substitution_matches_the_neumann_inverse(name, seed):
+    g = fixtures.l3demo() if name == "l3demo" else (
+        fixtures.bidg_as_dg_lie() if name == "bidg" else fixtures.get_dg_lie(name))
+    g_tw, _ = twisted_linfty_morphism(g, random.Random(seed), 3)
+    assert g_tw.brackets == _twist_by_neumann_series(g, random.Random(seed))

@@ -290,3 +290,33 @@ def test_word_tuples_within_is_filtered_combinations(lengths, n, budget):
     naive = [vs for vs in itertools.combinations_with_replacement(words, n)
              if sum(len(v) for v in vs) <= budget]
     assert list(word_tuples_within(words, n, budget)) == naive
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(degrees=st.lists(st.integers(-1, 2), min_size=1, max_size=3), n=st.integers(1, 4),
+       tensor=st.booleans(), data=st.data())
+def test_first_letter_coproduct_is_the_position_subsets_holding_position_zero(degrees, n, tensor, data):
+    # oracle: every subset S of positions with 0 in S, signed by the odd letters
+    # of the rest that the letters of S jump over on their way to the front
+    space = GradedVectorSpace((f"x{i}", d) for i, d in enumerate(degrees))
+    A = (TensorWordAlgebra if tensor else SymmetricWordAlgebra)(space, n)
+    w = data.draw(st.sampled_from(A.words[1:]))
+    expected = {}
+    for k in range(len(w)):
+        for rest in itertools.combinations(range(1, len(w)), k):
+            chosen = [i for i in range(len(w)) if i not in rest]
+            jumps = sum(space.degree(w[i]) * space.degree(w[j]) for i in rest for j in chosen if i < j)
+            key = (tuple(w[i] for i in chosen), tuple(w[i] for i in rest))
+            expected[key] = expected.get(key, 0) + (-1) ** (jumps % 2)
+    got = {(l, r): c for l, r, c in A.first_letter_coproduct(w)}
+    assert got == {key: c for key, c in expected.items() if c}
+    trivial = (TensorWordAlgebra if tensor else SymmetricWordAlgebra)(space, n, coproduct="trivial")
+    assert trivial.first_letter_coproduct(w) == [(w, (), 1)]
+
+
+def test_first_letter_coproduct_counts_positions_not_letters():
+    # a repeated even letter: both positions give a⊗a, only one holds position 0
+    A = sym(MIXED, 3)
+    assert dict(((l, r), c) for l, r, c in A.coproduct(("a", "a"))) == {
+        ((), ("a", "a")): 1, (("a",), ("a",)): 2, (("a", "a"), ()): 1}
+    assert A.first_letter_coproduct(("a", "a")) == [(("a",), ("a",), 1), (("a", "a"), (), 1)]
