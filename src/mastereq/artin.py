@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 from .diagnostics import StructureError
 from .graded import ONE, ZERO, Scalar, as_scalar
-from .linalg import rref, span_contains
+from .linalg import rref
 from .words import vec_add_into
 
 __all__ = ["ArtinLocalAlgebra", "DualRingCoalgebra", "DualRingAlgebra", "TRIVIAL_RING", "power_ring", "square_zero_ring"]
@@ -106,18 +106,14 @@ class ArtinLocalAlgebra:
                 raise StructureError(f"maximal ideal of {self.name} is not nilpotent")
         # layer_rows[k-1] spans m^k; the first vanishing power is M = len + 1
         self.nilpotency = len(layer_rows) + 1
-        self._layers = layer_rows
-        orders: dict[str, int] = {}
-        for i, x in enumerate(self.ideal_labels):
-            unit = [(ONE if j == i else ZERO) for j in range(n)]
-            o = 0
-            for depth, rows in enumerate(layer_rows, start=1):
-                if span_contains(rows, unit):
-                    o = depth
-            if o == 0:
-                raise StructureError(f"label {x} not in the maximal ideal span")
-            orders[x] = o
-        orders["1"] = 0
+        # a layer is reduced, so e_x lies in m^k exactly when it is a row of
+        # layer k: one with a single nonzero entry.  Layer 1 is the identity.
+        orders: dict[str, int] = {"1": 0}
+        for depth, rows in enumerate(layer_rows, start=1):
+            for row in rows:
+                support = [j for j, c in enumerate(row) if c]
+                if len(support) == 1:
+                    orders[self.ideal_labels[support[0]]] = depth
         self._orders = orders
         # adapted basis: each m^k must be spanned by the basis labels of order >= k
         self.adapted = all(

@@ -23,6 +23,7 @@ m^M = 0 makes every K_j with j >= M vanish.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -121,10 +122,10 @@ class BVInftyAlgebra:
     def dhat(self, s: HbarSeries, ctx: SeriesContext | None = None) -> HbarSeries:
         """sum_n hbar^{n-1} Delta_n, applied ring- and hbar-linearly."""
         ctx = ctx or self.context()
-        out = HbarSeries()
+        out: dict = {}
         for n, op in sorted(self.operators.items()):
-            out = out.add(ctx.apply_word_operator(op, s, hbar_shift=n - 1))
-        return out
+            ctx.apply_word_operator_into(out, op, s, hbar_shift=n - 1)
+        return HbarSeries(out)
 
     def dhat_word(self, w: Word) -> HbarSeries:
         return self.dhat(HbarSeries({(w, "1", 0): ONE}))
@@ -372,15 +373,8 @@ def _k_of_one(bvi: BVInftyAlgebra, ctx: SeriesContext,
     residual = HbarSeries()
     for j, val in enumerate(k_of_one, start=1):
         if not val.is_zero():
-            residual = residual.add(val.shift_hbar(-(j - 1)).scale(Fraction(1, _factorial(j))))
+            residual = residual.add(val.shift_hbar(-(j - 1)).scale(Fraction(1, math.factorial(j))))
     return k_of_one, residual
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def qme_exp_check(V, ring: ArtinLocalAlgebra, S: HbarSeries, hbar_cutoff: int | None = None) -> dict:
@@ -453,7 +447,7 @@ def conjugation_identity_check(V, ring: ArtinLocalAlgebra, S: HbarSeries,
             for idx, kj1 in enumerate(k_of_one, start=1):
                 term = _commutator_chain(bvi, wide, [S] * idx, [2] * idx, x)
                 term = term.sub(wide.mul(x, kj1).scale(sw))
-                rhs = rhs.add(term.shift_hbar(-idx).scale(Fraction(1, _factorial(idx))))
+                rhs = rhs.add(term.shift_hbar(-idx).scale(Fraction(1, math.factorial(idx))))
             rhs = rhs.add(wide.mul(residual, x).shift_hbar(-1))
             diff = narrow.truncate(lhs.sub(rhs))
             if not diff.is_zero():

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .graded import ONE, ZERO, Scalar, as_scalar
 
-__all__ = ["rref", "rank", "solve_linear", "span_contains"]
+__all__ = ["rref", "solve_linear"]
 
 
 def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
@@ -47,10 +47,6 @@ def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
     return m[:r], pivots
 
 
-def rank(rows: list[list[Scalar]]) -> int:
-    return len(rref(rows)[0])
-
-
 def solve_linear(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar] | None:
     """Solve A x = b exactly; None if inconsistent.
 
@@ -68,12 +64,6 @@ def solve_linear(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar] | 
             return None  # pivot in the constant column: inconsistent
         sol[c] = row[-1]
     return sol
-
-
-def span_contains(rows: list[list[Scalar]], vec: list[Scalar]) -> bool:
-    """Is `vec` in the row span of `rows`?"""
-    base = rank(rows)
-    return rank(rows + [list(vec)]) == base
 
 
 def nullspace(rows: list[list[Scalar]]) -> list[list[Scalar]]:

@@ -211,6 +211,15 @@ class SeriesContext:
     def apply_word_operator(self, op, s: HbarSeries, hbar_shift: int = 0) -> HbarSeries:
         """Apply a word-level operator (key -> dict) hbar- and ring-linearly."""
         out: dict[Key, Scalar] = {}
+        self.apply_word_operator_into(out, op, s, hbar_shift)
+        res = HbarSeries.__new__(HbarSeries)
+        res.terms = _canonical(out)
+        return res
+
+    def apply_word_operator_into(self, out: dict, op, s: HbarSeries, hbar_shift: int = 0) -> None:
+        """Add hbar^{hbar_shift} op(s) into the term dict `out`: the one
+        operator loop.  As in `mul_into`, `out` keeps no zero entry and is
+        not canonicalised."""
         get = out.get
         cutoff = self.hbar_cutoff
         apply_word = op.apply_word
@@ -225,9 +234,6 @@ class SeriesContext:
                     out[key] = val
                 else:
                     out.pop(key, None)
-        res = HbarSeries.__new__(HbarSeries)
-        res.terms = _canonical(out)
-        return res
 
 
 @dataclass

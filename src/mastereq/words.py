@@ -31,9 +31,6 @@ __all__ = [
     "SymmetricWordAlgebra",
     "TensorWordAlgebra",
     "vec_add_into",
-    "vec_scale",
-    "vec_clean",
-    "vec_is_zero",
     "word_tuples_within",
 ]
 
@@ -57,7 +54,7 @@ class TruncationOverflow(ArithmeticError):
         )
 
 
-# -- small sparse-vector helpers (dict word -> Scalar) -----------------------
+# -- sparse-vector helper (dict word -> Scalar) -------------------------------
 
 def vec_add_into(acc: dict, key, coeff: Scalar) -> None:
     c = acc.get(key, ZERO) + coeff
@@ -65,20 +62,6 @@ def vec_add_into(acc: dict, key, coeff: Scalar) -> None:
         acc[key] = c
     else:
         acc.pop(key, None)
-
-
-def vec_scale(vec: Mapping, c: Scalar) -> dict:
-    if not c:
-        return {}
-    return {k: c * v for k, v in vec.items()}
-
-
-def vec_clean(vec: dict) -> dict:
-    return {k: v for k, v in vec.items() if v}
-
-
-def vec_is_zero(vec: Mapping) -> bool:
-    return all(v == 0 for v in vec.values())
 
 
 def word_tuples_within(words: Sequence[Word], n: int, budget: int) -> Iterator[tuple[Word, ...]]:

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import pytest
 
-from mastereq import fixtures
 from mastereq.artin import power_ring
 from mastereq.bv import (
     bvinfty_qme_residual,
@@ -23,8 +22,6 @@ from mastereq.bv import (
 )
 from mastereq.constructions import (
     AssociativeAlgebraData,
-    BiDgLieData,
-    LieBialgebraData,
     bar_bv_from_associative,
     bv_from_bi_dg_lie,
     ce_bv_from_dg_lie,
@@ -56,6 +53,8 @@ from mastereq.operators import Operator, operator_order_check
 from mastereq.sampling import random_mc_element, random_qme_element
 from mastereq.series import HbarSeries
 
+from alg_fixtures import load
+
 R3 = power_ring(3)
 
 
@@ -82,7 +81,7 @@ def test_criterion_01_ce_correctness():
     names = ("abelian2", "heis3", "aff2", "sl2")
     wanted = ("delta-squared", "[delta,d]", "delta(1)=0", "delta order<=2")
     for name in names:
-        bv = ce_bv_from_dg_lie(fixtures.get_dg_lie(name), 4)
+        bv = ce_bv_from_dg_lie(load(name), 4)
         certs = {r.name: r for r in bv.certify()}
         ok &= all(certs[w].ok for w in wanted)
         # corrupted structure constant: at least one certificate fails, with witness
@@ -100,21 +99,17 @@ def test_criterion_01_ce_correctness():
 
 
 def qme_fixtures():
-    out = {name: ce_bv_from_dg_lie(fixtures.get_dg_lie(name), 4)
+    out = {name: ce_bv_from_dg_lie(load(name), 4)
            for name in ("abelian2", "heis3", "aff2", "sl2")}
-    out["bidg4"] = bv_from_bi_dg_lie(BiDgLieData(**fixtures.bidg_fixtures()["bidg4"],
-                                                 name="bidg4"), 4)[0]
-    out["ttw-dual"] = bar_bv_from_associative(
-        AssociativeAlgebraData(**fixtures.associative_fixtures()["dual-numbers"],
-                               name="dual"), 4)[0]
+    out["bidg4"] = bv_from_bi_dg_lie(load("bidg4"), 4)[0]
+    out["ttw-dual"] = bar_bv_from_associative(load("dual-numbers"), 4)[0]
     out["ibl-inv3"] = ce_bv_from_ibl_cached()
     return out
 
 
 def ce_bv_from_ibl_cached():
     from mastereq.constructions import ce_bv_from_ibl
-    data = fixtures.bialgebra_fixtures()["inv3"]
-    return ce_bv_from_ibl(LieBialgebraData(**data, name="inv3"), 4)[0]
+    return ce_bv_from_ibl(load("inv3"), 4)[0]
 
 
 def test_criterion_02_qme_form_equivalence():
@@ -132,13 +127,13 @@ def test_criterion_02_qme_form_equivalence():
 def conjugation_setups():
     # all-odd fixtures are closed at length 4: every basis word, no skips
     for name in ("abelian2", "heis3", "aff2", "sl2"):
-        bv = ce_bv_from_dg_lie(fixtures.get_dg_lie(name), 4)
+        bv = ce_bv_from_dg_lie(load(name), 4)
         yield name, bv, 2, None
     # even letters need an enlarged window: certify every word of length <= 4
-    big = ce_bv_from_dg_lie(fixtures.get_dg_lie("bidg4-dglie"), 12)
+    big = ce_bv_from_dg_lie(load("bidg4-dglie"), 12)
     words = [w for w in big.algebra.words if len(w) <= 4]
     yield "bidg4-dglie", big, 2, words
-    bvi = ce_bvinfty_from_linfty(fixtures.linfty_fixtures()["l3demo"], 12, 3)
+    bvi = ce_bvinfty_from_linfty(load("l3demo"), 12, 3)
     words = [w for w in bvi.algebra.words if len(w) <= 4]
     yield "l3demo", bvi, 2, words
 
@@ -163,7 +158,7 @@ def test_criterion_04_representability():
     rng = random.Random(4044)
     ok = True
     # Quillen over the coderivation algebra of heis3
-    coder, _ = coderivation_dg_lie(fixtures.heis3(), max_len=3, validate=False)
+    coder, _ = coderivation_dg_lie(load("heis3"), max_len=3, validate=False)
     gl = coder.to_linfty()
     corrupt_word = next(w for w in gl.word_algebra(3).words if len(w) == 2)
     for _ in range(20):
@@ -172,7 +167,7 @@ def test_criterion_04_representability():
         bad = quillen_bijection_check(gl, R3, S, corrupt=("t", corrupt_word, Fraction(1)))
         ok &= not bad["morphism"]
     # theorem first over CE(sl2)
-    bv = ce_bv_from_dg_lie(fixtures.sl2(), 4)
+    bv = ce_bv_from_dg_lie(load("sl2"), 4)
     bvi = bv.as_bvinfty(3)
     for _ in range(20):
         seed = random_qme_element(bv, R3, rng, word_len_cap=2).ring_project(R3, 1)
@@ -193,7 +188,7 @@ def test_criterion_04_representability():
                 break
         ok &= found
     # theorem second and Chuang-Lazarev over twisted morphisms of bidg4
-    g = fixtures.bidg_as_dg_lie()
+    g = load("bidg4-dglie")
     V = ce_bvinfty_from_linfty(g.to_linfty(), 3, 3)
     for _ in range(20):
         g_tw, cor = twisted_linfty_morphism(g, rng, 3)
@@ -221,7 +216,7 @@ def test_criterion_04_representability():
         ok &= detected
     # corollary: representability of the length-one functor of bidg4
     from mastereq.constructions import hbar_extended_dg_lie
-    B = BiDgLieData(**fixtures.bidg_fixtures()["bidg4"], name="bidg4")
+    B = load("bidg4")
     gh = hbar_extended_dg_lie(B, 3)
     gh_word = next(w for w in gh.to_linfty().word_algebra(3).words if len(w) == 2)
     labels1 = [(x, h) for x, deg in B.space.basis for h in range(2) if deg + 2 * h == 1]
@@ -245,12 +240,11 @@ def test_criterion_05_involutivity_dichotomy():
     start = time.perf_counter()
     from mastereq.constructions import ce_bv_from_ibl
     ok = True
-    data = fixtures.bialgebra_fixtures()
-    bv, rep = ce_bv_from_ibl(LieBialgebraData(**data["noninv2"], name="noninv2"), 4)
+    bv, rep = ce_bv_from_ibl(load("noninv2"), 4)
     ok &= not rep["involutive"] and not rep["commutator_vanishes"]
     ok &= rep["witness"] is not None and "word" in rep["witness"]
     for name in ("heis3-zero-cobracket", "inv3"):
-        bv, rep = ce_bv_from_ibl(LieBialgebraData(**data[name], name=name), 4)
+        bv, rep = ce_bv_from_ibl(load(name), 4)
         ok &= rep["involutive"] and rep["commutator_vanishes"]
         ok &= bv.is_certified()
     report(5, "involutivity dichotomy", ok, time.perf_counter() - start, 60.0)
@@ -259,14 +253,13 @@ def test_criterion_05_involutivity_dichotomy():
 def test_criterion_06_ttw_dichotomy():
     start = time.perf_counter()
     ok = True
-    data = fixtures.associative_fixtures()
-    for name in ("ground-field", "dual-numbers"):
-        bv, info = bar_bv_from_associative(AssociativeAlgebraData(**data[name], name=name), 4)
+    ground_field = AssociativeAlgebraData([("u", 0)], {("u", "u"): {"u": 1}}, name="ground-field")
+    for A in (ground_field, load("dual-numbers")):
+        bv, info = bar_bv_from_associative(A, 4)
         certs = {r.name: r for r in bv.certify()}
         ok &= info["associator_witness"] is None
         ok &= certs["delta-squared"].ok and certs["delta order<=2"].ok
-    bv, info = bar_bv_from_associative(
-        AssociativeAlgebraData(**data["nonassoc3"], name="nonassoc3"), 4)
+    bv, info = bar_bv_from_associative(load("nonassoc3"), 4)
     certs = {r.name: r for r in bv.certify()}
     ok &= info["associator_witness"] == ("u", "u", "u")
     ok &= not certs["delta-squared"].ok
@@ -277,9 +270,9 @@ def test_criterion_06_ttw_dichotomy():
 def test_criterion_07_derived_brackets():
     start = time.perf_counter()
     ok = True
-    bvis = [ce_bvinfty_from_linfty(fixtures.get_dg_lie(n).to_linfty(), 4, 3)
+    bvis = [ce_bvinfty_from_linfty(load(n).to_linfty(), 4, 3)
             for n in ("heis3", "sl2", "aff2", "bidg4-dglie")]
-    bvis.append(ce_bvinfty_from_linfty(fixtures.linfty_fixtures()["l3demo"], 4, 3))
+    bvis.append(ce_bvinfty_from_linfty(load("l3demo"), 4, 3))
     ok &= 3 in bvis[-1].operators  # the fixture genuinely has a third operator
     for bvi in bvis:
         result = derived_brackets_linfty_check(bvi, max_arity=4)
@@ -308,12 +301,12 @@ def test_criterion_08_morphism_calculus():
     ok &= check_bv_morphism(composite)["ok"]
     for phi, psi in ((f43, f32), (f54, f43)):
         ok &= log_hbar_minus_one_coefficient(phi, psi) == {}
-    V = ce_bvinfty_from_linfty(fixtures.heis3().to_linfty(), 3, 3)
+    V = ce_bvinfty_from_linfty(load("heis3").to_linfty(), 3, 3)
     ident = identity_bv_morphism(V)
     rng = random.Random(88)
-    g_tw, cor = twisted_linfty_morphism(fixtures.heis3(), rng, 3)
+    g_tw, cor = twisted_linfty_morphism(load("heis3"), rng, 3)
     from mastereq.morphisms import linfty_morphism_to_bvinfty
-    phi = linfty_morphism_to_bvinfty(g_tw, fixtures.heis3(), cor, 3, 3)
+    phi = linfty_morphism_to_bvinfty(g_tw, load("heis3"), cor, 3, 3)
     ok &= compose_bv_morphisms(ident, phi).components == phi.components
     ok &= compose_bv_morphisms(phi, identity_bv_morphism(phi.source)).components == phi.components
     ok &= log_hbar_minus_one_coefficient(ident, phi) == {}
@@ -325,15 +318,15 @@ def test_criterion_09_solvers():
     rng = random.Random(9099)
     ok = True
     # Maurer-Cartan: liftable and obstructed
-    lift = mc_solve_perturbative(fixtures.lift3(), R3, HbarSeries({("x", "t", 0): 1}))
+    lift = mc_solve_perturbative(load("lift3"), R3, HbarSeries({("x", "t", 0): 1}))
     ok &= lift.status == "solved"
-    ok &= emce_residual(fixtures.lift3(), R3, lift.element).is_zero()
-    obst = mc_solve_perturbative(fixtures.obst2(), R3, HbarSeries({("x", "t", 0): 1}))
+    ok &= emce_residual(load("lift3"), R3, lift.element).is_zero()
+    obst = mc_solve_perturbative(load("obst2"), R3, HbarSeries({("x", "t", 0): 1}))
     ok &= obst.status == "obstructed" and obst.obstruction_order == 2
-    direct = emce_residual(fixtures.obst2(), R3, obst.partial).ring_project(R3, 2)
+    direct = emce_residual(load("obst2"), R3, obst.partial).ring_project(R3, 2)
     ok &= obst.obstruction == direct
     # QME: every solver output revalidates; CE(obst2) reproduces the obstruction
-    bv = ce_bv_from_dg_lie(fixtures.sl2(), 4)
+    bv = ce_bv_from_dg_lie(load("sl2"), 4)
     bvi = bv.as_bvinfty(3)
     solved = 0
     for _ in range(10):
@@ -346,7 +339,7 @@ def test_criterion_09_solvers():
             ok &= rep["exp_zero"] and rep["residual_zero"]
             solved += 1
     ok &= solved > 0
-    bvo = ce_bv_from_dg_lie(fixtures.obst2(), 4)
+    bvo = ce_bv_from_dg_lie(load("obst2"), 4)
     qobst = qme_solve_perturbative(bvo, R3, HbarSeries({(("x",), "t", 0): 1}), 3)
     ok &= qobst.status == "obstructed"
     qdirect = bvinfty_qme_residual(bvo.as_bvinfty(3), R3, qobst.partial).ring_project(R3, 2)

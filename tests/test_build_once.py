@@ -12,11 +12,10 @@ coproduct table.
 import contextlib
 import io
 import random
-from pathlib import Path
 
 import pytest
 
-from mastereq import cli, constructions, fixtures, morphisms, words
+from mastereq import cli, constructions, morphisms, words
 from mastereq.constructions import (
     BiDgLieData,
     bv_from_bi_dg_lie,
@@ -27,30 +26,33 @@ from mastereq.diagnostics import StructureError
 from mastereq.graded import GradedVectorSpace
 from mastereq.linfty import DgLieAlgebra, coderivation_dg_lie
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from alg_fixtures import FIXTURES, load
 
 
 def bidg4(**changes):
-    data = dict(fixtures.bidg_fixtures()["bidg4"], **changes)
-    return BiDgLieData(**data, name="bidg4")
+    """bidg4 from its manifest, rebuilt with the given fields replaced."""
+    B = load("bidg4")
+    fields = {"basis": B.space.basis, "bracket": B.lie.bracket, "d": B.lie.d,
+              "delta": B.delta, **changes}
+    return BiDgLieData(**fields, name=B.name)
 
 
 def test_to_linfty_is_shared():
-    g = fixtures.heis3()
+    g = load("heis3")
     gl = g.to_linfty()
     assert g.to_linfty() is gl
     assert gl.word_algebra(3) is g.to_linfty().word_algebra(3)
 
 
 def test_coderivation_dg_lie_built_once_per_parameters():
-    g = fixtures.heis3()
+    g = load("heis3")
     first = coderivation_dg_lie(g, 3, validate=False)
     assert coderivation_dg_lie(g, 3, validate=False) is first
     # a dg-Lie input and its L-infinity form own the same result
     assert coderivation_dg_lie(g.to_linfty(), 3, validate=False) is first
     assert coderivation_dg_lie(g, 2, validate=False) is not first
     assert coderivation_dg_lie(g, 3, validate=True) is not first
-    assert coderivation_dg_lie(fixtures.heis3(), 3, validate=False) is not first
+    assert coderivation_dg_lie(load("heis3"), 3, validate=False) is not first
 
 
 def test_bidg_builders_built_once_per_parameters():
@@ -64,12 +66,12 @@ def test_bidg_builders_built_once_per_parameters():
 
 
 def test_ce_bvinfty_from_linfty_built_once_per_parameters():
-    gl = fixtures.heis3().to_linfty()
+    gl = load("heis3").to_linfty()
     V = ce_bvinfty_from_linfty(gl, 3, 3)
     assert ce_bvinfty_from_linfty(gl, 3, 3) is V
     others = [ce_bvinfty_from_linfty(gl, 2, 3), ce_bvinfty_from_linfty(gl, 3, 2),
               ce_bvinfty_from_linfty(gl, 3, 3, coproduct="trivial"),
-              ce_bvinfty_from_linfty(fixtures.heis3().to_linfty(), 3, 3)]
+              ce_bvinfty_from_linfty(load("heis3").to_linfty(), 3, 3)]
     assert all(other is not V for other in others)
 
 
@@ -86,7 +88,7 @@ def _counted(monkeypatch, module, name):
 
 
 def test_theorem_second_builds_its_source_and_exponential_once(monkeypatch):
-    g = fixtures.bidg_as_dg_lie()
+    g = load("bidg4-dglie")
     V = ce_bvinfty_from_linfty(g.to_linfty(), 3, 3)
     g_tw, cor = morphisms.twisted_linfty_morphism(g, random.Random(17), 3)
     table = {w: {(t,): c for t, c in val.items()} for w, val in cor.items()}
@@ -157,12 +159,12 @@ def test_input_only_work_does_not_grow_with_instances(monkeypatch, theorem, alge
 
 
 def test_twisted_algebra_shares_its_parents_word_algebras():
-    gl = fixtures.heis3().to_linfty()
+    gl = load("heis3").to_linfty()
     g_tw, _ = morphisms.twisted_linfty_morphism(gl, random.Random(3), 3)
     assert ce_bvinfty_from_linfty(g_tw, 3, 3).algebra is ce_bvinfty_from_linfty(gl, 3, 3).algebra
     assert g_tw.word_algebra(3) is gl.word_algebra(3)
     # the space owns them: an equal space built elsewhere does not share
-    assert fixtures.heis3().to_linfty().word_algebra(3) is not gl.word_algebra(3)
+    assert load("heis3").to_linfty().word_algebra(3) is not gl.word_algebra(3)
 
 
 @pytest.mark.parametrize("theorem", ["theorem-second", "chuang-lazarev"])

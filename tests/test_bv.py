@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,12 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mastereq import fixtures
 from mastereq.artin import power_ring
 from mastereq.bv import (
     QMESolveResult,
     _commutator_chain,
-    _factorial,
     _validate_qme_element,
     antibracket,
     bvinfty_qme_residual,
@@ -22,7 +21,7 @@ from mastereq.bv import (
     qme_residual,
     qme_solve_perturbative,
 )
-from mastereq.constructions import BiDgLieData, bv_from_bi_dg_lie, ce_bv_from_dg_lie, ce_bvinfty_from_linfty, qm_bidg_residual, corollary_bidg_check
+from mastereq.constructions import bv_from_bi_dg_lie, ce_bv_from_dg_lie, ce_bvinfty_from_linfty, qm_bidg_residual, corollary_bidg_check
 from mastereq.diagnostics import PreconditionError
 from mastereq.graded import GradedVectorSpace
 from mastereq.linfty import DgLieAlgebra, MCSolveResult
@@ -31,9 +30,11 @@ from mastereq.sampling import random_qme_element
 from mastereq.series import HbarSeries, SeriesContext, SolveResult
 from mastereq.words import SymmetricWordAlgebra, word_tuples_within
 
+from alg_fixtures import load
+
 
 def ce(name, n=4):
-    return ce_bv_from_dg_lie(fixtures.get_dg_lie(name), n)
+    return ce_bv_from_dg_lie(load(name), n)
 
 
 def test_order_check_derivation():
@@ -112,9 +113,7 @@ def test_antibracket_graded_jacobi_and_leibniz():
 def test_antibracket_equals_iterated_commutator_form():
     # the two displayed forms agree: {a,b} = (-1)^{|a|} [[Delta, L_a], L_b](1),
     # including on a fixture where d and Delta are both nonzero
-    from mastereq.constructions import BiDgLieData, bv_from_bi_dg_lie
-    bv, _ = bv_from_bi_dg_lie(BiDgLieData(**fixtures.bidg_fixtures()["bidg4"],
-                                          name="bidg4"), 4)
+    bv, _ = bv_from_bi_dg_lie(load("bidg4"), 4)
     A = bv.algebra
     words = [w for w in A.words if 0 < len(w) <= 2]
     for a in words[:8]:
@@ -132,11 +131,9 @@ def test_zero_morphism_on_trivial_coproduct_sources():
     # with the trivial coproduct the convolution exponential truncates after
     # one step; the zero morphism still intertwines because the augmentation
     # kills both operators
-    from mastereq.constructions import AssociativeAlgebraData, bar_bv_from_associative
+    from mastereq.constructions import bar_bv_from_associative
     from mastereq.morphisms import BVMorphism, check_bv_morphism
-    data = fixtures.associative_fixtures()["dual-numbers"]
-    bv, _ = bar_bv_from_associative(AssociativeAlgebraData(**data, name="dual"), 3,
-                                    coproduct="trivial")
+    bv, _ = bar_bv_from_associative(load("dual-numbers"), 3, coproduct="trivial")
     V = bv.as_bvinfty(3)
     phi = BVMorphism(V, V, {}, name="0")
     assert check_bv_morphism(phi)["ok"]
@@ -173,7 +170,7 @@ def test_antibracket_shifted_jacobi_on_word_triples():
 
 def test_derived_bracket_derivation_only():
     # dhat with only Delta_1 = d: all brackets of arity >= 2 vanish
-    bvi = ce_bvinfty_from_linfty(fixtures.get_dg_lie("bidg4-dglie").to_linfty(), 4)
+    bvi = ce_bvinfty_from_linfty(load("bidg4-dglie").to_linfty(), 4)
     only_d = type(bvi)(bvi.algebra, {1: bvi.operators[1]}, 3, name="d-only")
     singles = [w for w in bvi.algebra.words if len(w) == 1]
     for a in singles[:3]:
@@ -194,7 +191,7 @@ def test_derived_bracket_matches_antibracket_up_to_sign():
 
 
 def test_derived_bracket_arity3_matches_commutator_oracle():
-    bvi = ce_bvinfty_from_linfty(fixtures.linfty_fixtures()["l3demo"], 4)
+    bvi = ce_bvinfty_from_linfty(load("l3demo"), 4)
     A = bvi.algebra
     vs = [("x1",), ("x2",), ("x3",)]
     got = derived_bracket(bvi, vs)
@@ -210,9 +207,9 @@ def test_derived_bracket_arity3_matches_commutator_oracle():
 
 def test_derived_brackets_linfty_check_fixtures():
     for name in ("heis3", "sl2", "aff2", "bidg4-dglie"):
-        bvi = ce_bvinfty_from_linfty(fixtures.get_dg_lie(name).to_linfty(), 4)
+        bvi = ce_bvinfty_from_linfty(load(name).to_linfty(), 4)
         assert derived_brackets_linfty_check(bvi, max_arity=4).ok, name
-    bvi = ce_bvinfty_from_linfty(fixtures.linfty_fixtures()["l3demo"], 4)
+    bvi = ce_bvinfty_from_linfty(load("l3demo"), 4)
     assert derived_brackets_linfty_check(bvi, max_arity=4).ok
 
 
@@ -220,7 +217,7 @@ def test_derived_brackets_linfty_check_fixtures():
 def test_derived_bracket_tuples_match_filtered_combinations(N):
     # the budgeted generator against the definition it replaces: every tuple
     # of augmentation-ideal words up to arity 4, filtered by total length
-    bvi = ce_bvinfty_from_linfty(fixtures.linfty_fixtures()["l3demo"], N)
+    bvi = ce_bvinfty_from_linfty(load("l3demo"), N)
     budget = N - max(op.max_raise for op in bvi.operators.values())
     letters = [w for w in bvi.algebra.augmentation_ideal_words() if len(w) <= budget]
     for n in range(1, 5):
@@ -273,7 +270,7 @@ def test_qme_classical_reduction():
     S = HbarSeries({(("x",), "t", 0): 1})
     res = qme_residual(bv, R, S, 3)
     from mastereq.linfty import emce_residual
-    classical = emce_residual(fixtures.get_dg_lie("lift3"), R, HbarSeries({("x", "t", 0): 1}))
+    classical = emce_residual(load("lift3"), R, HbarSeries({("x", "t", 0): 1}))
     assert res == HbarSeries({((w,), r, h): c for (w, r, h), c in classical.terms.items()})
 
 
@@ -296,13 +293,13 @@ def _residual_through_nilpotency(bvi, ring, S):
         val = _commutator_chain(bvi, ctx, [S] * j, [2] * j, ctx.unit())
         if val.is_zero():
             continue
-        out = out.add(val.shift_hbar(-(j - 1)).scale(Fraction(1, _factorial(j))))
+        out = out.add(val.shift_hbar(-(j - 1)).scale(Fraction(1, math.factorial(j))))
     return bvi.context(ring).truncate(out)
 
 
 _ORACLE_ALGEBRAS = {
     "ce-sl2": lambda: ce("sl2", 4).as_bvinfty(3),
-    "l3demo": lambda: ce_bvinfty_from_linfty(fixtures.linfty_fixtures()["l3demo"], 4),
+    "l3demo": lambda: ce_bvinfty_from_linfty(load("l3demo"), 4),
 }
 
 
@@ -379,7 +376,7 @@ def test_conjugation_identity_random_battery():
 def test_conjugation_identity_bvinfty_generalization():
     rng = random.Random(56)
     R = power_ring(3)
-    bvi = ce_bvinfty_from_linfty(fixtures.linfty_fixtures()["l3demo"], 6)
+    bvi = ce_bvinfty_from_linfty(load("l3demo"), 6)
     words = [w for w in bvi.algebra.words if len(w) <= 2]
     for _ in range(5):
         S = random_qme_element(bvi, R, rng, word_len_cap=1)
@@ -398,7 +395,7 @@ _CONJUGATION_OVERFLOW_PINS = {
 @pytest.mark.parametrize("name,M", sorted(_CONJUGATION_OVERFLOW_PINS))
 def test_conjugation_identity_per_word_overflow_pinned(name, M):
     if name == "l3demo":
-        V = ce_bvinfty_from_linfty(fixtures.linfty_fixtures()["l3demo"], 4)
+        V = ce_bvinfty_from_linfty(load("l3demo"), 4)
     else:
         V = ce("lift3", 5)
     R = power_ring(M)
@@ -457,8 +454,7 @@ def test_qme_solver_obstruction_matches_residual():
 
 
 def test_qm_bidg_residual_routes_agree():
-    data = fixtures.bidg_fixtures()["bidg4"]
-    B = BiDgLieData(**data, name="bidg4")
+    B = load("bidg4")
     R = power_ring(3)
     rng = random.Random(91)
     labels1 = [(x, h) for x in B.space.labels for h in range(2) if B.space.degree(x) + 2 * h == 1]
@@ -475,8 +471,7 @@ def test_qm_bidg_residual_routes_agree():
 
 
 def test_corollary_bidg_representability():
-    data = fixtures.bidg_fixtures()["bidg4"]
-    B = BiDgLieData(**data, name="bidg4")
+    B = load("bidg4")
     R = power_ring(3)
     rng = random.Random(92)
     labels1 = [(x, h) for x in B.space.labels for h in range(2) if B.space.degree(x) + 2 * h == 1]

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mastereq import fixtures
 from mastereq.bv import antibracket, qme_residual
 from mastereq.constructions import (
     AssociativeAlgebraData,
@@ -24,6 +23,8 @@ from mastereq.graded import ONE, GradedVectorSpace, koszul_sign
 from mastereq.linfty import DgLieAlgebra
 from mastereq.operators import Operator
 from mastereq.words import SymmetricWordAlgebra, TensorWordAlgebra, vec_add_into
+
+from alg_fixtures import load
 
 
 def _ce_delta_oracle(algebra, bracket_labels):
@@ -92,27 +93,27 @@ def test_ce_delta_needs_symmetric_words():
 
 
 def test_ce_abelian_delta_zero():
-    bv = ce_bv_from_dg_lie(fixtures.abelian2(), 4)
+    bv = ce_bv_from_dg_lie(load("abelian2"), 4)
     assert not bv.delta.entries
     assert bv.is_certified()
 
 
 def test_ce_heis3_delta_values():
-    bv = ce_bv_from_dg_lie(fixtures.heis3(), 4)
+    bv = ce_bv_from_dg_lie(load("heis3"), 4)
     assert bv.delta.entries.get(("x", "y")) == {("z",): -1}
     assert bv.delta.entries.get(("x", "z"), {}) == {}
     assert bv.is_certified()
 
 
 def test_ce_sl2_certified():
-    bv = ce_bv_from_dg_lie(fixtures.sl2(), 4)
+    bv = ce_bv_from_dg_lie(load("sl2"), 4)
     report = {r.name: r.ok for r in bv.certify()}
     assert all(report.values()), report
 
 
 def test_ce_order_one_fails_for_nonzero_bracket():
     from mastereq.operators import operator_order_check
-    bv = ce_bv_from_dg_lie(fixtures.heis3(), 4)
+    bv = ce_bv_from_dg_lie(load("heis3"), 4)
     low = operator_order_check(bv.algebra, bv.delta, 1)
     assert not low.ok
     assert low.witness["word"] == "1"
@@ -132,7 +133,7 @@ def test_ce_corrupted_constant_fails_with_witness():
 
 def test_ce_bvinfty_matches_explicit_delta():
     for name in ("heis3", "sl2", "aff2", "bidg4-dglie"):
-        L = fixtures.get_dg_lie(name)
+        L = load(name)
         bv = ce_bv_from_dg_lie(L, 4)
         bvi = ce_bvinfty_from_linfty(L.to_linfty(), 4)
         assert bvi.operators.get(2, None) is None or \
@@ -143,15 +144,14 @@ def test_ce_bvinfty_matches_explicit_delta():
 
 
 def test_ce_antibracket_recovers_bracket():
-    bv = ce_bv_from_dg_lie(fixtures.heis3(), 4)
+    bv = ce_bv_from_dg_lie(load("heis3"), 4)
     assert antibracket(bv, ("x",), ("y",)) == {("z",): 1}
     for w in bv.algebra.words:
         assert antibracket(bv, (), w) == {}
 
 
 def test_ibl_zero_cobracket_reduces_to_ce():
-    data = fixtures.bialgebra_fixtures()["heis3-zero-cobracket"]
-    B = LieBialgebraData(**data, name="heis3-delta0")
+    B = load("heis3-zero-cobracket")
     bv, report = ce_bv_from_ibl(B, 4)
     assert report["involutive"]
     assert report["commutator_vanishes"]
@@ -160,8 +160,7 @@ def test_ibl_zero_cobracket_reduces_to_ce():
 
 
 def test_ibl_noninvolutive_witness():
-    data = fixtures.bialgebra_fixtures()["noninv2"]
-    B = LieBialgebraData(**data, name="noninv2")
+    B = load("noninv2")
     assert all(r.ok for r in B.axiom_report())
     assert not B.involutive()
     bv, report = ce_bv_from_ibl(B, 4)
@@ -171,8 +170,7 @@ def test_ibl_noninvolutive_witness():
 
 
 def test_ibl_involutive_fixture_full_certification():
-    data = fixtures.bialgebra_fixtures()["inv3"]
-    B = LieBialgebraData(**data, name="inv3")
+    B = load("inv3")
     assert all(r.ok for r in B.axiom_report())
     assert B.involutive()
     bv, report = ce_bv_from_ibl(B, 4)
@@ -191,8 +189,7 @@ def test_ibl_bad_bialgebra_rejected():
 
 
 def test_bidg_trivial():
-    data = fixtures.bidg_fixtures()["abelian-zero"]
-    B = BiDgLieData(**data, name="abelian-zero")
+    B = BiDgLieData([("a", 0), ("b", 1)], {}, {}, {}, name="abelian-zero")
     bv, report = bv_from_bi_dg_lie(B, 4)
     assert bv.is_certified()
     assert not bv.d.entries and not bv.delta.entries
@@ -211,8 +208,7 @@ def test_bidg_schouten_on_generators():
 def test_bidg_delta_recursion_on_word_pairs():
     # the displayed recursion Delta(ab) = (Delta a)b + (-1)^{|a|} a (Delta b)
     # + (-1)^{|a|} {a,b}, unrolled over all pairs of words of length <= 2
-    data = fixtures.bidg_fixtures()["bidg4"]
-    B = BiDgLieData(**data, name="bidg4")
+    B = load("bidg4")
     bv, _ = bv_from_bi_dg_lie(B, 4)
     A = bv.algebra
     words = [w for w in A.words if 0 < len(w) <= 2]
@@ -238,8 +234,7 @@ def test_bidg_delta_recursion_on_word_pairs():
 
 
 def test_bidg4_full_certification_and_inclusion():
-    data = fixtures.bidg_fixtures()["bidg4"]
-    B = BiDgLieData(**data, name="bidg4")
+    B = load("bidg4")
     assert all(r.ok for r in B.axiom_report())
     bv, report = bv_from_bi_dg_lie(B, 4)
     cert = {r.name: r.ok for r in bv.certify()}
@@ -248,16 +243,14 @@ def test_bidg4_full_certification_and_inclusion():
 
 
 def test_bidg_hbar_extension_is_dg_lie():
-    data = fixtures.bidg_fixtures()["bidg4"]
-    B = BiDgLieData(**data, name="bidg4")
+    B = load("bidg4")
     gh = hbar_extended_dg_lie(B, 3)
     assert all(r.ok for r in gh.axiom_report())
     assert gh.space.degree("q@h1") == 3
 
 
 def test_bar_ground_field():
-    data = fixtures.associative_fixtures()["ground-field"]
-    A = AssociativeAlgebraData(**data, name="k")
+    A = AssociativeAlgebraData([("u", 0)], {("u", "u"): {"u": 1}}, name="ground-field")
     bv, info = bar_bv_from_associative(A, 4)
     assert info["associator_witness"] is None
     assert bv.is_certified()
@@ -266,8 +259,7 @@ def test_bar_ground_field():
 
 
 def test_bar_dual_numbers():
-    data = fixtures.associative_fixtures()["dual-numbers"]
-    A = AssociativeAlgebraData(**data, name="dual")
+    A = load("dual-numbers")
     bv, info = bar_bv_from_associative(A, 4)
     assert info["associator_witness"] is None
     assert bv.delta.entries.get(("eps", "eps"), {}) == {}
@@ -276,8 +268,7 @@ def test_bar_dual_numbers():
 
 
 def test_bar_nonassociative_witness():
-    data = fixtures.associative_fixtures()["nonassoc3"]
-    A = AssociativeAlgebraData(**data, name="nonassoc3")
+    A = load("nonassoc3")
     bv, info = bar_bv_from_associative(A, 4)
     assert info["associator_witness"] == ("u", "u", "u")
     report = {r.name: r for r in bv.certify()}
@@ -286,16 +277,14 @@ def test_bar_nonassociative_witness():
 
 
 def test_bar_delta_order_two():
-    data = fixtures.associative_fixtures()["dual-numbers"]
-    A = AssociativeAlgebraData(**data, name="dual")
+    A = load("dual-numbers")
     bv, _ = bar_bv_from_associative(A, 4)
     from mastereq.operators import operator_order_check
     assert operator_order_check(bv.algebra, bv.delta, 2).ok
 
 
 def test_bar_trivial_coproduct_variant():
-    data = fixtures.associative_fixtures()["dual-numbers"]
-    A = AssociativeAlgebraData(**data, name="dual")
+    A = load("dual-numbers")
     bv, _ = bar_bv_from_associative(A, 3, coproduct="trivial")
     w = next(w for w in bv.algebra.words if len(w) == 2)
     assert bv.algebra.coproduct(w) == [(w, (), 1), ((), w, 1)]

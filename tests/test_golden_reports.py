@@ -34,7 +34,8 @@ import pytest
 
 from mastereq import cli
 
-ROOT = Path(__file__).resolve().parent.parent
+from alg_fixtures import FIXTURES, ROOT
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EMIT = "EMIT"  # stands for a file under the test's tmp_path
 
@@ -72,7 +73,7 @@ COMMANDS = [
     ("construct-bi-dg-bidg4", ["construct", "bi-dg", _f("bidg4.alg")]),
 ] + [
     (f"check-{path.stem}", ["check", _f(path.name)])
-    for path in sorted((ROOT / "fixtures").glob("*.alg"))
+    for path in sorted(FIXTURES.glob("*.alg"))
 ]
 
 
@@ -110,7 +111,7 @@ def _assert_golden(name: str, got: dict) -> None:
 def test_cases_cover_every_fixture_and_workload_command():
     # 17 workload commands and 2 obstructed solves, none a plain check of one fixture
     names = [name for name, _ in COMMANDS]
-    assert len(set(names)) == len(names) == 19 + len(list((ROOT / "fixtures").glob("*.alg")))
+    assert len(set(names)) == len(names) == 19 + len(list(FIXTURES.glob("*.alg")))
 
 
 @pytest.mark.parametrize("name,argv", COMMANDS, ids=[name for name, _ in COMMANDS])

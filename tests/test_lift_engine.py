@@ -14,7 +14,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mastereq import cli, fixtures
+from mastereq import cli
 from mastereq.artin import power_ring
 from mastereq.bv import (
     BVAlgebra,
@@ -35,21 +35,23 @@ from mastereq.linfty import (
 )
 from mastereq.series import HbarSeries
 
+from alg_fixtures import load
+
 HBAR_CUTOFF = 3
 
 # lift3 and the coderivation algebra of sl2 lift; obst2 and that of heis3 obstruct
 MC_STRUCTURES = {
-    "lift3": lambda: fixtures.lift3().to_linfty(),
-    "obst2": lambda: fixtures.obst2().to_linfty(),
-    "coder-sl2": lambda: coderivation_dg_lie(fixtures.sl2(), 2, validate=False)[0].to_linfty(),
-    "coder-heis3": lambda: coderivation_dg_lie(fixtures.heis3(), 3, validate=False)[0].to_linfty(),
+    "lift3": lambda: load("lift3").to_linfty(),
+    "obst2": lambda: load("obst2").to_linfty(),
+    "coder-sl2": lambda: coderivation_dg_lie(load("sl2"), 2, validate=False)[0].to_linfty(),
+    "coder-heis3": lambda: coderivation_dg_lie(load("heis3"), 3, validate=False)[0].to_linfty(),
 }
 # the CE complexes of lift3 and obst2 lift and obstruct; sl2 and l3demo seeds already solve
 QME_STRUCTURES = {
-    "ce-lift3": lambda: ce_bv_from_dg_lie(fixtures.lift3(), 4),
-    "ce-obst2": lambda: ce_bv_from_dg_lie(fixtures.obst2(), 4),
-    "ce-sl2": lambda: ce_bv_from_dg_lie(fixtures.sl2(), 4),
-    "l3demo": lambda: ce_bvinfty_from_linfty(fixtures.l3demo(), 4, HBAR_CUTOFF),
+    "ce-lift3": lambda: ce_bv_from_dg_lie(load("lift3"), 4),
+    "ce-obst2": lambda: ce_bv_from_dg_lie(load("obst2"), 4),
+    "ce-sl2": lambda: ce_bv_from_dg_lie(load("sl2"), 4),
+    "l3demo": lambda: ce_bvinfty_from_linfty(load("l3demo"), 4, HBAR_CUTOFF),
 }
 
 

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from mastereq import fixtures
 from mastereq.artin import power_ring
 from mastereq.diagnostics import PreconditionError, StructureError
 from mastereq.graded import GradedVectorSpace
@@ -21,28 +20,33 @@ from mastereq.linfty import (
 )
 from mastereq.series import HbarSeries
 
+from alg_fixtures import load
+
 
 def test_fixture_axioms():
-    for name, alg in fixtures.dg_lie_fixtures().items():
-        assert all(r.ok for r in alg.axiom_report()), name
+    for name in ("abelian2", "heis3", "aff2", "sl2", "obst2", "lift3", "bidg4-dglie"):
+        assert all(r.ok for r in load(name).axiom_report()), name
 
 
 def test_jacobi_violator_caught():
-    bad = fixtures.jacobi_violator()
+    # [x,y] = z, [x,z] = x breaks Jacobi; its manifest is rejected on load
+    space = GradedVectorSpace([("x", 0), ("y", 0), ("z", 0)])
+    bad = DgLieAlgebra(space, {}, {("x", "y"): {"z": 1}, ("x", "z"): {"x": 1}},
+                       name="jacobi-violator", validate=False)
     report = {r.name: r for r in bad.axiom_report()}
     assert not report["jacobi"].ok
     assert report["jacobi"].witness is not None
 
 
 def test_from_dg_lie_signs_on_heis3():
-    g = fixtures.heis3().to_linfty()
+    g = load("heis3").to_linfty()
     # l_2(x,y) = (-1)^{|x|} [x,y] with x of degree -1 in g[1]
     assert g.brackets[2][("x", "y")] == {"z": -1}
     assert g.validate(4).ok
 
 
 def test_from_dg_lie_abelian_is_zero():
-    g = fixtures.abelian2().to_linfty()
+    g = load("abelian2").to_linfty()
     assert 2 not in g.brackets and 1 not in g.brackets
 
 
@@ -53,17 +57,17 @@ def test_codifferential_iff_axioms():
                        name="bad", validate=False)
     assert not bad.to_linfty().validate(4).ok
     for name in ("heis3", "sl2", "aff2", "lift3", "obst2", "bidg4-dglie"):
-        assert fixtures.get_dg_lie(name).to_linfty().validate(4).ok, name
+        assert load(name).to_linfty().validate(4).ok, name
 
 
 def test_emce_zero_element():
-    g = fixtures.heis3()
+    g = load("heis3")
     R = power_ring(3)
     assert emce_residual(g, R, HbarSeries()).is_zero()
 
 
 def test_emce_abelian_square_zero_ring():
-    g = fixtures.abelian2()
+    g = load("abelian2")
     R = power_ring(2)
     S = mc_element(g, R, {})
     assert mc_is_solution(g, R, S)
@@ -72,7 +76,7 @@ def test_emce_abelian_square_zero_ring():
 def test_emce_classical_no_degree_one_part():
     # heis3 is concentrated in degree 0: the only degree-1 element is 0,
     # and S = 0 trivially solves
-    g = fixtures.heis3()
+    g = load("heis3")
     R = power_ring(3)
     assert mc_is_solution(g, R, HbarSeries())
 
@@ -80,7 +84,7 @@ def test_emce_classical_no_degree_one_part():
 def test_emce_obstructed_instance():
     # g = obst2: [x,x] = w, d = 0; S = x(x)t over k[t]/t^3:
     # residual = l_2(S,S)/2 = w (x) t^2 / 2, frozen from the structure constants
-    g = fixtures.obst2()
+    g = load("obst2")
     R = power_ring(3)
     S = mc_element(g, R, {("x", "t"): 1})
     res = emce_residual(g, R, S)
@@ -90,7 +94,7 @@ def test_emce_obstructed_instance():
 
 def test_emce_lift3_solution():
     # S = x(x)t - u(x)t^2/2 solves over k[t]/t^3 since d(u) = w kills [x,x]t^2/2... sign check below
-    g = fixtures.lift3()
+    g = load("lift3")
     R = power_ring(3)
     S = mc_element(g, R, {("x", "t"): 1, ("u", "t^2"): Fraction(-1, 2)})
     assert mc_is_solution(g, R, S)
@@ -98,7 +102,7 @@ def test_emce_lift3_solution():
 
 def test_emce_equals_classical_formula_for_dg_lie():
     # independent oracle: dS + [S,S]/2 expanded straight from the tables
-    g = fixtures.lift3()
+    g = load("lift3")
     R = power_ring(4)
     S_terms = {("x", "t"): Fraction(2), ("u", "t"): 0, ("x", "t^2"): Fraction(-1, 3),
                ("u", "t^2"): Fraction(5)}
@@ -121,7 +125,7 @@ def test_emce_equals_classical_formula_for_dg_lie():
 
 
 def test_emce_rejects_wrong_degree():
-    g = fixtures.lift3()
+    g = load("lift3")
     R = power_ring(3)
     with pytest.raises(PreconditionError):
         emce_residual(g, R, HbarSeries({("w", "t", 0): 1}))  # w has degree 2
@@ -129,7 +133,7 @@ def test_emce_rejects_wrong_degree():
 
 def test_emce_m_adic_filtration():
     # residual mod m^k depends only on S mod m^k
-    g = fixtures.lift3()
+    g = load("lift3")
     R = power_ring(4)
     S_full = mc_element(g, R, {("x", "t"): 1, ("u", "t^2"): 3, ("x", "t^3"): 5})
     S_trunc = mc_element(g, R, {("x", "t"): 1, ("u", "t^2"): 3})
@@ -152,7 +156,7 @@ def test_emce_l3_brackets():
 
 
 def test_mc_solver_returns_seed_for_abelian():
-    g = fixtures.abelian2().to_linfty()
+    g = load("abelian2").to_linfty()
     R = power_ring(3)
     # abelian2 has no degree-1 elements; use the graded abelian variant
     space = GradedVectorSpace([("a", 1)])
@@ -164,7 +168,7 @@ def test_mc_solver_returns_seed_for_abelian():
 
 
 def test_mc_solver_lifts_and_validates():
-    g = fixtures.lift3()
+    g = load("lift3")
     R = power_ring(3)
     seed = HbarSeries({("x", "t", 0): 1})
     result = mc_solve_perturbative(g, R, seed)
@@ -198,7 +202,7 @@ def test_codifferential_detects_leibniz_corruption():
 
 
 def test_mc_solver_obstruction_matches_residual():
-    g = fixtures.obst2()
+    g = load("obst2")
     R = power_ring(3)
     seed = HbarSeries({("x", "t", 0): 1})
     result = mc_solve_perturbative(g, R, seed)
@@ -209,7 +213,7 @@ def test_mc_solver_obstruction_matches_residual():
 
 
 def test_mc_solver_rejects_unclosed_seed():
-    g = fixtures.lift3()
+    g = load("lift3")
     R = power_ring(3)
     с = HbarSeries({("u", "t", 0): 1})  # d(u) = w != 0
     with pytest.raises(PreconditionError):
@@ -218,7 +222,7 @@ def test_mc_solver_rejects_unclosed_seed():
 
 def coder_heis3():
     # length 3 = deformation arity + 1, so that [S,S] is visible
-    return coderivation_dg_lie(fixtures.heis3(), max_len=3)
+    return coderivation_dg_lie(load("heis3"), max_len=3)
 
 
 def test_coderivation_algebra_axioms():
@@ -227,7 +231,7 @@ def test_coderivation_algebra_axioms():
 
 
 def test_coderivation_algebra_differential_squares():
-    algebra, _ = coderivation_dg_lie(fixtures.sl2(), max_len=2)
+    algebra, _ = coderivation_dg_lie(load("sl2"), max_len=2)
     assert algebra.d.compose(algebra.d).is_zero()
 
 
@@ -258,7 +262,7 @@ def test_quillen_bijection_random_battery():
 
 
 def test_quillen_graded_fixture_battery():
-    g = fixtures.lift3()
+    g = load("lift3")
     R = power_ring(3)
     rng = random.Random(7)
     for S in random_mc_in(g.to_linfty(), R, rng, count=10):
@@ -267,13 +271,13 @@ def test_quillen_graded_fixture_battery():
 
 
 def test_quillen_zero_element():
-    report = quillen_bijection_check(fixtures.heis3(), power_ring(3), HbarSeries())
+    report = quillen_bijection_check(load("heis3"), power_ring(3), HbarSeries())
     assert report["ok"] and report["residual_zero"] and report["d_exp_zero"]
 
 
 def test_quillen_refuses_small_truncation():
     with pytest.raises(PreconditionError):
-        quillen_bijection_check(fixtures.heis3(), power_ring(3), HbarSeries(), max_len=2)
+        quillen_bijection_check(load("heis3"), power_ring(3), HbarSeries(), max_len=2)
 
 
 def test_quillen_corrupted_exp_detected():
@@ -287,13 +291,13 @@ def test_quillen_corrupted_exp_detected():
 
 
 def test_chuang_lazarev_zero():
-    g = fixtures.heis3().to_linfty()
+    g = load("heis3").to_linfty()
     res = chuang_lazarev_residual(g, g, {}, max_len=3)
     assert res == {}
 
 
 def test_chuang_lazarev_identity_morphism():
-    g = fixtures.heis3().to_linfty()
+    g = load("heis3").to_linfty()
     S = {(x,): {x: 1} for x in g.shifted.labels}
     res = chuang_lazarev_residual(g, g, S, max_len=3)
     assert res == {}
@@ -302,7 +306,7 @@ def test_chuang_lazarev_identity_morphism():
 
 def test_chuang_lazarev_random_perturbation_agreement():
     # bidg4-dglie has degree-(-2) words, so arity-2 perturbations exist
-    g = fixtures.bidg_as_dg_lie().to_linfty()
+    g = load("bidg4-dglie").to_linfty()
     rng = random.Random(19)
     Wsrc = g.word_algebra(3)
     for _ in range(10):
@@ -319,7 +323,7 @@ def test_chuang_lazarev_random_perturbation_agreement():
 
 
 def test_deformed_bracket_trivial():
-    h = fixtures.heis3()
+    h = load("heis3")
     R = power_ring(2)
     report = deformed_bracket_check(h, R, {})
     assert report["ok"] and report["agree"]
@@ -327,7 +331,7 @@ def test_deformed_bracket_trivial():
 
 def test_deformed_bracket_square_zero_parameters():
     # any antisymmetric S over k[t]/t^2 deforms abelian2 flatly
-    h = fixtures.abelian2()
+    h = load("abelian2")
     R = power_ring(2)
     S = {("x", "y"): {"x": {"t": 1}, "y": {"t": -2}}}
     report = deformed_bracket_check(h, R, S)
@@ -335,7 +339,7 @@ def test_deformed_bracket_square_zero_parameters():
 
 
 def test_deformed_bracket_heis3_instance():
-    h = fixtures.heis3()
+    h = load("heis3")
     R = power_ring(3)
     # deform [x,z] by t*y: check both routes agree (brute-force Jacobi is the oracle)
     S = {("x", "z"): {"y": {"t": 1}}}
@@ -346,7 +350,7 @@ def test_deformed_bracket_heis3_instance():
 def test_deformed_bracket_detects_nonflat():
     # aff2: [h,e] = e; deform [h,e] by adding t*h: Jacobi over R holds in dim 2
     # (Jacobi is trivial in dimension 2), so use heis3 with a non-cocycle
-    h = fixtures.heis3()
+    h = load("heis3")
     R = power_ring(3)
     S = {("x", "y"): {"x": {"t": 1}}}
     report = deformed_bracket_check(h, R, S)

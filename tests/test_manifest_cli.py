@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -15,8 +14,7 @@ from mastereq.diagnostics import ManifestError
 from mastereq.linfty import DgLieAlgebra
 from mastereq.manifest import emit_manifest, parse_manifest, parse_manifest_text
 
-ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = ROOT / "fixtures"
+from alg_fixtures import FIXTURES, ROOT
 
 
 def run_cli(*argv):

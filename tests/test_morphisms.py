@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mastereq import fixtures
+from mastereq import cli, morphisms
 from mastereq.artin import power_ring, square_zero_ring
 from mastereq.bv import qme_solve_perturbative
 from mastereq.coalgebra import _conv_exp_series, corestriction_series, word_vector
@@ -17,6 +17,7 @@ from mastereq.morphisms import (
     check_bv_morphism,
     clalg_embed,
     compose_bv_morphisms,
+    compose_with_log_residue,
     identity_bv_morphism,
     linfty_morphism_to_bvinfty,
     log_hbar_minus_one_coefficient,
@@ -28,6 +29,8 @@ from mastereq.morphisms import (
 from mastereq.sampling import random_corestriction_twist, random_qme_element
 from mastereq.series import HbarSeries, SeriesContext
 from mastereq.words import vec_add_into
+
+from alg_fixtures import load
 
 
 def truncation_map(a: int, b: int):
@@ -83,7 +86,7 @@ def test_zero_morphism_between_zero_operators():
 
 
 def test_identity_morphism_is_exp_unit():
-    V = ce_bvinfty_from_linfty(fixtures.heis3().to_linfty(), 3, 3)
+    V = ce_bvinfty_from_linfty(load("heis3").to_linfty(), 3, 3)
     ident = identity_bv_morphism(V)
     E = ident.exp_map()
     for w in V.algebra.words:
@@ -92,11 +95,11 @@ def test_identity_morphism_is_exp_unit():
 
 
 def test_compose_with_identity_is_unit():
-    V = ce_bvinfty_from_linfty(fixtures.heis3().to_linfty(), 3, 3)
+    V = ce_bvinfty_from_linfty(load("heis3").to_linfty(), 3, 3)
     ident = identity_bv_morphism(V)
     rng = random.Random(5)
-    g_tw, cor = twisted_linfty_morphism(fixtures.heis3(), rng, 3)
-    phi = linfty_morphism_to_bvinfty(g_tw, fixtures.heis3(), cor, 3, 3)
+    g_tw, cor = twisted_linfty_morphism(load("heis3"), rng, 3)
+    phi = linfty_morphism_to_bvinfty(g_tw, load("heis3"), cor, 3, 3)
     left = compose_bv_morphisms(ident, phi)
     assert left.components == phi.components
     ident_src = identity_bv_morphism(phi.source)
@@ -132,8 +135,30 @@ def test_compose_associative_on_ring_chain():
     assert left.components == right.components
 
 
+def _composed_chain(rings):
+    """Composite components and hbar^{-1} log coefficient of a truncation chain
+    R0 -> R1 -> R2, built as `compose-morphisms` builds it."""
+    phi, psi = (cli._truncation_morphism(big, small, 3) for big, small in zip(rings, rings[1:]))
+    composite, residue = compose_with_log_residue(phi, psi)
+    return composite.components, residue
+
+
+@pytest.mark.parametrize("chain", [*(f"t{M}" for M in range(3, 9)), "cli-t4-t3-t2"])
+def test_composite_log_window_is_wide_enough(monkeypatch, chain):
+    # three more powers in both exp_map's window and _composite_log's change nothing
+    if chain.startswith("cli"):
+        rings = [load(f"ring-t{m}") for m in (4, 3, 2)]
+    else:
+        M = int(chain[1:])
+        rings = [power_ring(M), power_ring(M - 1), power_ring(M - 2)]
+    narrow = _composed_chain(rings)
+    conilpotency = morphisms._conilpotency
+    monkeypatch.setattr(morphisms, "_conilpotency", lambda algebra: conilpotency(algebra) + 3)
+    assert _composed_chain(rings) == narrow
+
+
 def test_condition3_violation_flagged():
-    V = ce_bvinfty_from_linfty(fixtures.heis3().to_linfty(), 3, 3)
+    V = ce_bvinfty_from_linfty(load("heis3").to_linfty(), 3, 3)
     # phi_1 supported on a length-3 word violates phi_1(m^3) = 0
     comp = {1: {("x", "y", "z"): {("x", "y", "z"): 1}}}
     phi = BVMorphism(V, V, comp, name="bad")
@@ -143,7 +168,7 @@ def test_condition3_violation_flagged():
 
 
 def test_theorem_first_valid_instances():
-    bv = ce_bv_from_dg_lie(fixtures.sl2(), 4)
+    bv = ce_bv_from_dg_lie(load("sl2"), 4)
     R = power_ring(3)
     rng = random.Random(11)
     passed = 0
@@ -162,7 +187,7 @@ def test_theorem_first_valid_instances():
 
 
 def test_theorem_first_corrupted_instances():
-    bv = ce_bv_from_dg_lie(fixtures.heis3(), 4)
+    bv = ce_bv_from_dg_lie(load("heis3"), 4)
     R = power_ring(3)
     rng = random.Random(13)
     rejected = 0
@@ -182,7 +207,7 @@ def test_exp_map_matches_element_exponential_termwise():
     # coefficient, not just through the boolean equivalence
     from mastereq.morphisms import BVMorphism
     from mastereq.series import SeriesContext
-    bv = ce_bv_from_dg_lie(fixtures.sl2(), 4)
+    bv = ce_bv_from_dg_lie(load("sl2"), 4)
     bvi = bv.as_bvinfty(3)
     R = power_ring(3)
     rng = random.Random(61)
@@ -205,15 +230,15 @@ def test_exp_map_matches_element_exponential_termwise():
 
 
 def test_theorem_second_identity_and_twists():
-    g = fixtures.heis3()
+    g = load("heis3")
     V = ce_bvinfty_from_linfty(g.to_linfty(), 3, 3)
     ident = {(x,): {(x,): 1} for x in g.to_linfty().shifted.labels}
     report = theorem_second_bijection_check(V, g, ident, 3, 3)
     assert report["qme_zero"] and report["is_morphism"] and report["ok"], report
     rng = random.Random(17)
     for _ in range(5):
-        g_tw, cor = twisted_linfty_morphism(fixtures.bidg_as_dg_lie(), rng, 3)
-        V = ce_bvinfty_from_linfty(fixtures.bidg_as_dg_lie().to_linfty(), 3, 3)
+        g_tw, cor = twisted_linfty_morphism(load("bidg4-dglie"), rng, 3)
+        V = ce_bvinfty_from_linfty(load("bidg4-dglie").to_linfty(), 3, 3)
         table = {w: {(t,): c for t, c in val.items()} for w, val in cor.items()}
         report = theorem_second_bijection_check(V, g_tw, table, 3, 3)
         assert report["qme_zero"] and report["is_morphism"], report
@@ -235,7 +260,7 @@ def test_theorem_second_trivial_targets():
 
 
 def test_theorem_second_corrupted():
-    g = fixtures.heis3()
+    g = load("heis3")
     V = ce_bvinfty_from_linfty(g.to_linfty(), 3, 3)
     gl = g.to_linfty()
     rng = random.Random(19)
@@ -254,7 +279,7 @@ def test_theorem_second_corrupted():
 
 
 def test_linfty_morphism_identity_valid():
-    g = fixtures.heis3()
+    g = load("heis3")
     gl = g.to_linfty()
     phi = linfty_morphism_to_bvinfty(g, g, {(x,): {x: 1} for x in gl.shifted.labels}, 3, 3)
     assert check_bv_morphism(phi)["ok"]
@@ -265,7 +290,7 @@ def test_linfty_morphism_abelian_subalgebra_inclusion():
     from mastereq.graded import GradedVectorSpace
     from mastereq.linfty import DgLieAlgebra
     sub = DgLieAlgebra(GradedVectorSpace([("x", 0), ("z", 0)]), {}, {}, name="ab-xz")
-    phi = linfty_morphism_to_bvinfty(sub, fixtures.heis3(),
+    phi = linfty_morphism_to_bvinfty(sub, load("heis3"),
                                      {("x",): {"x": 1}, ("z",): {"z": 1}}, 3, 3)
     assert check_bv_morphism(phi)["ok"]
 
@@ -275,7 +300,7 @@ def test_linfty_non_morphism_flagged():
     from mastereq.graded import GradedVectorSpace
     from mastereq.linfty import DgLieAlgebra
     ab = DgLieAlgebra(GradedVectorSpace([("x", 0), ("y", 0)]), {}, {}, name="ab2")
-    phi = linfty_morphism_to_bvinfty(ab, fixtures.heis3(),
+    phi = linfty_morphism_to_bvinfty(ab, load("heis3"),
                                      {("x",): {"x": 1}, ("y",): {"y": 1}}, 3, 3)
     report = check_bv_morphism(phi)
     assert not report["ok"]
@@ -288,7 +313,7 @@ def test_morphism_check_sees_third_operator():
     from mastereq.constructions import ce_bvinfty_from_linfty
     from mastereq.graded import GradedVectorSpace
     from mastereq.linfty import DgLieAlgebra
-    V = ce_bvinfty_from_linfty(fixtures.linfty_fixtures()["l3demo"], 4, 4)
+    V = ce_bvinfty_from_linfty(load("l3demo"), 4, 4)
     ab = DgLieAlgebra(GradedVectorSpace([("a", 2)]), {}, {}, name="ab1")
     src = ce_bvinfty_from_linfty(ab.to_linfty(), 3, 4)
     phi = BVMorphism(src, V, {1: {("a",): {("x1", "x2", "x3"): 1}}}, name="hits-delta3")
@@ -299,17 +324,15 @@ def test_morphism_check_sees_third_operator():
 
 
 def test_identity_morphism_requires_shuffle_coproduct():
-    from mastereq.constructions import AssociativeAlgebraData, bar_bv_from_associative
-    data = fixtures.associative_fixtures()["dual-numbers"]
-    bv, _ = bar_bv_from_associative(AssociativeAlgebraData(**data, name="dual"), 3,
-                                    coproduct="trivial")
+    from mastereq.constructions import bar_bv_from_associative
+    bv, _ = bar_bv_from_associative(load("dual-numbers"), 3, coproduct="trivial")
     with pytest.raises(PreconditionError):
         identity_bv_morphism(bv.as_bvinfty(3))
 
 
 def test_twisted_morphisms_validate_against_chuang_lazarev():
     rng = random.Random(23)
-    g = fixtures.bidg_as_dg_lie()
+    g = load("bidg4-dglie")
     for _ in range(5):
         g_tw, cor = twisted_linfty_morphism(g, rng, 3)
         assert g_tw.validate(3).ok
@@ -364,9 +387,8 @@ def _twist_by_neumann_series(g, rng, max_len=3):
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
-@given(st.sampled_from(["heis3", "sl2", "aff2", "lift3", "l3demo", "bidg"]), st.integers(0, 10**6))
+@given(st.sampled_from(["heis3", "sl2", "aff2", "lift3", "l3demo", "bidg4-dglie"]), st.integers(0, 10**6))
 def test_twist_back_substitution_matches_the_neumann_inverse(name, seed):
-    g = fixtures.l3demo() if name == "l3demo" else (
-        fixtures.bidg_as_dg_lie() if name == "bidg" else fixtures.get_dg_lie(name))
+    g = load(name)
     g_tw, _ = twisted_linfty_morphism(g, random.Random(seed), 3)
     assert g_tw.brackets == _twist_by_neumann_series(g, random.Random(seed))
