@@ -38,6 +38,7 @@ __all__ = [
     "check_codifferential",
     "CoalgebraMorphism",
     "coproduct_defect",
+    "intertwining_defect",
     "conv_unit",
     "convolve",
     "conv_exp",
@@ -318,5 +319,33 @@ def coproduct_defect(source, target, F: MapSeries):
                 for u2, c2 in word_vector(F, b).items():
                     vec_add_into(diff, (u1, u2), -s * c1 * c2)
         if diff:
+            return key
+    return None
+
+
+def intertwining_defect(keys, E: MapSeries, target_ops, source_ops,
+                        cutoff: int | None = None, kept_below: int | None = None):
+    """The first key on which sum_s hbar^s T ∘ E ≠ sum_s hbar^s E ∘ D, or None:
+    D' ∘ E = E ∘ D, the condition of every morphism certificate.
+
+    The ops are (operator with `apply_word`, hbar shift) pairs; E maps source
+    keys to series over target keys, as `conv_exp` does.  As in
+    `SeriesContext.apply_word_operator_into`, a term whose shifted power
+    reaches `cutoff` is dropped before its operator is applied, so the same
+    words are applied and the same `TruncationOverflow`s raised.  Only terms
+    below `kept_below` count."""
+    for key in keys:
+        diff: dict = {}
+        for T, s in target_ops:
+            for (a, r, h), c in _value(E, key).terms.items():
+                if cutoff is None or h + s < cutoff:
+                    for w, v in T.apply_word(a).items():
+                        vec_add_into(diff, (w, r, h + s), v * c)
+        for D, s in source_ops:
+            if cutoff is None or s < cutoff:
+                for u, c in D.apply_word(key).items():
+                    for (a, r, h), e in _value(E, u).terms.items():
+                        vec_add_into(diff, (a, r, h + s), -c * e)
+        if any(kept_below is None or h < kept_below for (_, _, h) in diff):
             return key
     return None

@@ -324,29 +324,9 @@ class BiDgLieData:
         anti = self.delta.compose(self.lie.d) + self.lie.d.compose(self.delta)
         out.append(CheckResult("[delta,d]", anti.is_zero(),
                                witness=None if anti.is_zero() else sorted(anti.entries)[0]))
-        out.append(self._delta_derivation())
+        wit = self.lie.derivation_witness(self.delta)
+        out.append(CheckResult("delta-derivation", wit is None, witness=wit))
         return out
-
-    def _delta_derivation(self) -> CheckResult:
-        for x in self.space.labels:
-            for y in self.space.labels:
-                lhs: dict[str, Scalar] = {}
-                for t, c in self.lie.bracket_labels(x, y).items():
-                    for u, v in self.delta.apply_label(t).coeffs.items():
-                        vec_add_into(lhs, u, c * v)
-                sx = -ONE if self.space.degree(x) % 2 else ONE
-                rhs: dict[str, Scalar] = {}
-                for u, v in self.delta.apply_label(x).coeffs.items():
-                    for t, c in self.lie.bracket_labels(u, y).items():
-                        vec_add_into(rhs, t, c * v)
-                for u, v in self.delta.apply_label(y).coeffs.items():
-                    for t, c in self.lie.bracket_labels(x, u).items():
-                        vec_add_into(rhs, t, sx * c * v)
-                for t, c in rhs.items():
-                    vec_add_into(lhs, t, -c)
-                if any(lhs.values()):
-                    return CheckResult("delta-derivation", False, witness=(x, y))
-        return CheckResult("delta-derivation", True)
 
 
 def _graded_map(space: GradedVectorSpace, entries, degree: int):

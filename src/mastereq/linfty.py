@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from .artin import ArtinLocalAlgebra
 from .coalgebra import (Coderivation, check_codifferential, conv_exp, coproduct_defect,
-                        corestriction_series, word_vector)
+                        corestriction_series, intertwining_defect)
 from .diagnostics import CheckResult, PreconditionError, StructureError
 from .graded import ONE, ZERO, GradedLinearMap, GradedVectorSpace, Scalar, as_scalar
 from .series import HbarSeries, LinearPart, SeriesContext, SolveResult, lift_perturbative
@@ -105,33 +105,15 @@ class DgLieAlgebra:
         dd = self.d.compose(self.d)
         out.append(CheckResult("d-squared", dd.is_zero(),
                                witness=None if dd.is_zero() else sorted(dd.entries)[0]))
-        # Leibniz: d[x,y] = [dx,y] + (-1)^{|x|} [x,dy]
-        leib_ok, leib_wit = True, None
-        for x in labels:
-            for y in labels:
-                left: dict[str, Scalar] = {}
-                for t, c in self.bracket_labels(x, y).items():
-                    for u, v in self.d.apply_label(t).coeffs.items():
-                        vec_add_into(left, u, c * v)
-                right: dict[str, Scalar] = {}
-                for u, v in self.d.apply_label(x).coeffs.items():
-                    for t, c in self.bracket_labels(u, y).items():
-                        vec_add_into(right, t, c * v)
-                sx = -ONE if space.degree(x) % 2 else ONE
-                for u, v in self.d.apply_label(y).coeffs.items():
-                    for t, c in self.bracket_labels(x, u).items():
-                        vec_add_into(right, t, sx * c * v)
-                for t, c in right.items():
-                    vec_add_into(left, t, -c)
-                if any(left.values()):
-                    leib_ok, leib_wit = False, (x, y)
-                    break
-            if not leib_ok:
-                break
-        out.append(CheckResult("leibniz", leib_ok, witness=leib_wit))
-        # graded Jacobi: [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]]
+        leib_wit = self.derivation_witness(self.d)
+        out.append(CheckResult("leibniz", leib_wit is None, witness=leib_wit))
+        # graded Jacobi: [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]].  Swapping
+        # neighbouring arguments changes the Jacobiator J only by a sign:
+        # J(y,x,z) = -(-1)^{|x||y|} J(x,y,z) and J(x,z,y) = -(-1)^{|y||z|} J(x,y,z).
+        # So sorted triples decide it, and the first failing triple in product
+        # order is sorted: the witness is the one the full product gives.
         jac_ok, jac_wit = True, None
-        for x, y, z in itertools.product(labels, repeat=3):
+        for x, y, z in itertools.combinations_with_replacement(labels, 3):
             lhs = self.bracket_vec({x: ONE}, self.bracket_labels(y, z))
             rhs = self.bracket_vec(self.bracket_labels(x, y), {z: ONE})
             sxy = -ONE if (space.degree(x) * space.degree(y)) % 2 else ONE
@@ -144,6 +126,28 @@ class DgLieAlgebra:
                 break
         out.append(CheckResult("jacobi", jac_ok, witness=jac_wit))
         return out
+
+    def derivation_witness(self, D: GradedLinearMap) -> tuple[str, str] | None:
+        """The first pair (x, y) in label order with
+        D[x,y] ≠ [Dx,y] + (-1)^{|x||D|} [x,Dy], or None if D is a derivation."""
+        labels = self.space.labels
+        image = {x: D.apply_label(x).coeffs for x in labels}
+        for x in labels:
+            sx = -ONE if (self.space.degree(x) * D.degree) % 2 else ONE
+            for y in labels:
+                diff: dict[str, Scalar] = {}
+                for t, c in self.bracket_labels(x, y).items():
+                    for u, v in image[t].items():
+                        vec_add_into(diff, u, c * v)
+                for u, v in image[x].items():
+                    for t, c in self.bracket_labels(u, y).items():
+                        vec_add_into(diff, t, -c * v)
+                for u, v in image[y].items():
+                    for t, c in self.bracket_labels(x, u).items():
+                        vec_add_into(diff, t, -sx * c * v)
+                if diff:
+                    return x, y
+        return None
 
     def to_linfty(self) -> "LInftyAlgebra":
         """The L-infinity algebra with l_1 = d and l_2 the shifted bracket.
@@ -285,20 +289,15 @@ def mc_is_solution(g, ring: ArtinLocalAlgebra, S: HbarSeries, max_len: int | Non
     return emce_residual(g, ring, S, max_len).is_zero()
 
 
-def _exp_map_from_element(gl: LInftyAlgebra, ring: ArtinLocalAlgebra, S: HbarSeries,
-                          algebra: SymmetricWordAlgebra):
+def _exp_map_from_element(ring: ArtinLocalAlgebra, S: HbarSeries, algebra: SymmetricWordAlgebra):
     """S in (g (x) m)^1 as a map R* -> S(g[1]), then its convolution exponential."""
-    dual = ring.dual_coalgebra()
-    ctx = SeriesContext(algebra)
+    if any(h for (_, _, h) in S.terms):
+        raise PreconditionError("classical Maurer-Cartan elements carry no hbar powers")
     by_label: dict[str, dict] = {}
-    for (x, r, h), c in S.terms.items():
-        if h != 0:
-            raise PreconditionError("classical Maurer-Cartan elements carry no hbar powers")
-        key = ((x,), "1", 0)
-        bucket = by_label.setdefault(r, {})
-        bucket[key] = bucket.get(key, ZERO) + c
-    f = {r: HbarSeries(terms) for r, terms in by_label.items()}
-    return dual, ctx, conv_exp(dual, ctx, f)
+    for (x, r, _), c in S.terms.items():
+        by_label.setdefault(r, {})[((x,), "1", 0)] = c
+    dual = ring.dual_coalgebra()
+    return dual, conv_exp(dual, SeriesContext(algebra), {r: HbarSeries(t) for r, t in by_label.items()})
 
 
 def quillen_bijection_check(g, ring: ArtinLocalAlgebra, S: HbarSeries,
@@ -319,17 +318,12 @@ def quillen_bijection_check(g, ring: ArtinLocalAlgebra, S: HbarSeries,
             "exp(S) would be cut off, refusing")
     algebra = gl.word_algebra(N)
     D = gl.codifferential(N)
-    dual, ctx, F = _exp_map_from_element(gl, ring, S, algebra)
+    dual, F = _exp_map_from_element(ring, S, algebra)
     if corrupt is not None:
         key, word, delta = corrupt
-        bumped = F.get(key, HbarSeries()).add(HbarSeries({(tuple(word), "1", 0): delta}))
-        F[key] = bumped
+        F[key] = F.get(key, HbarSeries()).add(HbarSeries({(tuple(word), "1", 0): delta}))
     morphism_ok = coproduct_defect(dual, algebra, F) is None
-    d_exp_zero = True
-    for key in dual.basis_keys:
-        if any(D.apply(word_vector(F, key)).values()):
-            d_exp_zero = False
-            break
+    d_exp_zero = intertwining_defect(dual.basis_keys, F, [(D, 0)], []) is None
     residual_zero = emce_residual(gl, ring, S).is_zero()
     equivalence = d_exp_zero == residual_zero
     return {
@@ -394,16 +388,9 @@ def chuang_lazarev_morphism_defect(target, source, S: Mapping[Word, Mapping[str,
                                      for w, val in S.items()})
     ctx = SeriesContext(tl.word_algebra(max_len))
     F = conv_exp(Wsrc, ctx, S_series)
-    for w in Wsrc.words:
-        lhs = Dt.apply(word_vector(F, w))
-        rhs: dict[Word, Scalar] = {}
-        for u, c in Dsrc.expand(w).items():
-            for v, c2 in word_vector(F, u).items():
-                vec_add_into(rhs, v, c * c2)
-        for u, c in rhs.items():
-            vec_add_into(lhs, u, -c)
-        if any(lhs.values()):
-            return CheckResult("intertwining", False, witness={"word": Wsrc.label(w)})
+    w = intertwining_defect(Wsrc.words, F, [(Dt, 0)], [(Dsrc, 0)])
+    if w is not None:
+        return CheckResult("intertwining", False, witness={"word": Wsrc.label(w)})
     return CheckResult("intertwining", True)
 
 
@@ -471,6 +458,10 @@ def coderivation_dg_lie(h, max_len: int = 3, validate: bool = True) -> tuple[DgL
 
 
 def _build_coderivation_dg_lie(hl: LInftyAlgebra, max_len: int, validate: bool) -> tuple[DgLieAlgebra, dict]:
+    """The tables in closed form.  e_{w1->t1} ∘ ê_{w2->t2} has at most one
+    term: on w = w2·r with r = w1 minus one t2 (so t2 must occur in w1), with
+    coefficient the coproduct coefficient of w2 ⊗ r in Δ(w) times the sign
+    of t2·r = w1.  The differential [mu, e] is linear in mu's entries."""
     W = hl.word_algebra(max_len)
     space_entries = []
     key_of: dict[tuple[Word, str], str] = {}
@@ -482,56 +473,45 @@ def _build_coderivation_dg_lie(hl: LInftyAlgebra, max_len: int, validate: bool) 
             key_of[(w, t)] = label
             space_entries.append((label, hl.shifted.degree(t) - W.degree(w)))
     space_c = GradedVectorSpace(space_entries)
+    split: dict[tuple[Word, Word], tuple[Word, Scalar]] = {}  # (w2, r) -> (w, coefficient in Δ(w))
+    for w in W.words:
+        for left, right, c in W.coproduct(w):
+            if left:
+                split[(left, right)] = (w, c)
 
-    def extension(cor: Mapping[Word, Mapping[str, Scalar]], degree: int) -> Coderivation:
-        return Coderivation(W, degree, cor)
+    def compose(w1: Word, t1: str, w2: Word, t2: str) -> dict[tuple[Word, str], Scalar]:
+        """e_{w1->t1} ∘ ê_{w2->t2}: one term at most."""
+        if t2 not in w1:
+            return {}
+        i = w1.index(t2)
+        rest = w1[:i] + w1[i + 1:]
+        w, c = split.get((w2, rest), (None, ZERO))
+        return {(w, t1): c * W.mul_words((t2,), rest)[w1]} if c else {}
 
-    def compose_cor(f: Mapping, g_ext: Coderivation) -> dict[tuple[Word, str], Scalar]:
-        out: dict[tuple[Word, str], Scalar] = {}
-        for w in W.words:
-            if not w:
-                continue
-            img = g_ext.expand(w)
-            for u, c in img.items():
-                val = f.get(u)
-                if not val:
-                    continue
-                for t, v in val.items():
-                    vec_add_into(out, (w, t), v * c)
-        return out
-
-    def bracket_cor(f: Mapping, deg_f: int, g: Mapping, deg_g: int) -> dict[tuple[Word, str], Scalar]:
-        left = compose_cor(f, extension(g, deg_g))
-        right = compose_cor(g, extension(f, deg_f))
-        sign = -ONE if (deg_f * deg_g) % 2 else ONE
-        out = dict(left)
-        for key, c in right.items():
-            vec_add_into(out, key, -sign * c)
-        return out
-
-    mu: dict[Word, dict[str, Scalar]] = {}
-    for n, table in hl.brackets.items():
-        if n > max_len:
-            continue
-        for w, val in table.items():
-            mu[w] = dict(val)
-
+    mu = hl.codifferential(max_len).corestriction
     bracket_table: dict[tuple[str, str], dict[str, Scalar]] = {}
     d_entries: dict[tuple[str, str], Scalar] = {}
-    basis_keys = list(key_of)
-    for (w1, t1) in basis_keys:
+    basis_keys = list(key_of)  # in basis order
+    for i, (w1, t1) in enumerate(basis_keys):
         lab1 = key_of[(w1, t1)]
         deg1 = space_c.degree(lab1)
-        # differential: [mu, e]
-        dmu = bracket_cor(mu, 1, {w1: {t1: ONE}}, deg1)
+        # differential: [mu, e] = mu ∘ ê - (-1)^{|e|} e ∘ mû
+        sign = -ONE if deg1 % 2 else ONE
+        dmu: dict[tuple[Word, str], Scalar] = {}
+        for wm, val in mu.items():
+            for tm, cm in val.items():
+                for key, c in compose(wm, tm, w1, t1).items():
+                    vec_add_into(dmu, key, cm * c)
+                for key, c in compose(w1, t1, wm, tm).items():
+                    vec_add_into(dmu, key, -sign * cm * c)
         for (w, t), c in dmu.items():
             d_entries[(lab1, key_of[(w, t)])] = c
-        for (w2, t2) in basis_keys:
+        for (w2, t2) in basis_keys[i:]:
             lab2 = key_of[(w2, t2)]
-            if space_c.index(lab2) < space_c.index(lab1):
-                continue
-            deg2 = space_c.degree(lab2)
-            br = bracket_cor({w1: {t1: ONE}}, deg1, {w2: {t2: ONE}}, deg2)
+            sign = -ONE if (deg1 * space_c.degree(lab2)) % 2 else ONE
+            br = compose(w1, t1, w2, t2)
+            for key, c in compose(w2, t2, w1, t1).items():
+                vec_add_into(br, key, -sign * c)
             if br:
                 bracket_table[(lab1, lab2)] = {key_of[key]: c for key, c in br.items()}
     algebra = DgLieAlgebra(space_c, d_entries, bracket_table,
@@ -548,7 +528,7 @@ def deformed_bracket_check(h: DgLieAlgebra, ring: ArtinLocalAlgebra,
     Only classical inputs (everything in degree zero, d = 0) are supported,
     matching a deformation of an honest Lie algebra.
     """
-    if any(deg != 0 for _, deg in h.space.basis) or not self_d_is_zero(h):
+    if any(deg != 0 for _, deg in h.space.basis) or not h.d.is_zero():
         raise PreconditionError("deformed-bracket check expects a classical Lie algebra")
     labels = h.space.labels
     table: dict[tuple[str, str], dict[str, dict[str, Scalar]]] = {}
@@ -617,7 +597,3 @@ def deformed_bracket_check(h: DgLieAlgebra, ring: ArtinLocalAlgebra,
         "witness": witness,
         "ok": jacobi_ok and jacobi_ok == mc_ok,
     }
-
-
-def self_d_is_zero(h: DgLieAlgebra) -> bool:
-    return h.d.is_zero()

@@ -9,13 +9,14 @@ it actually covers.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Mapping
 
 from .diagnostics import CheckResult, InternalError, PreconditionError
 from .graded import ONE, Scalar
 from .words import TruncationOverflow, WordAlgebra, vec_add_into, word_tuples_within
 
-__all__ = ["Operator", "operator_order_check", "iterated_commutator_apply"]
+__all__ = ["Operator", "operator_order_check", "iterated_commutator_apply", "prefix_commutators"]
 
 
 class Operator:
@@ -165,6 +166,64 @@ def iterated_commutator_apply(algebra: WordAlgebra, op: Operator, vs: list, targ
     return rec(len(vs) - 1, {target: ONE})
 
 
+def prefix_commutators(algebra: WordAlgebra, degree: int, n: int, base: Callable,
+                       times: Callable) -> Callable:
+    """`at(vs)` for n basis words vs returns x -> [...[base, L_{v_0}], ...,
+    L_{v_{n-1}}](x) on basis words x; `base` maps a basis word to a sparse
+    vector (an operator of degree `degree`) and `times(v, key)` multiplies
+    one of its keys by v.
+
+        C_{-1} = base,   C_k(x) = C_{k-1}(v_k x) - (-1)^{|C_{k-1}||v_k|} v_k C_{k-1}(x)
+
+    C_k depends on the prefix (v_0, ..., v_k) only, so each level k < n - 1
+    keeps a table of C_k on basis words, filled on demand and cleared by `at`
+    when the prefix changes; the last tuple's evaluator stays valid until the
+    next `at`.  In `word_tuples_within` order the tuples sharing a prefix are
+    consecutive, so each prefix's table is built once.
+    """
+    mul_words = algebra.mul_words
+    tables: list[dict] = [{} for _ in range(n - 1)]
+    prefix: tuple = (None,) * n  # matches no tuple: the first one fills every table
+    # minus_signs[k] = -(-1)^{|C_{k-1}||v_k|}, the coefficient of v_k C_{k-1}(x)
+    minus_signs: list = [ONE] * n
+
+    def apply_level(k: int, vs: tuple, x) -> dict:
+        """C_k(x) from C_{k-1}, for a basis word x."""
+        v = vs[k]
+        out: dict = {}
+        for u, s in mul_words(v, x).items():
+            for t, c in lower(k - 1, vs, u).items():
+                vec_add_into(out, t, s * c)
+        for u, c in lower(k - 1, vs, x).items():
+            c = minus_signs[k] * c
+            for t, s in times(v, u).items():
+                vec_add_into(out, t, s * c)
+        return out
+
+    def lower(k: int, vs: tuple, x) -> dict:
+        if k < 0:
+            return base(x)
+        table = tables[k]
+        value = table.get(x)
+        if value is None:
+            value = table[x] = apply_level(k, vs, x)
+        return value
+
+    def at(vs: tuple) -> Callable:
+        nonlocal prefix
+        shared = next((k for k in range(n - 1) if vs[k] != prefix[k]), n - 1)
+        for table in tables[shared:]:
+            table.clear()
+        prefix = vs
+        deg_c = degree
+        for k, v in enumerate(vs):
+            minus_signs[k] = ONE if (deg_c * algebra.degree(v)) % 2 else -ONE
+            deg_c += algebra.degree(v)
+        return functools.partial(apply_level, n - 1, vs)
+
+    return at
+
+
 def operator_order_check(algebra: WordAlgebra, op: Operator, n: int, name: str = "") -> CheckResult:
     """Differential-operator order certificate: order <= n iff all (n+1)-fold
     iterated graded commutators with left multiplications vanish.
@@ -190,74 +249,33 @@ def operator_order_check(algebra: WordAlgebra, op: Operator, n: int, name: str =
     an operator undefined on a word inside that budget cannot be certified
     there, and the check raises a `PreconditionError` naming the word.
 
-    The commutators are evaluated level by level,
-
-        C_{-1} = op,   C_k(x) = C_{k-1}(v_k x) - (-1)^{|C_{k-1}||v_k|} v_k C_{k-1}(x),
-
-    with a table of C_k on basis words for each level k < n, filled on
-    demand.  C_k depends on the prefix (v_0, ..., v_k) only, and the tuples
-    come in `word_tuples_within` order, where all tuples sharing a prefix are
-    consecutive: so a table serves every tuple of its prefix and is cleared
-    when the prefix changes, and each prefix's table is built once.  The
-    tables hold at most n * |words| entries and live for one call.  A tested
-    pair costs one product into C_{n-1}'s table and one product out of it.
-    A nonzero value is confirmed with `iterated_commutator_apply`, the
-    unshared definition, before it is reported.
+    The commutators go through the prefix tables of `prefix_commutators`
+    (at most n * |words| entries, for one call).  A nonzero value is
+    confirmed with `iterated_commutator_apply`, the unshared definition,
+    before it is reported.
     """
     budget = algebra.max_len - max(0, op.max_raise)
     gens = [w for w in algebra.generator_words() if len(w) <= budget]
-    mul_words = algebra.mul_words
-    degree = algebra.degree
-    # tables[k][x] = C_k(x) for the prefix vs[:k + 1] of the current tuple
-    tables: list[dict] = [{} for _ in range(n)]
-    prefix: tuple = (None,) * (n + 1)  # matches no tuple: the first one fills every table
-    # minus_signs[k] = -(-1)^{|C_{k-1}||v_k|}, the coefficient of v_k C_{k-1}(x)
-    minus_signs: list = [ONE] * (n + 1)
 
-    def apply_level(k: int, vs: tuple, x) -> dict:
-        """C_k(x) from C_{k-1}, for a basis word x."""
-        v = vs[k]
-        out: dict = {}
-        for u, s in mul_words(v, x).items():
-            for t, c in lower(k - 1, vs, u).items():
-                vec_add_into(out, t, s * c)
-        for u, c in lower(k - 1, vs, x).items():
-            c = minus_signs[k] * c
-            for t, s in mul_words(v, u).items():
-                vec_add_into(out, t, s * c)
-        return out
+    def apply_op(x) -> dict:
+        try:
+            return op.apply_word(x)
+        except TruncationOverflow:
+            raise PreconditionError(
+                f"order check: {op.name or 'the operator'} is undefined on "
+                f"{algebra.label(x)}, a word inside the length budget "
+                f"N - max_raise = {algebra.max_len} - {op.max_raise}") from None
 
-    def lower(k: int, vs: tuple, x) -> dict:
-        if k < 0:
-            try:
-                return op.apply_word(x)
-            except TruncationOverflow:
-                raise PreconditionError(
-                    f"order check: {op.name or 'the operator'} is undefined on "
-                    f"{algebra.label(x)}, a word inside the length budget "
-                    f"N - max_raise = {algebra.max_len} - {op.max_raise}") from None
-        table = tables[k]
-        value = table.get(x)
-        if value is None:
-            value = table[x] = apply_level(k, vs, x)
-        return value
-
+    commutators = prefix_commutators(algebra, op.degree, n + 1, apply_op, algebra.mul_words)
     checked = 0
     for vs in word_tuples_within(gens, n + 1, budget):
-        shared = next((k for k in range(n) if vs[k] != prefix[k]), n)
-        for table in tables[shared:]:
-            table.clear()
-        prefix = vs
-        deg_c = op.degree
-        for k, v in enumerate(vs):
-            minus_signs[k] = ONE if (deg_c * degree(v)) % 2 else -ONE
-            deg_c += degree(v)
         used = sum(len(v) for v in vs)
+        commutator = commutators(vs)
         for w in algebra.words:
             if used + len(w) > budget:
                 continue
             checked += 1
-            value = apply_level(n, vs, w)
+            value = commutator(w)
             if not value:
                 continue
             result = iterated_commutator_apply(algebra, op, list(vs), w)

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mastereq import bv as bv_module
 from mastereq.artin import power_ring
 from mastereq.bv import (
     QMESolveResult,
+    BVInftyAlgebra,
+    _shared_derived_brackets,
     _commutator_chain,
     _validate_qme_element,
     antibracket,
@@ -22,7 +25,7 @@ from mastereq.bv import (
     qme_solve_perturbative,
 )
 from mastereq.constructions import bv_from_bi_dg_lie, ce_bv_from_dg_lie, ce_bvinfty_from_linfty, qm_bidg_residual, corollary_bidg_check
-from mastereq.diagnostics import PreconditionError
+from mastereq.diagnostics import InternalError, PreconditionError, StructureError
 from mastereq.graded import GradedVectorSpace
 from mastereq.linfty import DgLieAlgebra, MCSolveResult
 from mastereq.operators import Operator, iterated_commutator_apply, operator_order_check
@@ -236,6 +239,63 @@ def test_derived_brackets_corrupted_delta_detected():
     result = derived_brackets_linfty_check(bvi, max_arity=3)
     assert not result.ok
     assert result.witness is not None
+
+
+def _random_operators(A, rng):
+    """Delta_1..Delta_3 with random sparse entries, orders unchecked: a
+    Delta_n of too high an order gives brackets negative hbar powers."""
+    ops = {}
+    for n in (1, 2, 3):
+        entries = {}
+        for w in A.words:
+            if rng.random() < 0.3:
+                entries[w] = {u: rng.choice([-2, -1, 1, 2]) for u in rng.sample(A.words, 2)
+                              if len(u) <= len(w)}
+        ops[n] = Operator(A, 3 - 2 * n, entries)
+    return ops
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.sampled_from(["heis3", "lift3", "l3demo", "aff2"]), st.integers(0, 10**6))
+def test_shared_derived_brackets_match_the_definition(name, seed):
+    # every tuple, in the order the check passes them, against derived_bracket
+    A = ce_bvinfty_from_linfty(load(name) if name == "l3demo" else load(name).to_linfty(), 3).algebra
+    rng = random.Random(seed)
+    bvi = BVInftyAlgebra(A, _random_operators(A, rng), rng.choice([1, 2, 3]))
+    letters = A.augmentation_ideal_words()
+    for n in (1, 2, 3):
+        bracket = _shared_derived_brackets(bvi, n)
+        for vs in word_tuples_within(letters, n, A.max_len):
+            value = HbarSeries(bracket(vs)).shift_hbar(-(n - 1))
+            low = value.min_hbar()
+            if low is not None and low < 0:
+                with pytest.raises(StructureError) as err:
+                    derived_bracket(bvi, list(vs))
+                assert err.value.witness["min_power"] == low
+            else:
+                assert derived_bracket(bvi, list(vs)) == bvi.context().truncate(value), vs
+
+
+def _order_three_delta2():
+    # Delta_2 sends the one length-3 word to 1 and kills the rest: dhat^2 = 0,
+    # but {x,y,z} = hbar^{-1} Delta_2(xyz) has a negative power
+    A = ce_bvinfty_from_linfty(load("heis3").to_linfty(), 3).algebra
+    top = next(w for w in A.words if len(w) == 3)
+    return BVInftyAlgebra(A, {2: Operator(A, -1, {top: {(): 1}})}, 3, name="order3")
+
+
+def test_derived_brackets_report_a_negative_power_the_definition_reproduces():
+    bvi = _order_three_delta2()
+    result = derived_brackets_linfty_check(bvi, max_arity=3)
+    assert not result.ok
+    assert result.witness == {"words": ["x", "y", "z"], "min_power": -1}
+
+
+def test_derived_brackets_disagreeing_tables_raise(monkeypatch):
+    # the definition no longer reproduces the tables' negative power
+    monkeypatch.setattr(bv_module, "derived_bracket", lambda bvi, words: HbarSeries())
+    with pytest.raises(InternalError):
+        derived_brackets_linfty_check(_order_three_delta2(), max_arity=3)
 
 
 def test_qme_residual_zero():

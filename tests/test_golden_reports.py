@@ -4,7 +4,8 @@ Each case runs `mastereq` in process with `--format machine` and compares the
 exit code, stdout, stderr and (for `--emit`) the emitted manifest with the
 stored files.  The cases are `check` on every fixture plus one run of each
 command of the cli-fixtures benchmark workload at a fixed seed, and both
-solvers on an obstructed input.
+solvers on an obstructed input.  A second pass runs each case in the human
+format and checks its exit code against the same `exit_codes.json`.
 
 `test_one_parser_serves_repeated_calls` runs every case twice in one
 process, as scripts and the benchmark do, against the same files.
@@ -118,6 +119,19 @@ def test_cases_cover_every_fixture_and_workload_command():
 def test_machine_report_matches_golden(name, argv, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     _assert_golden(name, run_case(argv, tmp_path / "emitted.alg"))
+
+
+@pytest.mark.parametrize("name,argv", COMMANDS, ids=[name for name, _ in COMMANDS])
+def test_human_report_exits_as_the_machine_report(name, argv, tmp_path, monkeypatch):
+    # the human format renders the same verdicts, so it exits with the same code
+    monkeypatch.chdir(ROOT)
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    argv = [str(tmp_path / "emitted.alg") if a == EMIT else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == codes[name], (name, err.getvalue())
+    assert out.getvalue() or err.getvalue()
 
 
 def test_one_parser_serves_repeated_calls(tmp_path, monkeypatch):

@@ -1,13 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mastereq import linfty
 from mastereq.artin import power_ring
+from mastereq.coalgebra import Coderivation
 from mastereq.diagnostics import PreconditionError, StructureError
-from mastereq.graded import GradedVectorSpace
+from mastereq.graded import ONE, GradedLinearMap, GradedVectorSpace
 from mastereq.linfty import (
     DgLieAlgebra,
+    _as_linfty,
     chuang_lazarev_morphism_defect,
     chuang_lazarev_residual,
     coderivation_dg_lie,
@@ -19,6 +25,7 @@ from mastereq.linfty import (
     quillen_bijection_check,
 )
 from mastereq.series import HbarSeries
+from mastereq.words import vec_add_into
 
 from alg_fixtures import load
 
@@ -355,3 +362,137 @@ def test_deformed_bracket_detects_nonflat():
     S = {("x", "y"): {"x": {"t": 1}}}
     report = deformed_bracket_check(h, R, S)
     assert report["agree"]
+
+
+def _compose_based_coderivation_dg_lie(hl, max_len):
+    """The coderivation algebra by composing coderivation extensions, the
+    definition of its bracket: the oracle for the closed-form tables."""
+    W = hl.word_algebra(max_len)
+    space_entries = []
+    key_of = {}
+    for w in W.words:
+        if not w:
+            continue
+        for t in hl.shifted.labels:
+            label = f"{W.label(w)}>{t}"
+            key_of[(w, t)] = label
+            space_entries.append((label, hl.shifted.degree(t) - W.degree(w)))
+    space_c = GradedVectorSpace(space_entries)
+
+    def compose_cor(f, g_ext):
+        out = {}
+        for w in W.words:
+            if not w:
+                continue
+            for u, c in g_ext.expand(w).items():
+                for t, v in f.get(u, {}).items():
+                    vec_add_into(out, (w, t), v * c)
+        return out
+
+    def bracket_cor(f, deg_f, g, deg_g):
+        left = compose_cor(f, Coderivation(W, deg_g, g))
+        right = compose_cor(g, Coderivation(W, deg_f, f))
+        sign = -ONE if (deg_f * deg_g) % 2 else ONE
+        out = dict(left)
+        for key, c in right.items():
+            vec_add_into(out, key, -sign * c)
+        return out
+
+    mu = {w: dict(val) for n, table in hl.brackets.items() if n <= max_len for w, val in table.items()}
+    bracket_table, d_entries = {}, {}
+    for (w1, t1) in key_of:
+        lab1 = key_of[(w1, t1)]
+        deg1 = space_c.degree(lab1)
+        for (w, t), c in bracket_cor(mu, 1, {w1: {t1: ONE}}, deg1).items():
+            d_entries[(lab1, key_of[(w, t)])] = c
+        for (w2, t2) in key_of:
+            lab2 = key_of[(w2, t2)]
+            if space_c.index(lab2) < space_c.index(lab1):
+                continue
+            br = bracket_cor({w1: {t1: ONE}}, deg1, {w2: {t2: ONE}}, space_c.degree(lab2))
+            if br:
+                bracket_table[(lab1, lab2)] = {key_of[key]: c for key, c in br.items()}
+    return DgLieAlgebra(space_c, d_entries, bracket_table, validate=False), key_of
+
+
+@pytest.mark.parametrize("name", ["heis3", "sl2", "aff2", "lift3", "l3demo", "bidg4-dglie"])
+@pytest.mark.parametrize("N", [2, 3])
+def test_closed_form_coderivation_tables_match_composition(name, N):
+    hl = _as_linfty(load(name))
+    got, got_keys = linfty._build_coderivation_dg_lie(hl, N, validate=False)
+    want, want_keys = _compose_based_coderivation_dg_lie(hl, N)
+    assert got_keys == want_keys
+    assert got.space == want.space
+    assert got.bracket == want.bracket
+    assert got.d.entries == want.d.entries
+
+
+def _random_graded_lie(rng):
+    """A graded antisymmetric bracket on 2-4 labels with random d and delta
+    of degrees 1 and -1; Jacobi and Leibniz hold only by chance."""
+    space = GradedVectorSpace([(f"a{i}", rng.choice([-1, 0, 1, 2])) for i in range(rng.randint(2, 4))])
+    labels = space.labels
+
+    def of_degree(deg):
+        return [t for t in labels if space.degree(t) == deg]
+
+    bracket = {}
+    for a, b in itertools.combinations_with_replacement(labels, 2):
+        targets = of_degree(space.degree(a) + space.degree(b))
+        if targets and rng.random() < 0.6 and not (a == b and space.degree(a) % 2 == 0):
+            bracket[(a, b)] = {rng.choice(targets): rng.choice([-2, -1, 1, 2])}
+
+    def random_map(degree):
+        return GradedLinearMap(space, space, degree, {
+            (s, t): rng.choice([-1, 1]) for s in labels for t in of_degree(space.degree(s) + degree)
+            if rng.random() < 0.4})
+
+    return DgLieAlgebra(space, random_map(1), bracket, validate=False), random_map(-1)
+
+
+def _jacobi_product_witness(g):
+    """The first failing triple of the full product of labels."""
+    deg = g.space.degree
+    for x, y, z in itertools.product(g.space.labels, repeat=3):
+        lhs = g.bracket_vec({x: ONE}, g.bracket_labels(y, z))
+        rhs = g.bracket_vec(g.bracket_labels(x, y), {z: ONE})
+        sxy = -ONE if (deg(x) * deg(y)) % 2 else ONE
+        for t, c in g.bracket_vec({y: ONE}, g.bracket_labels(x, z)).items():
+            vec_add_into(rhs, t, sxy * c)
+        for t, c in rhs.items():
+            vec_add_into(lhs, t, -c)
+        if any(lhs.values()):
+            return x, y, z
+    return None
+
+
+def _leibniz_loop_witness(g, D):
+    """The first pair (x, y) in label order where D is not a derivation of
+    the bracket: the oracle for `derivation_witness`."""
+    for x in g.space.labels:
+        for y in g.space.labels:
+            left = {}
+            for t, c in g.bracket_labels(x, y).items():
+                for u, v in D.apply_label(t).coeffs.items():
+                    vec_add_into(left, u, c * v)
+            for u, v in D.apply_label(x).coeffs.items():
+                for t, c in g.bracket_labels(u, y).items():
+                    vec_add_into(left, t, -c * v)
+            sx = -ONE if g.space.degree(x) % 2 else ONE
+            for u, v in D.apply_label(y).coeffs.items():
+                for t, c in g.bracket_labels(x, u).items():
+                    vec_add_into(left, t, -sx * c * v)
+            if any(left.values()):
+                return x, y
+    return None
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 10**9))
+def test_sorted_triples_and_one_derivation_loop_keep_the_witnesses(seed):
+    g, delta = _random_graded_lie(random.Random(seed))
+    report = {r.name: r for r in g.axiom_report()}
+    assert report["jacobi"].witness == _jacobi_product_witness(g)
+    assert report["jacobi"].ok == (report["jacobi"].witness is None)
+    assert report["leibniz"].witness == _leibniz_loop_witness(g, g.d)
+    assert g.derivation_witness(delta) == _leibniz_loop_witness(g, delta)

@@ -1,17 +1,20 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mastereq import cli, morphisms
+from mastereq import cli, coalgebra, linfty, morphisms
 from mastereq.artin import power_ring, square_zero_ring
-from mastereq.bv import qme_solve_perturbative
-from mastereq.coalgebra import _conv_exp_series, corestriction_series, word_vector
+from mastereq.bv import qme_exp_check, qme_solve_perturbative
+from mastereq.coalgebra import _conv_exp_series, conv_exp, corestriction_series, word_vector
 from mastereq.constructions import ce_bv_from_dg_lie, ce_bvinfty_from_linfty
 from mastereq.diagnostics import PreconditionError
-from mastereq.linfty import LInftyAlgebra, _as_linfty, chuang_lazarev_morphism_defect, chuang_lazarev_residual
+from mastereq.graded import as_scalar
+from mastereq.linfty import (LInftyAlgebra, _as_linfty, chuang_lazarev_morphism_defect, chuang_lazarev_residual,
+                             coderivation_dg_lie, emce_residual, quillen_bijection_check)
 from mastereq.morphisms import (
     BVMorphism,
     check_bv_morphism,
@@ -26,7 +29,7 @@ from mastereq.morphisms import (
     theorem_second_bijection_check,
     twisted_linfty_morphism,
 )
-from mastereq.sampling import random_corestriction_twist, random_qme_element
+from mastereq.sampling import random_corestriction_twist, random_mc_element, random_qme_element
 from mastereq.series import HbarSeries, SeriesContext
 from mastereq.words import vec_add_into
 
@@ -392,3 +395,163 @@ def test_twist_back_substitution_matches_the_neumann_inverse(name, seed):
     g = load(name)
     g_tw, _ = twisted_linfty_morphism(g, random.Random(seed), 3)
     assert g_tw.brackets == _twist_by_neumann_series(g, random.Random(seed))
+
+
+# -- oracles for the certificates that call `intertwining_defect`: each loop
+# evaluates D'∘E - E∘D on its own, with series and word-vector arithmetic
+
+
+def _bv_loop_key(phi):
+    """First source key where dhat'∘E - E∘dhat has a term below the target's
+    K: the oracle of `check_bv_morphism` and of theorem-second's
+    convolution-QME route, which test the same condition."""
+    src, tgt = phi.source, phi.target
+    window = phi._window()
+    ctx = SeriesContext(tgt.algebra, hbar_cutoff=window)
+    E = phi.exp_map()
+    narrow = SeriesContext(tgt.algebra, hbar_cutoff=tgt.hbar_cutoff)
+    for key in src.algebra.words:
+        lhs = tgt.dhat(E.get(key, HbarSeries()), ctx)
+        rhs = HbarSeries()
+        d_src = src.dhat(HbarSeries({(key, "1", 0): 1}),
+                         SeriesContext(src.algebra, hbar_cutoff=window))
+        for (u, r, h), c in d_src.terms.items():
+            rhs = rhs.add(E.get(u, HbarSeries()).shift_hbar(h).scale(c))
+        if not narrow.truncate(lhs.sub(rhs)).is_zero():
+            return key
+    return None
+
+
+def _chuang_lazarev_loop_key(target, source, S, max_len):
+    """First word where D_target∘exp(S) - exp(S)∘D_source is nonzero."""
+    tl, sl = _as_linfty(target), _as_linfty(source)
+    Wsrc = sl.word_algebra(max_len)
+    Dsrc = sl.codifferential(max_len)
+    Dt = tl.codifferential(max_len)
+    S_series = corestriction_series({tuple(w): {t: as_scalar(c) for t, c in val.items()}
+                                     for w, val in S.items()})
+    F = conv_exp(Wsrc, SeriesContext(tl.word_algebra(max_len)), S_series)
+    for w in Wsrc.words:
+        lhs = Dt.apply(word_vector(F, w))
+        rhs = {}
+        for u, c in Dsrc.expand(w).items():
+            for v, c2 in word_vector(F, u).items():
+                vec_add_into(rhs, v, c * c2)
+        for u, c in rhs.items():
+            vec_add_into(lhs, u, -c)
+        if any(lhs.values()):
+            return w
+    return None
+
+
+def _quillen_loop_zero(g, ring, S, corrupt=None):
+    """Whether D∘exp(S) vanishes on every key of R*."""
+    gl = _as_linfty(g)
+    algebra = gl.word_algebra(ring.nilpotency)
+    D = gl.codifferential(ring.nilpotency)
+    dual, F = linfty._exp_map_from_element(ring, S, algebra)
+    if corrupt is not None:
+        key, word, delta = corrupt
+        F[key] = F.get(key, HbarSeries()).add(HbarSeries({(tuple(word), "1", 0): delta}))
+    for key in dual.basis_keys:
+        if any(D.apply(word_vector(F, key)).values()):
+            return False
+    return True
+
+
+def _bumped(table, rng):
+    """`table` with one coefficient moved by a nonzero integer."""
+    bad = {w: dict(v) for w, v in table.items()}
+    key = rng.choice(sorted(bad))
+    t = rng.choice(sorted(bad[key]))
+    bad[key][t] = bad[key][t] + rng.choice([-2, -1, 1, 2])
+    return bad
+
+
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(st.sampled_from(["heis3", "sl2", "aff2", "lift3", "l3demo", "bidg4-dglie"]),
+       st.integers(0, 10**6), st.booleans())
+def test_call_sites_report_the_oracles_first_failing_key(name, seed, perturb):
+    # twisted instances are morphisms; a perturbed one usually is not
+    g = load(name)
+    rng = random.Random(seed)
+    g_tw, cor = twisted_linfty_morphism(g, rng, 3)
+    if perturb:
+        cor = _bumped(cor, rng)
+    W = _as_linfty(g_tw).word_algebra(3)
+    key = _chuang_lazarev_loop_key(g, g_tw, cor, 3)
+    assert chuang_lazarev_morphism_defect(g, g_tw, cor, 3).witness == \
+        (None if key is None else {"word": W.label(key)})
+
+    V = ce_bvinfty_from_linfty(_as_linfty(g), 3, 3)
+    table = {w: {(t,): c for t, c in val.items()} for w, val in cor.items()}
+    source = ce_bvinfty_from_linfty(_as_linfty(g_tw), 3, 3)
+    key = _bv_loop_key(BVMorphism(source, V, morphisms._components_by_weight(table)))
+    report = theorem_second_bijection_check(V, g_tw, table, 3, 3)
+    assert report["morphism"]["intertwining"].witness == \
+        (None if key is None else {"key": source.algebra.label(key)})
+    assert report["qme_zero"] == (key is None)
+
+    gl = _as_linfty(g)
+    target = gl if any(gl.space.degree(x) == 1 for x in gl.space.labels) else \
+        coderivation_dg_lie(g, 3, validate=False)[0].to_linfty()
+    ring = power_ring(3)
+    S = random_mc_element(target, ring, rng)
+    corrupt = (rng.choice(ring.ideal_labels), rng.choice(target.word_algebra(3).words[1:]),
+               rng.choice([-1, 1])) if perturb else None
+    assert quillen_bijection_check(target, ring, S, corrupt=corrupt)["d_exp_zero"] == \
+        _quillen_loop_zero(target, ring, S, corrupt)
+
+
+def _one_more_term(monkeypatch):
+    """Patch `intertwining_defect` wherever it is bound so that every defect
+    gains one term, E(key) itself."""
+    real = coalgebra.intertwining_defect
+    identity = SimpleNamespace(apply_word=lambda a: {a: 1})
+
+    def patched(keys, E, target_ops, source_ops, cutoff=None, kept_below=None):
+        return real(keys, E, [*target_ops, (identity, 0)], source_ops, cutoff, kept_below)
+
+    for module in (coalgebra, morphisms, linfty):
+        monkeypatch.setattr(module, "intertwining_defect", patched)
+
+
+def test_routes_through_intertwining_defect_fail_on_one_more_term(monkeypatch):
+    g = load("bidg4-dglie")
+    g_tw, cor = twisted_linfty_morphism(g, random.Random(5), 3)
+    phi = linfty_morphism_to_bvinfty(g_tw, g, cor, 3, 3)
+    V = ce_bvinfty_from_linfty(g.to_linfty(), 3, 3)
+    table = {w: {(t,): c for t, c in val.items()} for w, val in cor.items()}
+    lift = load("lift3")
+    ring = power_ring(3)
+    S_mc = random_mc_element(lift, ring, random.Random(7))
+    bv = ce_bv_from_dg_lie(load("sl2"), 4)
+    S_qme = random_qme_element(bv, ring, random.Random(9))
+
+    def routes():
+        return {
+            "morphism": check_bv_morphism(phi)["intertwining"],
+            "chuang-lazarev": chuang_lazarev_morphism_defect(g, g_tw, cor, 3),
+            "quillen": quillen_bijection_check(lift, ring, S_mc)["d_exp_zero"],
+            "theorem-second": theorem_second_bijection_check(V, g_tw, table, 3, 3),
+        }
+
+    def independent():
+        return (qme_exp_check(bv, ring, S_qme), chuang_lazarev_residual(g, g_tw, cor, 3),
+                emce_residual(lift, ring, S_mc))
+
+    before, untouched = routes(), independent()
+    assert before["morphism"].ok and before["chuang-lazarev"].ok
+    assert before["theorem-second"]["qme_zero"] and before["theorem-second"]["is_morphism"]
+    quillen_before = before["quillen"]
+
+    _one_more_term(monkeypatch)
+    after = routes()
+    # E(1) = 1 is the added term on the unit key, the first key of every source
+    assert not after["morphism"].ok and after["morphism"].witness == {"key": "1"}
+    assert not after["chuang-lazarev"].ok and after["chuang-lazarev"].witness == {"word": "1"}
+    assert after["quillen"] is False
+    # the convolution-QME route moves with the morphism side: not yet independent
+    assert not after["theorem-second"]["qme_zero"] and not after["theorem-second"]["is_morphism"]
+    assert independent() == untouched
+    assert quillen_before == (emce_residual(lift, ring, S_mc).is_zero())
