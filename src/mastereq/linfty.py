@@ -65,6 +65,11 @@ class DgLieAlgebra:
         table: dict[tuple[str, str], dict[str, Scalar]] = {}
         for (a, b), val in (bracket or {}).items():
             clean = {c: as_scalar(v) for c, v in val.items() if as_scalar(v) != 0}
+            for c in clean:
+                # the bracket has degree zero: the Jacobi check below relies on it
+                if space.degree(c) != space.degree(a) + space.degree(b):
+                    raise StructureError(f"{name}: [{a},{b}] has a term {c} of degree "
+                                         f"{space.degree(c)}, not |{a}|+|{b}|", witness=(a, b, c))
             table[(a, b)] = clean
         for (a, b), val in list(table.items()):
             sign = -ONE if (space.degree(a) * space.degree(b)) % 2 == 0 else ONE
@@ -110,6 +115,7 @@ class DgLieAlgebra:
         # graded Jacobi: [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]].  Swapping
         # neighbouring arguments changes the Jacobiator J only by a sign:
         # J(y,x,z) = -(-1)^{|x||y|} J(x,y,z) and J(x,z,y) = -(-1)^{|y||z|} J(x,y,z).
+        # Both hold because the bracket has degree zero (checked in __init__).
         # So sorted triples decide it, and the first failing triple in product
         # order is sorted: the witness is the one the full product gives.
         jac_ok, jac_wit = True, None

@@ -329,7 +329,7 @@ def theorem_second_bijection_check(V, g, S_components: Mapping[Word, Mapping[str
     Dhat(Phi) = dhat_V ∘ Phi - (-1)^{|Phi|} Phi ∘ dhat_g to Phi = exp(S/hbar)
     computed in Hom(S(g[-1]), V((hbar))).  That is the same
     `intertwining_defect` call as `check_bv_morphism` makes, so this route is
-    not yet independent of the morphism side.
+    not yet independent of the morphism side and reads its result.
     """
     from .constructions import ce_bvinfty_from_linfty
     gl = _as_linfty(g)
@@ -338,9 +338,7 @@ def theorem_second_bijection_check(V, g, S_components: Mapping[Word, Mapping[str
     phi = BVMorphism(source, bvi, _components_by_weight(S_components), name="S")
     morphism = check_bv_morphism(phi)
     # convolution-QME route: Dhat e^{S/hbar} = dhat_V ∘ E - E ∘ dhat_g = 0
-    qme_zero = intertwining_defect(source.algebra.words, phi.exp_map(), bvi.shifted_operators,
-                                   source.shifted_operators, phi._window(),
-                                   bvi.hbar_cutoff) is None
+    qme_zero = morphism["intertwining"].ok
     return {
         "qme_zero": qme_zero,
         "is_morphism": morphism["ok"],

@@ -87,6 +87,22 @@ def test_jacobi_violation_is_semantic_error_with_witness():
     assert "witness" in str(err.value)
 
 
+def test_bracket_of_nonzero_degree_is_rejected_with_its_entry(tmp_path, capsys):
+    # [a,b] = a with |a| = 0, |b| = 1: every sorted triple has J = 0, but
+    # J(b,b,a) = 2[b,[b,a]] = 2a.  Sorted triples decide Jacobi only for a
+    # bracket of degree zero, so the entry itself is refused.
+    doc = {"format_version": 1, "kind": "dg-lie", "name": "deg-one-bracket",
+           "basis": [["a", 0], ["b", 1]],
+           "structure": {"bracket": [{"inputs": ["a", "b"], "outputs": ["a"], "coeff": "1"}]}}
+    with pytest.raises(ManifestError) as err:
+        parse_manifest_text(json.dumps(doc))
+    assert "witness" in str(err.value) and "'a', 'b', 'a'" in str(err.value)
+    path = tmp_path / "deg-one-bracket.alg"
+    path.write_text(json.dumps(doc))
+    assert run_cli("check", str(path)) == 1
+    capsys.readouterr()
+
+
 def test_syntax_error_carries_location():
     with pytest.raises(ManifestError) as err:
         parse_manifest_text("{\n  \"kind\": }")
