@@ -129,6 +129,10 @@ class BVInftyAlgebra:
             ctx.apply_word_operator_into(out, op, s, hbar_shift=shift)
         return HbarSeries(out)
 
+    def as_bvinfty(self, hbar_cutoff: int | None = None) -> "BVInftyAlgebra":
+        """This algebra itself: it keeps its own hbar cutoff."""
+        return self
+
     def dhat_word(self, w: Word) -> HbarSeries:
         return self.dhat(HbarSeries({(w, "1", 0): ONE}))
 
@@ -416,7 +420,7 @@ def qme_exp_check(V, ring: ArtinLocalAlgebra, S: HbarSeries, hbar_cutoff: int | 
     meaningless, so failure of the axioms is reported as a precondition
     violation rather than folded into the boolean.
     """
-    bvi = V.as_bvinfty(hbar_cutoff or 3) if isinstance(V, BVAlgebra) else V
+    bvi = V.as_bvinfty(hbar_cutoff or 3)
     if not bvi.is_certified():
         bad = [r.name for r in bvi.certify() if not r.ok]
         raise PreconditionError(f"structure is not a certified BV algebra: {bad}")
@@ -457,7 +461,7 @@ def conjugation_identity_check(V, ring: ArtinLocalAlgebra, S: HbarSeries,
     an adapted ring basis makes every ring-nonzero product K_M(x) makes, so a
     word raises TruncationOverflow, and is skipped, exactly as with K_M.
     """
-    bvi = V.as_bvinfty(hbar_cutoff or 3) if isinstance(V, BVAlgebra) else V
+    bvi = V.as_bvinfty(hbar_cutoff or 3)
     _validate_qme_element(bvi, ring, S)
     M = ring.nilpotency
     K = bvi.hbar_cutoff
@@ -521,7 +525,7 @@ def qme_solve_perturbative(V, ring: ArtinLocalAlgebra, seed: HbarSeries,
     words every Delta_n is defined on; representatives pick the earliest
     coordinates in canonical word-then-power order.
     """
-    bvi = V.as_bvinfty(hbar_cutoff or 3) if isinstance(V, BVAlgebra) else V
+    bvi = V.as_bvinfty(hbar_cutoff or 3)
     if not ring.adapted:
         raise PreconditionError("ring basis is not adapted to the m-adic filtration")
     _validate_qme_element(bvi, ring, seed)

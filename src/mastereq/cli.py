@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import random
 import sys
+from typing import Callable
 
 from .artin import ArtinLocalAlgebra
 from .bv import (
@@ -54,7 +56,7 @@ from .linfty import (
     mc_solve_perturbative,
     quillen_bijection_check,
 )
-from .manifest import Manifest, emit_manifest, parse_manifest
+from .manifest import Manifest, emit_manifest, parse_manifest, parse_manifest_text
 from .morphisms import (
     check_bv_morphism,
     compose_with_log_residue,
@@ -115,6 +117,7 @@ OPERATION_COMMANDS = {
 }
 
 DEFAULT_INSTANCES = 20
+CORRUPTION_ATTEMPTS = 10  # corrupted neighbours drawn per battery instance
 
 
 def main(argv=None) -> int:
@@ -265,30 +268,25 @@ def cmd_check(args) -> Report:
         inputs[path] = f"{m.kind}:{m.name}"
         prefix = f"{m.name}: "
         N = _word_length(args, m)
-        tasks = []
         obj = m.obj
+        results: list[CheckResult] = []
+        tasks = []  # checks that compute when run, so their rows carry a timing
         if isinstance(obj, DgLieAlgebra):
-            for r in obj.axiom_report():
-                tasks.append((prefix + r.name, lambda r=r: r))
-            tasks.append((prefix + "codifferential", lambda o=obj, n=N: o.to_linfty().validate(n)))
+            results = obj.axiom_report()
+            tasks.append((prefix + "codifferential", lambda: obj.to_linfty().validate(N)))
         elif isinstance(obj, LInftyAlgebra):
-            tasks.append((prefix + "codifferential", lambda o=obj, n=N: o.validate(n)))
-        elif isinstance(obj, LieBialgebraData):
-            for r in obj.axiom_report():
-                tasks.append((prefix + r.name, lambda r=r: r))
-        elif isinstance(obj, BiDgLieData):
-            for r in obj.axiom_report():
-                tasks.append((prefix + r.name, lambda r=r: r))
+            tasks.append((prefix + "codifferential", lambda: obj.validate(N)))
+        elif isinstance(obj, (LieBialgebraData, BiDgLieData)):
+            results = obj.axiom_report()
         elif isinstance(obj, AssociativeAlgebraData):
             witness = obj.associator_witness()
-            tasks.append((prefix + "associativity",
-                          lambda w=witness: CheckResult("associativity", w is None, witness=w)))
+            results = [CheckResult("associativity", witness is None, witness=witness)]
         elif isinstance(obj, ArtinLocalAlgebra):
-            tasks.append((prefix + "local-ring", lambda o=obj: CheckResult(
-                "local-ring", True, bound={"nilpotency": o.nilpotency, "adapted": o.adapted})))
+            results = [CheckResult("local-ring", True,
+                                   bound={"nilpotency": obj.nilpotency, "adapted": obj.adapted})]
         elif isinstance(obj, (BVAlgebra, BVInftyAlgebra)):
-            for r in obj.certify():
-                tasks.append((prefix + r.name, lambda r=r: r))
+            results = obj.certify()
+        certs.extend(Certificate.from_check(r, name=prefix + r.name) for r in results)
         certs.extend(run_battery(tasks))
     return Report("check", certs, inputs)
 
@@ -300,23 +298,20 @@ def cmd_construct(args) -> Report:
     m = _load(args.file)
     N = _word_length(args, m)
     certs: list[Certificate] = []
-    built = None
     if args.recipe == "ce":
         if isinstance(m.obj, DgLieAlgebra):
             built = ce_bv_from_dg_lie(m.obj, N, coproduct=args.coproduct)
-            certs.extend(run_battery([(r.name, lambda r=r: r) for r in built.certify()]))
         elif isinstance(m.obj, LInftyAlgebra):
             built = ce_bvinfty_from_linfty(m.obj, N, args.hbar_cutoff, coproduct=args.coproduct)
-            certs.extend(run_battery([(r.name, lambda r=r: r) for r in built.certify()]))
         else:
             raise ManifestError("construct ce expects a dg-lie or linfty manifest")
+        results = built.certify()
     elif args.recipe == "ibl":
         if not isinstance(m.obj, LieBialgebraData):
             raise ManifestError("construct ibl expects a lie-bialgebra manifest")
         built, info = ce_bv_from_ibl(m.obj, N)
-        expected = info["involutive"]
-        certs.extend(run_battery([(r.name, lambda r=r: r) for r in built.certify()
-                                  if not (r.name == "[delta,d]" and not expected)]))
+        # [delta,d] = 0 is expected only of an involutive bialgebra
+        results = [r for r in built.certify() if info["involutive"] or r.name != "[delta,d]"]
         certs.append(Certificate(
             name="involutivity-dichotomy",
             status="pass" if info["involutive"] == info["commutator_vanishes"] else "fail",
@@ -326,21 +321,19 @@ def cmd_construct(args) -> Report:
         if not isinstance(m.obj, BiDgLieData):
             raise ManifestError("construct bi-dg expects a bi-dg-lie manifest")
         built, info = bv_from_bi_dg_lie(m.obj, N)
-        certs.extend(run_battery([(r.name, lambda r=r: r) for r in built.certify()]))
-        certs.extend(run_battery([(r.name, lambda r=r: r) for r in info["inclusion"]]))
-    elif args.recipe == "ttw":
+        results = [*built.certify(), *info["inclusion"]]
+    else:  # ttw
         if not isinstance(m.obj, AssociativeAlgebraData):
             raise ManifestError("construct ttw expects an associative manifest")
         built, info = bar_bv_from_associative(m.obj, N, coproduct=args.coproduct)
-        certs.extend(run_battery([(r.name, lambda r=r: r) for r in built.certify()]))
-    if args.emit and built is not None:
+        results = built.certify()
+    certs.extend(map(Certificate.from_check, results))
+    if args.emit:
         _emit_bv_manifest(built, args.emit)
     return Report(f"construct {args.recipe}", certs, {"file": args.file, "word_length": N})
 
 
 def _emit_bv_manifest(built, path: str) -> None:
-    from .manifest import parse_manifest_text
-    import json
     algebra = built.algebra
     doc = {
         "format_version": 1,
@@ -402,7 +395,7 @@ def cmd_solve_qme(args) -> Report:
     ring = _load_ring(args.ring)
     N = _word_length(args, m)
     V = _as_bv(m, N, args.hbar_cutoff)
-    bvi = V.as_bvinfty(args.hbar_cutoff) if isinstance(V, BVAlgebra) else V
+    bvi = V.as_bvinfty(args.hbar_cutoff)
     seed = _closed_qme_seed(bvi, ring, random.Random(args.seed))
     result = qme_solve_perturbative(V, ring, seed, args.hbar_cutoff)
     return _solve_report("solve-qme", args, m, ring, seed, result,
@@ -434,126 +427,133 @@ def _solve_report(command: str, args, m: Manifest, ring: ArtinLocalAlgebra, seed
 def cmd_verify(args) -> Report:
     rng = random.Random(args.seed)
     count = args.instances
+    K = args.hbar_cutoff
     certs: list[Certificate] = []
     inputs = {"file": args.file, "seed": args.seed, "instances": count}
     if args.theorem == "quillen":
         m = _load(args.file, ("dg-lie", "linfty"))
         ring = _load_ring(args.ring)
-        gl = m.obj.to_linfty() if isinstance(m.obj, DgLieAlgebra) else m.obj
-        target = gl
-        if all(deg == 0 for _, deg in gl.space.basis):
+        target = m.obj.to_linfty() if isinstance(m.obj, DgLieAlgebra) else m.obj
+        if all(deg == 0 for _, deg in target.space.basis):
             # classical algebras have trivial degree-one part; work in the
             # coderivation algebra, where deformations of the bracket live
             coder, _ = coderivation_dg_lie(m.obj, max_len=3, validate=False)
             target = coder.to_linfty()
             certs.extend(run_battery([("deformed-bracket-agreement",
                                        lambda: _deformed_bracket_battery(m.obj, ring, rng, count))]))
-        valid = corrupted = 0
-        for _ in range(count):
-            S = random_mc_element(target, ring, rng)
-            if quillen_bijection_check(target, ring, S)["ok"]:
-                valid += 1
-            bad = quillen_bijection_check(target, ring, S, corrupt=_corruption(target, ring, rng))
-            if not bad["morphism"]:
-                corrupted += 1
-        certs.append(_tally("quillen-valid", "passed", valid, 0, count))
-        certs.append(_tally("quillen-corrupted-detected", "detected", corrupted, 0, count))
+        certs += _battery(
+            "quillen", count, lambda: random_mc_element(target, ring, rng),
+            lambda S: quillen_bijection_check(target, ring, S)["ok"],
+            # one corrupted exp map decides: one still read as a morphism is a miss
+            lambda S: not quillen_bijection_check(
+                target, ring, S, corrupt=_corruption(target, ring))["morphism"])
     elif args.theorem == "chuang-lazarev":
-        m = _load(args.file, ("dg-lie", "linfty"))
-        valid = corrupted = skipped = 0
-        for _ in range(count):
-            g_tw, cor = twisted_linfty_morphism(m.obj, rng, 3)
-            res = chuang_lazarev_residual(m.obj, g_tw, cor, 3)
-            defect = chuang_lazarev_morphism_defect(m.obj, g_tw, cor, 3)
-            if res == {} and defect.ok:
-                valid += 1
-            # perturb until the result is genuinely not a morphism, then the
-            # residual must see it and agree with the intertwining defect
-            for _attempt in range(10):
-                bad = _perturbed(cor, rng)
-                res_bad = chuang_lazarev_residual(m.obj, g_tw, bad, 3)
-                defect_bad = chuang_lazarev_morphism_defect(m.obj, g_tw, bad, 3)
-                if (res_bad == {}) != defect_bad.ok:
-                    break  # inconsistency: counts as a miss
-                if res_bad != {}:
-                    corrupted += 1
-                    break
-            else:
-                skipped += 1  # every neighbor was a morphism: nothing to detect
-        certs.append(_tally("chuang-lazarev-valid", "passed", valid, 0, count))
-        certs.append(_tally("chuang-lazarev-corrupted-detected", "detected", corrupted, skipped, count))
+        g = _load(args.file, ("dg-lie", "linfty")).obj
+
+        def routes(g_tw, cor):
+            """(residual is zero, cor is a morphism): the two routes' verdicts."""
+            return (chuang_lazarev_residual(g, g_tw, cor, 3) == {},
+                    chuang_lazarev_morphism_defect(g, g_tw, cor, 3).ok)
+
+        def corrupted(inst):
+            residual_zero, is_morphism = routes(inst[0], _perturbed(inst[1], rng))
+            return _rejected(residual_zero == is_morphism, is_morphism)
+
+        certs += _battery("chuang-lazarev", count, lambda: twisted_linfty_morphism(g, rng, 3),
+                          lambda inst: all(routes(*inst)), corrupted)
     elif args.theorem == "theorem-first":
         m = _load(args.file)
         ring = _load_ring(args.ring)
-        N = _word_length(args, m)
-        V = _as_bv(m, N, args.hbar_cutoff)
-        bvi = V.as_bvinfty(args.hbar_cutoff) if isinstance(V, BVAlgebra) else V
-        valid = valid_skipped = corrupted = skipped = 0
-        for _ in range(count):
-            seed = _closed_qme_seed(bvi, ring, rng)
-            result = qme_solve_perturbative(V, ring, seed, args.hbar_cutoff)
-            if result.status == "solved":
-                report = theorem_first_bijection_check(V, ring, result.element, args.hbar_cutoff)
-                if report["solves_qme"] and report["is_morphism"]:
-                    valid += 1
-            else:
-                valid_skipped += 1  # obstructed seed: no solution to test
-            for _attempt in range(10):
-                Sbad = random_qme_element(V, ring, rng)
-                bad = theorem_first_bijection_check(V, ring, Sbad, args.hbar_cutoff)
-                if not bad["equivalence"]:
-                    break  # inconsistency: counts as a miss
-                if not bad["solves_qme"]:
-                    if not bad["is_morphism"]:
-                        corrupted += 1
-                    break
-            else:
-                skipped += 1  # every random draw solved; nothing to reject
-        certs.append(_tally("theorem-first-valid", "passed", valid, valid_skipped, count))
-        certs.append(_tally("theorem-first-corrupted-detected", "detected", corrupted, skipped, count))
+        V = _as_bv(m, _word_length(args, m), K)
+        bvi = V.as_bvinfty(K)
+
+        def valid(seed):
+            result = qme_solve_perturbative(V, ring, seed, K)
+            if result.status != "solved":
+                return None  # obstructed seed: no solution to test
+            report = theorem_first_bijection_check(V, ring, result.element, K)
+            return report["solves_qme"] and report["is_morphism"]
+
+        def corrupted(_seed):
+            bad = theorem_first_bijection_check(V, ring, random_qme_element(V, ring, rng), K)
+            return _rejected(bad["equivalence"], bad["solves_qme"])
+
+        certs += _battery("theorem-first", count, lambda: _closed_qme_seed(bvi, ring, rng),
+                          valid, corrupted)
     elif args.theorem == "theorem-second":
-        m = _load(args.file, ("dg-lie", "linfty"))
-        gl = m.obj.to_linfty() if isinstance(m.obj, DgLieAlgebra) else m.obj
-        V = ce_bvinfty_from_linfty(gl, 3, args.hbar_cutoff)
-        valid = corrupted = skipped = 0
-        for _ in range(count):
-            g_tw, cor = twisted_linfty_morphism(m.obj, rng, 3)
-            table = {w: {(t,): c for t, c in val.items()} for w, val in cor.items()}
-            report = theorem_second_bijection_check(V, g_tw, table, 3, args.hbar_cutoff)
-            if report["qme_zero"] and report["is_morphism"]:
-                valid += 1
-            for _attempt in range(10):
-                bad = theorem_second_bijection_check(V, g_tw, _perturbed(table, rng), 3,
-                                                     args.hbar_cutoff)
-                if not bad["equivalence"]:
-                    break  # inconsistency: counts as a miss
-                if not bad["is_morphism"]:
-                    corrupted += 1
-                    break
-            else:
-                skipped += 1  # every neighbor was a morphism: nothing to detect
-        certs.append(_tally("theorem-second-valid", "passed", valid, 0, count))
-        certs.append(_tally("theorem-second-corrupted-detected", "detected", corrupted, skipped, count))
+        g = _load(args.file, ("dg-lie", "linfty")).obj
+        V = ce_bvinfty_from_linfty(g.to_linfty() if isinstance(g, DgLieAlgebra) else g, 3, K)
+
+        def draw():
+            g_tw, cor = twisted_linfty_morphism(g, rng, 3)
+            return g_tw, {w: {(t,): c for t, c in val.items()} for w, val in cor.items()}
+
+        def valid(inst):
+            report = theorem_second_bijection_check(V, *inst, 3, K)
+            return report["qme_zero"] and report["is_morphism"]
+
+        def corrupted(inst):
+            bad = theorem_second_bijection_check(V, inst[0], _perturbed(inst[1], rng), 3, K)
+            return _rejected(bad["equivalence"], bad["is_morphism"])
+
+        certs += _battery("theorem-second", count, draw, valid, corrupted)
     elif args.theorem == "corollary-bidg":
-        m = _load(args.file, ("bi-dg-lie",))
+        B = _load(args.file, ("bi-dg-lie",)).obj
         ring = _load_ring(args.ring)
-        B = m.obj
-        ok = 0
-        for _ in range(count):
+
+        def draw():
             terms = {}
             for x, deg in B.space.basis:
-                for h in range(args.hbar_cutoff):
-                    if deg + 2 * h != 1:
-                        continue
-                    for r in ring.ideal_labels:
-                        if rng.random() < 0.35:
-                            c = rng.randint(-1, 1)
-                            if c:
-                                terms[(x, r, h)] = c
-            report = corollary_bidg_check(B, ring, HbarSeries(terms), args.hbar_cutoff)
-            ok += report["ok"]
-        certs.append(_tally("corollary-bidg", "passed", ok, 0, count))
+                h, odd = divmod(1 - deg, 2)  # the hbar power of total degree one
+                if odd or not 0 <= h < K:
+                    continue
+                for r in ring.ideal_labels:
+                    if rng.random() < 0.35:
+                        c = rng.randint(-1, 1)
+                        if c:
+                            terms[(x, r, h)] = c
+            return HbarSeries(terms)
+
+        certs += _battery("corollary-bidg", count, draw,
+                          lambda S: corollary_bidg_check(B, ring, S, K)["ok"])
     return Report(f"verify-representability {args.theorem}", certs, inputs)
+
+
+def _battery(name: str, count: int, draw: Callable[[], object],
+             valid: Callable[[object], bool | None],
+             corrupted: Callable[[object], bool | None] | None = None) -> list[Certificate]:
+    """`{name}-valid` and `{name}-corrupted-detected`, or `name` alone without
+    `corrupted`: the `_tally` certificates of `count` drawn instances.
+
+    Per instance, `inst = draw()`; `valid(inst)` gives True (hit), False
+    (miss) or None (nothing to test: a skip).  `corrupted(inst)` draws and
+    checks a corrupted neighbour until it gives True (detected) or False
+    (missed); after `CORRUPTION_ATTEMPTS` Nones the instance is skipped.  The
+    callables hold all randomness and run in this order, so a seed fixes the
+    report.
+    """
+    hits = skips = detected = undetectable = 0
+    for _ in range(count):
+        inst = draw()
+        verdict = valid(inst)
+        hits += bool(verdict)
+        skips += verdict is None
+        if corrupted is not None:
+            attempts = (corrupted(inst) for _ in range(CORRUPTION_ATTEMPTS))
+            verdict = next((v for v in attempts if v is not None), None)
+            detected += bool(verdict)
+            undetectable += verdict is None
+    if corrupted is None:
+        return [_tally(name, "passed", hits, skips, count)]
+    return [_tally(f"{name}-valid", "passed", hits, skips, count),
+            _tally(f"{name}-corrupted-detected", "detected", detected, undetectable, count)]
+
+
+def _rejected(routes_agree: bool, still_valid: bool) -> bool | None:
+    """The verdict on one corrupted draw: detected when both routes reject
+    it, missed when they disagree, and None (nothing to detect, draw again)
+    when both still accept it."""
+    return None if routes_agree and still_valid else routes_agree
 
 
 def _tally(name: str, counted: str, hits: int, skipped: int, total: int) -> Certificate:
@@ -584,9 +584,8 @@ def _perturbed(table: dict, rng: random.Random) -> dict:
     return bad
 
 
-def _corruption(gl, ring, rng: random.Random):
-    words = gl.word_algebra(ring.nilpotency).words
-    target = next(w for w in words if len(w) == 2)
+def _corruption(gl, ring):
+    target = next(w for w in gl.word_algebra(ring.nilpotency).words if len(w) == 2)
     return (ring.ideal_labels[0], target, ONE)
 
 
@@ -618,13 +617,10 @@ def _deformed_bracket_battery(h: DgLieAlgebra, ring, rng: random.Random, count: 
 
 def cmd_compose(args) -> Report:
     rings = [(_load(path, ("artin-ring",))).obj for path in args.rings]
-    chain = []
-    for big, small in zip(rings, rings[1:]):
-        chain.append(_truncation_morphism(big, small, args.hbar_cutoff))
-    certs = []
-    for i, phi in enumerate(chain):
-        report = check_bv_morphism(phi)
-        certs.append(Certificate(f"morphism-{i}-valid", "pass" if report["ok"] else "fail"))
+    chain = [_truncation_morphism(big, small, args.hbar_cutoff)
+             for big, small in zip(rings, rings[1:])]
+    certs = [Certificate(f"morphism-{i}-valid", "pass" if check_bv_morphism(phi)["ok"] else "fail")
+             for i, phi in enumerate(chain)]
     composite, leftover = compose_with_log_residue(chain[0], chain[1])
     direct = _truncation_morphism(rings[0], rings[2], args.hbar_cutoff)
     certs.append(Certificate("functoriality",
@@ -632,16 +628,14 @@ def cmd_compose(args) -> Report:
     witness = {key: {k: str(c) for k, c in coeff.items()} for key, coeff in leftover.items()}
     certs.append(Certificate("log-hbar-inverse-vanishes", "pass" if not leftover else "fail",
                              witness=witness or None))
-    comp_report = check_bv_morphism(composite)
-    certs.append(Certificate("composite-valid", "pass" if comp_report["ok"] else "fail"))
+    certs.append(Certificate("composite-valid",
+                             "pass" if check_bv_morphism(composite)["ok"] else "fail"))
     return Report("compose-morphisms", certs,
                   {"rings": [r.name for r in rings], "hbar_cutoff": args.hbar_cutoff})
 
 
 def _truncation_morphism(big: ArtinLocalAlgebra, small: ArtinLocalAlgebra, K: int):
-    entries = {}
-    for r in big.ideal_labels:
-        entries[r] = {r: 1} if r in small.ideal_labels else {}
+    entries = {r: {r: 1} if r in small.ideal_labels else {} for r in big.ideal_labels}
     try:
         return ring_map_to_bv_morphism(big, small, entries, K)
     except PreconditionError as err:
@@ -670,25 +664,17 @@ def cmd_identity(args) -> Report:
     m = _load(args.file)
     inputs["file"] = args.file
     ring = _load_ring(args.ring)
-    N = _word_length(args, m)
-    V = _as_bv(m, N, args.hbar_cutoff)
+    V = _as_bv(m, _word_length(args, m), args.hbar_cutoff)
     if args.identity == "big-formula":
-        ok = 0
-        for _ in range(args.instances):
-            S = random_qme_element(V, ring, rng)
-            result = conjugation_identity_check(V, ring, S, args.hbar_cutoff)
-            ok += bool(result.ok)
-        certs.append(_tally("conjugation-identity", "passed", ok, 0, args.instances))
+        certs += _battery("conjugation-identity", args.instances,
+                          lambda: random_qme_element(V, ring, rng),
+                          lambda S: conjugation_identity_check(V, ring, S, args.hbar_cutoff).ok)
     elif args.identity == "qme-forms":
-        ok = 0
-        for _ in range(args.instances):
-            S = random_qme_element(V, ring, rng)
-            report = qme_exp_check(V, ring, S, args.hbar_cutoff)
-            ok += bool(report["ok"])
-        certs.append(_tally("qme-form-equivalence", "passed", ok, 0, args.instances))
+        certs += _battery("qme-form-equivalence", args.instances,
+                          lambda: random_qme_element(V, ring, rng),
+                          lambda S: qme_exp_check(V, ring, S, args.hbar_cutoff)["ok"])
     elif args.identity == "derived-brackets":
-        bvi = V.as_bvinfty(args.hbar_cutoff) if isinstance(V, BVAlgebra) else V
-        result = derived_brackets_linfty_check(bvi, max_arity=4)
+        result = derived_brackets_linfty_check(V.as_bvinfty(args.hbar_cutoff), max_arity=4)
         certs.append(Certificate.from_check(result))
     return Report(f"identity-check {args.identity}", certs, inputs)
 

@@ -29,7 +29,6 @@ from typing import Mapping
 
 from .diagnostics import CheckResult, PreconditionError
 from .graded import ONE, ZERO, Scalar, as_scalar
-from .operators import Operator
 from .series import HbarSeries, SeriesContext
 from .words import SymmetricWordAlgebra, Word, WordAlgebra, vec_add_into
 
@@ -110,9 +109,6 @@ class Coderivation:
             for u, v in self.expand(w).items():
                 vec_add_into(out, u, v * c)
         return out
-
-    def as_operator(self) -> Operator:
-        return Operator.from_function(self.algebra, self.degree, self.expand, name="coderivation")
 
     def __repr__(self):
         return f"Coderivation(degree={self.degree}, arities={sorted({len(w) for w in self.corestriction})})"

@@ -137,7 +137,8 @@ def ce_bvinfty_from_linfty(g: LInftyAlgebra, max_len: int = 4, hbar_cutoff: int 
 
     The structure constants transport verbatim from S(g[1]): the even shift
     preserves parities, so normal forms and signs agree; Delta_n is the
-    coderivation expansion of l_n and in particular has order <= n.
+    coderivation expansion of l_n along the unshuffle coproduct, whatever
+    coproduct the algebra carries, and in particular has order <= n.
 
     The algebra is built once per `g`, keyed by (max_len, hbar_cutoff,
     coproduct), and shared between callers; treat it as read-only.
@@ -151,13 +152,15 @@ def ce_bvinfty_from_linfty(g: LInftyAlgebra, max_len: int = 4, hbar_cutoff: int 
 def _build_ce_bvinfty_from_linfty(g: LInftyAlgebra, max_len: int, hbar_cutoff: int,
                                   coproduct: str) -> BVInftyAlgebra:
     algebra = g.space.symmetric_algebra(-1, max_len, coproduct)
+    # the same words and product under the shuffle coproduct, which Delta_n
+    # expands along
+    shuffle = g.space.symmetric_algebra(-1, max_len)
     operators: dict[int, Operator] = {}
     for n, table in g.brackets.items():
         if n > max_len:
             continue
-        cod = Coderivation(algebra, 3 - 2 * n, {w: dict(val) for w, val in table.items()})
-        operators[n] = cod.as_operator()
-        operators[n].name = f"Delta_{n}"
+        cod = Coderivation(shuffle, 3 - 2 * n, {w: dict(val) for w, val in table.items()})
+        operators[n] = Operator.from_function(algebra, cod.degree, cod.expand, name=f"Delta_{n}")
     return BVInftyAlgebra(algebra, operators, hbar_cutoff, name=f"CE({g.name})")
 
 

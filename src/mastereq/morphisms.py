@@ -22,7 +22,7 @@ import random
 from typing import Mapping
 
 from .artin import ArtinLocalAlgebra
-from .bv import BVAlgebra, BVInftyAlgebra, qme_exp_check
+from .bv import BVInftyAlgebra, qme_exp_check
 from .coalgebra import conv_exp, conv_log, corestriction_series, intertwining_defect, word_vector
 from .diagnostics import CheckResult, PreconditionError, StructureError
 from .graded import ONE, ZERO, Scalar, as_scalar
@@ -287,7 +287,7 @@ def theorem_first_bijection_check(V, ring: ArtinLocalAlgebra, S: HbarSeries,
 
     The vanishing condition (3) holds automatically because (m*)^{n+2} = 0.
     """
-    bvi = V.as_bvinfty(hbar_cutoff) if isinstance(V, BVAlgebra) else V
+    bvi = V.as_bvinfty(hbar_cutoff)
     qme = qme_exp_check(V, ring, S, hbar_cutoff)
     components: dict[int, dict] = {}
     for (w, r, h), c in S.terms.items():
@@ -333,7 +333,7 @@ def theorem_second_bijection_check(V, g, S_components: Mapping[Word, Mapping[str
     """
     from .constructions import ce_bvinfty_from_linfty
     gl = _as_linfty(g)
-    bvi = V.as_bvinfty(hbar_cutoff) if isinstance(V, BVAlgebra) else V
+    bvi = V.as_bvinfty(hbar_cutoff)
     source = ce_bvinfty_from_linfty(gl, max_len, hbar_cutoff)
     phi = BVMorphism(source, bvi, _components_by_weight(S_components), name="S")
     morphism = check_bv_morphism(phi)

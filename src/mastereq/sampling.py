@@ -12,7 +12,6 @@ import random
 from fractions import Fraction
 
 from .artin import ArtinLocalAlgebra
-from .bv import BVAlgebra
 from .graded import ONE, Scalar, as_scalar
 from .series import HbarSeries
 
@@ -54,7 +53,7 @@ def random_qme_element(V, ring: ArtinLocalAlgebra, rng: random.Random,
     The word-length cap keeps e^{S/hbar} inside the truncation: products of
     up to M-1 supports appear, so cap * (M-1) must fit in the window.
     """
-    bvi = V.as_bvinfty() if isinstance(V, BVAlgebra) else V
+    bvi = V.as_bvinfty()
     A = bvi.algebra
     M = ring.nilpotency
     if word_len_cap is None:

@@ -4,8 +4,14 @@ Terms are keyed by (basis key of the ambient algebra A, ring label, hbar
 power).  Nonnegative powers live in the truncated polynomial window
 [0, cutoff); negative powers appear only inside e^{S/hbar} computations and
 are bounded below by the ring nilpotency, since every hbar^{-n} comes with a
-coefficient in m^n.  Multiplication drops powers at or above the cutoff,
-which is sound because products and BV operators only ever raise the power.
+coefficient in m^n.  Multiplication drops powers at or above the cutoff.
+Where every factor has a nonnegative power this is exact, since products and
+BV operators only raise the power.  A factor with a negative power lowers a
+product: if the factors still to come carry at most hbar^{-k} between them, a
+term dropped now could have ended at any power from cutoff - k up, so the
+result is exact only below cutoff - k.  `BVMorphism.exp_map` multiplies up to
+c factors of hbar^{-1}, c the conilpotency of its source, so it works at the
+target's cutoff + c + 1.
 """
 
 from __future__ import annotations

@@ -11,11 +11,15 @@ format and checks its exit code against the same `exit_codes.json`.
 process, as scripts and the benchmark do, against the same files.
 
 The golden files are the report contract: a kernel change that alters the
-product order, a sign or a witness shows up here.  Regenerate them with
+product order, a sign or a witness shows up here.  Running
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
-only for a deliberate change of the report contract, and say so in the
+writes the files of every case that has none and adds its exit code to
+`exit_codes.json`; it never overwrites.  It exits 1 and names every existing
+golden whose bytes (or exit code) the case no longer reproduces.  For a
+deliberate change of the report contract, delete that case's files
+(`<case>.*`) first, so the diff shows them, run it again, and say so in the
 change description.
 """
 
@@ -175,6 +179,37 @@ def test_one_parser_serves_repeated_calls(tmp_path, monkeypatch):
     assert built == []
 
 
+def test_regenerate_writes_only_missing_goldens(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    golden = tmp_path / "golden"
+    cases = [("check-ring-t2", ["check", _f("ring-t2.alg")]),
+             ("check-bad-rational", ["check", _f("bad-rational.alg")])]
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", golden)
+    monkeypatch.setattr(sys.modules[__name__], "COMMANDS", cases)
+    assert regenerate() == 0
+    for name in ("check-ring-t2.stdout", "check-bad-rational.stderr"):
+        assert (golden / name).read_bytes() == (GOLDEN / name).read_bytes()
+    assert json.loads((golden / "exit_codes.json").read_text()) == {
+        "check-bad-rational": 1, "check-ring-t2": 0}
+
+    # a drifted golden is named, never overwritten; other cases' codes merge
+    (golden / "check-ring-t2.stdout").write_text("drifted\n")
+    (golden / "exit_codes.json").write_text(json.dumps({"check-ring-t2": 0, "other": 3}))
+    capsys.readouterr()
+    assert regenerate() == 1
+    assert (golden / "check-ring-t2.stdout").read_text() == "drifted\n"
+    assert "golden would change: check-ring-t2.stdout" in capsys.readouterr().err
+    assert json.loads((golden / "exit_codes.json").read_text()) == {
+        "check-bad-rational": 1, "check-ring-t2": 0, "other": 3}
+
+    # a changed exit code is named too; deleting a case's files rewrites them
+    (golden / "check-ring-t2.stdout").unlink()
+    (golden / "exit_codes.json").write_text(json.dumps({"check-bad-rational": 0}))
+    assert regenerate() == 1
+    assert "golden would change: exit_codes.json: check-bad-rational" in capsys.readouterr().err
+    assert (golden / "check-ring-t2.stdout").read_bytes() == (GOLDEN / "check-ring-t2.stdout").read_bytes()
+
+
 def test_parser_is_built_on_first_use_not_at_import():
     code = "import mastereq.cli as c; print(c._parser.cache_info().currsize)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -183,22 +218,39 @@ def test_parser_is_built_on_first_use_not_at_import():
     assert proc.stdout.strip() == "0"
 
 
-def regenerate() -> None:
+def regenerate() -> int:
+    """Write the goldens of the cases that have none; see the module docstring.
+
+    A case has goldens when any of its files exists; such a case is only
+    compared, and only a missing exit code is added.  Returns 1, after naming
+    every golden that would change, or 0.
+    """
     os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)
-    for old in GOLDEN.iterdir():
-        old.unlink()
-    codes = {}
+    codes_path = GOLDEN / "exit_codes.json"
+    codes = json.loads(codes_path.read_text(encoding="utf-8")) if codes_path.exists() else {}
+    drifted = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in COMMANDS:
             got = run_case(argv, Path(tmp) / "emitted.alg")
-            codes[name] = got["exit"]
-            for part, text in got["parts"].items():
-                if text:
-                    _golden(name, part).write_bytes(text.encode("utf-8"))
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n",
-                                            encoding="utf-8")
+            parts = {part: _golden(name, part) for part in ("stdout", "stderr", "emit")}
+            new = not any(path.exists() for path in parts.values())
+            if new or name not in codes:
+                codes[name] = got["exit"]
+            elif codes[name] != got["exit"]:
+                drifted.append(f"{codes_path.name}: {name}")
+            for part, path in parts.items():
+                text = got["parts"].get(part)
+                data = text.encode("utf-8") if text else None
+                if new and data is not None:
+                    path.write_bytes(data)
+                elif not new and (path.read_bytes() if path.exists() else None) != data:
+                    drifted.append(path.name)
+    codes_path.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    for name in drifted:
+        print(f"golden would change: {name}", file=sys.stderr)
+    return 1 if drifted else 0
 
 
 if __name__ == "__main__":
-    regenerate()
+    sys.exit(regenerate())

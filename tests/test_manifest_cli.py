@@ -212,6 +212,23 @@ def test_vacuous_corruption_battery_does_not_pass(tmp_path, monkeypatch):
     assert detected["bounds"] == {"detected": 0, "skipped": 3, "total": 3}
 
 
+def test_corrupted_neighbour_the_routes_disagree_on_is_a_miss(tmp_path, monkeypatch):
+    # the intertwining defect accepts every neighbour, the residual rejects it:
+    # the first neighbour decides, as a miss, with no further draw and no skip
+    monkeypatch.setattr(cli, "chuang_lazarev_residual", lambda *args: {"x": 1})
+    monkeypatch.setattr(cli, "chuang_lazarev_morphism_defect",
+                        lambda *args: cli.CheckResult("defect", True))
+    perturbed = []
+    monkeypatch.setattr(cli, "_perturbed", lambda table, rng: perturbed.append(1) or table)
+    out = tmp_path / "r.json"
+    code = run_cli("verify-representability", "chuang-lazarev", str(FIXTURES / "sl2.alg"),
+                   "--seed", "5", "--instances", "3", "--format", "machine", "--out", str(out))
+    assert code == 1
+    certs = {c["name"]: c for c in json.loads(out.read_text())["certificates"]}
+    assert certs["chuang-lazarev-corrupted-detected"]["bounds"] == {"detected": 0, "total": 3}
+    assert len(perturbed) == 3
+
+
 def _theorem_first_valid(tmp_path, monkeypatch, obstructed_calls):
     """theorem-first on sl2 with the solver reporting an obstruction on the
     given (0-based) calls; returns the exit code and the valid certificate."""
@@ -271,6 +288,87 @@ def test_battery_without_instances_fails(argv, tmp_path):
     assert code == 1
     certs = json.loads(out.read_text())["certificates"]
     assert certs and all(c["status"] == "fail" for c in certs)
+
+
+def _scripted(tag, verdicts, log):
+    """A battery callable that returns `verdicts` in turn and logs each call."""
+    answers = iter(verdicts)
+
+    def call(*args):
+        log.append((tag, *args))
+        return next(answers)
+
+    return call
+
+
+def _bounds(certs):
+    return {c.name: (c.status, c.bounds) for c in certs}
+
+
+def test_battery_tallies_hits_misses_and_skips():
+    log = []
+    certs = cli._battery("b", 4, _scripted("draw", [10, 11, 12, 13], log),
+                         _scripted("valid", [True, False, None, True], log))
+    assert _bounds(certs) == {"b": ("fail", {"passed": 2, "skipped": 1, "total": 4})}
+    assert log == [("draw",), ("valid", 10), ("draw",), ("valid", 11),
+                   ("draw",), ("valid", 12), ("draw",), ("valid", 13)]
+    # skips do not fail a battery that has a hit and no miss
+    certs = cli._battery("b", 3, _scripted("draw", [0, 1, 2], []),
+                         _scripted("valid", [None, True, None], []))
+    assert _bounds(certs) == {"b": ("pass", {"passed": 1, "skipped": 2, "total": 3})}
+
+
+def test_battery_draws_corrupted_neighbours_until_a_verdict():
+    log = []
+    certs = cli._battery("b", 2, _scripted("draw", ["i", "j"], log),
+                         _scripted("valid", [True, True], log),
+                         _scripted("corrupted", [None, None, True, False], log))
+    assert _bounds(certs) == {"b-valid": ("pass", {"passed": 2, "total": 2}),
+                              "b-corrupted-detected": ("fail", {"detected": 1, "total": 2})}
+    # detected on the third attempt, then missed on the first
+    assert log == [("draw",), ("valid", "i"), *[("corrupted", "i")] * 3,
+                   ("draw",), ("valid", "j"), ("corrupted", "j")]
+
+
+def test_battery_skips_an_instance_after_ten_undecided_neighbours():
+    log = []
+    verdicts = [None] * cli.CORRUPTION_ATTEMPTS + [None] * (cli.CORRUPTION_ATTEMPTS - 1) + [True]
+    certs = cli._battery("b", 2, _scripted("draw", [0, 1], []), lambda inst: True,
+                         _scripted("corrupted", verdicts, log))
+    assert cli.CORRUPTION_ATTEMPTS == 10
+    assert len(log) == 20
+    assert _bounds(certs)["b-corrupted-detected"] == ("pass", {"detected": 1, "skipped": 1,
+                                                               "total": 2})
+    certs = cli._battery("b", 1, lambda: 0, lambda inst: True, lambda inst: None)
+    assert _bounds(certs)["b-corrupted-detected"] == ("fail", {"detected": 0, "skipped": 1,
+                                                               "total": 1})
+
+
+def test_battery_calls_a_bool_only_corruption_once_per_instance():
+    log = []
+    certs = cli._battery("b", 3, _scripted("draw", [0, 1, 2], []), lambda inst: True,
+                         _scripted("corrupted", [True, True, True], log))
+    assert log == [("corrupted", 0), ("corrupted", 1), ("corrupted", 2)]
+    assert _bounds(certs)["b-corrupted-detected"] == ("pass", {"detected": 3, "total": 3})
+
+
+def test_battery_without_instances_tests_nothing_and_fails():
+    def never(*args):
+        raise AssertionError("no instance to draw or check")
+
+    assert _bounds(cli._battery("b", 0, never, never)) == {
+        "b": ("fail", {"passed": 0, "total": 0})}
+    assert _bounds(cli._battery("b", 0, never, never, never)) == {
+        "b-valid": ("fail", {"passed": 0, "total": 0}),
+        "b-corrupted-detected": ("fail", {"detected": 0, "total": 0})}
+
+
+def test_construct_ce_of_an_linfty_algebra_on_the_trivial_coproduct(tmp_path):
+    out = tmp_path / "r.json"
+    assert run_cli("construct", "ce", str(FIXTURES / "l3demo.alg"), "--coproduct", "trivial",
+                   "--trunc-words", "4", "--format", "machine", "--out", str(out)) == 0
+    names = {c["name"] for c in json.loads(out.read_text())["certificates"]}
+    assert "Delta_3 order<=3" in names
 
 
 def test_compose_morphisms_takes_one_convolution_log(monkeypatch):

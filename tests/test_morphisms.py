@@ -138,26 +138,31 @@ def test_compose_associative_on_ring_chain():
     assert left.components == right.components
 
 
-def _composed_chain(rings):
+def _composed_chain(rings, K=3):
     """Composite components and hbar^{-1} log coefficient of a truncation chain
     R0 -> R1 -> R2, built as `compose-morphisms` builds it."""
-    phi, psi = (cli._truncation_morphism(big, small, 3) for big, small in zip(rings, rings[1:]))
+    phi, psi = (cli._truncation_morphism(big, small, K) for big, small in zip(rings, rings[1:]))
     composite, residue = compose_with_log_residue(phi, psi)
     return composite.components, residue
 
 
-@pytest.mark.parametrize("chain", [*(f"t{M}" for M in range(3, 9)), "cli-t4-t3-t2"])
+@pytest.mark.parametrize("chain", [*(f"t{M}" for M in range(3, 10)), "cli-t4-t3-t2"])
 def test_composite_log_window_is_wide_enough(monkeypatch, chain):
-    # three more powers in both exp_map's window and _composite_log's change nothing
+    # powers at the cutoff are dropped although hbar^{-1} factors would lower
+    # them again (see `series`); six more powers in both exp_map windows and
+    # in _composite_log's change neither the composite nor the hbar^{-1}
+    # residue, at every cutoff K = 1..5.  A ring map's phi/hbar has only
+    # hbar^0 terms, so on these chains no window binds
     if chain.startswith("cli"):
         rings = [load(f"ring-t{m}") for m in (4, 3, 2)]
     else:
         M = int(chain[1:])
         rings = [power_ring(M), power_ring(M - 1), power_ring(M - 2)]
-    narrow = _composed_chain(rings)
-    conilpotency = morphisms._conilpotency
-    monkeypatch.setattr(morphisms, "_conilpotency", lambda algebra: conilpotency(algebra) + 3)
-    assert _composed_chain(rings) == narrow
+    narrow = [_composed_chain(rings, K) for K in range(1, 6)]
+    context = morphisms.SeriesContext
+    monkeypatch.setattr(morphisms, "SeriesContext",
+                        lambda algebra, hbar_cutoff: context(algebra, hbar_cutoff=hbar_cutoff + 6))
+    assert [_composed_chain(rings, K) for K in range(1, 6)] == narrow
 
 
 def test_condition3_violation_flagged():
