@@ -110,6 +110,8 @@ class BVAlgebra:
 class BVInftyAlgebra:
     def __init__(self, algebra: WordAlgebra, operators: Mapping[int, Operator],
                  hbar_cutoff: int = 3, name: str = "V"):
+        if hbar_cutoff < 1:
+            raise PreconditionError(f"hbar cutoff must be >= 1, got {hbar_cutoff}")
         self.algebra = algebra
         self.operators = {int(n): op for n, op in operators.items() if op.entries}
         # dhat as (Delta_n, hbar power n - 1) pairs, by arity
@@ -281,16 +283,20 @@ def _shared_derived_brackets(bvi: BVInftyAlgebra, n: int) -> Callable:
     return lambda vs: commutators(vs)(A.unit)
 
 
-def derived_brackets_linfty_check(bvi: BVInftyAlgebra, max_arity: int = 4,
-                                  deviation_samples: int = 12) -> CheckResult:
+DERIVED_MAX_ARITY = 4
+DEVIATION_SAMPLES = 12
+
+
+def derived_brackets_linfty_check(bvi: BVInftyAlgebra) -> CheckResult:
     """Certify the homotopy-Lie package carried by the derived brackets.
 
     Three ingredients, each exact within the truncation window: the master
     condition dhat^2 = 0 (equivalent to all generalized Jacobi identities for
     the brackets multiplied back by hbar^{n-1}); absence of negative hbar
-    powers in every bracket of arity <= max_arity within the length budget;
-    and the deviation identity expressing the failure of the n-th bracket to
-    be a multiderivation through the (n+1)-st:
+    powers in every bracket of arity <= DERIVED_MAX_ARITY within the length
+    budget; and the deviation identity, on the first DEVIATION_SAMPLES
+    in-budget triples, expressing the failure of the n-th bracket to be a
+    multiderivation through the (n+1)-st:
 
         {v,..,ab} = hbar {v,..,a,b} + (-1)^{(|K|+|a|)|b|} b {v,..,a}
                     + (-1)^{|K||a|} a {v,..,b},   |K| = 1 + sum |v_i|.
@@ -306,7 +312,7 @@ def derived_brackets_linfty_check(bvi: BVInftyAlgebra, max_arity: int = 4,
     budget = A.max_len - max(0, raise_bound)
     letters = [w for w in A.augmentation_ideal_words() if len(w) <= budget]
     checked = 0
-    for n in range(1, max_arity + 1):
+    for n in range(1, DERIVED_MAX_ARITY + 1):
         bracket = _shared_derived_brackets(bvi, n)
         for vs in word_tuples_within(letters, n, budget):
             checked += 1
@@ -323,13 +329,13 @@ def derived_brackets_linfty_check(bvi: BVInftyAlgebra, max_arity: int = 4,
     # deviation identity on the first few in-budget triples (v-tuple, a, b)
     ctx = SeriesContext(A, TRIVIAL_RING, bvi.hbar_cutoff)
     triples = ((vs, a, b)
-               for n in range(1, max_arity)
+               for n in range(1, DERIVED_MAX_ARITY)
                for vs in word_tuples_within(letters, n - 1, budget)
                for a in letters
                for b in letters
                if sum(len(v) for v in vs) + len(a) + len(b) <= budget)
     sampled = 0
-    for vs, a, b in itertools.islice(triples, deviation_samples):
+    for vs, a, b in itertools.islice(triples, DEVIATION_SAMPLES):
         ab = A.mul_words(a, b)
         lhs = HbarSeries()
         for w, c in ab.items():
@@ -352,7 +358,7 @@ def derived_brackets_linfty_check(bvi: BVInftyAlgebra, max_arity: int = 4,
                          "a": A.label(a), "b": A.label(b)})
         sampled += 1
     return CheckResult("derived-brackets", True,
-                       bound={"word_length": A.max_len, "max_arity": max_arity,
+                       bound={"word_length": A.max_len, "max_arity": DERIVED_MAX_ARITY,
                               "tuples": checked, "deviation_samples": sampled,
                               # the arity-2 derived bracket relates to the
                               # antibracket by this per-degree sign
@@ -420,7 +426,7 @@ def qme_exp_check(V, ring: ArtinLocalAlgebra, S: HbarSeries, hbar_cutoff: int | 
     meaningless, so failure of the axioms is reported as a precondition
     violation rather than folded into the boolean.
     """
-    bvi = V.as_bvinfty(hbar_cutoff or 3)
+    bvi = V.as_bvinfty(3 if hbar_cutoff is None else hbar_cutoff)
     if not bvi.is_certified():
         bad = [r.name for r in bvi.certify() if not r.ok]
         raise PreconditionError(f"structure is not a certified BV algebra: {bad}")
@@ -461,7 +467,7 @@ def conjugation_identity_check(V, ring: ArtinLocalAlgebra, S: HbarSeries,
     an adapted ring basis makes every ring-nonzero product K_M(x) makes, so a
     word raises TruncationOverflow, and is skipped, exactly as with K_M.
     """
-    bvi = V.as_bvinfty(hbar_cutoff or 3)
+    bvi = V.as_bvinfty(3 if hbar_cutoff is None else hbar_cutoff)
     _validate_qme_element(bvi, ring, S)
     M = ring.nilpotency
     K = bvi.hbar_cutoff
@@ -525,7 +531,7 @@ def qme_solve_perturbative(V, ring: ArtinLocalAlgebra, seed: HbarSeries,
     words every Delta_n is defined on; representatives pick the earliest
     coordinates in canonical word-then-power order.
     """
-    bvi = V.as_bvinfty(hbar_cutoff or 3)
+    bvi = V.as_bvinfty(3 if hbar_cutoff is None else hbar_cutoff)
     if not ring.adapted:
         raise PreconditionError("ring basis is not adapted to the m-adic filtration")
     _validate_qme_element(bvi, ring, seed)

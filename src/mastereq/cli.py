@@ -162,38 +162,42 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mastereq",
         description="Exact kernel for classical and quantum master equations.")
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "--trunc-words": dict(type=_window_bound, default=None, metavar="N"),
+        "--hbar-cutoff": dict(type=_window_bound, default=3, metavar="K"),
+        "--seed": dict(type=int, default=0),
+        "--instances": dict(type=int, default=DEFAULT_INSTANCES),
+    }
 
-    def common(p):
+    def options(p, *names):
+        """--format, --out and the named flags: those the handler reads."""
         p.add_argument("--format", choices=("human", "machine"), default="human")
         p.add_argument("--out", default=None, help="write the report to a file")
-        p.add_argument("--trunc-words", type=int, default=None, metavar="N")
-        p.add_argument("--hbar-cutoff", type=int, default=3, metavar="K")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--instances", type=int, default=DEFAULT_INSTANCES)
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p = sub.add_parser("check", help="axiom certification of a manifest")
     p.add_argument("files", nargs="+")
-    common(p)
+    options(p, "--trunc-words")
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("construct", help="build and certify an example complex")
     p.add_argument("recipe", choices=("ce", "ibl", "bi-dg", "ttw"))
     p.add_argument("file")
-    p.add_argument("--coproduct", choices=("shuffle", "trivial"), default="shuffle")
     p.add_argument("--emit", default=None, help="write the constructed manifest here")
-    common(p)
+    options(p, "--trunc-words", "--hbar-cutoff")
     p.set_defaults(handler=cmd_construct)
 
     p = sub.add_parser("solve-mc", help="perturbative Maurer-Cartan lift")
     p.add_argument("algebra")
     p.add_argument("ring")
-    common(p)
+    options(p, "--seed")
     p.set_defaults(handler=cmd_solve_mc)
 
     p = sub.add_parser("solve-qme", help="perturbative quantum master equation lift")
     p.add_argument("algebra")
     p.add_argument("ring")
-    common(p)
+    options(p, "--trunc-words", "--hbar-cutoff", "--seed")
     p.set_defaults(handler=cmd_solve_qme)
 
     p = sub.add_parser("verify-representability", help="bijection batteries")
@@ -201,12 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
                                        "theorem-second", "corollary-bidg"))
     p.add_argument("file")
     p.add_argument("--ring", default=None)
-    common(p)
+    options(p, *flags)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("compose-morphisms", help="ring-map morphism calculus")
     p.add_argument("rings", nargs=3, help="three parameter-ring manifests, decreasing order")
-    common(p)
+    options(p, "--hbar-cutoff")
     p.set_defaults(handler=cmd_compose)
 
     p = sub.add_parser("identity-check", help="operator identity batteries")
@@ -214,10 +218,21 @@ def build_parser() -> argparse.ArgumentParser:
                                         "unimodular-poisson"))
     p.add_argument("file", nargs="?")
     p.add_argument("--ring", default=None)
-    common(p)
+    options(p, *flags)
     p.set_defaults(handler=cmd_identity)
 
     return parser
+
+
+def _window_bound(text: str) -> int:
+    """An integer >= 1: a smaller window keeps no word or hbar power to certify."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 # -- helpers -------------------------------------------------------------------
@@ -300,9 +315,9 @@ def cmd_construct(args) -> Report:
     certs: list[Certificate] = []
     if args.recipe == "ce":
         if isinstance(m.obj, DgLieAlgebra):
-            built = ce_bv_from_dg_lie(m.obj, N, coproduct=args.coproduct)
+            built = ce_bv_from_dg_lie(m.obj, N)
         elif isinstance(m.obj, LInftyAlgebra):
-            built = ce_bvinfty_from_linfty(m.obj, N, args.hbar_cutoff, coproduct=args.coproduct)
+            built = ce_bvinfty_from_linfty(m.obj, N, args.hbar_cutoff)
         else:
             raise ManifestError("construct ce expects a dg-lie or linfty manifest")
         results = built.certify()
@@ -325,7 +340,7 @@ def cmd_construct(args) -> Report:
     else:  # ttw
         if not isinstance(m.obj, AssociativeAlgebraData):
             raise ManifestError("construct ttw expects an associative manifest")
-        built, info = bar_bv_from_associative(m.obj, N, coproduct=args.coproduct)
+        built, info = bar_bv_from_associative(m.obj, N)
         results = built.certify()
     certs.extend(map(Certificate.from_check, results))
     if args.emit:
@@ -376,7 +391,7 @@ def _closed_mc_seed(gl: LInftyAlgebra, ring: ArtinLocalAlgebra, rng: random.Rand
 def cmd_solve_mc(args) -> Report:
     m = _load(args.algebra, ("dg-lie", "linfty"))
     ring = _load_ring(args.ring)
-    gl = m.obj.to_linfty() if isinstance(m.obj, DgLieAlgebra) else m.obj
+    gl = m.obj.to_linfty()
     seed = _closed_mc_seed(gl, ring, random.Random(args.seed))
     result = mc_solve_perturbative(gl, ring, seed)
     return _solve_report("solve-mc", args, m, ring, seed, result,
@@ -433,11 +448,11 @@ def cmd_verify(args) -> Report:
     if args.theorem == "quillen":
         m = _load(args.file, ("dg-lie", "linfty"))
         ring = _load_ring(args.ring)
-        target = m.obj.to_linfty() if isinstance(m.obj, DgLieAlgebra) else m.obj
+        target = m.obj.to_linfty()
         if all(deg == 0 for _, deg in target.space.basis):
             # classical algebras have trivial degree-one part; work in the
             # coderivation algebra, where deformations of the bracket live
-            coder, _ = coderivation_dg_lie(m.obj, max_len=3, validate=False)
+            coder, _ = coderivation_dg_lie(m.obj, max_len=3)
             target = coder.to_linfty()
             certs.extend(run_battery([("deformed-bracket-agreement",
                                        lambda: _deformed_bracket_battery(m.obj, ring, rng, count))]))
@@ -482,7 +497,7 @@ def cmd_verify(args) -> Report:
                           valid, corrupted)
     elif args.theorem == "theorem-second":
         g = _load(args.file, ("dg-lie", "linfty")).obj
-        V = ce_bvinfty_from_linfty(g.to_linfty() if isinstance(g, DgLieAlgebra) else g, 3, K)
+        V = ce_bvinfty_from_linfty(g.to_linfty(), 3, K)
 
         def draw():
             g_tw, cor = twisted_linfty_morphism(g, rng, 3)
@@ -663,7 +678,8 @@ def cmd_identity(args) -> Report:
         raise ManifestError("identity-check needs a manifest file for this identity")
     m = _load(args.file)
     inputs["file"] = args.file
-    ring = _load_ring(args.ring)
+    # the derived brackets live on V alone; the other identities draw over a ring
+    ring = None if args.identity == "derived-brackets" else _load_ring(args.ring)
     V = _as_bv(m, _word_length(args, m), args.hbar_cutoff)
     if args.identity == "big-formula":
         certs += _battery("conjugation-identity", args.instances,
@@ -673,8 +689,8 @@ def cmd_identity(args) -> Report:
         certs += _battery("qme-form-equivalence", args.instances,
                           lambda: random_qme_element(V, ring, rng),
                           lambda S: qme_exp_check(V, ring, S, args.hbar_cutoff)["ok"])
-    elif args.identity == "derived-brackets":
-        result = derived_brackets_linfty_check(V.as_bvinfty(args.hbar_cutoff), max_arity=4)
+    else:  # derived-brackets
+        result = derived_brackets_linfty_check(V.as_bvinfty(args.hbar_cutoff))
         certs.append(Certificate.from_check(result))
     return Report(f"identity-check {args.identity}", certs, inputs)
 

@@ -108,14 +108,14 @@ def ce_delta_operator(algebra: SymmetricWordAlgebra, bracket_labels, name: str =
     return Operator.from_function(algebra, -1, act, name=name)
 
 
-def ce_bv_from_dg_lie(L: DgLieAlgebra, max_len: int = 4, coproduct: str = "shuffle") -> BVAlgebra:
+def ce_bv_from_dg_lie(L: DgLieAlgebra, max_len: int = 4) -> BVAlgebra:
     """Homology-complex BV structure of a dg-Lie algebra on its desuspension.
 
     d is the derivation extension of the internal differential; Delta is the
     bracket contraction; Delta^2 = 0 re-proves Jacobi and is certified, not
     assumed.
     """
-    algebra = L.space.symmetric_algebra(-1, max_len, coproduct)
+    algebra = L.space.symmetric_algebra(-1, max_len)
     d_vals = {s: {(t,): c} for (s, t), c in L.d.entries.items()}
     d_op = derivation_extend(algebra, _merge_generator_values(d_vals), 1, name="d")
     delta_op = ce_delta_operator(algebra, L.bracket_labels)
@@ -131,35 +131,32 @@ def _merge_generator_values(entries: Mapping[str, Mapping[Word, object]]) -> dic
     return out
 
 
-def ce_bvinfty_from_linfty(g: LInftyAlgebra, max_len: int = 4, hbar_cutoff: int = 3,
-                           coproduct: str = "shuffle") -> BVInftyAlgebra:
+def ce_bvinfty_from_linfty(g: LInftyAlgebra, max_len: int = 4,
+                           hbar_cutoff: int = 3) -> BVInftyAlgebra:
     """S(g[-1]) with one operator per bracket arity: Delta_n extends l_n.
 
     The structure constants transport verbatim from S(g[1]): the even shift
     preserves parities, so normal forms and signs agree; Delta_n is the
-    coderivation expansion of l_n along the unshuffle coproduct, whatever
-    coproduct the algebra carries, and in particular has order <= n.
+    coderivation expansion of l_n along the unshuffle coproduct, and in
+    particular has order <= n.
 
-    The algebra is built once per `g`, keyed by (max_len, hbar_cutoff,
-    coproduct), and shared between callers; treat it as read-only.
+    The algebra is built once per `g`, keyed by (max_len, hbar_cutoff), and
+    shared between callers; treat it as read-only.
     """
-    key = (max_len, hbar_cutoff, coproduct)
+    key = (max_len, hbar_cutoff)
     if key not in g._ce_bvinfty:
-        g._ce_bvinfty[key] = _build_ce_bvinfty_from_linfty(g, max_len, hbar_cutoff, coproduct)
+        g._ce_bvinfty[key] = _build_ce_bvinfty_from_linfty(g, max_len, hbar_cutoff)
     return g._ce_bvinfty[key]
 
 
-def _build_ce_bvinfty_from_linfty(g: LInftyAlgebra, max_len: int, hbar_cutoff: int,
-                                  coproduct: str) -> BVInftyAlgebra:
-    algebra = g.space.symmetric_algebra(-1, max_len, coproduct)
-    # the same words and product under the shuffle coproduct, which Delta_n
-    # expands along
-    shuffle = g.space.symmetric_algebra(-1, max_len)
+def _build_ce_bvinfty_from_linfty(g: LInftyAlgebra, max_len: int,
+                                  hbar_cutoff: int) -> BVInftyAlgebra:
+    algebra = g.space.symmetric_algebra(-1, max_len)
     operators: dict[int, Operator] = {}
     for n, table in g.brackets.items():
         if n > max_len:
             continue
-        cod = Coderivation(shuffle, 3 - 2 * n, {w: dict(val) for w, val in table.items()})
+        cod = Coderivation(algebra, 3 - 2 * n, {w: dict(val) for w, val in table.items()})
         operators[n] = Operator.from_function(algebra, cod.degree, cod.expand, name=f"Delta_{n}")
     return BVInftyAlgebra(algebra, operators, hbar_cutoff, name=f"CE({g.name})")
 
@@ -439,8 +436,7 @@ class AssociativeAlgebraData:
         return None
 
 
-def bar_bv_from_associative(A: AssociativeAlgebraData, max_len: int = 4,
-                            coproduct: str = "shuffle") -> tuple[BVAlgebra, dict]:
+def bar_bv_from_associative(A: AssociativeAlgebraData, max_len: int = 4) -> tuple[BVAlgebra, dict]:
     """Tensor words on the desuspension with the shuffle product; the BV
     operator contracts adjacent letters through the multiplication:
 
@@ -449,7 +445,7 @@ def bar_bv_from_associative(A: AssociativeAlgebraData, max_len: int = 4,
 
     Delta^2 = 0 is certified and is exactly associativity of the input.
     """
-    algebra = TensorWordAlgebra(A.space.shift(-1), max_len, coproduct=coproduct)
+    algebra = TensorWordAlgebra(A.space.shift(-1), max_len)
 
     def delta_act(word: Word) -> dict[Word, Scalar]:
         out: dict[Word, Scalar] = {}

@@ -128,18 +128,18 @@ class GradedVectorSpace:
         """Shifted space: the element of degree p + n sits in degree p."""
         return GradedVectorSpace((label, deg - n) for label, deg in self.basis)
 
-    def symmetric_algebra(self, shift: int, max_len: int, coproduct: str = "shuffle"):
+    def symmetric_algebra(self, shift: int, max_len: int):
         """S(self[shift]) cut at word length `max_len`, as a `SymmetricWordAlgebra`.
 
-        Built once per space object and (shift, max_len, coproduct), so every
-        structure on this space shares one word basis and coproduct table;
-        treat it as read-only.  An equal space built elsewhere gets its own.
+        Built once per space object and (shift, max_len), so every structure
+        on this space shares one word basis and coproduct table; treat it as
+        read-only.  An equal space built elsewhere gets its own.
         """
-        key = (shift, max_len, coproduct)
+        key = (shift, max_len)
         algebra = self._symmetric_algebras.get(key)
         if algebra is None:
             from .words import SymmetricWordAlgebra  # words builds on this module
-            algebra = SymmetricWordAlgebra(self.shift(shift), max_len, coproduct)
+            algebra = SymmetricWordAlgebra(self.shift(shift), max_len)
             self._symmetric_algebras[key] = algebra
         return algebra
 

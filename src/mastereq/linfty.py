@@ -193,7 +193,7 @@ class LInftyAlgebra:
     """L-infinity algebra as bracket structure constants on S(g[1])."""
 
     def __init__(self, space: GradedVectorSpace, brackets: Mapping[int, Mapping[Word, Mapping[str, object]]],
-                 name: str = "g", n_max: int | None = None):
+                 name: str = "g"):
         self.space = space
         self.shifted = space.shift(1)
         self.name = name
@@ -208,10 +208,14 @@ class LInftyAlgebra:
                     clean_table[tuple(w)] = clean
             if clean_table:
                 self.brackets[n] = clean_table
-        self.n_max = n_max or max(self.brackets, default=1)
         self._coderivations: dict[int, Coderivation] = {}
-        self._coderivation_algebras: dict[tuple[int, bool], tuple[DgLieAlgebra, dict]] = {}
-        self._ce_bvinfty: dict[tuple[int, int, str], BVInftyAlgebra] = {}
+        self._coderivation_algebras: dict[int, tuple[DgLieAlgebra, dict]] = {}
+        self._ce_bvinfty: dict[tuple[int, int], BVInftyAlgebra] = {}
+
+    def to_linfty(self) -> "LInftyAlgebra":
+        """The algebra itself, so that a dg-Lie or an L-infinity input reads
+        as one through the same call."""
+        return self
 
     def word_algebra(self, max_len: int) -> SymmetricWordAlgebra:
         """S(g[1]) cut at `max_len`, shared by every structure on `space`."""
@@ -239,16 +243,12 @@ class LInftyAlgebra:
         return f"LInftyAlgebra({self.name}, dim={self.space.dim}, arities={sorted(self.brackets)})"
 
 
-def _as_linfty(g) -> LInftyAlgebra:
-    return g.to_linfty() if isinstance(g, DgLieAlgebra) else g
-
-
 class MaurerCartanElement(HbarSeries):
     """Degree-one element of g (x) m, keyed by (label, ring label, 0)."""
 
     def __init__(self, g, ring: ArtinLocalAlgebra, terms: Mapping):
         super().__init__(terms)
-        space = _as_linfty(g).space
+        space = g.to_linfty().space
         for (x, r, h) in self.terms:
             if h != 0:
                 raise PreconditionError("Maurer-Cartan elements carry no hbar powers")
@@ -264,7 +264,7 @@ def mc_element(g, ring: ArtinLocalAlgebra, terms: Mapping[tuple[str, str], objec
 
 def emce_residual(g, ring: ArtinLocalAlgebra, S: HbarSeries, max_len: int | None = None) -> HbarSeries:
     """sum_{n>=1} l_n(S,...,S)/n! in g (x) m; finite since m is nilpotent."""
-    gl = _as_linfty(g)
+    gl = g.to_linfty()
     for (x, r, h) in S.terms:
         if gl.space.degree(x) + 2 * h != 1:
             raise PreconditionError(
@@ -315,7 +315,7 @@ def quillen_bijection_check(g, ring: ArtinLocalAlgebra, S: HbarSeries,
     vanishes), and that exp(S) is a coaugmented coalgebra morphism.  The
     tuple of booleans is returned so corrupted instances can be inspected.
     """
-    gl = _as_linfty(g)
+    gl = g.to_linfty()
     M = ring.nilpotency
     N = max_len or M
     if N < M:
@@ -351,7 +351,7 @@ def chuang_lazarev_residual(target, source, S: Mapping[Word, Mapping[str, object
     S applied to the source codifferential.  Zero exactly when S corestricts
     an L-infinity morphism source -> target.
     """
-    tl, sl = _as_linfty(target), _as_linfty(source)
+    tl, sl = target.to_linfty(), source.to_linfty()
     Wsrc = sl.word_algebra(max_len)
     Dsrc = sl.codifferential(max_len)
     Wt = tl.word_algebra(max_len)
@@ -386,7 +386,7 @@ def chuang_lazarev_residual(target, source, S: Mapping[Word, Mapping[str, object
 def chuang_lazarev_morphism_defect(target, source, S: Mapping[Word, Mapping[str, object]],
                                    max_len: int = 4) -> CheckResult:
     """Independent route: D_target ∘ exp(S) - exp(S) ∘ D_source on every word."""
-    tl, sl = _as_linfty(target), _as_linfty(source)
+    tl, sl = target.to_linfty(), source.to_linfty()
     Wsrc = sl.word_algebra(max_len)
     Dsrc = sl.codifferential(max_len)
     Dt = tl.codifferential(max_len)
@@ -420,7 +420,7 @@ def mc_solve_perturbative(g, ring: ArtinLocalAlgebra, seed: HbarSeries) -> MCSol
     obstruction together with the residual representative.  Any returned
     solution satisfies the Maurer-Cartan equation exactly.
     """
-    gl = _as_linfty(g)
+    gl = g.to_linfty()
     if not ring.adapted:
         raise PreconditionError("ring basis is not adapted to the m-adic filtration")
     for (x, r, h) in seed.terms:
@@ -443,7 +443,7 @@ def mc_solve_perturbative(g, ring: ArtinLocalAlgebra, seed: HbarSeries) -> MCSol
     return result
 
 
-def coderivation_dg_lie(h, max_len: int = 3, validate: bool = True) -> tuple[DgLieAlgebra, dict]:
+def coderivation_dg_lie(h, max_len: int = 3) -> tuple[DgLieAlgebra, dict]:
     """The dg-Lie algebra of based coderivations of S(h[1]), truncated.
 
     Basis elements are single corestriction entries word -> generator; the
@@ -452,18 +452,17 @@ def coderivation_dg_lie(h, max_len: int = 3, validate: bool = True) -> tuple[DgL
     label map {(word, target): basis label}.
 
     The pair is built once per L-infinity algebra of h (a dg-Lie input shares
-    it with its `to_linfty()`), keyed by (max_len, validate), and shared
-    between callers; treat it as read-only.  A build that fails validation
-    is not stored.
+    it with its `to_linfty()`), keyed by max_len, and shared between
+    callers; treat it as read-only.  The build does not validate the
+    algebra; `axiom_report()` certifies it on demand.
     """
-    hl = _as_linfty(h)
-    key = (max_len, validate)
-    if key not in hl._coderivation_algebras:
-        hl._coderivation_algebras[key] = _build_coderivation_dg_lie(hl, max_len, validate)
-    return hl._coderivation_algebras[key]
+    hl = h.to_linfty()
+    if max_len not in hl._coderivation_algebras:
+        hl._coderivation_algebras[max_len] = _build_coderivation_dg_lie(hl, max_len)
+    return hl._coderivation_algebras[max_len]
 
 
-def _build_coderivation_dg_lie(hl: LInftyAlgebra, max_len: int, validate: bool) -> tuple[DgLieAlgebra, dict]:
+def _build_coderivation_dg_lie(hl: LInftyAlgebra, max_len: int) -> tuple[DgLieAlgebra, dict]:
     """The tables in closed form.  e_{w1->t1} ∘ ê_{w2->t2} has at most one
     term: on w = w2·r with r = w1 minus one t2 (so t2 must occur in w1), with
     coefficient the coproduct coefficient of w2 ⊗ r in Δ(w) times the sign
@@ -521,7 +520,7 @@ def _build_coderivation_dg_lie(hl: LInftyAlgebra, max_len: int, validate: bool) 
             if br:
                 bracket_table[(lab1, lab2)] = {key_of[key]: c for key, c in br.items()}
     algebra = DgLieAlgebra(space_c, d_entries, bracket_table,
-                           name=f"Coder({hl.name},N={max_len})", validate=validate)
+                           name=f"Coder({hl.name},N={max_len})", validate=False)
     return algebra, key_of
 
 
@@ -579,8 +578,8 @@ def deformed_bracket_check(h: DgLieAlgebra, ring: ArtinLocalAlgebra,
             witness = (x, y, z)
             break
 
-    coder, key_of = coderivation_dg_lie(h, max_len=3, validate=False)
-    helper = _as_linfty(h).word_algebra(2)
+    coder, key_of = coderivation_dg_lie(h, max_len=3)
+    helper = h.to_linfty().word_algebra(2)
     terms: dict = {}
     for (a, b), entry in S.items():
         word, sign = helper.normalize([a, b])

@@ -19,7 +19,7 @@ from typing import Mapping
 from .artin import ArtinLocalAlgebra
 from .bv import BVAlgebra, BVInftyAlgebra
 from .constructions import AssociativeAlgebraData, BiDgLieData, LieBialgebraData
-from .diagnostics import ManifestError, StructureError
+from .diagnostics import ManifestError, PreconditionError, StructureError
 from .graded import ONE, ZERO, GradedVectorSpace, Scalar, as_scalar
 from .linfty import DgLieAlgebra, LInftyAlgebra
 from .operators import Operator
@@ -108,7 +108,7 @@ def parse_manifest_text(text: str, name: str = "<manifest>") -> Manifest:
     except StructureError as err:
         raise ManifestError(f"semantic error in {kind} manifest: {err}"
                             + (f" (witness: {err.witness})" if err.witness is not None else ""))
-    except (KeyError, ValueError) as err:
+    except (KeyError, ValueError, PreconditionError) as err:
         raise ManifestError(f"semantic error in {kind} manifest: {err}")
     return Manifest(kind, mname, _canonical_document(doc), obj, truncation)
 
@@ -241,7 +241,7 @@ def _normalize_input_word(algebra, inputs):
 
 
 def _build_bv(name, basis, structure, truncation) -> BVAlgebra:
-    _check_blocks(structure, {"d", "delta", "flavor"})
+    _check_blocks(structure, {"d", "delta"})
     N = truncation.get("word_length", 4)
     space = GradedVectorSpace(basis)
     algebra = SymmetricWordAlgebra(space, N)

@@ -26,7 +26,7 @@ from .bv import BVInftyAlgebra, qme_exp_check
 from .coalgebra import conv_exp, conv_log, corestriction_series, intertwining_defect, word_vector
 from .diagnostics import CheckResult, PreconditionError, StructureError
 from .graded import ONE, ZERO, Scalar, as_scalar
-from .linfty import LInftyAlgebra, _as_linfty
+from .linfty import LInftyAlgebra
 from .series import HbarSeries, SeriesContext
 from .words import Word, vec_add_into
 
@@ -266,13 +266,8 @@ def identity_bv_morphism(V: BVInftyAlgebra) -> BVMorphism:
     """hbar·log(identity): the projection to cogenerators in arity one.
 
     Under the unshuffle coproduct the convolution logarithm of the identity
-    morphism is exactly the projection onto words of length one.  Under the
-    trivial coproduct the logarithm spreads over every word length and
-    violates the vanishing conditions, so that case is refused.
+    morphism is exactly the projection onto words of length one.
     """
-    if getattr(V.algebra, "coproduct_kind", "shuffle") != "shuffle":
-        raise PreconditionError(
-            "the identity is exp-representable only over the unshuffle coproduct")
     comp1 = {}
     for w in V.algebra.words:
         if V.algebra.length(w) == 1:
@@ -311,7 +306,7 @@ def linfty_morphism_to_bvinfty(g, h, table: Mapping[Word, Mapping[str, object]],
     words of S(g[1]), as the morphism sum_n hbar^n phi_n of the desuspension
     algebras."""
     from .constructions import ce_bvinfty_from_linfty
-    gl, hl = _as_linfty(g), _as_linfty(h)
+    gl, hl = g.to_linfty(), h.to_linfty()
     source = ce_bvinfty_from_linfty(gl, max_len, hbar_cutoff)
     target = ce_bvinfty_from_linfty(hl, max_len, hbar_cutoff)
     components = _components_by_weight({w: {(t,): c for t, c in val.items()} for w, val in table.items()})
@@ -332,7 +327,7 @@ def theorem_second_bijection_check(V, g, S_components: Mapping[Word, Mapping[str
     not yet independent of the morphism side and reads its result.
     """
     from .constructions import ce_bvinfty_from_linfty
-    gl = _as_linfty(g)
+    gl = g.to_linfty()
     bvi = V.as_bvinfty(hbar_cutoff)
     source = ce_bvinfty_from_linfty(gl, max_len, hbar_cutoff)
     phi = BVMorphism(source, bvi, _components_by_weight(S_components), name="S")
@@ -360,8 +355,7 @@ def _components_by_weight(table: Mapping) -> dict[int, dict]:
     return components
 
 
-def twisted_linfty_morphism(g, rng: random.Random, max_len: int = 3,
-                            density: float = 0.5):
+def twisted_linfty_morphism(g, rng: random.Random, max_len: int = 3):
     """A genuinely nontrivial valid instance: conjugate the codifferential of
     g by a random coalgebra automorphism F = exp(id + c_2).
 
@@ -370,9 +364,9 @@ def twisted_linfty_morphism(g, rng: random.Random, max_len: int = 3,
     induced BV-infinity morphism passes every condition.
     """
     from .sampling import random_corestriction_twist
-    gl = _as_linfty(g)
+    gl = g.to_linfty()
     W = gl.word_algebra(max_len)
-    cor = random_corestriction_twist(gl, rng, max_len, density)
+    cor = random_corestriction_twist(gl, rng, max_len)
     F = conv_exp(W, SeriesContext(W), corestriction_series(cor))
 
     # D' = F^{-1} D F needs only the letter part g = pi F^{-1}.  F = id + N

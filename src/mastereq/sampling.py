@@ -29,17 +29,15 @@ def random_rational(rng: random.Random, span: int = 2) -> Scalar:
     return as_scalar(Fraction(num, den))
 
 
-def random_mc_element(g, ring: ArtinLocalAlgebra, rng: random.Random,
-                      density: float = 0.4) -> HbarSeries:
-    """Random degree-one element of g (x) m."""
-    from .linfty import _as_linfty
-    gl = _as_linfty(g)
+def random_mc_element(g, ring: ArtinLocalAlgebra, rng: random.Random) -> HbarSeries:
+    """Random degree-one element of g (x) m, on about 40% of the slots."""
+    gl = g.to_linfty()
     terms = {}
     for x in gl.space.labels:
         if gl.space.degree(x) != 1:
             continue
         for r in ring.ideal_labels:
-            if rng.random() < density:
+            if rng.random() < 0.4:
                 c = random_rational(rng)
                 if c:
                     terms[(x, r, 0)] = c
@@ -47,8 +45,9 @@ def random_mc_element(g, ring: ArtinLocalAlgebra, rng: random.Random,
 
 
 def random_qme_element(V, ring: ArtinLocalAlgebra, rng: random.Random,
-                       word_len_cap: int | None = None, density: float = 0.35) -> HbarSeries:
-    """Random total-degree-two element of V[[hbar]] (x) m.
+                       word_len_cap: int | None = None) -> HbarSeries:
+    """Random total-degree-two element of V[[hbar]] (x) m, on about 35% of
+    the slots.
 
     The word-length cap keeps e^{S/hbar} inside the truncation: products of
     up to M-1 supports appear, so cap * (M-1) must fit in the window.
@@ -66,26 +65,25 @@ def random_qme_element(V, ring: ArtinLocalAlgebra, rng: random.Random,
             if A.degree(w) + 2 * h != 2:
                 continue
             for r in ring.ideal_labels:
-                if rng.random() < density:
+                if rng.random() < 0.35:
                     c = random_rational(rng)
                     if c:
                         terms[(w, r, h)] = c
     return HbarSeries(terms)
 
 
-def random_corestriction_twist(g, rng: random.Random, max_len: int = 3,
-                               density: float = 0.5) -> dict:
+def random_corestriction_twist(g, rng: random.Random, max_len: int = 3) -> dict:
     """Corestriction of a coalgebra automorphism of S(g[1]): identity in
-    arity one plus a random degree-zero arity-two part."""
-    from .linfty import _as_linfty
-    gl = _as_linfty(g)
+    arity one plus a random degree-zero arity-two part on about half of the
+    slots."""
+    gl = g.to_linfty()
     W = gl.word_algebra(max_len)
     cor = {(x,): {x: ONE} for x in gl.shifted.labels}
     for w in W.words:
         if len(w) != 2:
             continue
         for t in gl.shifted.labels:
-            if gl.shifted.degree(t) == W.degree(w) and rng.random() < density:
+            if gl.shifted.degree(t) == W.degree(w) and rng.random() < 0.5:
                 c = random_rational(rng)
                 if c:
                     cor.setdefault(w, {})[t] = c

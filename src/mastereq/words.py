@@ -10,10 +10,9 @@ flavors are cut at a hard word length N; products that would overflow raise
 
 The symmetric product merges the normal forms of its two factors, in time
 linear in their lengths; the tensor product is the shuffle product.  The
-coproduct is the unshuffle coproduct by default, or the trivial one
-(1 -> 1(x)1, w -> w(x)1 + 1(x)w) on request; one pass over the subsets of a
-word's positions also gives its first-letter part, the unshuffles whose left
-factor holds position 0.  The empty word is the unit and coaugmentation;
+coproduct is the unshuffle coproduct; one pass over the subsets of a word's
+positions also gives its first-letter part, the unshuffles whose left factor
+holds position 0.  The empty word is the unit and coaugmentation;
 the counit is the coefficient of the empty word.
 """
 
@@ -104,14 +103,11 @@ class WordAlgebra:
 
     symmetric: bool
 
-    def __init__(self, space: GradedVectorSpace, max_len: int, coproduct: str = "shuffle"):
+    def __init__(self, space: GradedVectorSpace, max_len: int):
         if max_len < 1:
             raise ValueError("word-length truncation must be >= 1")
-        if coproduct not in ("shuffle", "trivial"):
-            raise ValueError(f"unknown coproduct {coproduct!r}")
         self.space = space
         self.max_len = max_len
-        self.coproduct_kind = coproduct
         self._sort_key = {label: (space.degree(label), i) for i, (label, _) in enumerate(space.basis)}
         self.words: tuple[Word, ...] = tuple(self._enumerate_words())
         self._word_set = set(self.words)
@@ -179,30 +175,19 @@ class WordAlgebra:
         """Full coproduct of a basis word as a list of (left, right, coeff)."""
         cached = self._coproduct_cache.get(word)
         if cached is None:
-            cached = self._coproducts(word)
+            cached = self._coproduct_cache[word] = self._shuffle_coproduct(word)
         return cached[0]
 
     def first_letter_coproduct(self, word: Word) -> list[tuple[Word, Word, Scalar]]:
         """The part of the coproduct of a nonempty basis word whose left factor
         holds its first letter (position 0, not merely an equal letter): the
         blocks of that letter in the set partitions of the word's positions,
-        as `coalgebra.conv_exp` takes them.  Under the trivial coproduct the
-        only term is w (x) 1.
+        as `coalgebra.conv_exp` takes them.
         """
         cached = self._coproduct_cache.get(word)
         if cached is None:
-            cached = self._coproducts(word)
+            cached = self._coproduct_cache[word] = self._shuffle_coproduct(word)
         return cached[1]
-
-    def _coproducts(self, word: Word) -> tuple[list, list]:
-        if self.coproduct_kind != "trivial":
-            cached = self._shuffle_coproduct(word)
-        elif word:
-            cached = ([(word, (), ONE), ((), word, ONE)], [(word, (), ONE)])
-        else:
-            cached = ([((), (), ONE)], [])
-        self._coproduct_cache[word] = cached
-        return cached
 
     def _shuffle_coproduct(self, word: Word) -> tuple[list, list]:
         """The unshuffle coproduct and its first-letter part, from one pass
@@ -239,9 +224,9 @@ class SymmetricWordAlgebra(WordAlgebra):
     symmetric = True
     _joiner = "·"  # middle dot
 
-    def __init__(self, space: GradedVectorSpace, max_len: int, coproduct: str = "shuffle"):
+    def __init__(self, space: GradedVectorSpace, max_len: int):
         self._odd_letters = frozenset(x for x in space.labels if space.degree(x) % 2)
-        super().__init__(space, max_len, coproduct)
+        super().__init__(space, max_len)
 
     def normalize(self, labels: Sequence[str]) -> tuple[Word | None, int]:
         """Canonical form of an unordered word; (None, 0) if it collapses.

@@ -158,7 +158,7 @@ def test_criterion_04_representability():
     rng = random.Random(4044)
     ok = True
     # Quillen over the coderivation algebra of heis3
-    coder, _ = coderivation_dg_lie(load("heis3"), max_len=3, validate=False)
+    coder, _ = coderivation_dg_lie(load("heis3"), max_len=3)
     gl = coder.to_linfty()
     corrupt_word = next(w for w in gl.word_algebra(3).words if len(w) == 2)
     for _ in range(20):
@@ -275,7 +275,7 @@ def test_criterion_07_derived_brackets():
     bvis.append(ce_bvinfty_from_linfty(load("l3demo"), 4, 3))
     ok &= 3 in bvis[-1].operators  # the fixture genuinely has a third operator
     for bvi in bvis:
-        result = derived_brackets_linfty_check(bvi, max_arity=4)
+        result = derived_brackets_linfty_check(bvi)
         ok &= result.ok
     report(7, "derived brackets up to arity 4", ok, time.perf_counter() - start, 60.0)
 

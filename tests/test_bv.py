@@ -130,13 +130,12 @@ def test_antibracket_equals_iterated_commutator_form():
             assert got == expect, (a, b)
 
 
-def test_zero_morphism_on_trivial_coproduct_sources():
-    # with the trivial coproduct the convolution exponential truncates after
-    # one step; the zero morphism still intertwines because the augmentation
-    # kills both operators
+def test_zero_morphism_on_bar_sources():
+    # the zero morphism of the bar construction's tensor words intertwines
+    # because the augmentation kills both operators
     from mastereq.constructions import bar_bv_from_associative
     from mastereq.morphisms import BVMorphism, check_bv_morphism
-    bv, _ = bar_bv_from_associative(load("dual-numbers"), 3, coproduct="trivial")
+    bv, _ = bar_bv_from_associative(load("dual-numbers"), 3)
     V = bv.as_bvinfty(3)
     phi = BVMorphism(V, V, {}, name="0")
     assert check_bv_morphism(phi)["ok"]
@@ -211,9 +210,9 @@ def test_derived_bracket_arity3_matches_commutator_oracle():
 def test_derived_brackets_linfty_check_fixtures():
     for name in ("heis3", "sl2", "aff2", "bidg4-dglie"):
         bvi = ce_bvinfty_from_linfty(load(name).to_linfty(), 4)
-        assert derived_brackets_linfty_check(bvi, max_arity=4).ok, name
+        assert derived_brackets_linfty_check(bvi).ok, name
     bvi = ce_bvinfty_from_linfty(load("l3demo"), 4)
-    assert derived_brackets_linfty_check(bvi, max_arity=4).ok
+    assert derived_brackets_linfty_check(bvi).ok
 
 
 @pytest.mark.parametrize("N", [4, 5])
@@ -227,7 +226,7 @@ def test_derived_bracket_tuples_match_filtered_combinations(N):
         naive = [vs for vs in itertools.combinations_with_replacement(letters, n)
                  if sum(len(v) for v in vs) <= budget]
         assert list(word_tuples_within(letters, n, budget)) == naive, n
-    tuples = derived_brackets_linfty_check(bvi, max_arity=4).bound["tuples"]
+    tuples = derived_brackets_linfty_check(bvi).bound["tuples"]
     assert tuples == {4: 250, 5: 678}[N]
 
 
@@ -236,7 +235,7 @@ def test_derived_brackets_corrupted_delta_detected():
     bad = DgLieAlgebra(space, {}, {("x", "y"): {"z": 1}, ("x", "z"): {"x": 1}},
                        name="bad", validate=False)
     bvi = ce_bvinfty_from_linfty(bad.to_linfty(), 4)
-    result = derived_brackets_linfty_check(bvi, max_arity=3)
+    result = derived_brackets_linfty_check(bvi)
     assert not result.ok
     assert result.witness is not None
 
@@ -286,7 +285,7 @@ def _order_three_delta2():
 
 def test_derived_brackets_report_a_negative_power_the_definition_reproduces():
     bvi = _order_three_delta2()
-    result = derived_brackets_linfty_check(bvi, max_arity=3)
+    result = derived_brackets_linfty_check(bvi)
     assert not result.ok
     assert result.witness == {"words": ["x", "y", "z"], "min_power": -1}
 
@@ -295,7 +294,7 @@ def test_derived_brackets_disagreeing_tables_raise(monkeypatch):
     # the definition no longer reproduces the tables' negative power
     monkeypatch.setattr(bv_module, "derived_bracket", lambda bvi, words: HbarSeries())
     with pytest.raises(InternalError):
-        derived_brackets_linfty_check(_order_three_delta2(), max_arity=3)
+        derived_brackets_linfty_check(_order_three_delta2())
 
 
 def test_qme_residual_zero():
@@ -474,6 +473,16 @@ def test_qme_solver_trivial():
     result = qme_solve_perturbative(bv, R, seed)
     assert result.status == "solved"
     assert result.element == seed
+
+
+@pytest.mark.parametrize("K", [0, -1])
+def test_bvinfty_algebra_refuses_an_hbar_cutoff_below_one(K):
+    # no hbar power would be kept, so every certificate would be vacuous
+    bv = ce("abelian2", 3)
+    with pytest.raises(PreconditionError, match="hbar cutoff must be >= 1"):
+        BVInftyAlgebra(bv.algebra, {1: bv.d, 2: bv.delta}, K)
+    with pytest.raises(PreconditionError):
+        qme_solve_perturbative(bv, power_ring(3), HbarSeries(), K)
 
 
 def test_solver_results_share_one_type():

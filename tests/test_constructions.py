@@ -143,25 +143,6 @@ def test_ce_bvinfty_matches_explicit_delta():
         assert bvi.is_certified(), name
 
 
-@pytest.mark.parametrize("name,lengths", [("l3demo", (4, 5, 6)), ("lift3", (3, 4, 5)),
-                                          ("heis3", (3, 4, 5))])
-def test_ce_bvinfty_operators_do_not_depend_on_the_coproduct(name, lengths):
-    # Delta_n expands l_n along the unshuffles under either coproduct; on the
-    # trivial one it used to keep only l_n on words of length n, so l3demo's
-    # Delta_3 failed its order check
-    obj = load(name)
-    g = obj.to_linfty() if isinstance(obj, DgLieAlgebra) else obj
-    for N in lengths:
-        shuffle = ce_bvinfty_from_linfty(g, N, 3)
-        trivial = ce_bvinfty_from_linfty(g, N, 3, coproduct="trivial")
-        assert trivial.algebra.coproduct_kind == "trivial"
-        assert shuffle.operators.keys() == trivial.operators.keys()
-        for n, op in shuffle.operators.items():
-            assert trivial.operators[n].entries == op.entries, (name, N, n)
-            assert trivial.operators[n].defined == op.defined, (name, N, n)
-        assert all(r.ok for r in trivial.certify()), (name, N)
-
-
 def test_ce_antibracket_recovers_bracket():
     bv = ce_bv_from_dg_lie(load("heis3"), 4)
     assert antibracket(bv, ("x",), ("y",)) == {("z",): 1}
@@ -300,11 +281,3 @@ def test_bar_delta_order_two():
     bv, _ = bar_bv_from_associative(A, 4)
     from mastereq.operators import operator_order_check
     assert operator_order_check(bv.algebra, bv.delta, 2).ok
-
-
-def test_bar_trivial_coproduct_variant():
-    A = load("dual-numbers")
-    bv, _ = bar_bv_from_associative(A, 3, coproduct="trivial")
-    w = next(w for w in bv.algebra.words if len(w) == 2)
-    assert bv.algebra.coproduct(w) == [(w, (), 1), ((), w, 1)]
-    assert bv.is_certified()

@@ -43,8 +43,8 @@ HBAR_CUTOFF = 3
 MC_STRUCTURES = {
     "lift3": lambda: load("lift3").to_linfty(),
     "obst2": lambda: load("obst2").to_linfty(),
-    "coder-sl2": lambda: coderivation_dg_lie(load("sl2"), 2, validate=False)[0].to_linfty(),
-    "coder-heis3": lambda: coderivation_dg_lie(load("heis3"), 3, validate=False)[0].to_linfty(),
+    "coder-sl2": lambda: coderivation_dg_lie(load("sl2"), 2)[0].to_linfty(),
+    "coder-heis3": lambda: coderivation_dg_lie(load("heis3"), 3)[0].to_linfty(),
 }
 # the CE complexes of lift3 and obst2 lift and obstruct; sl2 and l3demo seeds already solve
 QME_STRUCTURES = {

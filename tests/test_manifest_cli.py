@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -124,7 +125,7 @@ def test_run_battery_leaves_cached_certificates_named():
     certs = run_battery([(f"ce-l3demo: {r.name}", lambda r=r: r) for r in obj.certify()])
     assert sorted(c.name for c in certs) == sorted(f"ce-l3demo: {n}" for n in names)
     assert [r.name for r in obj.certify()] == names
-    assert derived_brackets_linfty_check(obj, max_arity=4).ok
+    assert derived_brackets_linfty_check(obj).ok
 
 
 def test_usage_error_exit_2():
@@ -363,9 +364,9 @@ def test_battery_without_instances_tests_nothing_and_fails():
         "b-corrupted-detected": ("fail", {"detected": 0, "total": 0})}
 
 
-def test_construct_ce_of_an_linfty_algebra_on_the_trivial_coproduct(tmp_path):
+def test_construct_ce_of_an_linfty_algebra(tmp_path):
     out = tmp_path / "r.json"
-    assert run_cli("construct", "ce", str(FIXTURES / "l3demo.alg"), "--coproduct", "trivial",
+    assert run_cli("construct", "ce", str(FIXTURES / "l3demo.alg"),
                    "--trunc-words", "4", "--format", "machine", "--out", str(out)) == 0
     names = {c["name"] for c in json.loads(out.read_text())["certificates"]}
     assert "Delta_3 order<=3" in names
@@ -432,3 +433,90 @@ def test_operation_coverage_registry():
 def Frac(n):
     from fractions import Fraction
     return Fraction(n)
+
+
+# Each subcommand parses --format, --out and only the flags its handler reads.
+SUBCOMMAND_OPTIONS = {
+    "check": {"--trunc-words"},
+    "construct": {"--trunc-words", "--hbar-cutoff", "--emit"},
+    "solve-mc": {"--seed"},
+    "solve-qme": {"--trunc-words", "--hbar-cutoff", "--seed"},
+    "verify-representability": {"--trunc-words", "--hbar-cutoff", "--seed", "--instances", "--ring"},
+    "compose-morphisms": {"--hbar-cutoff"},
+    "identity-check": {"--trunc-words", "--hbar-cutoff", "--seed", "--instances", "--ring"},
+}
+
+# (argv up to the options, a flag with a value that the handler does not read)
+UNREAD_FLAGS = [
+    (["check", "heis3.alg"], ["--hbar-cutoff", "9"]),
+    (["check", "heis3.alg"], ["--seed", "5"]),
+    (["check", "heis3.alg"], ["--instances", "0"]),
+    (["construct", "ce", "sl2.alg"], ["--seed", "3"]),
+    (["construct", "ce", "sl2.alg"], ["--instances", "0"]),
+    (["construct", "ce", "sl2.alg"], ["--coproduct", "trivial"]),
+    (["solve-mc", "lift3.alg", "ring-t3.alg"], ["--trunc-words", "2"]),
+    (["solve-mc", "lift3.alg", "ring-t3.alg"], ["--hbar-cutoff", "9"]),
+    (["solve-mc", "lift3.alg", "ring-t3.alg"], ["--instances", "0"]),
+    (["solve-qme", "sl2.alg", "ring-t3.alg"], ["--instances", "0"]),
+    (["compose-morphisms", "ring-t4.alg", "ring-t3.alg", "ring-t2.alg"], ["--trunc-words", "1"]),
+    (["compose-morphisms", "ring-t4.alg", "ring-t3.alg", "ring-t2.alg"], ["--seed", "3"]),
+    (["compose-morphisms", "ring-t4.alg", "ring-t3.alg", "ring-t2.alg"], ["--instances", "0"]),
+]
+
+
+def _fixture_argv(argv):
+    return [str(FIXTURES / a) if a.endswith(".alg") else a for a in argv]
+
+
+def test_each_subcommand_parses_only_the_flags_its_handler_reads():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {s for action in p._actions for s in action.option_strings
+                  if s not in ("-h", "--help", "--format", "--out")}
+           for name, p in sub.choices.items()}
+    assert got == SUBCOMMAND_OPTIONS
+
+
+@pytest.mark.parametrize("argv,flag", UNREAD_FLAGS, ids=lambda v: "-".join(v[:1]))
+def test_a_flag_the_handler_does_not_read_is_a_usage_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*_fixture_argv(argv), *flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["construct", "ce", "sl2.alg"], "--trunc-words 0"),
+    (["construct", "ce", "l3demo.alg"], "--hbar-cutoff -1"),
+    (["solve-qme", "sl2.alg", "ring-t3.alg"], "--hbar-cutoff 0"),
+], ids=["trunc-words-0", "hbar-cutoff-minus-1", "solve-qme-hbar-cutoff-0"])
+def test_a_window_below_one_is_a_usage_error_naming_the_flag(argv, flag, capsys):
+    name, value = flag.split()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*_fixture_argv(argv), name, value)
+    assert exc.value.code == 2
+    assert f"argument {name}: expected an integer >= 1, got '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flavor", ["tensor", ["tensor"]], ids=["string", "list"])
+def test_bv_manifest_refuses_a_flavor_block(flavor):
+    doc = json.loads((FIXTURES / "ce-heis3.alg").read_text())
+    doc["structure"]["flavor"] = flavor
+    with pytest.raises(ManifestError, match="unknown structure blocks: \\['flavor'\\]"):
+        parse_manifest_text(json.dumps(doc), "flavored")
+
+
+def test_derived_brackets_identity_needs_no_ring(tmp_path):
+    argv = ["identity-check", "derived-brackets", str(FIXTURES / "l3demo.alg"),
+            "--format", "machine", "--out"]
+    without, with_ring = tmp_path / "a.json", tmp_path / "b.json"
+    assert run_cli(*argv, str(without)) == 0
+    assert run_cli(*argv, str(with_ring), "--ring", str(FIXTURES / "ring-t3.alg")) == 0
+    assert without.read_bytes() == with_ring.read_bytes()
+
+
+def test_bv_infty_manifest_refuses_an_hbar_cutoff_below_one():
+    doc = json.loads((FIXTURES / "ce-l3demo.alg").read_text())
+    doc["truncation"]["hbar_cutoff"] = 0
+    with pytest.raises(ManifestError, match="hbar cutoff must be >= 1"):
+        parse_manifest_text(json.dumps(doc), "no-hbar")

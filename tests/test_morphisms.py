@@ -13,7 +13,7 @@ from mastereq.coalgebra import _conv_exp_series, conv_exp, corestriction_series,
 from mastereq.constructions import ce_bv_from_dg_lie, ce_bvinfty_from_linfty
 from mastereq.diagnostics import PreconditionError
 from mastereq.graded import as_scalar
-from mastereq.linfty import (LInftyAlgebra, _as_linfty, chuang_lazarev_morphism_defect, chuang_lazarev_residual,
+from mastereq.linfty import (LInftyAlgebra, chuang_lazarev_morphism_defect, chuang_lazarev_residual,
                              coderivation_dg_lie, emce_residual, quillen_bijection_check)
 from mastereq.morphisms import (
     BVMorphism,
@@ -331,13 +331,6 @@ def test_morphism_check_sees_third_operator():
     assert check_bv_morphism(zero)["ok"]
 
 
-def test_identity_morphism_requires_shuffle_coproduct():
-    from mastereq.constructions import bar_bv_from_associative
-    bv, _ = bar_bv_from_associative(load("dual-numbers"), 3, coproduct="trivial")
-    with pytest.raises(PreconditionError):
-        identity_bv_morphism(bv.as_bvinfty(3))
-
-
 def test_twisted_morphisms_validate_against_chuang_lazarev():
     rng = random.Random(23)
     g = load("bidg4-dglie")
@@ -367,7 +360,7 @@ def _compose(mapping, vec):
 def _twist_by_neumann_series(g, rng, max_len=3):
     """The twisted brackets of `twisted_linfty_morphism`, with F = exp(cor) by
     the power series and F^{-1} = sum_k (-N)^k over F = id + N."""
-    gl = _as_linfty(g)
+    gl = g.to_linfty()
     W = gl.word_algebra(max_len)
     F = _conv_exp_series(W, SeriesContext(W), corestriction_series(random_corestriction_twist(gl, rng, max_len)))
     nil = {}
@@ -429,7 +422,7 @@ def _bv_loop_key(phi):
 
 def _chuang_lazarev_loop_key(target, source, S, max_len):
     """First word where D_target∘exp(S) - exp(S)∘D_source is nonzero."""
-    tl, sl = _as_linfty(target), _as_linfty(source)
+    tl, sl = target.to_linfty(), source.to_linfty()
     Wsrc = sl.word_algebra(max_len)
     Dsrc = sl.codifferential(max_len)
     Dt = tl.codifferential(max_len)
@@ -451,7 +444,7 @@ def _chuang_lazarev_loop_key(target, source, S, max_len):
 
 def _quillen_loop_zero(g, ring, S, corrupt=None):
     """Whether D∘exp(S) vanishes on every key of R*."""
-    gl = _as_linfty(g)
+    gl = g.to_linfty()
     algebra = gl.word_algebra(ring.nilpotency)
     D = gl.codifferential(ring.nilpotency)
     dual, F = linfty._exp_map_from_element(ring, S, algebra)
@@ -483,23 +476,23 @@ def test_call_sites_report_the_oracles_first_failing_key(name, seed, perturb):
     g_tw, cor = twisted_linfty_morphism(g, rng, 3)
     if perturb:
         cor = _bumped(cor, rng)
-    W = _as_linfty(g_tw).word_algebra(3)
+    W = g_tw.to_linfty().word_algebra(3)
     key = _chuang_lazarev_loop_key(g, g_tw, cor, 3)
     assert chuang_lazarev_morphism_defect(g, g_tw, cor, 3).witness == \
         (None if key is None else {"word": W.label(key)})
 
-    V = ce_bvinfty_from_linfty(_as_linfty(g), 3, 3)
+    V = ce_bvinfty_from_linfty(g.to_linfty(), 3, 3)
     table = {w: {(t,): c for t, c in val.items()} for w, val in cor.items()}
-    source = ce_bvinfty_from_linfty(_as_linfty(g_tw), 3, 3)
+    source = ce_bvinfty_from_linfty(g_tw.to_linfty(), 3, 3)
     key = _bv_loop_key(BVMorphism(source, V, morphisms._components_by_weight(table)))
     report = theorem_second_bijection_check(V, g_tw, table, 3, 3)
     assert report["morphism"]["intertwining"].witness == \
         (None if key is None else {"key": source.algebra.label(key)})
     assert report["qme_zero"] == (key is None)
 
-    gl = _as_linfty(g)
+    gl = g.to_linfty()
     target = gl if any(gl.space.degree(x) == 1 for x in gl.space.labels) else \
-        coderivation_dg_lie(g, 3, validate=False)[0].to_linfty()
+        coderivation_dg_lie(g, 3)[0].to_linfty()
     ring = power_ring(3)
     S = random_mc_element(target, ring, rng)
     corrupt = (rng.choice(ring.ideal_labels), rng.choice(target.word_algebra(3).words[1:]),

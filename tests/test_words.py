@@ -12,8 +12,8 @@ ODD3 = GradedVectorSpace([("x", 1), ("y", 1), ("z", 1)])
 MIXED = GradedVectorSpace([("a", 0), ("b", 1), ("c", 2), ("e", -1)])
 
 
-def sym(space=ODD3, n=4, coproduct="shuffle"):
-    return SymmetricWordAlgebra(space, n, coproduct=coproduct)
+def sym(space=ODD3, n=4):
+    return SymmetricWordAlgebra(space, n)
 
 
 def test_normalize_sorts_and_signs():
@@ -131,13 +131,6 @@ def test_counit_axiom():
             if l == ():
                 left[r] = left.get(r, 0) + c
         assert {k: v for k, v in left.items() if v} == {w: 1}
-
-
-def test_trivial_coproduct():
-    A = sym(MIXED, 3, coproduct="trivial")
-    w = A.words[-1]
-    assert A.coproduct(w) == [(w, (), 1), ((), w, 1)]
-    assert A.coproduct(()) == [((), (), 1)]
 
 
 def test_product_overflow_flagged():
@@ -310,8 +303,6 @@ def test_first_letter_coproduct_is_the_position_subsets_holding_position_zero(de
             expected[key] = expected.get(key, 0) + (-1) ** (jumps % 2)
     got = {(l, r): c for l, r, c in A.first_letter_coproduct(w)}
     assert got == {key: c for key, c in expected.items() if c}
-    trivial = (TensorWordAlgebra if tensor else SymmetricWordAlgebra)(space, n, coproduct="trivial")
-    assert trivial.first_letter_coproduct(w) == [(w, (), 1)]
 
 
 def test_first_letter_coproduct_counts_positions_not_letters():
