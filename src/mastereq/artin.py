@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .diagnostics import StructureError
+from .diagnostics import PreconditionError, StructureError
 from .graded import ONE, ZERO, Scalar, as_scalar
 from .linalg import rref
 from .words import vec_add_into
@@ -216,7 +216,8 @@ TRIVIAL_RING = ArtinLocalAlgebra(["1"], {}, name="k")
 def power_ring(order: int, variable: str = "t") -> ArtinLocalAlgebra:
     """k[t]/(t^order); basis 1, t, t^2, ..., t^{order-1}."""
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise PreconditionError(
+            f"nilpotency order M = {order} of k[{variable}]/({variable}^M) is below 1")
 
     def lab(i: int) -> str:
         return "1" if i == 0 else (variable if i == 1 else f"{variable}^{i}")

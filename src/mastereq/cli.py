@@ -17,6 +17,7 @@ import functools
 import json
 import random
 import sys
+import time
 from typing import Callable
 
 from .artin import ArtinLocalAlgebra
@@ -545,23 +546,30 @@ def _battery(name: str, count: int, draw: Callable[[], object],
     checks a corrupted neighbour until it gives True (detected) or False
     (missed); after `CORRUPTION_ATTEMPTS` Nones the instance is skipped.  The
     callables hold all randomness and run in this order, so a seed fixes the
-    report.
+    report.  Each certificate carries the wall-clock time of its own calls:
+    draws and `valid`, or `corrupted`.
     """
     hits = skips = detected = undetectable = 0
+    valid_s = corrupted_s = 0.0
     for _ in range(count):
+        start = time.perf_counter()
         inst = draw()
         verdict = valid(inst)
         hits += bool(verdict)
         skips += verdict is None
+        valid_s += time.perf_counter() - start
         if corrupted is not None:
+            start = time.perf_counter()
             attempts = (corrupted(inst) for _ in range(CORRUPTION_ATTEMPTS))
             verdict = next((v for v in attempts if v is not None), None)
             detected += bool(verdict)
             undetectable += verdict is None
+            corrupted_s += time.perf_counter() - start
     if corrupted is None:
-        return [_tally(name, "passed", hits, skips, count)]
-    return [_tally(f"{name}-valid", "passed", hits, skips, count),
-            _tally(f"{name}-corrupted-detected", "detected", detected, undetectable, count)]
+        return [_tally(name, "passed", hits, skips, count, valid_s)]
+    return [_tally(f"{name}-valid", "passed", hits, skips, count, valid_s),
+            _tally(f"{name}-corrupted-detected", "detected", detected, undetectable, count,
+                   corrupted_s)]
 
 
 def _rejected(routes_agree: bool, still_valid: bool) -> bool | None:
@@ -571,8 +579,9 @@ def _rejected(routes_agree: bool, still_valid: bool) -> bool | None:
     return None if routes_agree and still_valid else routes_agree
 
 
-def _tally(name: str, counted: str, hits: int, skipped: int, total: int) -> Certificate:
-    """The certificate of an instance battery.
+def _tally(name: str, counted: str, hits: int, skipped: int, total: int,
+           seconds: float) -> Certificate:
+    """The certificate of an instance battery that ran for `seconds`.
 
     Instances that have nothing to test (an obstructed seed, no
     non-morphism neighbour) count as skipped, not as hits; see `_passes`.
@@ -580,7 +589,8 @@ def _tally(name: str, counted: str, hits: int, skipped: int, total: int) -> Cert
     bounds = {counted: hits, "total": total}
     if skipped:
         bounds["skipped"] = skipped
-    return Certificate(name, "pass" if _passes(hits, skipped, total) else "fail", bounds=bounds)
+    return Certificate(name, "pass" if _passes(hits, skipped, total) else "fail", bounds=bounds,
+                       timing_ms=seconds * 1000.0)
 
 
 def _passes(hits: int, skipped: int, total: int) -> bool:

@@ -1,9 +1,22 @@
 """Coderivations, coalgebra morphisms, and the convolution algebra with exp/log.
 
-A coderivation of the truncated symmetric coalgebra is determined by its
-corestriction, a map from words of positive length to the cogenerators; the
-cofree expansion is D = mult ∘ (corestriction ⊗ id) ∘ coproduct.  A
-coaugmentation-respecting coalgebra morphism is likewise determined by a
+A coderivation of the truncated symmetric coalgebra is determined by a
+table on short words: D = mult ∘ (table ⊗ id) ∘ coproduct.  Read with
+one-letter values the table is the corestriction; its values are word
+vectors so that a cobracket's pair words fit too.  On a word w the
+extension is the closed form
+
+    D(w) = sum_J eps(J) table(w_J) w_rest,
+
+summed over the subsets J of w's positions whose letters w_J form a table
+key, with w_rest the letters outside J and eps(J) the Koszul sign of moving
+w_J to the front; only subsets of the table's arities are visited, so no
+coproduct is built.  Every CE-type operator is such an extension: the CE d
+and Delta of a dg-Lie algebra, the Delta_n of an L-infinity algebra, the
+cobracket d of a Lie bialgebra, the bi-dg Delta, and the L-infinity
+codifferential itself.
+
+A coaugmentation-respecting coalgebra morphism is likewise determined by a
 degree-zero corestriction into the target cogenerators, and its extension is
 the convolution exponential of that corestriction.
 
@@ -24,6 +37,7 @@ the power series on every coalgebra.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Mapping
 
@@ -53,48 +67,75 @@ MapSeries = dict
 
 
 class Coderivation:
-    """Coderivation of a word coalgebra, given by its corestriction.
+    """Coderivation of a symmetric word coalgebra, given by a table on short words.
 
-    `corestriction` maps normalized words of length >= 1 to sparse vectors
-    over the cogenerator labels.  The expansion applies the corestriction to
-    every coproduct factor and multiplies the result back in, which vanishes
-    on the empty word and reproduces the usual sub-multiset sum with Koszul
-    signs.
+    `table` maps normal-form words of length >= 1 to sparse vectors over
+    normal-form words, each value of degree `degree` more than its key.
+    Keys longer than the truncation act on no word and are dropped.
+    `expand` is the closed form of the module docstring, which is
+    sum c * table(l) * r over the terms (l, r, c) of the unshuffle
+    coproduct: it vanishes on the empty word, and a table on letters alone
+    extends as a derivation.
     """
 
     def __init__(self, algebra: SymmetricWordAlgebra, degree: int,
-                 corestriction: Mapping[Word, Mapping[str, object]]):
+                 table: Mapping[Word, Mapping[Word, object]]):
         if not algebra.symmetric:
             raise PreconditionError("coderivations are implemented on symmetric word algebras")
         self.algebra = algebra
         self.degree = int(degree)
-        cor: dict[Word, dict[str, Scalar]] = {}
-        for w, val in corestriction.items():
+        space_degree = algebra.space.degree
+        cleaned: dict[Word, dict[Word, Scalar]] = {}
+        for w, val in table.items():
             if len(w) < 1:
-                raise PreconditionError("corestriction must vanish on the empty word")
-            clean = {t: as_scalar(c) for t, c in val.items() if as_scalar(c) != 0}
-            for t in clean:
-                if algebra.space.degree(t) - algebra.degree(w) != self.degree:
+                raise PreconditionError("a coderivation table must vanish on the empty word")
+            clean = {u: as_scalar(c) for u, c in val.items() if as_scalar(c) != 0}
+            key_degree = sum(map(space_degree, w))
+            for u in clean:
+                if sum(map(space_degree, u)) - key_degree != self.degree:
                     raise PreconditionError(
-                        f"corestriction entry {w} -> {t} violates degree {self.degree}")
-            if clean:
-                cor[w] = clean
-        self.corestriction = cor
+                        f"table entry {w} -> {u} violates degree {self.degree}")
+            if clean and len(w) <= algebra.max_len:
+                cleaned[w] = clean
+        self.table = cleaned
+        self._arities = sorted({len(w) for w in cleaned})
         self._cache: dict[Word, dict[Word, Scalar]] = {}
 
     def expand(self, word: Word) -> dict[Word, Scalar]:
         cached = self._cache.get(word)
         if cached is not None:
             return cached
+        table = self.table
+        odd = self.algebra._odd_letters
+        odd_before = None  # odd_before[i]: odd letters in word[:i]
+        # (key, rest) -> summed sign.  Positions of an even letter repeated in
+        # the word give equal pairs with equal signs, so nothing cancels and
+        # each product is formed once.
+        terms: dict[tuple[Word, Word], int] = {}
+        for k in self._arities:
+            for key, J in zip(itertools.combinations(word, k),
+                              itertools.combinations(range(len(word)), k)):
+                if key not in table:
+                    continue
+                if odd_before is None:
+                    odd_before = list(itertools.accumulate((x in odd for x in word), initial=0))
+                rest: Word = ()
+                start = crossings = seen = 0
+                for i in J:
+                    rest += word[start:i]
+                    start = i + 1
+                    if word[i] in odd:
+                        # the odd letters before i that stay behind
+                        crossings += odd_before[i] - seen
+                        seen += 1
+                rest += word[start:]
+                group = (key, rest)
+                terms[group] = terms.get(group, 0) + (-1 if crossings % 2 else 1)
         out: dict[Word, Scalar] = {}
-        for left, right, c in self.algebra.coproduct(word):
-            if not left:
-                continue
-            val = self.corestriction.get(left)
-            if not val:
-                continue
-            for t, v in val.items():
-                for w, s in self.algebra.mul_words((t,), right).items():
+        mul_words = self.algebra.mul_words
+        for (key, rest), c in terms.items():
+            for u, v in table[key].items():
+                for w, s in mul_words(u, rest).items():
                     vec_add_into(out, w, c * v * s)
         self._cache[word] = out
         return out
@@ -111,7 +152,7 @@ class Coderivation:
         return out
 
     def __repr__(self):
-        return f"Coderivation(degree={self.degree}, arities={sorted({len(w) for w in self.corestriction})})"
+        return f"Coderivation(degree={self.degree}, arities={self._arities})"
 
 
 def check_codifferential(D: Coderivation, words=None, name: str = "codifferential") -> CheckResult:

@@ -1,19 +1,24 @@
 """Building BV and BV-infinity algebras from classical input data.
 
 All constructions land on the word algebra of the once-desuspended space:
-symmetric words for Lie-type inputs, tensor words for associative ones.  The
-BV operator coming from a bracket follows the sum-over-pairs formula
+symmetric words for Lie-type inputs, tensor words for associative ones.
+Every operator on symmetric words is one extension rule: the
+`coalgebra.Coderivation` of a table on short words, read off the input.
+The BV operator of a bracket is the extension of the arity-two table
+l_2(x, y) = (-1)^{|x|} [x, y] of `LInftyAlgebra.coderivation_table`, which
+is the sum-over-pairs formula
 
     Delta(x_1 ... x_n) = sum_{i<j} (-1)^{|x_1|+...+|x_i|} eps_{ij}
                           x_1 ... [x_i, x_j] ... (x_j omitted) ... x_n,
 
 with eps_{ij} = (-1)^{|x_j|(|x_{i+1}|+...+|x_{j-1}|)} the Koszul sign of
-commuting x_j next to x_i.  On symmetric words the term of a bracket letter t
-inserts t into the word without x_i, x_j, with (-1)^{|t|(|x_1|+...+|x_{i-1}|)}
-for moving t to the front; all three parities come from one running sum.
-Every construction certifies its axioms up to the requested word length, and
-failures are returned as certificates with witnesses, not exceptions: a
-nonassociative input is a legitimate negative fixture.
+commuting x_j next to x_i.  A differential is the extension of its
+arity-one table, a derivation; a cobracket extends through its pair words,
+and the bi-dg Delta through one table holding delta on letters and the
+bracket on pairs.  Every construction certifies its axioms up to the
+requested word length, and failures are returned as certificates with
+witnesses, not exceptions: a nonassociative input is a legitimate negative
+fixture.
 """
 
 from __future__ import annotations
@@ -29,14 +34,12 @@ from .graded import ONE, ZERO, GradedVectorSpace, Scalar, as_scalar
 from .linfty import DgLieAlgebra, LInftyAlgebra, emce_residual, quillen_bijection_check
 from .operators import Operator
 from .series import HbarSeries
-from .words import SymmetricWordAlgebra, TensorWordAlgebra, Word, WordAlgebra, vec_add_into
+from .words import SymmetricWordAlgebra, TensorWordAlgebra, Word, vec_add_into
 
 __all__ = [
     "LieBialgebraData",
     "BiDgLieData",
     "AssociativeAlgebraData",
-    "derivation_extend",
-    "ce_delta_operator",
     "ce_bv_from_dg_lie",
     "ce_bvinfty_from_linfty",
     "ce_bv_from_ibl",
@@ -47,88 +50,23 @@ __all__ = [
 ]
 
 
-def derivation_extend(algebra: WordAlgebra, values: Mapping[str, Mapping[Word, object]],
-                      degree: int, name: str = "derivation") -> Operator:
-    """Extend a generator-level map x -> word vector as a graded derivation.
-
-    The operator passes over the first i-1 letters with the Koszul sign of
-    its own degree, then multiplies the value back in place.
-    """
-    table = {x: {tuple(w): as_scalar(c) for w, c in val.items() if as_scalar(c) != 0}
-             for x, val in values.items()}
-
-    def act(word: Word) -> dict[Word, Scalar]:
-        out: dict[Word, Scalar] = {}
-        for i, x in enumerate(word):
-            val = table.get(x)
-            if not val:
-                continue
-            prefix_deg = sum(algebra.space.degree(u) for u in word[:i])
-            sign = -ONE if (degree * prefix_deg) % 2 else ONE
-            left = {word[:i]: ONE}
-            mid = algebra.mul(left, val)
-            full = algebra.mul(mid, {word[i + 1:]: ONE})
-            for w, c in full.items():
-                vec_add_into(out, w, sign * c)
-        return out
-
-    return Operator.from_function(algebra, degree, act, name=name)
-
-
-def ce_delta_operator(algebra: SymmetricWordAlgebra, bracket_labels, name: str = "Delta") -> Operator:
-    """BV operator of a bracket on the symmetric word algebra of the desuspension.
-
-    `bracket_labels(a, b)` returns the sparse bracket value; letter degrees
-    are the word-algebra degrees (the desuspended grading).
-    """
-    if not algebra.symmetric:
-        raise PreconditionError("the CE Delta is defined on symmetric words only")
-    degree = algebra.space.degree
-    mul_words = algebra.mul_words
-
-    def act(word: Word) -> dict[Word, Scalar]:
-        out: dict[Word, Scalar] = {}
-        n = len(word)
-        # odd[k]: odd letters in word[:k], of the parity of their degree sum
-        odd = list(itertools.accumulate((degree(x) % 2 for x in word), initial=0))
-        for i in range(n):
-            for j in range(i + 1, n):
-                value = bracket_labels(word[i], word[j])
-                if not value:
-                    continue
-                pair_sign = odd[i + 1] + (odd[j + 1] - odd[j]) * (odd[j] - odd[i + 1])
-                rest = word[:i] + word[i + 1:j] + word[j + 1:]
-                for t, c in value.items():
-                    if (pair_sign + degree(t) * odd[i]) % 2:
-                        c = -c
-                    for w, s in mul_words((t,), rest).items():
-                        vec_add_into(out, w, s * c)
-        return out
-
-    return Operator.from_function(algebra, -1, act, name=name)
+def _extension(algebra: SymmetricWordAlgebra, degree: int, table, name: str) -> Operator:
+    """The operator of the coderivation of `algebra` with this table."""
+    return Operator.from_function(algebra, degree, Coderivation(algebra, degree, table).expand,
+                                  name=name)
 
 
 def ce_bv_from_dg_lie(L: DgLieAlgebra, max_len: int = 4) -> BVAlgebra:
     """Homology-complex BV structure of a dg-Lie algebra on its desuspension.
 
-    d is the derivation extension of the internal differential; Delta is the
-    bracket contraction; Delta^2 = 0 re-proves Jacobi and is certified, not
-    assumed.
+    d extends the internal differential l_1 and Delta the bracket l_2;
+    Delta^2 = 0 re-proves Jacobi and is certified, not assumed.
     """
     algebra = L.space.symmetric_algebra(-1, max_len)
-    d_vals = {s: {(t,): c} for (s, t), c in L.d.entries.items()}
-    d_op = derivation_extend(algebra, _merge_generator_values(d_vals), 1, name="d")
-    delta_op = ce_delta_operator(algebra, L.bracket_labels)
+    gl = L.to_linfty()
+    d_op = _extension(algebra, 1, gl.coderivation_table(1), "d")
+    delta_op = _extension(algebra, -1, gl.coderivation_table(2), "Delta")
     return BVAlgebra(algebra, d_op, delta_op, name=f"CE({L.name})")
-
-
-def _merge_generator_values(entries: Mapping[str, Mapping[Word, object]]) -> dict:
-    out: dict[str, dict[Word, Scalar]] = {}
-    for x, val in entries.items():
-        bucket = out.setdefault(x, {})
-        for w, c in val.items():
-            bucket[tuple(w)] = bucket.get(tuple(w), ZERO) + as_scalar(c)
-    return out
 
 
 def ce_bvinfty_from_linfty(g: LInftyAlgebra, max_len: int = 4,
@@ -137,8 +75,7 @@ def ce_bvinfty_from_linfty(g: LInftyAlgebra, max_len: int = 4,
 
     The structure constants transport verbatim from S(g[1]): the even shift
     preserves parities, so normal forms and signs agree; Delta_n is the
-    coderivation expansion of l_n along the unshuffle coproduct, and in
-    particular has order <= n.
+    `Coderivation` extension of l_n, and in particular has order <= n.
 
     The algebra is built once per `g`, keyed by (max_len, hbar_cutoff), and
     shared between callers; treat it as read-only.
@@ -153,11 +90,9 @@ def _build_ce_bvinfty_from_linfty(g: LInftyAlgebra, max_len: int,
                                   hbar_cutoff: int) -> BVInftyAlgebra:
     algebra = g.space.symmetric_algebra(-1, max_len)
     operators: dict[int, Operator] = {}
-    for n, table in g.brackets.items():
-        if n > max_len:
-            continue
-        cod = Coderivation(algebra, 3 - 2 * n, {w: dict(val) for w, val in table.items()})
-        operators[n] = Operator.from_function(algebra, cod.degree, cod.expand, name=f"Delta_{n}")
+    for n in g.brackets:
+        if n <= max_len:
+            operators[n] = _extension(algebra, 3 - 2 * n, g.coderivation_table(n), f"Delta_{n}")
     return BVInftyAlgebra(algebra, operators, hbar_cutoff, name=f"CE({g.name})")
 
 
@@ -265,7 +200,7 @@ class LieBialgebraData:
 
 def ce_bv_from_ibl(B: LieBialgebraData, max_len: int = 4) -> tuple[BVAlgebra, dict]:
     """Desuspension complex of a Lie bialgebra: Delta from the bracket, d the
-    derivation extension of the cobracket.
+    extension of the cobracket, whose table sends a letter to pair words.
 
     For involutive data every BV axiom certifies; otherwise [Delta, d] != 0
     and the first witness word is reported in the diagnostics.
@@ -275,12 +210,10 @@ def ce_bv_from_ibl(B: LieBialgebraData, max_len: int = 4) -> tuple[BVAlgebra, di
     if bad:
         raise StructureError(f"{B.name}: bialgebra axiom {bad[0].name} fails", witness=bad[0].witness)
     algebra = B.space.symmetric_algebra(-1, max_len)
-    d_values = {
-        x: {_pair_word(algebra, a, b): c for (a, b), c in val.items()}
-        for x, val in B.cobracket.items()
-    }
-    d_op = derivation_extend(algebra, d_values, 1, name="d(cobracket)")
-    delta_op = ce_delta_operator(algebra, B.lie.bracket_labels)
+    d_table = {(x,): {_pair_word(algebra, a, b): c for (a, b), c in val.items()}
+               for x, val in B.cobracket.items()}
+    d_op = _extension(algebra, 1, d_table, "d(cobracket)")
+    delta_op = _extension(algebra, -1, B.lie.to_linfty().coderivation_table(2), "Delta")
     bv = BVAlgebra(algebra, d_op, delta_op, name=f"CE({B.name})")
     involutive = B.involutive()
     anti = delta_op.graded_commutator(d_op)
@@ -339,9 +272,9 @@ def _graded_map(space: GradedVectorSpace, entries, degree: int):
 def bv_from_bi_dg_lie(B: BiDgLieData, max_len: int = 4) -> tuple[BVAlgebra, dict]:
     """Desuspension BV algebra of a bi-dg-Lie algebra.
 
-    d extends the degree-one differential as a derivation; Delta is the
-    derivation extension of the internal delta plus the bracket contraction,
-    which reproduces the recursion Delta(ab) = (Delta a)b + (-1)^{|a|} a
+    d extends the degree-one differential as a derivation; Delta extends
+    one table holding the internal delta on letters and the bracket on
+    pairs, which reproduces the recursion Delta(ab) = (Delta a)b + (-1)^{|a|} a
     (Delta b) + (-1)^{|a|} {a,b} with the Schouten extension of the bracket.
     The inclusion of generators is certified to intertwine d, Delta and the
     brackets.
@@ -361,28 +294,21 @@ def _build_bv_from_bi_dg_lie(B: BiDgLieData, max_len: int) -> tuple[BVAlgebra, d
     if bad:
         raise StructureError(f"{B.name}: axiom {bad[0].name} fails", witness=bad[0].witness)
     algebra = B.space.symmetric_algebra(-1, max_len)
-    d_vals = {s: {(t,): c} for (s, t), c in B.lie.d.entries.items()}
-    d_op = derivation_extend(algebra, _merge_generator_values(d_vals), 1, name="d")
-    delta_internal_vals = {s: {(t,): c} for (s, t), c in B.delta.entries.items()}
-    delta_op = derivation_extend(algebra, _merge_generator_values(delta_internal_vals), -1,
-                                 name="delta-internal")
-    delta_op = delta_op.add(ce_delta_operator(algebra, B.lie.bracket_labels))
-    delta_op.name = "Delta"
+    gl = B.lie.to_linfty()
+    d_op = _extension(algebra, 1, gl.coderivation_table(1), "d")
+    # delta on letters and the bracket on pairs: one table, one extension
+    delta_table = gl.coderivation_table(2)
+    for (s, t), c in B.delta.entries.items():
+        delta_table.setdefault((s,), {})[(t,)] = c
+    delta_op = _extension(algebra, -1, delta_table, "Delta")
     bv = BVAlgebra(algebra, d_op, delta_op, name=f"S({B.name}[-1])")
     inclusion = _inclusion_report(bv, B)
     return bv, {"axioms": axioms, "inclusion": inclusion}
 
 
 def _inclusion_report(bv: BVAlgebra, B: BiDgLieData) -> list[CheckResult]:
-    algebra = bv.algebra
-    out = []
-    ok_d = all(bv.d.entries.get((x,), {}) == {(t,): c for t, c in B.lie.d.apply_label(x).coeffs.items()}
-               for x in B.space.labels)
-    out.append(CheckResult("inclusion-d", ok_d))
-    ok_delta = all(
-        bv.delta.entries.get((x,), {}) == {(t,): c for t, c in B.delta.apply_label(x).coeffs.items()}
-        for x in B.space.labels)
-    out.append(CheckResult("inclusion-delta", ok_delta))
+    out = [_inclusion_of("inclusion-d", bv.d, B.lie.d, B.space.labels),
+           _inclusion_of("inclusion-delta", bv.delta, B.delta, B.space.labels)]
     ok_bracket, witness = True, None
     for x in B.space.labels:
         for y in B.space.labels:
@@ -400,6 +326,21 @@ def _inclusion_report(bv: BVAlgebra, B: BiDgLieData) -> list[CheckResult]:
             break
     out.append(CheckResult("inclusion-bracket", ok_bracket, witness=witness))
     return out
+
+
+def _inclusion_of(name: str, op, generator_map, labels) -> CheckResult:
+    """`op` on the one-letter words against `generator_map` on the
+    generators; the witness is the first generator whose images differ,
+    with both images."""
+    for x in labels:
+        got = op.entries.get((x,), {})
+        want = {(t,): c for t, c in generator_map.apply_label(x).coeffs.items()}
+        if got != want:
+            def labelled(img):
+                return {op.algebra.label(u): str(c) for u, c in sorted(img.items())}
+            return CheckResult(name, False, witness={
+                "generator": x, "operator": labelled(got), "generator_map": labelled(want)})
+    return CheckResult(name, True)
 
 
 class AssociativeAlgebraData:

@@ -221,16 +221,16 @@ class LInftyAlgebra:
         """S(g[1]) cut at `max_len`, shared by every structure on `space`."""
         return self.space.symmetric_algebra(1, max_len)
 
+    def coderivation_table(self, *arities: int) -> dict[Word, dict[Word, Scalar]]:
+        """The brackets of these arities as one `Coderivation` table, with
+        one-letter words as values."""
+        return {w: {(t,): c for t, c in val.items()}
+                for n in arities for w, val in self.brackets.get(n, {}).items()}
+
     def codifferential(self, max_len: int) -> Coderivation:
         if max_len not in self._coderivations:
-            algebra = self.word_algebra(max_len)
-            cor: dict[Word, dict[str, Scalar]] = {}
-            for n, table in self.brackets.items():
-                if n > max_len:
-                    continue
-                for w, val in table.items():
-                    cor[w] = dict(val)
-            self._coderivations[max_len] = Coderivation(algebra, 1, cor)
+            self._coderivations[max_len] = Coderivation(
+                self.word_algebra(max_len), 1, self.coderivation_table(*self.brackets))
         return self._coderivations[max_len]
 
     def corestriction_value(self, word: Word) -> dict[str, Scalar]:
@@ -493,7 +493,7 @@ def _build_coderivation_dg_lie(hl: LInftyAlgebra, max_len: int) -> tuple[DgLieAl
         w, c = split.get((w2, rest), (None, ZERO))
         return {(w, t1): c * W.mul_words((t2,), rest)[w1]} if c else {}
 
-    mu = hl.codifferential(max_len).corestriction
+    mu = hl.codifferential(max_len).table
     bracket_table: dict[tuple[str, str], dict[str, Scalar]] = {}
     d_entries: dict[tuple[str, str], Scalar] = {}
     basis_keys = list(key_of)  # in basis order
@@ -504,7 +504,7 @@ def _build_coderivation_dg_lie(hl: LInftyAlgebra, max_len: int) -> tuple[DgLieAl
         sign = -ONE if deg1 % 2 else ONE
         dmu: dict[tuple[Word, str], Scalar] = {}
         for wm, val in mu.items():
-            for tm, cm in val.items():
+            for (tm,), cm in val.items():
                 for key, c in compose(wm, tm, w1, t1).items():
                     vec_add_into(dmu, key, cm * c)
                 for key, c in compose(w1, t1, wm, tm).items():

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .diagnostics import PreconditionError
 from .graded import ONE, ZERO, GradedVectorSpace, Scalar, koszul_sign
 
 __all__ = [
@@ -105,7 +106,8 @@ class WordAlgebra:
 
     def __init__(self, space: GradedVectorSpace, max_len: int):
         if max_len < 1:
-            raise ValueError("word-length truncation must be >= 1")
+            raise PreconditionError(
+                f"word-length truncation N = {max_len} is below 1: the window holds no letter")
         self.space = space
         self.max_len = max_len
         self._sort_key = {label: (space.degree(label), i) for i, (label, _) in enumerate(space.basis)}

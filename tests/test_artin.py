@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mastereq.artin import ArtinLocalAlgebra, power_ring, square_zero_ring
-from mastereq.diagnostics import StructureError
+from mastereq.diagnostics import PreconditionError, StructureError
 from mastereq.linalg import rref, solve_linear
 
 
@@ -15,6 +15,11 @@ def test_power_ring_nilpotency():
         if n > 2:
             assert R.order("t^2") == 2
         assert R.adapted
+
+
+def test_power_ring_below_order_one_names_the_window():
+    with pytest.raises(PreconditionError, match=r"nilpotency order M = 0 of k\[t\]/\(t\^M\)"):
+        power_ring(0)
 
 
 def test_power_ring_multiplication():

@@ -19,7 +19,7 @@ from mastereq.coalgebra import (
 from mastereq.diagnostics import PreconditionError
 from mastereq.graded import GradedVectorSpace
 from mastereq.series import HbarSeries, SeriesContext
-from mastereq.words import SymmetricWordAlgebra, TensorWordAlgebra, TruncationOverflow
+from mastereq.words import SymmetricWordAlgebra, TensorWordAlgebra, TruncationOverflow, vec_add_into
 
 HEIS1 = GradedVectorSpace([("x", -1), ("y", -1), ("z", -1)])  # heis3[1]
 ABELIAN2 = GradedVectorSpace([("x", -1), ("y", -1)])
@@ -28,7 +28,7 @@ ABELIAN2 = GradedVectorSpace([("x", -1), ("y", -1)])
 def heis_codifferential(n=4):
     A = SymmetricWordAlgebra(HEIS1, n)
     # l_2(x,y) = (-1)^{|x|}[x,y] = -z for the canonical word x·y
-    D = Coderivation(A, 1, {("x", "y"): {"z": -1}})
+    D = Coderivation(A, 1, {("x", "y"): {("z",): -1}})
     return A, D
 
 
@@ -39,9 +39,9 @@ def test_zero_coderivation():
 
 
 def test_coderivation_is_derivation_for_arity_one():
-    # corestriction concentrated on letters: l1(x) = y acts as a derivation
+    # a table on letters alone: l1(x) = y acts as a derivation
     A = SymmetricWordAlgebra(ABELIAN2, 3)
-    D = Coderivation(A, 0, {("x",): {"y": 1}})
+    D = Coderivation(A, 0, {("x",): {("y",): 1}})
     assert D.expand(("x", "y")) == {("y", "y"): 0} or D.expand(("x", "y")) == {}
     # x odd: y·y = 0; on x alone:
     assert D.expand(("x",)) == {("y",): 1}
@@ -62,7 +62,7 @@ def test_heis_codifferential_squares_to_zero():
 def test_jacobi_violation_detected_with_witness():
     # [x,y] = z, [x,z] = x: Jacobiator is -z on (x,y,z)
     A = SymmetricWordAlgebra(HEIS1, 4)
-    D = Coderivation(A, 1, {("x", "y"): {"z": -1}, ("x", "z"): {"x": -1}})
+    D = Coderivation(A, 1, {("x", "y"): {("z",): -1}, ("x", "z"): {("x",): -1}})
     result = check_codifferential(D)
     assert not result.ok
     assert result.witness["word"] == "x·y·z"
@@ -80,7 +80,7 @@ def test_co_leibniz_random_corestrictions():
             val = {}
             for t in space.labels:
                 if space.degree(t) - A.degree(w) == 1 and rng.random() < 0.5:
-                    val[t] = Fraction(rng.randint(-2, 2))
+                    val[(t,)] = Fraction(rng.randint(-2, 2))
             val = {t: c for t, c in val.items() if c}
             if val:
                 cor[w] = val
@@ -102,6 +102,61 @@ def test_co_leibniz_random_corestrictions():
                 key = (l, r)
                 rhs[key] = rhs.get(key, 0) + c * c2
         assert {k: v for k, v in lhs.items() if v} == {k: v for k, v in rhs.items() if v}
+
+
+def _coproduct_expansion(D, word):
+    """The definition the closed form shortcuts: sum c * table(l) * r over
+    the terms (l, r, c) of the unshuffle coproduct of `word`."""
+    A = D.algebra
+    out = {}
+    for l, r, c in A.coproduct(word):
+        for u, v in D.table.get(l, {}).items():
+            for w, s in A.mul_words(u, r).items():
+                vec_add_into(out, w, c * v * s)
+    return out
+
+
+@st.composite
+def coderivation_cases(draw):
+    """A symmetric word algebra on 1-4 letters of degrees -1..2 with N in
+    2..5, and a word-valued table of arities 1-3; a value is any word of
+    the table's degree, the empty word included, so some products leave
+    the window."""
+    degrees = draw(st.lists(st.integers(-1, 2), min_size=1, max_size=4))
+    space = GradedVectorSpace((f"x{i}", d) for i, d in enumerate(degrees))
+    A = SymmetricWordAlgebra(space, draw(st.integers(2, 5)))
+    degree = draw(st.integers(-1, 1))
+    table: dict = {}
+    for key in draw(st.lists(st.sampled_from([w for w in A.words if 1 <= len(w) <= 3]), max_size=4)):
+        values = [u for u in A.words if A.degree(u) == A.degree(key) + degree]
+        for u in draw(st.lists(st.sampled_from(values), max_size=2)) if values else []:
+            table.setdefault(key, {})[u] = draw(st.sampled_from((1, -1, 2, Fraction(1, 2))))
+    return A, degree, table
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(coderivation_cases())
+def test_closed_form_expansion_matches_the_coproduct_definition(case):
+    A, degree, table = case
+    D = Coderivation(A, degree, table)
+    for w in A.words:
+        try:
+            want = _coproduct_expansion(D, w)
+        except TruncationOverflow:
+            with pytest.raises(TruncationOverflow):
+                D.expand(w)
+            continue
+        assert D.expand(w) == want, A.label(w)
+
+
+def test_coderivation_table_is_checked():
+    A = SymmetricWordAlgebra(HEIS1, 2)
+    with pytest.raises(PreconditionError, match="empty word"):
+        Coderivation(A, 0, {(): {("x",): 1}})
+    with pytest.raises(PreconditionError, match="violates degree"):
+        Coderivation(A, 1, {("x",): {("y",): 1}})
+    # a key longer than the window acts on no word
+    assert Coderivation(A, 2, {("x", "y", "z"): {("x",): 1}}).table == {}
 
 
 def md(algebra):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mastereq.bv import antibracket, qme_residual
+from mastereq.bv import BVAlgebra, antibracket, qme_residual
 from mastereq.constructions import (
     AssociativeAlgebraData,
     BiDgLieData,
@@ -15,9 +15,10 @@ from mastereq.constructions import (
     ce_bv_from_dg_lie,
     ce_bvinfty_from_linfty,
     ce_bv_from_ibl,
-    ce_delta_operator,
     hbar_extended_dg_lie,
 )
+from mastereq.coalgebra import Coderivation
+from mastereq.constructions import _inclusion_report
 from mastereq.diagnostics import PreconditionError, StructureError
 from mastereq.graded import ONE, GradedVectorSpace, koszul_sign
 from mastereq.linfty import DgLieAlgebra
@@ -57,6 +58,36 @@ def _ce_delta_oracle(algebra, bracket_labels):
     return Operator.from_function(algebra, -1, act, name="Delta")
 
 
+def _derivation_oracle(algebra, d):
+    """The extension of a generator map `d` as a derivation, by its
+    definition: the value multiplied back in place through two
+    `WordAlgebra.mul` calls, after passing the prefix with its sign."""
+
+    def act(word):
+        out = {}
+        for i, x in enumerate(word):
+            prefix_degree = sum(algebra.space.degree(u) for u in word[:i])
+            sign = -1 if (d.degree * prefix_degree) % 2 else 1
+            value = {(t,): c for t, c in d.apply_label(x).coeffs.items()}
+            mid = algebra.mul({word[:i]: ONE}, value)
+            for w, c in algebra.mul(mid, {word[i + 1:]: ONE}).items():
+                vec_add_into(out, w, sign * c)
+        return out
+
+    return Operator.from_function(algebra, d.degree, act, name="d")
+
+
+def _ce_delta(algebra, bracket):
+    """The extension of the table l_2(a, b) = (-1)^{|a|} [a, b] on sorted
+    letter pairs, the only pairs the pair sum reads."""
+    table = {}
+    for (a, b), value in bracket.items():
+        if algebra.normalize([a, b]) == ((a, b), 1):
+            sign = -1 if algebra.space.degree(a) % 2 else 1
+            table[(a, b)] = {(t,): sign * c for t, c in value.items()}
+    return Operator.from_function(algebra, -1, Coderivation(algebra, -1, table).expand)
+
+
 @st.composite
 def ce_delta_cases(draw):
     """A symmetric word algebra on 1-4 letters and a sparse degree -1
@@ -79,7 +110,7 @@ def ce_delta_cases(draw):
 def test_ce_delta_closed_form_matches_pair_sum(case):
     A, bracket = case
     labels = lambda a, b: bracket.get((a, b), {})  # noqa: E731
-    got, want = ce_delta_operator(A, labels), _ce_delta_oracle(A, labels)
+    got, want = _ce_delta(A, bracket), _ce_delta_oracle(A, labels)
     assert got.entries == want.entries
     assert got.defined == want.defined
     types = lambda op: {(w, u): type(c) for w, img in op.entries.items() for u, c in img.items()}  # noqa: E731
@@ -88,8 +119,8 @@ def test_ce_delta_closed_form_matches_pair_sum(case):
 
 def test_ce_delta_needs_symmetric_words():
     T = TensorWordAlgebra(GradedVectorSpace([("a", 0)]), 2)
-    with pytest.raises(PreconditionError):
-        ce_delta_operator(T, lambda a, b: {})
+    with pytest.raises(PreconditionError, match="symmetric"):
+        Coderivation(T, -1, {})
 
 
 def test_ce_abelian_delta_zero():
@@ -132,15 +163,34 @@ def test_ce_corrupted_constant_fails_with_witness():
 
 
 def test_ce_bvinfty_matches_explicit_delta():
-    for name in ("heis3", "sl2", "aff2", "bidg4-dglie"):
+    for name in ("heis3", "sl2", "aff2", "lift3", "bidg4-dglie", "two-target"):
         L = load(name)
         bv = ce_bv_from_dg_lie(L, 4)
+        assert bv.delta.entries == _ce_delta_oracle(bv.algebra, L.bracket_labels).entries, name
+        assert bv.d.entries == _derivation_oracle(bv.algebra, L.d).entries, name
         bvi = ce_bvinfty_from_linfty(L.to_linfty(), 4)
         assert bvi.operators.get(2, None) is None or \
             bvi.operators[2].entries == bv.delta.entries, name
         if 1 in bvi.operators:
             assert bvi.operators[1].entries == bv.d.entries, name
         assert bvi.is_certified(), name
+
+
+def test_ce_d_keeps_every_target_of_a_generator():
+    # d x = y + z: both terms reach the CE differential
+    bv = ce_bv_from_dg_lie(load("two-target"), 2)
+    assert bv.d.entries[("x",)] == {("y",): 1, ("z",): 1}
+    assert bv.d.entries[("x", "y")] == {("y", "y"): 1, ("y", "z"): 1}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ce_bv_from_dg_lie(load("heis3"), 0),
+    lambda: ce_bvinfty_from_linfty(load("l3demo").to_linfty(), 0),
+    lambda: bar_bv_from_associative(load("dual-numbers"), 0),
+], ids=["ce", "ce-bvinfty", "bar"])
+def test_a_word_length_below_one_names_the_window(build):
+    with pytest.raises(PreconditionError, match="word-length truncation N = 0 is below 1"):
+        build()
 
 
 def test_ce_antibracket_recovers_bracket():
@@ -240,6 +290,33 @@ def test_bidg4_full_certification_and_inclusion():
     cert = {r.name: r.ok for r in bv.certify()}
     assert all(cert.values()), cert
     assert all(r.ok for r in report["inclusion"])
+
+
+def test_bidg_inclusion_keeps_every_target_of_a_generator():
+    bv, report = bv_from_bi_dg_lie(load("two-target-bidg"), 4)
+    assert bv.d.entries[("x",)] == {("y",): 1, ("z",): 1}
+    assert all(r.ok for r in report["inclusion"])
+
+
+@pytest.mark.parametrize("operator", ["d", "delta"])
+def test_bidg_inclusion_names_the_generator_whose_image_differs(operator):
+    # negative control: one entry of the BV operator on a letter moves
+    B = load("bidg4")
+    bv, _ = bv_from_bi_dg_lie(B, 4)
+    op = getattr(bv, operator)
+    x, (target, c) = "s", next(iter(op.entries[("s",)].items()))
+    entries = {w: dict(img) for w, img in op.entries.items()}
+    entries[(x,)][target] = c + 1
+    bad_op = Operator(bv.algebra, op.degree, entries, op.defined, op.name)
+    d, delta = (bad_op, bv.delta) if operator == "d" else (bv.d, bad_op)
+    results = {r.name: r for r in _inclusion_report(BVAlgebra(bv.algebra, d, delta), B)}
+    result = results[f"inclusion-{operator}"]
+    assert not result.ok
+    label = bv.algebra.label(target)
+    assert result.witness == {"generator": x,
+                              "operator": {label: str(c + 1)},
+                              "generator_map": {label: str(c)}}
+    assert results["inclusion-delta" if operator == "d" else "inclusion-d"].ok
 
 
 def test_bidg_hbar_extension_is_dg_lie():

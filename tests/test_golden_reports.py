@@ -3,8 +3,9 @@
 Each case runs `mastereq` in process with `--format machine` and compares the
 exit code, stdout, stderr and (for `--emit`) the emitted manifest with the
 stored files.  The cases are `check` on every fixture plus one run of each
-command of the cli-fixtures benchmark workload at a fixed seed, and both
-solvers on an obstructed input.  A second pass runs each case in the human
+command of the cli-fixtures benchmark workload at a fixed seed, both
+solvers on an obstructed input, and the CE and bi-dg constructions of a
+differential with two targets on one generator.  A second pass runs each case in the human
 format and checks its exit code against the same `exit_codes.json`.
 
 `test_one_parser_serves_repeated_calls` runs every case twice in one
@@ -76,6 +77,10 @@ COMMANDS = [
     ("qme-forms-sl2", ["identity-check", "qme-forms", _f("sl2.alg"), *RING3, "--seed", "19"]),
     ("derived-brackets-ce-l3demo", ["identity-check", "derived-brackets", _f("ce-l3demo.alg"), *RING3]),
     ("construct-bi-dg-bidg4", ["construct", "bi-dg", _f("bidg4.alg")]),
+    # d x = y + z: both terms reach d, and the bi-dg inclusion passes
+    ("construct-ce-two-target", ["construct", "ce", _f("two-target.alg"), "--trunc-words", "2",
+                                 "--emit", EMIT]),
+    ("construct-bi-dg-two-target", ["construct", "bi-dg", _f("two-target-bidg.alg")]),
 ] + [
     (f"check-{path.stem}", ["check", _f(path.name)])
     for path in sorted(FIXTURES.glob("*.alg"))
@@ -114,9 +119,10 @@ def _assert_golden(name: str, got: dict) -> None:
 
 
 def test_cases_cover_every_fixture_and_workload_command():
-    # 17 workload commands and 2 obstructed solves, none a plain check of one fixture
+    # 17 workload commands, 2 obstructed solves and 2 two-target constructions,
+    # none a plain check of one fixture
     names = [name for name, _ in COMMANDS]
-    assert len(set(names)) == len(names) == 19 + len(list(FIXTURES.glob("*.alg")))
+    assert len(set(names)) == len(names) == 21 + len(list(FIXTURES.glob("*.alg")))
 
 
 @pytest.mark.parametrize("name,argv", COMMANDS, ids=[name for name, _ in COMMANDS])

@@ -389,9 +389,12 @@ def _compose_based_coderivation_dg_lie(hl, max_len):
                     vec_add_into(out, (w, t), v * c)
         return out
 
+    def extension(f, deg_f):
+        return Coderivation(W, deg_f, {w: {(t,): c for t, c in val.items()} for w, val in f.items()})
+
     def bracket_cor(f, deg_f, g, deg_g):
-        left = compose_cor(f, Coderivation(W, deg_g, g))
-        right = compose_cor(g, Coderivation(W, deg_f, f))
+        left = compose_cor(f, extension(g, deg_g))
+        right = compose_cor(g, extension(f, deg_f))
         sign = -ONE if (deg_f * deg_g) % 2 else ONE
         out = dict(left)
         for key, c in right.items():

@@ -306,6 +306,16 @@ def _bounds(certs):
     return {c.name: (c.status, c.bounds) for c in certs}
 
 
+def test_battery_rows_show_their_time(capsys):
+    # timing is in the human format only; each battery row times its own calls
+    assert run_cli("verify-representability", "theorem-second", str(FIXTURES / "bidg4-dglie.alg"),
+                   "--seed", "9", "--instances", "2") == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if "theorem-second-" in line]
+    assert len(rows) == 2
+    for row in rows:
+        assert float(row.split("[")[1].split("ms]")[0]) > 0, row
+
+
 def test_battery_tallies_hits_misses_and_skips():
     log = []
     certs = cli._battery("b", 4, _scripted("draw", [10, 11, 12, 13], log),

@@ -16,13 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mastereq.bv import BVAlgebra
-from mastereq.constructions import ce_bv_from_dg_lie, ce_delta_operator, derivation_extend
+from mastereq.coalgebra import Coderivation
+from mastereq.constructions import ce_bv_from_dg_lie
 from mastereq.diagnostics import CheckResult, PreconditionError
 from mastereq.graded import GradedVectorSpace
 from mastereq.linalg import solve_linear
 from mastereq.linfty import DgLieAlgebra
 from mastereq.operators import Operator, iterated_commutator_apply, operator_order_check
-from mastereq.words import SymmetricWordAlgebra, TensorWordAlgebra
+from mastereq.words import SymmetricWordAlgebra, TensorWordAlgebra, vec_add_into
 
 
 def _order_check_oracle(algebra, op, n, vectors=None):
@@ -84,6 +85,15 @@ def _perturbed(draw, A, op):
     return Operator(A, op.degree, entries, op.defined)
 
 
+def _extension(draw, A, degree, pairs):
+    """The coderivation of a table of at most three (key, value) words
+    drawn from `pairs`."""
+    table: dict = {}
+    for key, value in draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []:
+        table.setdefault(key, {})[value] = draw(coefficients)
+    return Operator.from_function(A, degree, Coderivation(A, degree, table).expand)
+
+
 @st.composite
 def order_cases(draw, max_len=4, max_n=2):
     """(algebra, operator, n, order of the unperturbed operator or None)."""
@@ -106,19 +116,13 @@ def order_cases(draw, max_len=4, max_n=2):
         order = 0
     elif kind == "derivation":
         degree = draw(st.integers(-1, 1))
-        pairs = _homogeneous_pairs(A, letters, degree)
-        values: dict = {}
-        for (x,), u in draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []:
-            values.setdefault(x, {})[u] = draw(coefficients)
-        op, order = derivation_extend(A, values, degree), 1
+        op = _extension(draw, A, degree, _homogeneous_pairs(A, letters, degree))
+        order = 1
     else:
         # a bracket of degree -1 on the desuspended letters, read on sorted pairs
-        pairs = [(a + b, (t,)) for a, b in itertools.combinations_with_replacement(letters, 2)
-                 for (t,) in letters if A.degree((t,)) == A.degree(a) + A.degree(b) - 1]
-        bracket: dict = {}
-        for (a, b), (t,) in draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []:
-            bracket.setdefault((a, b), {})[t] = draw(coefficients)
-        op, order = ce_delta_operator(A, lambda a, b: bracket.get((a, b), {})), 2
+        pairs = [(a + b, t) for a, b in itertools.combinations_with_replacement(letters, 2)
+                 for t in letters if A.degree(t) == A.degree(a) + A.degree(b) - 1]
+        op, order = _extension(draw, A, -1, pairs), 2
     perturbed = _perturbed(draw, A, op)
     if perturbed is not op:
         op, order = perturbed, None
@@ -173,7 +177,17 @@ def tensor_cases(draw):
         values: dict = {}
         for (x,), u in draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []:
             values.setdefault(x, {})[u] = draw(coefficients)
-        op = derivation_extend(A, values, degree)
+
+        def derivation(word):
+            # each letter's value multiplied back in place, past the prefix
+            out: dict = {}
+            for i, x in enumerate(word):
+                sign = -1 if (degree * A.degree(word[:i])) % 2 else 1
+                for w, c in A.mul(A.mul({word[:i]: 1}, values.get(x, {})), {word[i + 1:]: 1}).items():
+                    vec_add_into(out, w, sign * c)
+            return out
+
+        op = Operator.from_function(A, degree, derivation)
     op = _perturbed(draw, A, op)
     budget = A.max_len - max(0, op.max_raise)
     return A, op, draw(st.integers(0, max(0, min(3, budget - 1))))
