@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .artin import ArtinLocalAlgebra, TRIVIAL_RING
-from .diagnostics import CheckResult, InternalError, PreconditionError, StructureError
+from .diagnostics import CheckResult, InternalError, PreconditionError, StructureError, timed
 from .graded import ONE, ZERO, Scalar
 from .operators import Operator, operator_order_check, prefix_commutators
 from .series import HbarSeries, LinearPart, SeriesContext, SolveResult, lift_perturbative
@@ -61,28 +61,27 @@ class BVAlgebra:
         self._certificates: list[CheckResult] | None = None
 
     def certify(self) -> list[CheckResult]:
-        """All defining identities, each as its own certificate."""
+        """All defining identities, each as its own certificate, timed."""
         if self._certificates is not None:
             return self._certificates
         A = self.algebra
-        out: list[CheckResult] = []
         bound = {"word_length": A.max_len}
-        out.append(CheckResult("d(1)=0", not self.d.entries.get((), {}), bound=bound))
-        out.append(CheckResult("delta(1)=0", not self.delta.entries.get((), {}), bound=bound))
-        sq_d = self.d.compose(self.d)
-        sq_d.name = "d-squared"
-        out.append(sq_d.is_zero_on_defined())
-        sq_delta = self.delta.compose(self.delta)
-        sq_delta.name = "delta-squared"
-        out.append(sq_delta.is_zero_on_defined())
-        anti = self.delta.graded_commutator(self.d)
-        anti.name = "[delta,d]"
-        out.append(anti.is_zero_on_defined())
-        out.append(operator_order_check(A, self.d, 1, name="d order<=1"))
-        out.append(operator_order_check(A, self.delta, 2, name="delta order<=2"))
-        out.append(self._augmentation_check())
-        self._certificates = out
-        return out
+
+        def vanishes(name: str, op: Operator) -> CheckResult:
+            op.name = name
+            return op.is_zero_on_defined()
+
+        self._certificates = [timed(check) for check in (
+            lambda: CheckResult("d(1)=0", not self.d.entries.get((), {}), bound=bound),
+            lambda: CheckResult("delta(1)=0", not self.delta.entries.get((), {}), bound=bound),
+            lambda: vanishes("d-squared", self.d.compose(self.d)),
+            lambda: vanishes("delta-squared", self.delta.compose(self.delta)),
+            lambda: vanishes("[delta,d]", self.delta.graded_commutator(self.d)),
+            lambda: operator_order_check(A, self.d, 1, name="d order<=1"),
+            lambda: operator_order_check(A, self.delta, 2, name="delta order<=2"),
+            self._augmentation_check,
+        )]
+        return self._certificates
 
     def _augmentation_check(self) -> CheckResult:
         for op, label in ((self.d, "d"), (self.delta, "delta")):
@@ -139,6 +138,7 @@ class BVInftyAlgebra:
         return self.dhat(HbarSeries({(w, "1", 0): ONE}))
 
     def certify(self) -> list[CheckResult]:
+        """All defining identities, each as its own certificate, timed."""
         if self._certificates is not None:
             return self._certificates
         A = self.algebra
@@ -146,10 +146,21 @@ class BVInftyAlgebra:
         bound = {"word_length": A.max_len, "hbar_cutoff": self.hbar_cutoff}
         for n, op in sorted(self.operators.items()):
             expected = 3 - 2 * n
-            out.append(CheckResult(f"degree(Delta_{n})={expected}", op.degree == expected, bound=bound))
-            out.append(operator_order_check(A, op, n, name=f"Delta_{n} order<={n}"))
-        unit_ok = all(not op.entries.get((), {}) for op in self.operators.values())
-        out.append(CheckResult("dhat(1)=0", unit_ok, bound=bound))
+            out.append(timed(lambda: CheckResult(f"degree(Delta_{n})={expected}",
+                                                 op.degree == expected, bound=bound)))
+            out.append(timed(lambda: operator_order_check(A, op, n, name=f"Delta_{n} order<={n}")))
+        out.append(timed(lambda: CheckResult(
+            "dhat(1)=0", all(not op.entries.get((), {}) for op in self.operators.values()), bound=bound)))
+        out.append(timed(lambda: self._square_check(bound)))
+        out.append(timed(lambda: CheckResult("augmentation-compatibility", all(
+            not img.get((), ZERO) for op in self.operators.values() for img in op.entries.values()),
+            bound=bound)))
+        self._certificates = out
+        return out
+
+    def _square_check(self, bound: dict) -> CheckResult:
+        """dhat(dhat(w)) = 0 on every word where both applications stay in the window."""
+        A = self.algebra
         square_ok, witness = True, None
         skipped: list[str] = []
         common = set(A.words)
@@ -167,13 +178,8 @@ class BVInftyAlgebra:
             if not val.is_zero():
                 square_ok, witness = False, {"word": A.label(w)}
                 break
-        out.append(CheckResult("dhat-squared", square_ok, witness=witness,
-                               bound=dict(bound, skipped=skipped)))
-        aug_ok = all(not img.get((), ZERO) for op in self.operators.values()
-                     for img in op.entries.values())
-        out.append(CheckResult("augmentation-compatibility", aug_ok, bound=bound))
-        self._certificates = out
-        return out
+        return CheckResult("dhat-squared", square_ok, witness=witness,
+                           bound=dict(bound, skipped=skipped))
 
     def is_certified(self) -> bool:
         return all(self.certify())

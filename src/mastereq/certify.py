@@ -30,12 +30,14 @@ class Certificate:
     timing_ms: float = 0.0
 
     @classmethod
-    def from_check(cls, result: CheckResult, timing_ms: float = 0.0, name: str | None = None) -> "Certificate":
-        """Certificate of `result`, named `name` if given; `result` is left as it is."""
+    def from_check(cls, result: CheckResult, timing_ms: float | None = None,
+                   name: str | None = None) -> "Certificate":
+        """Certificate of `result`, named `name` if given and timed `timing_ms`
+        if given, else by the time stamped on `result`; `result` is left as it is."""
         name = result.name if name is None else name
         return cls(name=name, status="pass" if result.ok else "fail",
                    bounds=dict(result.bound or {}), witness=result.witness,
-                   timing_ms=timing_ms)
+                   timing_ms=result.timing_ms if timing_ms is None else timing_ms)
 
     @property
     def ok(self) -> bool:

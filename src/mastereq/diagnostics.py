@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 __all__ = [
     "CheckResult",
+    "timed",
     "MasterEqError",
     "PreconditionError",
     "StructureError",
@@ -52,13 +55,23 @@ class CheckResult:
     `witness` is a small JSON-able structure pinpointing a failure; `bound`
     records the truncation the certificate is valid up to (word length,
     hbar cutoff, nilpotency order) since identities are only ever certified
-    inside a finite window.
+    inside a finite window.  `timing_ms` is the wall-clock time the check
+    took, when `timed` ran it; it is no part of the result's value.
     """
 
     name: str
     ok: bool
     witness: object = None
     bound: dict = field(default_factory=dict)
+    timing_ms: float = field(default=0.0, compare=False)
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def timed(check: Callable[[], CheckResult]) -> CheckResult:
+    """Run `check` and stamp its result with the milliseconds it took."""
+    start = time.perf_counter()
+    result = check()
+    result.timing_ms = (time.perf_counter() - start) * 1000.0
+    return result

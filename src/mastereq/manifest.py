@@ -141,18 +141,32 @@ def _check_blocks(structure, allowed):
         raise ManifestError(f"unknown structure blocks: {sorted(unknown)}")
 
 
+def _add(table: dict, key, coeff) -> None:
+    """Add `coeff` at `key`: an entry listed twice reads as twice its coefficient."""
+    table[key] = table.get(key, ZERO) + coeff
+
+
+def _maps(structure, key) -> dict:
+    """A block of one-input, one-output entries as {(input, output): coeff}."""
+    table: dict = {}
+    for inputs, outputs, coeff in _entries(_block(structure, key), arity=1):
+        _add(table, (inputs[0], outputs[0]), coeff)
+    return table
+
+
+def _brackets(structure, key, required=False) -> dict:
+    """A block of two-input, one-output entries as {(a, b): {output: coeff}}."""
+    table: dict = {}
+    for inputs, outputs, coeff in _entries(_block(structure, key, required=required), arity=2):
+        _add(table.setdefault((inputs[0], inputs[1]), {}), outputs[0], coeff)
+    return table
+
+
 def _build_dg_lie(name, basis, structure, truncation) -> DgLieAlgebra:
     _check_blocks(structure, {"differential", "bracket"})
     space = GradedVectorSpace(basis)
-    d = {}
-    for inputs, outputs, coeff in _entries(_block(structure, "differential"), arity=1):
-        d[(inputs[0], outputs[0])] = d.get((inputs[0], outputs[0]), ZERO) + coeff
-    bracket: dict = {}
-    for inputs, outputs, coeff in _entries(_block(structure, "bracket"), arity=2):
-        bracket.setdefault((inputs[0], inputs[1]), {})
-        tgt = bracket[(inputs[0], inputs[1])]
-        tgt[outputs[0]] = tgt.get(outputs[0], ZERO) + coeff
-    return DgLieAlgebra(space, d, bracket, name=name)
+    return DgLieAlgebra(space, _maps(structure, "differential"), _brackets(structure, "bracket"),
+                        name=name)
 
 
 def _build_linfty(name, basis, structure, truncation) -> LInftyAlgebra:
@@ -165,42 +179,29 @@ def _build_linfty(name, basis, structure, truncation) -> LInftyAlgebra:
         word, sign = helper.normalize(list(inputs))
         if word is None:
             raise ManifestError(f"bracket entry on a collapsing word {inputs}")
-        table = brackets.setdefault(len(word), {}).setdefault(word, {})
-        table[outputs[0]] = table.get(outputs[0], ZERO) + sign * coeff
+        _add(brackets.setdefault(len(word), {}).setdefault(word, {}), outputs[0], sign * coeff)
     return LInftyAlgebra(space, brackets, name=name)
 
 
 def _build_lie_bialgebra(name, basis, structure, truncation) -> LieBialgebraData:
     _check_blocks(structure, {"bracket", "cobracket"})
-    bracket: dict = {}
-    for inputs, outputs, coeff in _entries(_block(structure, "bracket"), arity=2):
-        bracket.setdefault((inputs[0], inputs[1]), {})
-        bracket[(inputs[0], inputs[1])][outputs[0]] = coeff
+    bracket = _brackets(structure, "bracket")
     cobracket: dict = {}
     for inputs, outputs, coeff in _entries(_block(structure, "cobracket"), arity=1, out_arity=2):
-        cobracket.setdefault(inputs[0], {})[(outputs[0], outputs[1])] = coeff
+        _add(cobracket.setdefault(inputs[0], {}), (outputs[0], outputs[1]), coeff)
     return LieBialgebraData(basis, bracket, cobracket, name=name)
 
 
 def _build_bi_dg_lie(name, basis, structure, truncation) -> BiDgLieData:
     _check_blocks(structure, {"bracket", "differential", "delta"})
-    bracket: dict = {}
-    for inputs, outputs, coeff in _entries(_block(structure, "bracket"), arity=2):
-        bracket.setdefault((inputs[0], inputs[1]), {})
-        bracket[(inputs[0], inputs[1])][outputs[0]] = coeff
-    d = {(i[0], o[0]): c for i, o, c in _entries(_block(structure, "differential"), arity=1)}
-    delta = {(i[0], o[0]): c for i, o, c in _entries(_block(structure, "delta"), arity=1)}
-    return BiDgLieData(basis, bracket, d, delta, name=name)
+    return BiDgLieData(basis, _brackets(structure, "bracket"), _maps(structure, "differential"),
+                       _maps(structure, "delta"), name=name)
 
 
 def _build_associative(name, basis, structure, truncation) -> AssociativeAlgebraData:
     _check_blocks(structure, {"product", "differential"})
-    product: dict = {}
-    for inputs, outputs, coeff in _entries(_block(structure, "product", required=True), arity=2):
-        product.setdefault((inputs[0], inputs[1]), {})
-        product[(inputs[0], inputs[1])][outputs[0]] = coeff
-    d = {(i[0], o[0]): c for i, o, c in _entries(_block(structure, "differential"), arity=1)}
-    return AssociativeAlgebraData(basis, product, d, name=name)
+    return AssociativeAlgebraData(basis, _brackets(structure, "product", required=True),
+                                  _maps(structure, "differential"), name=name)
 
 
 def _build_artin(name, basis, structure, truncation) -> ArtinLocalAlgebra:
@@ -214,7 +215,7 @@ def _build_artin(name, basis, structure, truncation) -> ArtinLocalAlgebra:
             raise ManifestError("ring product entries have at most one output")
         tgt = products.setdefault((inputs[0], inputs[1]), {})
         if outputs:
-            tgt[outputs[0]] = tgt.get(outputs[0], ZERO) + coeff
+            _add(tgt, outputs[0], coeff)
     return ArtinLocalAlgebra([label for label, _ in basis], products, name=name)
 
 
@@ -226,8 +227,7 @@ def _word_operator(algebra, block, degree, name) -> Operator:
                       else (tuple(outputs), ONE))
         if wout is None:
             continue
-        entries.setdefault(win, {})
-        entries[win][wout] = entries[win].get(wout, ZERO) + sign * coeff
+        _add(entries.setdefault(win, {}), wout, sign * coeff)
     return Operator(algebra, degree, entries, name=name)
 
 

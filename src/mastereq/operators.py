@@ -9,7 +9,9 @@ it actually covers.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 from typing import Callable, Mapping
 
 from .diagnostics import CheckResult, InternalError, PreconditionError
@@ -180,6 +182,14 @@ def prefix_commutators(algebra: WordAlgebra, degree: int, n: int, base: Callable
     when the prefix changes; the last tuple's evaluator stays valid until the
     next `at`.  In `word_tuples_within` order the tuples sharing a prefix are
     consecutive, so each prefix's table is built once.
+
+    `at.level(k, x)`, k < n - 1, reads C_k(x) for the prefix of the last
+    `at` from the same table.  C_{k+1}, ..., C_{n-1} applied to x read C_k
+    only on words of length at most len(x) + len(v_{k+1}) + ... +
+    len(v_{n-1}), by the recursion above and linearity; so a C_k that
+    vanishes on every word of that window makes every deeper commutator
+    vanish there, whatever the later v's (`operator_order_check` prunes
+    on this).
     """
     mul_words = algebra.mul_words
     tables: list[dict] = [{} for _ in range(n - 1)]
@@ -221,6 +231,10 @@ def prefix_commutators(algebra: WordAlgebra, degree: int, n: int, base: Callable
             deg_c += algebra.degree(v)
         return functools.partial(apply_level, n - 1, vs)
 
+    def level(k: int, x) -> dict:
+        return lower(k, prefix, x)
+
+    at.level = level
     return at
 
 
@@ -253,9 +267,27 @@ def operator_order_check(algebra: WordAlgebra, op: Operator, n: int, name: str =
     (at most n * |words| entries, for one call).  A nonzero value is
     confirmed with `iterated_commutator_apply`, the unshared definition,
     before it is reported.
+
+    Pruning.  When the listing reaches a new prefix p = (v_0, ..., v_k),
+    k = -1, ..., n - 1, the check tests whether C_k(p) vanishes on every
+    word of length <= budget - used(p), the window p's subtree reads it on
+    (level -1 is the operator itself, tested on its stored entries).  By
+    linearity alone, C_{k+1}(p, v)(x) = C_k(p)(v x) - (-1)^{|C_k||v|} v C_k(p)(x),
+    every (tuple, target) pair under p is then zero: its pairs are counted
+    in `checked` from the number of words of each length, and none is
+    evaluated.  No graded commutativity is used, so this holds for shuffle
+    words too.  It is done only when `op` is defined on every word of
+    length <= budget, so a `PreconditionError` is raised where the full
+    scan would raise it; the first failing pair, its witness and `checked`
+    are those of the full scan.
     """
     budget = algebra.max_len - max(0, op.max_raise)
     gens = [w for w in algebra.generator_words() if len(w) <= budget]
+    words = algebra.words
+    # within[L]: the number of words of length <= L, a prefix of `words`
+    lengths = collections.Counter(map(len, words))
+    within = list(itertools.accumulate(lengths[length] for length in range(budget + 1)))
+    prunable = all(w in op.defined for w in words[:within[budget]])
 
     def apply_op(x) -> dict:
         try:
@@ -268,12 +300,24 @@ def operator_order_check(algebra: WordAlgebra, op: Operator, n: int, name: str =
 
     commutators = prefix_commutators(algebra, op.degree, n + 1, apply_op, algebra.mul_words)
     checked = 0
+    # the lowest level k whose prefix vs[:k+1] vanishes on its window: -1 for
+    # the operator itself, n for none; a tuple that still shares that prefix
+    # with the last one (dead < shared) is skipped untested
+    dead = -1 if prunable and all(len(w) > budget for w in op.entries) else n
+    last: tuple = ()
     for vs in word_tuples_within(gens, n + 1, budget):
-        used = sum(len(v) for v in vs)
-        commutator = commutators(vs)
-        for w in algebra.words:
-            if used + len(w) > budget:
-                continue
+        shared = next((k for k in range(n) if vs[k] != last[k]), n) if last else 0
+        last = vs
+        # rooms[k]: the target window of the prefix vs[:k+1]
+        rooms = [budget - used for used in itertools.accumulate(map(len, vs))]
+        if dead >= shared:
+            commutator = commutators(vs)
+            dead = next((k for k in range(shared, n) if prunable and not any(
+                commutators.level(k, x) for x in words[:within[rooms[k]]])), n)
+        if dead < n:
+            checked += within[rooms[n]]
+            continue
+        for w in words[:within[rooms[n]]]:
             checked += 1
             value = commutator(w)
             if not value:

@@ -111,6 +111,7 @@ class WordAlgebra:
         self.space = space
         self.max_len = max_len
         self._sort_key = {label: (space.degree(label), i) for i, (label, _) in enumerate(space.basis)}
+        # listed by length, shortest first: the words of length <= L are a prefix
         self.words: tuple[Word, ...] = tuple(self._enumerate_words())
         self._word_set = set(self.words)
         self._degree = {w: sum(space.degree(x) for x in w) for w in self.words}

@@ -1,10 +1,12 @@
 import argparse
 import contextlib
+import copy
 import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -35,6 +37,38 @@ def test_parse_heis3():
     assert m.kind == "dg-lie"
     assert isinstance(m.obj, DgLieAlgebra)
     assert m.obj.bracket_labels("x", "y") == {"z": 1}
+
+
+def _entry_blocks(doc):
+    for block in doc["structure"].values():
+        yield from block.values() if isinstance(block, dict) else [block]
+
+
+@pytest.mark.parametrize("fixture, tables", [
+    ("heis3.alg", lambda g: g.bracket),
+    ("two-target.alg", lambda g: g.d.entries),
+    ("l3demo.alg", lambda g: g.brackets),
+    ("noninv2.alg", lambda b: (b.lie.bracket, b.cobracket)),
+    ("bidg4.alg", lambda b: (b.lie.bracket, b.lie.d.entries, b.delta.entries)),
+    ("dual-numbers.alg", lambda a: a.product),
+    ("ring-t3.alg", lambda r: r.table),
+    ("ce-heis3.alg", lambda v: v.delta.entries),
+    ("ce-l3demo.alg", lambda v: {n: op.entries for n, op in v.operators.items()}),
+], ids=["dg-lie bracket", "dg-lie differential", "linfty", "lie-bialgebra", "bi-dg-lie",
+        "associative", "artin-ring", "bv", "bv-infty"])
+def test_an_entry_listed_twice_reads_as_twice_its_coefficient(fixture, tables):
+    # every kind sums repeated entries; listing all of them twice keeps the
+    # axioms, which are homogeneous in the structure maps
+    doc = json.loads((FIXTURES / fixture).read_text())
+    twice, doubled = copy.deepcopy(doc), copy.deepcopy(doc)
+    for block in _entry_blocks(twice):
+        block.extend(copy.deepcopy(block))
+    for block in _entry_blocks(doubled):
+        for entry in block:
+            entry["coeff"] = str(2 * Fraction(entry.get("coeff", "1")))
+    read = {name: tables(parse_manifest_text(json.dumps(d)).obj)
+            for name, d in (("once", doc), ("twice", twice), ("doubled", doubled))}
+    assert read["twice"] == read["doubled"] != read["once"]
 
 
 def test_parse_round_trip_canonical():
@@ -314,6 +348,17 @@ def test_battery_rows_show_their_time(capsys):
     assert len(rows) == 2
     for row in rows:
         assert float(row.split("[")[1].split("ms]")[0]) > 0, row
+
+
+def test_certify_rows_show_their_time(capsys):
+    # certify() stamps each check with its own time, and the report shows it
+    for argv in (("construct", "ce", str(FIXTURES / "sl2.alg"), "--trunc-words", "4"),
+                 ("check", str(FIXTURES / "ce-l3demo.alg"))):
+        assert run_cli(*argv) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if " order<=" in line]
+        assert len(rows) == (2 if argv[0] == "construct" else 1)
+        for row in rows:
+            assert float(row.split("[")[1].split("ms]")[0]) > 0, row
 
 
 def test_battery_tallies_hits_misses_and_skips():

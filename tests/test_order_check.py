@@ -1,11 +1,14 @@
 """Operator-order certificates against the definition.
 
 `operator_order_check` tests tuples of the algebra's generating words only,
-and evaluates their commutators through tables shared along each prefix.
-`_order_check_oracle` is the definition it shortcuts: every tuple of
-augmentation-ideal words under the same length budget, each pair evaluated
-on its own by `iterated_commutator_apply`.  Restricted to the generating
-words, the same loop is the exact reference for the shared tables.
+evaluates their commutators through tables shared along each prefix, and
+skips every tuple under a prefix whose commutator vanishes on that prefix's
+window.  `_order_check_oracle` is the definition it shortcuts: every tuple
+of augmentation-ideal words under the same length budget, each pair
+evaluated on its own by `iterated_commutator_apply`.  Restricted to the
+generating words, the same loop is the exact reference for the shared
+tables.  `_unpruned_scan` is the shared-table scan without the pruning, the
+exact reference for the pruning, errors included.
 """
 
 import itertools
@@ -15,15 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mastereq import operators
 from mastereq.bv import BVAlgebra
 from mastereq.coalgebra import Coderivation
 from mastereq.constructions import ce_bv_from_dg_lie
-from mastereq.diagnostics import CheckResult, PreconditionError
+from mastereq.diagnostics import CheckResult, InternalError, PreconditionError
 from mastereq.graded import GradedVectorSpace
 from mastereq.linalg import solve_linear
 from mastereq.linfty import DgLieAlgebra
-from mastereq.operators import Operator, iterated_commutator_apply, operator_order_check
-from mastereq.words import SymmetricWordAlgebra, TensorWordAlgebra, vec_add_into
+from mastereq.operators import (Operator, iterated_commutator_apply, operator_order_check,
+                                prefix_commutators)
+from mastereq.words import (SymmetricWordAlgebra, TensorWordAlgebra, TruncationOverflow,
+                            vec_add_into, word_tuples_within)
 
 
 def _order_check_oracle(algebra, op, n, vectors=None):
@@ -51,6 +57,47 @@ def _order_check_oracle(algebra, op, n, vectors=None):
                 }
                 return CheckResult(f"order<={n}", False, witness=witness,
                                    bound={"word_length": algebra.max_len, "checked": checked})
+    return CheckResult(f"order<={n}", True,
+                       bound={"word_length": algebra.max_len, "checked": checked})
+
+
+def _unpruned_scan(algebra, op, n):
+    """`operator_order_check` without the pruning: every (generator tuple,
+    target) pair inside the budget through the shared prefix tables."""
+    budget = algebra.max_len - max(0, op.max_raise)
+    gens = [w for w in algebra.generator_words() if len(w) <= budget]
+
+    def apply_op(x):
+        try:
+            return op.apply_word(x)
+        except TruncationOverflow:
+            raise PreconditionError(
+                f"order check: {op.name or 'the operator'} is undefined on "
+                f"{algebra.label(x)}, a word inside the length budget "
+                f"N - max_raise = {algebra.max_len} - {op.max_raise}") from None
+
+    commutators = prefix_commutators(algebra, op.degree, n + 1, apply_op, algebra.mul_words)
+    checked = 0
+    for vs in word_tuples_within(gens, n + 1, budget):
+        used = sum(len(v) for v in vs)
+        commutator = commutators(vs)
+        for w in algebra.words:
+            if used + len(w) > budget:
+                continue
+            checked += 1
+            value = commutator(w)
+            if not value:
+                continue
+            result = iterated_commutator_apply(algebra, op, list(vs), w)
+            if result != value:
+                raise InternalError("shared tables and the definition disagree")
+            witness = {
+                "test_vectors": [algebra.label(v) for v in vs],
+                "word": algebra.label(w),
+                "value": {algebra.label(u): str(c) for u, c in sorted(result.items()) if c},
+            }
+            return CheckResult(f"order<={n}", False, witness=witness,
+                               bound={"word_length": algebra.max_len, "checked": checked})
     return CheckResult(f"order<={n}", True,
                        bound={"word_length": algebra.max_len, "checked": checked})
 
@@ -211,6 +258,129 @@ def test_shared_tables_equal_the_definition_on_symmetric_words(case):
 @given(tensor_cases())
 def test_shared_tables_equal_the_definition_on_tensor_words(case):
     _assert_same_as_generator_loop(*case)
+
+
+# -- pruning against the unpruned scan ---------------------------------------------
+
+
+def _outcome(check, A, op, n):
+    """(ok, witness, bound) of `check`, or the message of the error it raised."""
+    try:
+        result = check(A, op, n)
+    except PreconditionError as err:
+        return str(err)
+    return result.ok, result.witness, result.bound
+
+
+def _assert_same_as_unpruned(A, op, n):
+    expected = _outcome(_unpruned_scan, A, op, n)
+    assert _outcome(operator_order_check, A, op, n) == expected
+    return expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(order_cases(max_len=5, max_n=3).map(lambda case: case[:3]), tensor_cases()))
+def test_pruning_equals_the_unpruned_scan(case):
+    _assert_same_as_unpruned(*case)
+
+
+@st.composite
+def lone_entry_cases(draw):
+    """The zero operator plus one entry on a word of length N, the longest
+    inside the budget; and whether that entry must break order <= n."""
+    degrees = draw(st.lists(st.sampled_from((-1, 0, 1, 2)), min_size=1, max_size=3))
+    space = GradedVectorSpace((f"x{i}", d) for i, d in enumerate(degrees))
+    A = draw(st.sampled_from((SymmetricWordAlgebra, TensorWordAlgebra)))(space, draw(st.integers(1, 5)))
+    longest = [w for w in A.words if len(w) == A.max_len]
+    if not longest:
+        # an odd letter twice is no symmetric word: the longest words are shorter
+        longest = [w for w in A.words if len(w) == max(map(len, A.words))]
+    w, u = draw(st.sampled_from(longest)), draw(st.sampled_from(A.words))
+    op = Operator(A, A.degree(u) - A.degree(w), {w: {u: draw(coefficients)}})
+    n = draw(st.integers(0, min(3, len(w) - 1)))
+    # some split of w into n + 1 generators and a target multiplies back to
+    # a nonzero multiple of w: always for symmetric words, and for shuffles
+    # of even letters, whose coefficients are positive
+    return A, op, n, A.symmetric or all(A.space.degree(x) % 2 == 0 for x in w)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lone_entry_cases())
+def test_pruning_does_not_hide_a_lone_entry_at_the_top_of_the_budget(case):
+    A, op, n, must_fail = case
+    expected = _assert_same_as_unpruned(A, op, n)
+    if must_fail and op.max_raise == 0:
+        ok, witness, _ = expected
+        assert not ok
+        _assert_witness_reproduces(A, op, witness)
+
+
+@st.composite
+def undefined_word_cases(draw):
+    """A drawn case with one word inside its budget taken out of the defined set."""
+    A, op, n = draw(st.one_of(order_cases(max_len=5, max_n=3).map(lambda case: case[:3]),
+                              tensor_cases()))
+    budget = A.max_len - max(0, op.max_raise)
+    w = draw(st.sampled_from([u for u in A.words if len(u) <= budget]))
+    entries = {k: v for k, v in op.entries.items() if k != w}
+    return A, Operator(A, op.degree, entries, op.defined - {w}, op.name), n
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(undefined_word_cases())
+def test_an_undefined_word_raises_or_passes_as_the_unpruned_scan(case):
+    _assert_same_as_unpruned(*case)
+
+
+def test_undefined_word_is_not_pruned_away():
+    # the zero operator is zero on its stored entries, but undefined on x0·x1
+    A = SymmetricWordAlgebra(GradedVectorSpace([("x0", 0), ("x1", 0)]), 3)
+    op = Operator(A, 0, {}, set(A.words) - {("x0", "x1")})
+    for n in (0, 1, 2):
+        with pytest.raises(PreconditionError, match="undefined on x0·x1"):
+            operator_order_check(A, op, n)
+        _assert_same_as_unpruned(A, op, n)
+
+
+def _counting_top_level(monkeypatch):
+    """Count the top-level commutator evaluations of the order checks."""
+    calls = []
+
+    def counted(*args):
+        at = prefix_commutators(*args)
+
+        def spy(vs):
+            top = at(vs)
+            return lambda x: calls.append(x) or top(x)
+
+        spy.level = at.level
+        return spy
+
+    monkeypatch.setattr(operators, "prefix_commutators", counted)
+    return calls
+
+
+def test_a_zero_differential_is_never_applied(monkeypatch):
+    bv = _even_letter_ce(4, 5)
+    applied = []
+    apply_word = Operator.apply_word
+    monkeypatch.setattr(Operator, "apply_word",
+                        lambda self, w: applied.append(w) or apply_word(self, w))
+    tops = _counting_top_level(monkeypatch)
+    cert = operator_order_check(bv.algebra, bv.d, 1, name="d order<=1")
+    assert cert.ok and cert.bound["checked"] == 750
+    assert applied == [] and tops == []
+
+
+def test_delta_skips_the_prefixes_whose_commutator_vanishes(monkeypatch):
+    # [x_i, x_j] = 0 for i != j and w is central, so C_1(x_i, x_j) and
+    # C_0(w) vanish on their windows; only the tuples (x_i, x_i, v) are scanned
+    bv = _even_letter_ce(4, 5)
+    tops = _counting_top_level(monkeypatch)
+    cert = operator_order_check(bv.algebra, bv.delta, 2, name="delta order<=2")
+    assert cert.ok and cert.bound["checked"] == 700
+    assert 0 < len(tops) < 700
+    assert cert.bound == _unpruned_scan(bv.algebra, bv.delta, 2).bound
 
 
 def test_shared_tables_reset_with_their_prefix():
