@@ -213,14 +213,13 @@ class DualRingAlgebra(DualRingCoalgebra):
 TRIVIAL_RING = ArtinLocalAlgebra(["1"], {}, name="k")
 
 
-def power_ring(order: int, variable: str = "t") -> ArtinLocalAlgebra:
+def power_ring(order: int) -> ArtinLocalAlgebra:
     """k[t]/(t^order); basis 1, t, t^2, ..., t^{order-1}."""
     if order < 1:
-        raise PreconditionError(
-            f"nilpotency order M = {order} of k[{variable}]/({variable}^M) is below 1")
+        raise PreconditionError(f"nilpotency order M = {order} of k[t]/(t^M) is below 1")
 
     def lab(i: int) -> str:
-        return "1" if i == 0 else (variable if i == 1 else f"{variable}^{i}")
+        return "1" if i == 0 else ("t" if i == 1 else f"t^{i}")
 
     labels = [lab(i) for i in range(order)]
     products = {}
@@ -230,7 +229,7 @@ def power_ring(order: int, variable: str = "t") -> ArtinLocalAlgebra:
                 products[(lab(i), lab(j))] = {lab(i + j): 1}
             else:
                 products[(lab(i), lab(j))] = {}
-    return ArtinLocalAlgebra(labels, products, name=f"k[{variable}]/({variable}^{order})")
+    return ArtinLocalAlgebra(labels, products, name=f"k[t]/(t^{order})")
 
 
 def square_zero_ring(variables: Iterable[str] = ("s", "t")) -> ArtinLocalAlgebra:

@@ -374,8 +374,7 @@ def derived_brackets_linfty_check(bvi: BVInftyAlgebra) -> CheckResult:
 # -- QME ----------------------------------------------------------------------
 
 
-def _validate_qme_element(bvi: BVInftyAlgebra, ring: ArtinLocalAlgebra, S: HbarSeries,
-                          require_degree: bool = True) -> None:
+def _validate_qme_element(bvi: BVInftyAlgebra, ring: ArtinLocalAlgebra, S: HbarSeries) -> None:
     ctx = bvi.context(ring)
     for key in S.terms:
         _, r, h = key
@@ -383,7 +382,7 @@ def _validate_qme_element(bvi: BVInftyAlgebra, ring: ArtinLocalAlgebra, S: HbarS
             raise PreconditionError("QME elements have coefficients in the maximal ideal")
         if h < 0:
             raise PreconditionError("QME elements are power series in hbar")
-        if require_degree and ctx.degree(key) != 2:
+        if ctx.degree(key) != 2:
             raise PreconditionError(
                 f"QME elements are homogeneous of total degree 2; term {key} has degree {ctx.degree(key)}")
 

@@ -43,7 +43,7 @@ from .constructions import (
     ce_bvinfty_from_linfty,
     corollary_bidg_check,
 )
-from .diagnostics import CheckResult, ManifestError, MasterEqError, PreconditionError
+from .diagnostics import CheckResult, ManifestError, MasterEqError, PreconditionError, timed
 from .graded import ONE
 from .linfty import (
     DgLieAlgebra,
@@ -295,8 +295,8 @@ def cmd_check(args) -> Report:
         elif isinstance(obj, (LieBialgebraData, BiDgLieData)):
             results = obj.axiom_report()
         elif isinstance(obj, AssociativeAlgebraData):
-            witness = obj.associator_witness()
-            results = [CheckResult("associativity", witness is None, witness=witness)]
+            results = [timed(lambda: CheckResult("associativity", (w := obj.associator_witness()) is None,
+                                                 witness=w))]
         elif isinstance(obj, ArtinLocalAlgebra):
             results = [CheckResult("local-ring", True,
                                    bound={"nilpotency": obj.nilpotency, "adapted": obj.adapted})]
@@ -715,6 +715,11 @@ def _unimodular_examples() -> dict:
             Polyvector(3, {((0, 0, 1), 0b011): 1}), zero3, True),
         "affine-nonunimodular": (
             Polyvector(2, {((0, 1), 0b11): 1}), Polyvector.zero(2), False),
+        # the only example whose compared brackets are nonzero:
+        # {S0,S0} = 2 x2 xi1 xi2 xi3 and {S1,S0} = x1 xi2 + x2 xi3
+        "nonpoisson-dim3": (
+            Polyvector(3, {((1, 0, 0), 0b011): 1, ((0, 1, 0), 0b101): 1}),
+            Polyvector(3, {((1, 0, 0), 0): 1}), False),
     }
 
 

@@ -29,9 +29,9 @@ from typing import Mapping
 from .artin import ArtinLocalAlgebra
 from .bv import HALF, BVAlgebra, BVInftyAlgebra, antibracket, qme_residual
 from .coalgebra import Coderivation
-from .diagnostics import CheckResult, PreconditionError, StructureError
+from .diagnostics import CheckResult, PreconditionError, StructureError, timed
 from .graded import ONE, ZERO, GradedVectorSpace, Scalar, as_scalar
-from .linfty import DgLieAlgebra, LInftyAlgebra, emce_residual, quillen_bijection_check
+from .linfty import DgLieAlgebra, LInftyAlgebra, emce_residual, map_vanishes, quillen_bijection_check
 from .operators import Operator
 from .series import HbarSeries
 from .words import SymmetricWordAlgebra, TensorWordAlgebra, Word, vec_add_into
@@ -140,10 +140,7 @@ class LieBialgebraData:
         return True
 
     def axiom_report(self) -> list[CheckResult]:
-        out = list(self.lie.axiom_report())
-        out.append(self._co_jacobi())
-        out.append(self._cocycle())
-        return out
+        return [*self.lie.axiom_report(), timed(self._co_jacobi), timed(self._cocycle)]
 
     def _wedge_action(self, x: str, pair_vec: Mapping[tuple[str, str], Scalar]) -> dict[tuple[str, str], Scalar]:
         # x . (a ^ b) = [x,a] ^ b + a ^ [x,b], kept in canonical pair order
@@ -216,9 +213,7 @@ def ce_bv_from_ibl(B: LieBialgebraData, max_len: int = 4) -> tuple[BVAlgebra, di
     delta_op = _extension(algebra, -1, B.lie.to_linfty().coderivation_table(2), "Delta")
     bv = BVAlgebra(algebra, d_op, delta_op, name=f"CE({B.name})")
     involutive = B.involutive()
-    anti = delta_op.graded_commutator(d_op)
-    anti.name = "[delta,d]"
-    commutes = anti.is_zero_on_defined()
+    commutes = next(r for r in bv.certify() if r.name == "[delta,d]")
     report = {
         "involutive": involutive,
         "commutator_vanishes": commutes.ok,
@@ -250,16 +245,15 @@ class BiDgLieData:
         self._hbar_extensions: dict[int, DgLieAlgebra] = {}
 
     def axiom_report(self) -> list[CheckResult]:
-        out = list(self.lie.axiom_report())
-        sq = self.delta.compose(self.delta)
-        out.append(CheckResult("delta-squared", sq.is_zero(),
-                               witness=None if sq.is_zero() else sorted(sq.entries)[0]))
-        anti = self.delta.compose(self.lie.d) + self.lie.d.compose(self.delta)
-        out.append(CheckResult("[delta,d]", anti.is_zero(),
-                               witness=None if anti.is_zero() else sorted(anti.entries)[0]))
+        d, delta = self.lie.d, self.delta
+        return [*self.lie.axiom_report(),
+                timed(lambda: map_vanishes("delta-squared", delta.compose(delta))),
+                timed(lambda: map_vanishes("[delta,d]", delta.compose(d) + d.compose(delta))),
+                timed(self._delta_derivation)]
+
+    def _delta_derivation(self) -> CheckResult:
         wit = self.lie.derivation_witness(self.delta)
-        out.append(CheckResult("delta-derivation", wit is None, witness=wit))
-        return out
+        return CheckResult("delta-derivation", wit is None, witness=wit)
 
 
 def _graded_map(space: GradedVectorSpace, entries, degree: int):
@@ -307,9 +301,13 @@ def _build_bv_from_bi_dg_lie(B: BiDgLieData, max_len: int) -> tuple[BVAlgebra, d
 
 
 def _inclusion_report(bv: BVAlgebra, B: BiDgLieData) -> list[CheckResult]:
-    out = [_inclusion_of("inclusion-d", bv.d, B.lie.d, B.space.labels),
-           _inclusion_of("inclusion-delta", bv.delta, B.delta, B.space.labels)]
-    ok_bracket, witness = True, None
+    return [timed(lambda: _inclusion_of("inclusion-d", bv.d, B.lie.d, B.space.labels)),
+            timed(lambda: _inclusion_of("inclusion-delta", bv.delta, B.delta, B.space.labels)),
+            timed(lambda: _bracket_inclusion(bv, B))]
+
+
+def _bracket_inclusion(bv: BVAlgebra, B: BiDgLieData) -> CheckResult:
+    """The antibracket of two generators is their bracket."""
     for x in B.space.labels:
         for y in B.space.labels:
             got = antibracket(bv, (x,), (y,))
@@ -320,12 +318,8 @@ def _inclusion_report(bv: BVAlgebra, B: BiDgLieData) -> list[CheckResult]:
             for w, c in want.items():
                 vec_add_into(diff, w, -c)
             if any(diff.values()):
-                ok_bracket, witness = False, (x, y)
-                break
-        if not ok_bracket:
-            break
-    out.append(CheckResult("inclusion-bracket", ok_bracket, witness=witness))
-    return out
+                return CheckResult("inclusion-bracket", False, witness=(x, y))
+    return CheckResult("inclusion-bracket", True)
 
 
 def _inclusion_of(name: str, op, generator_map, labels) -> CheckResult:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Mapping
 from .artin import ArtinLocalAlgebra
 from .coalgebra import (Coderivation, check_codifferential, conv_exp, coproduct_defect,
                         corestriction_series, intertwining_defect)
-from .diagnostics import CheckResult, PreconditionError, StructureError
+from .diagnostics import CheckResult, PreconditionError, StructureError, timed
 from .graded import ONE, ZERO, GradedLinearMap, GradedVectorSpace, Scalar, as_scalar
 from .series import HbarSeries, LinearPart, SeriesContext, SolveResult, lift_perturbative
 from .words import SymmetricWordAlgebra, Word, vec_add_into
@@ -46,6 +46,11 @@ __all__ = [
     "coderivation_dg_lie",
     "deformed_bracket_check",
 ]
+
+
+def map_vanishes(name: str, f: GradedLinearMap) -> CheckResult:
+    """`f` is zero; the witness is its first nonzero entry."""
+    return CheckResult(name, f.is_zero(), witness=None if f.is_zero() else sorted(f.entries)[0])
 
 
 class DgLieAlgebra:
@@ -103,22 +108,23 @@ class DgLieAlgebra:
         return out
 
     def axiom_report(self) -> list[CheckResult]:
+        """d^2 = 0, the Leibniz rule and graded Jacobi, each timed."""
+        return [timed(lambda: map_vanishes("d-squared", self.d.compose(self.d))),
+                timed(self._leibniz), timed(self._jacobi)]
+
+    def _leibniz(self) -> CheckResult:
+        leib_wit = self.derivation_witness(self.d)
+        return CheckResult("leibniz", leib_wit is None, witness=leib_wit)
+
+    def _jacobi(self) -> CheckResult:
         space = self.space
         labels = space.labels
-        out = []
-        # d^2 = 0
-        dd = self.d.compose(self.d)
-        out.append(CheckResult("d-squared", dd.is_zero(),
-                               witness=None if dd.is_zero() else sorted(dd.entries)[0]))
-        leib_wit = self.derivation_witness(self.d)
-        out.append(CheckResult("leibniz", leib_wit is None, witness=leib_wit))
         # graded Jacobi: [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]].  Swapping
         # neighbouring arguments changes the Jacobiator J only by a sign:
         # J(y,x,z) = -(-1)^{|x||y|} J(x,y,z) and J(x,z,y) = -(-1)^{|y||z|} J(x,y,z).
         # Both hold because the bracket has degree zero (checked in __init__).
         # So sorted triples decide it, and the first failing triple in product
         # order is sorted: the witness is the one the full product gives.
-        jac_ok, jac_wit = True, None
         for x, y, z in itertools.combinations_with_replacement(labels, 3):
             lhs = self.bracket_vec({x: ONE}, self.bracket_labels(y, z))
             rhs = self.bracket_vec(self.bracket_labels(x, y), {z: ONE})
@@ -128,10 +134,8 @@ class DgLieAlgebra:
             for t, c in rhs.items():
                 vec_add_into(lhs, t, -c)
             if any(lhs.values()):
-                jac_ok, jac_wit = False, (x, y, z)
-                break
-        out.append(CheckResult("jacobi", jac_ok, witness=jac_wit))
-        return out
+                return CheckResult("jacobi", False, witness=(x, y, z))
+        return CheckResult("jacobi", True)
 
     def derivation_witness(self, D: GradedLinearMap) -> tuple[str, str] | None:
         """The first pair (x, y) in label order with

@@ -125,13 +125,15 @@ class Operator:
         return self.compose(other).add(other.compose(self).scale(-sign))
 
     def is_zero_on_defined(self) -> CheckResult:
-        for w in sorted(self.defined, key=lambda u: (len(u), u)):
-            img = self.entries.get(w)
-            if img:
-                witness_val = {self.algebra.label(u): str(c) for u, c in sorted(img.items())}
-                return CheckResult(self.name or "operator", False,
-                                   witness={"word": self.algebra.label(w), "value": witness_val})
-        return CheckResult(self.name or "operator", True)
+        """Vanishing on the defined set; the witness is the first defined word
+        in (length, word) order with a nonzero image.  Stored images are
+        nonzero, so only the defined keys of `entries` can be witnesses."""
+        w = min((u for u in self.entries if u in self.defined), key=lambda u: (len(u), u), default=None)
+        if w is None:
+            return CheckResult(self.name or "operator", True)
+        witness_val = {self.algebra.label(u): str(c) for u, c in sorted(self.entries[w].items())}
+        return CheckResult(self.name or "operator", False,
+                           witness={"word": self.algebra.label(w), "value": witness_val})
 
     def __repr__(self):
         return f"Operator({self.name or 'anon'}, degree={self.degree})"

@@ -23,8 +23,8 @@ __all__ = [
 ]
 
 
-def random_rational(rng: random.Random, span: int = 2) -> Scalar:
-    num = rng.randint(-span, span)
+def random_rational(rng: random.Random) -> Scalar:
+    num = rng.randint(-2, 2)
     den = rng.choice([1, 1, 2])
     return as_scalar(Fraction(num, den))
 

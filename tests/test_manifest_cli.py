@@ -13,6 +13,7 @@ import pytest
 from mastereq import cli
 from mastereq.bv import QMESolveResult, derived_brackets_linfty_check
 from mastereq.certify import run_battery
+from mastereq.constructions import BiDgLieData, bv_from_bi_dg_lie
 from mastereq.diagnostics import ManifestError
 from mastereq.linfty import DgLieAlgebra
 from mastereq.manifest import emit_manifest, parse_manifest, parse_manifest_text
@@ -359,6 +360,21 @@ def test_certify_rows_show_their_time(capsys):
         assert len(rows) == (2 if argv[0] == "construct" else 1)
         for row in rows:
             assert float(row.split("[")[1].split("ms]")[0]) > 0, row
+
+
+def test_axiom_and_inclusion_rows_carry_their_time():
+    # each axiom check and each inclusion check is timed where it is computed
+    for name in ("heis3", "inv3", "bidg4", "two-target-bidg"):
+        obj = parse_manifest(str(FIXTURES / f"{name}.alg")).obj
+        results = obj.axiom_report()
+        if isinstance(obj, BiDgLieData):
+            results += bv_from_bi_dg_lie(obj, 4)[1]["inclusion"]
+        assert len(results) == {"heis3": 3, "inv3": 5}.get(name, 9)
+        for result in results:
+            assert result.timing_ms > 0, (name, result.name)
+    report = cli.cmd_check(cli.build_parser().parse_args(["check", str(FIXTURES / "nonassoc3.alg")]))
+    cert, = [c for c in report.certificates if c.name.endswith("associativity")]
+    assert cert.timing_ms > 0
 
 
 def test_battery_tallies_hits_misses_and_skips():

@@ -111,3 +111,25 @@ def test_scale_by_zero_keeps_the_defined_set():
     zero = a.scale(0)
     assert zero.entries == {} and zero.defined == {(), ("x",)}
     assert a.add(a.scale(-1)).entries == {}
+
+
+def _is_zero_oracle(op):
+    """The full scan: every defined word in (length, word) order."""
+    for w in sorted(op.defined, key=lambda u: (len(u), u)):
+        img = op.entries.get(w)
+        if img:
+            return False, {"word": op.algebra.label(w),
+                           "value": {op.algebra.label(u): str(c) for u, c in sorted(img.items())}}
+    return True, None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(operator_pairs(), st.data())
+def test_is_zero_on_defined_matches_the_full_scan(pair, data):
+    a, b, other = pair
+    # entries on words outside the defined set too: they are no witnesses
+    A = a.algebra
+    stray = Operator(A, a.degree, a.entries, {w for w in A.words if data.draw(st.booleans())}, "s")
+    for op in (a, a.add(b), a.compose(other), a.graded_commutator(other), stray):
+        got = op.is_zero_on_defined()
+        assert (got.ok, got.witness) == _is_zero_oracle(op)
