@@ -4,8 +4,9 @@ A ring is given by a unital basis (the unit label is "1") and sparse
 structure constants for products of non-unit basis elements.  The maximal
 ideal m is the span of the non-unit labels; validation certifies
 commutativity, associativity, unitality and computes the nilpotency order M
-with m^M = 0 by an explicit closure computation.  Quotients R/m^n are never
-formed: M is finite, so the ring itself plays the role of the completion.
+with m^M = 0 by an explicit closure computation.  M is finite, so the ring
+itself plays the role of the completion.  On an adapted basis, `quotient`
+forms the small quotients R/m^{k+1} that an order-by-order lift works over.
 
 The linear dual R* carries the coalgebra structure dual to multiplication
 (used by the representability checks) and, separately, the near-trivial
@@ -21,7 +22,8 @@ from .graded import ONE, ZERO, Scalar, as_scalar
 from .linalg import rref
 from .words import vec_add_into
 
-__all__ = ["ArtinLocalAlgebra", "DualRingCoalgebra", "DualRingAlgebra", "TRIVIAL_RING", "power_ring", "square_zero_ring"]
+__all__ = ["ArtinLocalAlgebra", "DualRingCoalgebra", "DualRingAlgebra", "TRIVIAL_RING", "power_ring",
+           "quotient", "square_zero_ring"]
 
 
 RingElt = dict[str, Scalar]
@@ -55,6 +57,7 @@ class ArtinLocalAlgebra:
                 table[(b, a)] = dict(val)
         self.table = table
         self._orders: dict[str, int] | None = None
+        self._quotients: dict[int, ArtinLocalAlgebra] = {}
         self.nilpotency = 0
         self._compute_filtration()
         if validate:
@@ -230,6 +233,29 @@ def power_ring(order: int) -> ArtinLocalAlgebra:
             else:
                 products[(lab(i), lab(j))] = {}
     return ArtinLocalAlgebra(labels, products, name=f"k[t]/(t^{order})")
+
+
+def quotient(ring: ArtinLocalAlgebra, k: int) -> ArtinLocalAlgebra:
+    """R/m^{k+1}, built once per (ring, k) and kept on the ring.
+
+    On an adapted basis m^{k+1} is spanned by the labels of order > k, so the
+    quotient keeps the labels of order <= k, with the same orders, and drops
+    every product component of higher order.  The order-k part of any
+    polynomial expression in elements of R is then the same over R and over
+    R/m^{k+1}.  For k+1 >= M the quotient is R itself.
+    """
+    if not ring.adapted:
+        raise PreconditionError(f"basis of {ring.name} is not adapted to the m-adic filtration")
+    if k + 1 >= ring.nilpotency:
+        return ring
+    if k not in ring._quotients:
+        kept = [x for x in ring.labels if ring.order(x) <= k]
+        products = {(a, b): {c: v for c, v in ring.mul_labels(a, b).items() if ring.order(c) <= k}
+                    for a in kept[1:] for b in kept[1:]}
+        # a quotient of a ring by an ideal: the axioms of R carry over
+        ring._quotients[k] = ArtinLocalAlgebra(kept, products, name=f"{ring.name}/m^{k + 1}",
+                                               validate=False)
+    return ring._quotients[k]
 
 
 def square_zero_ring(variables: Iterable[str] = ("s", "t")) -> ArtinLocalAlgebra:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .artin import ArtinLocalAlgebra, TRIVIAL_RING
+from .artin import ArtinLocalAlgebra, TRIVIAL_RING, quotient
 from .diagnostics import PreconditionError
 from .graded import ONE, ZERO, Scalar, as_scalar
 from .linalg import nullspace, solve_linear
@@ -246,7 +246,11 @@ class SeriesContext:
 class SolveResult:
     """What `lift_perturbative` returns for either equation: the solution, or
     the first obstructed order with its residual and the lift so far.  Bound
-    as `MCSolveResult` and `QMESolveResult`."""
+    as `MCSolveResult` and `QMESolveResult`.
+
+    `timing_ms` holds the milliseconds a solver spent on its seed check
+    ("seed-closed") and on the lift with its validation
+    ("solution-verified"); it is no part of the result's value."""
 
     status: str  # "solved" | "obstructed"
     element: HbarSeries | None = None
@@ -254,6 +258,7 @@ class SolveResult:
     obstruction: HbarSeries | None = None
     partial: HbarSeries | None = None
     bound: dict = field(default_factory=dict)
+    timing_ms: dict[str, float] = field(default_factory=dict, compare=False)
 
 
 # The linear part of an equation: unknown keys, equation keys and the matrix
@@ -263,21 +268,24 @@ LinearPart = tuple[list[tuple[object, int]], list[tuple[object, int]], list[list
 
 
 def lift_perturbative(ring: ArtinLocalAlgebra, seed: HbarSeries,
-                      residual: Callable[[HbarSeries], HbarSeries],
+                      residual: Callable[[ArtinLocalAlgebra, HbarSeries], HbarSeries],
                       linear: LinearPart, bound: dict) -> SolveResult:
     """Lift a first-order solution order by order along the m-adic filtration.
 
-    At each order 2 <= k < M the order-k part of `residual(partial)` is
-    cancelled one ring monomial r at a time: rows u = -rho_r is solved by
-    exact row reduction and u, times r, joins the lift.  The first monomial
-    with no solution is an obstruction, reported with the order-k residual
-    and the lift so far.  The ring basis must be adapted to the filtration;
-    the caller validates the seed and the returned solution.
+    At each order 2 <= k < M the order-k part of the residual is cancelled
+    one ring monomial r at a time: rows u = -rho_r is solved by exact row
+    reduction and u, times r, joins the lift.  The partial lift has order
+    < k, so its order-k residual is the same over R and over the small
+    quotient R/m^{k+1}; `residual(quotient(ring, k), partial)` computes it
+    there.  The first monomial with no solution is an obstruction, reported
+    with the order-k residual and the lift so far.  The ring basis must be
+    adapted to the filtration; the caller validates the seed and, over R,
+    the returned solution.
     """
     unknowns, equations, rows = linear
     partial = seed
     for k in range(2, ring.nilpotency):
-        rho_k = residual(partial).ring_project(ring, k)
+        rho_k = residual(quotient(ring, k), partial).ring_project(ring, k)
         if rho_k.is_zero():
             continue
         new_terms: dict = {}

@@ -18,13 +18,16 @@ tests that use them:
   a degenerate base case with no CLI use.
 
 The directory is found from this file, so the tests run from any working
-directory.
+directory.  `monomial_ring` builds the two-variable parameter rings that no
+CLI command reads.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable
 
+from mastereq.artin import ArtinLocalAlgebra
 from mastereq.manifest import parse_manifest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,3 +37,22 @@ FIXTURES = ROOT / "fixtures"
 def load(name: str):
     """The kernel object of `fixtures/<name>.alg`, freshly parsed."""
     return parse_manifest(str(FIXTURES / f"{name}.alg")).obj
+
+
+def monomial_ring(name: str, kept: Callable[[int, int], bool]) -> ArtinLocalAlgebra:
+    """k[s,t] modulo the monomial ideal of the s^a t^b that `kept` rejects.
+
+    `kept` must hold for every divisor of a monomial it holds for, and fail
+    for every a or b from 8 up.  The basis is the kept monomials by total
+    degree, so it is adapted to the m-adic filtration."""
+    monomials = sorted(((a, b) for a in range(8) for b in range(8) if kept(a, b)),
+                       key=lambda ab: (sum(ab), -ab[0]))
+
+    def label(a: int, b: int) -> str:
+        parts = [v if e == 1 else f"{v}^{e}" for v, e in (("s", a), ("t", b)) if e]
+        return "".join(parts) or "1"
+
+    products = {(label(*x), label(*y)): ({label(x[0] + y[0], x[1] + y[1]): 1}
+                                         if kept(x[0] + y[0], x[1] + y[1]) else {})
+                for x in monomials[1:] for y in monomials[1:]}
+    return ArtinLocalAlgebra([label(*m) for m in monomials], products, name=name)

@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mastereq.artin import ArtinLocalAlgebra, power_ring, square_zero_ring
+from mastereq.artin import ArtinLocalAlgebra, power_ring, quotient, square_zero_ring
 from mastereq.diagnostics import PreconditionError, StructureError
 from mastereq.linalg import rref, solve_linear
+
+from alg_fixtures import monomial_ring
 
 
 def test_power_ring_nilpotency():
@@ -149,3 +151,20 @@ def test_filtration_on_rebased_power_rings():
     assert [R.order(x) for x in R.ideal_labels] == [1, 1, 3] and not R.adapted
     assert R.nilpotency == 4
     assert _filtration_by_rank(R) == (4, {"u1": 1, "u2": 1, "u3": 3}, False)
+
+
+def test_quotient_keeps_the_low_orders_and_is_built_once():
+    R = power_ring(6)
+    Q = quotient(R, 2)
+    assert Q.labels == ("1", "t", "t^2") and Q.nilpotency == 3
+    assert Q.mul_labels("t", "t") == {"t^2": 1} and Q.mul_labels("t", "t^2") == {}
+    assert quotient(R, 2) is Q and quotient(R, 5) is R and quotient(R, 9) is R
+    R = monomial_ring("k[s,t]/(s^2,t^3)", lambda a, b: a < 2 and b < 3)
+    Q = quotient(R, 2)
+    assert Q.labels == ("1", "s", "t", "st", "t^2") and Q.nilpotency == 3 and Q.adapted
+    assert [Q.order(x) for x in Q.labels] == [R.order(x) for x in Q.labels]
+    assert Q.mul_labels("s", "t") == {"st": 1} and Q.mul_labels("s", "t^2") == {}
+    assert quotient(R, 3) is R
+    # on 1, t, t+t^2, t^3 no set of basis labels spans m^2: no quotient is formed
+    with pytest.raises(PreconditionError, match="not adapted"):
+        quotient(rebased_power_ring(4, [[1, 0, 0], [1, 1, 0], [0, 0, 1]]), 1)

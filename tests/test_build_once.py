@@ -1,12 +1,12 @@
 """Input-only structures are built once per owner object and shared.
 
-`DgLieAlgebra.to_linfty`, `coderivation_dg_lie`, `hbar_extended_dg_lie`,
-`bv_from_bi_dg_lie`, `ce_bvinfty_from_linfty` and `BVMorphism.exp_map`
-depend only on their input, so batteries that call them once per instance
-must not rebuild them.  A build that raises is not kept.  The word algebras
-S(V[1]) and S(V[-1]) belong to the space V, so every algebra built on V (a
-twisted algebra is built on its parent's) shares one word basis and one
-coproduct table.
+`DgLieAlgebra.to_linfty` and `axiom_report`, `coderivation_dg_lie`,
+`hbar_extended_dg_lie`, `bv_from_bi_dg_lie`, `ce_bvinfty_from_linfty` and
+`BVMorphism.exp_map` depend only on their input, so batteries that call
+them once per instance must not rebuild them.  A build that raises is not
+kept.  The word algebras S(V[1]) and S(V[-1]) belong to the space V, so every
+algebra built on V (a twisted algebra is built on its parent's) shares one
+word basis and one coproduct table.
 """
 
 import contextlib
@@ -182,3 +182,16 @@ def test_battery_unshuffles_each_word_once(monkeypatch, theorem):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     assert seen and max(seen.values()) == 1
+
+
+@pytest.mark.parametrize("argv", [["check", "heis3.alg"], ["check", "bidg4.alg"], ["check", "inv3.alg"],
+                                  ["construct", "bi-dg", "bidg4.alg"]],
+                         ids=["check-heis3", "check-bidg4", "check-inv3", "construct-bi-dg-bidg4"])
+def test_dg_lie_axioms_are_computed_once_per_algebra(monkeypatch, argv):
+    # parsing validates the dg-Lie algebra; the report shows those results
+    jacobi = _counted(monkeypatch, DgLieAlgebra, "_jacobi")
+    leibniz = _counted(monkeypatch, DgLieAlgebra, "_leibniz")
+    *command, name = argv
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*command, str(FIXTURES / name), "--format", "machine"]) == 0
+    assert (len(jacobi), len(leibniz)) == (1, 1)

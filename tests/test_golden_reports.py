@@ -4,8 +4,9 @@ Each case runs `mastereq` in process with `--format machine` and compares the
 exit code, stdout, stderr and (for `--emit`) the emitted manifest with the
 stored files.  The cases are `check` on every fixture plus one run of each
 command of the cli-fixtures benchmark workload at a fixed seed, both
-solvers on an obstructed input, and the CE and bi-dg constructions of a
-differential with two targets on one generator.  A second pass runs each case in the human
+solvers on an obstructed input, three solves over k[t]/t^4 (where the lift
+runs over a proper quotient of the ring), and the CE and bi-dg
+constructions of a differential with two targets on one generator.  A second pass runs each case in the human
 format and checks its exit code against the same `exit_codes.json`.
 
 `test_one_parser_serves_repeated_calls` runs every case twice in one
@@ -63,6 +64,10 @@ COMMANDS = [
     # the obstructed branch of both solvers: order 2, residual (1/2) w t^2
     ("solve-mc-obst2", ["solve-mc", _f("obst2.alg"), _f("ring-t3.alg"), "--seed", "1"]),
     ("solve-qme-obst2", ["solve-qme", _f("obst2.alg"), _f("ring-t3.alg"), "--seed", "1"]),
+    # over k[t]/t^4 the lift at order 2 runs over the proper quotient k[t]/t^3
+    ("solve-mc-obst2-t4", ["solve-mc", _f("obst2.alg"), _f("ring-t4.alg"), "--seed", "1"]),
+    ("solve-qme-obst2-t4", ["solve-qme", _f("obst2.alg"), _f("ring-t4.alg"), "--seed", "1"]),
+    ("solve-qme-lift3-t4", ["solve-qme", _f("lift3.alg"), _f("ring-t4.alg"), "--seed", "3"]),
     ("quillen-heis3", ["verify-representability", "quillen", _f("heis3.alg"), *RING3, "--seed", "13"]),
     ("theorem-second-bidg4", ["verify-representability", "theorem-second", _f("bidg4-dglie.alg"),
                               "--seed", "14"]),
@@ -119,10 +124,10 @@ def _assert_golden(name: str, got: dict) -> None:
 
 
 def test_cases_cover_every_fixture_and_workload_command():
-    # 17 workload commands, 2 obstructed solves and 2 two-target constructions,
-    # none a plain check of one fixture
+    # 17 workload commands, 2 obstructed solves, 3 solves over k[t]/t^4 and
+    # 2 two-target constructions, none a plain check of one fixture
     names = [name for name, _ in COMMANDS]
-    assert len(set(names)) == len(names) == 21 + len(list(FIXTURES.glob("*.alg")))
+    assert len(set(names)) == len(names) == 24 + len(list(FIXTURES.glob("*.alg")))
 
 
 @pytest.mark.parametrize("name,argv", COMMANDS, ids=[name for name, _ in COMMANDS])

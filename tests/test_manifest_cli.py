@@ -377,6 +377,23 @@ def test_axiom_and_inclusion_rows_carry_their_time():
     assert cert.timing_ms > 0
 
 
+def test_solver_rows_carry_their_time():
+    # the solver times its seed check and its lift with the validation; the
+    # report times the obstruction it recomputes
+    for command, algebra, ring, seed in (("solve-qme", "lift3", "ring-t4", "3"),
+                                         ("solve-qme", "obst2", "ring-t4", "1"),
+                                         ("solve-mc", "lift3", "ring-t3", "11"),
+                                         ("solve-mc", "obst2", "ring-t4", "1")):
+        args = cli.build_parser().parse_args([command, str(FIXTURES / f"{algebra}.alg"),
+                                              str(FIXTURES / f"{ring}.alg"), "--seed", seed])
+        report = args.handler(args)
+        names = {"seed-closed", "solution-verified"} | (set() if algebra == "lift3" else
+                                                        {"obstruction-consistent"})
+        assert {c.name for c in report.certificates} == names
+        for cert in report.certificates:
+            assert cert.timing_ms > 0, (command, algebra, cert.name)
+
+
 def test_battery_tallies_hits_misses_and_skips():
     log = []
     certs = cli._battery("b", 4, _scripted("draw", [10, 11, 12, 13], log),
