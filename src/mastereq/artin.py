@@ -15,6 +15,7 @@ algebra structure with zero products on m* (used by the morphism calculus).
 
 from __future__ import annotations
 
+import time
 from typing import Iterable, Mapping
 
 from .diagnostics import PreconditionError, StructureError
@@ -59,9 +60,12 @@ class ArtinLocalAlgebra:
         self._orders: dict[str, int] | None = None
         self._quotients: dict[int, ArtinLocalAlgebra] = {}
         self.nilpotency = 0
+        start = time.perf_counter()
         self._compute_filtration()
         if validate:
             self.validate()
+        # the time of the filtration and the axioms: the `local-ring` row's time
+        self.validation_ms = (time.perf_counter() - start) * 1000.0
 
     # -- multiplication ----------------------------------------------------
 

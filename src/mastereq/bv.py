@@ -18,6 +18,13 @@ left multiplications: with K_0 = dhat and K_j = [K_{j-1}, L_S],
 which is the source of both QME forms and of the conjugation identity check.
 Both sums stop at j = M-1: S has coefficients in m, so K_j carries m^j, and
 m^M = 0 makes every K_j with j >= M vanish.
+
+K_j is computed on integer numerators: S = N/D and x = N_x/D_x with int
+coefficients, K_j(x) = K_j[N](N_x) / (D^j D_x), since K_j is multilinear in
+its series arguments and linear in x. Scaling an argument by a nonzero
+constant scales every intermediate series and keeps its support, so the
+same products are formed and the same words overflow the window; only the
+one division at the end leaves the integers.
 """
 
 from __future__ import annotations
@@ -235,8 +242,27 @@ def _commutator_chain(bvi: BVInftyAlgebra, ctx: SeriesContext, args: Sequence[Hb
     also made by K_{M-1}(x), so dropping K_M(x) hides no TruncationOverflow.
     K_j's arguments are equal series, not basis words, so it keeps this
     recursion: sharing over j would be a ladder, not `prefix_commutators`.
+
+    The recursion runs on integer numerators. Each distinct argument and x
+    is cleared once, v = N_v / D_v (`HbarSeries.cleared`); the chain is
+    multilinear in its arguments and linear in x, so its value on the
+    numerators is D_x * prod_i D_{args[i]} times the value asked for, and one
+    division at the end gives it exactly. Every intermediate series is the
+    same nonzero multiple of the one the rational recursion forms, with the
+    same support, so the same products are formed and the same words raise
+    TruncationOverflow.
     """
-    return _commutator_prefix(bvi, ctx, args, arg_degrees, len(args) - 1, x)
+    cleared: dict[int, tuple[HbarSeries, int]] = {}
+    den = 1
+    numerators = []
+    for v in (*args, x):
+        if id(v) not in cleared:  # [S] * j repeats one series: clear it once
+            cleared[id(v)] = v.cleared()
+        num, d = cleared[id(v)]
+        numerators.append(num)
+        den *= d
+    val = _commutator_prefix(bvi, ctx, numerators[:-1], arg_degrees, len(args) - 1, numerators[-1])
+    return val if den == 1 else val.scale(Fraction(1, den))
 
 
 def _commutator_prefix(bvi: BVInftyAlgebra, ctx: SeriesContext, args: Sequence[HbarSeries],

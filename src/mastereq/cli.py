@@ -298,7 +298,7 @@ def cmd_check(args) -> Report:
             results = [timed(lambda: CheckResult("associativity", (w := obj.associator_witness()) is None,
                                                  witness=w))]
         elif isinstance(obj, ArtinLocalAlgebra):
-            results = [CheckResult("local-ring", True,
+            results = [CheckResult("local-ring", True, timing_ms=obj.validation_ms,
                                    bound={"nilpotency": obj.nilpotency, "adapted": obj.adapted})]
         elif isinstance(obj, (BVAlgebra, BVInftyAlgebra)):
             results = obj.certify()
@@ -650,18 +650,17 @@ def cmd_compose(args) -> Report:
     rings = [(_load(path, ("artin-ring",))).obj for path in args.rings]
     chain = [_truncation_morphism(big, small, args.hbar_cutoff)
              for big, small in zip(rings, rings[1:])]
-    certs = [Certificate(f"morphism-{i}-valid", "pass" if check_bv_morphism(phi)["ok"] else "fail")
-             for i, phi in enumerate(chain)]
+    checks = [timed(lambda: CheckResult(f"morphism-{i}-valid", check_bv_morphism(phi)["ok"]))
+              for i, phi in enumerate(chain)]
+    start = time.perf_counter()
     composite, leftover = compose_with_log_residue(chain[0], chain[1])
-    direct = _truncation_morphism(rings[0], rings[2], args.hbar_cutoff)
-    certs.append(Certificate("functoriality",
-                             "pass" if composite.components == direct.components else "fail"))
     witness = {key: {k: str(c) for k, c in coeff.items()} for key, coeff in leftover.items()}
-    certs.append(Certificate("log-hbar-inverse-vanishes", "pass" if not leftover else "fail",
-                             witness=witness or None))
-    certs.append(Certificate("composite-valid",
-                             "pass" if check_bv_morphism(composite)["ok"] else "fail"))
-    return Report("compose-morphisms", certs,
+    checks.append(CheckResult("log-hbar-inverse-vanishes", not leftover, witness=witness or None,
+                              timing_ms=(time.perf_counter() - start) * 1000.0))
+    checks.append(timed(lambda: CheckResult("functoriality", composite.components == _truncation_morphism(
+        rings[0], rings[2], args.hbar_cutoff).components)))
+    checks.append(timed(lambda: CheckResult("composite-valid", check_bv_morphism(composite)["ok"])))
+    return Report("compose-morphisms", list(map(Certificate.from_check, checks)),
                   {"rings": [r.name for r in rings], "hbar_cutoff": args.hbar_cutoff})
 
 
@@ -682,13 +681,13 @@ def cmd_identity(args) -> Report:
     certs: list[Certificate] = []
     inputs = {"seed": args.seed, "instances": args.instances}
     if args.identity == "unimodular-poisson":
-        examples = _unimodular_examples()
-        for name, (S0, S1, expected) in examples.items():
+        def example(name: str, S0: Polyvector, S1: Polyvector, expected: bool) -> CheckResult:
             report = unimodular_poisson_check(S0, S1)
-            ok = report["routes_agree"] and report["unimodular"] == expected
-            certs.append(Certificate(f"unimodular {name}", "pass" if ok else "fail",
-                                     bounds={"expected": expected,
-                                             "unimodular": report["unimodular"]}))
+            return CheckResult(f"unimodular {name}", report["routes_agree"] and report["unimodular"] == expected,
+                               bound={"expected": expected, "unimodular": report["unimodular"]})
+
+        certs = [Certificate.from_check(timed(lambda: example(name, S0, S1, expected)))
+                 for name, (S0, S1, expected) in _unimodular_examples().items()]
         return Report("identity-check unimodular-poisson", certs, inputs)
     if args.file is None:
         raise ManifestError("identity-check needs a manifest file for this identity")
@@ -706,8 +705,8 @@ def cmd_identity(args) -> Report:
                           lambda: random_qme_element(V, ring, rng),
                           lambda S: qme_exp_check(V, ring, S, args.hbar_cutoff)["ok"])
     else:  # derived-brackets
-        result = derived_brackets_linfty_check(V.as_bvinfty(args.hbar_cutoff))
-        certs.append(Certificate.from_check(result))
+        certs.append(Certificate.from_check(timed(
+            lambda: derived_brackets_linfty_check(V.as_bvinfty(args.hbar_cutoff)))))
     return Report(f"identity-check {args.identity}", certs, inputs)
 
 

@@ -16,6 +16,7 @@ target's cutoff + c + 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -82,6 +83,20 @@ class HbarSeries:
         # a sign keeps coefficients canonical; 1/n! or 2 may clear a denominator
         s.terms = terms if c == 1 or c == -1 else _canonical(terms)
         return s
+
+    def cleared(self) -> tuple["HbarSeries", int]:
+        """(N, D): an int-coefficient series N and the least positive int D
+        with N = D * self, so that self = N / D."""
+        den = 1
+        for c in self.terms.values():
+            if type(c) is not int:
+                den = math.lcm(den, c.denominator)
+        if den == 1:
+            return self, 1
+        s = HbarSeries.__new__(HbarSeries)
+        s.terms = {k: c * den if type(c) is int else c.numerator * (den // c.denominator)
+                   for k, c in self.terms.items()}
+        return s, den
 
     def shift_hbar(self, j: int) -> "HbarSeries":
         s = HbarSeries.__new__(HbarSeries)

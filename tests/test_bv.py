@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -24,6 +25,7 @@ from mastereq.bv import (
     qme_residual,
     qme_solve_perturbative,
 )
+from mastereq.cli import _closed_qme_seed
 from mastereq.constructions import bv_from_bi_dg_lie, ce_bv_from_dg_lie, ce_bvinfty_from_linfty, qm_bidg_residual, corollary_bidg_check
 from mastereq.diagnostics import InternalError, PreconditionError, StructureError
 from mastereq.graded import GradedVectorSpace
@@ -342,6 +344,22 @@ def test_bvinfty_residual_agrees_with_dg_bv():
         assert qme_residual(bv, R, S, 3) == bvinfty_qme_residual(bv.as_bvinfty(3), R, S)
 
 
+def _fraction_chain(bvi, ctx, args, degs, x):
+    """[...[dhat, L_{args[0]}], ..., L_{args[-1]}](x) by the 2^j recursion over
+    the rationals, with no denominators cleared: the unshared definition that
+    `bv._commutator_chain` is checked against."""
+
+    def prefix(j, y):
+        if j < 0:
+            return bvi.dhat(y, ctx)
+        v = args[j]
+        outer = prefix(j - 1, ctx.mul(v, y))
+        inner = ctx.mul(v, prefix(j - 1, y))
+        return outer.add(inner) if degs[j] % 2 and not sum(degs[:j]) % 2 else outer.sub(inner)
+
+    return prefix(len(args) - 1, x)
+
+
 def _residual_through_nilpotency(bvi, ring, S):
     """The QME residual with the K_j(1) sum run through j = M, the
     nilpotency order, K_M(1) included."""
@@ -349,7 +367,7 @@ def _residual_through_nilpotency(bvi, ring, S):
     ctx = SeriesContext(bvi.algebra, ring, bvi.hbar_cutoff + ring.nilpotency)
     out = HbarSeries()
     for j in range(1, ring.nilpotency + 1):
-        val = _commutator_chain(bvi, ctx, [S] * j, [2] * j, ctx.unit())
+        val = _fraction_chain(bvi, ctx, [S] * j, [2] * j, ctx.unit())
         if val.is_zero():
             continue
         out = out.add(val.shift_hbar(-(j - 1)).scale(Fraction(1, math.factorial(j))))
@@ -382,7 +400,86 @@ def test_residual_stops_at_nilpotency_minus_one(name, M, word_len_cap, seed):
     assert (got, got_exc) == (want, want_exc)
     if want_exc is None:
         ctx = SeriesContext(bvi.algebra, R, bvi.hbar_cutoff + M)
-        assert _commutator_chain(bvi, ctx, [S] * M, [2] * M, ctx.unit()).is_zero()
+        assert _fraction_chain(bvi, ctx, [S] * M, [2] * M, ctx.unit()).is_zero()
+
+
+_CHAIN_DENOMINATORS = (1, 2, 3, 4, 6)
+
+
+_CHAIN_ALGEBRAS = {
+    "ce-lift3": lambda: ce("lift3", 5).as_bvinfty(3),
+    "ce-sl2": lambda: ce("sl2", 4).as_bvinfty(3),
+    "l3demo": lambda: ce_bvinfty_from_linfty(load("l3demo"), 4),
+}
+
+
+@functools.cache
+def _chain_algebra(name):
+    return _CHAIN_ALGEBRAS[name]()
+
+
+def _rational_series(keys, rng):
+    """Up to three of `keys`, each with a nonzero rational coefficient whose
+    denominator is drawn from _CHAIN_DENOMINATORS."""
+    return HbarSeries({key: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice(_CHAIN_DENOMINATORS))
+                       for key in rng.sample(keys, min(3, len(keys)))})
+
+
+def _chain_outcome(chain, *args):
+    try:
+        return chain(*args), None
+    except Exception as exc:  # compared by type and message against the oracle
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_CHAIN_ALGEBRAS)), st.integers(2, 5), st.data(),
+       st.booleans(), st.booleans(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_the_integer_chain_equals_the_fraction_chain(name, M, data, distinct, rational_x, word_len_cap, seed):
+    # K_j (one S repeated j times) or j distinct even arguments, each with its
+    # own denominators, on non-unit words up to the cap (longer caps reach
+    # TruncationOverflow); x is 1 or a series with Fraction coefficients
+    j = data.draw(st.integers(1, M - 1))
+    bvi = _chain_algebra(name)
+    A = bvi.algebra
+    R = power_ring(M)
+    rng = random.Random(seed)
+    ctx = SeriesContext(A, R, bvi.hbar_cutoff + M)
+    even = [(w, r, h) for w in A.words if 0 < len(w) <= word_len_cap for r in R.ideal_labels
+            for h in range(bvi.hbar_cutoff) if A.degree(w) + 2 * h == 2]
+    args = [_rational_series(even, rng) for _ in range(j)] if distinct else [_rational_series(even, rng)] * j
+    x = ctx.unit()
+    if rational_x:
+        x = _rational_series([(w, r, h) for w in A.words if len(w) <= 2
+                              for r in R.labels for h in range(bvi.hbar_cutoff)], rng)
+    got = _chain_outcome(_commutator_chain, bvi, ctx, args, [2] * j, x)
+    assert got == _chain_outcome(_fraction_chain, bvi, ctx, args, [2] * j, x)
+
+
+def test_k_j_runs_on_int_coefficients_only(monkeypatch):
+    # every argument and every x the K_j recursion receives is an int series,
+    # also for a half-integer S and the rational lifts of the solver
+    bv = ce("lift3", 5)
+    bvi = bv.as_bvinfty(3)
+    R = power_ring(5)
+    seen = []
+    recursion = bv_module._commutator_prefix
+
+    def spy(bvi, ctx, args, degs, j, x):
+        seen.append(all(type(c) is int for s in (*args, x) for c in s.terms.values()))
+        return recursion(bvi, ctx, args, degs, j, x)
+
+    monkeypatch.setattr(bv_module, "_commutator_prefix", spy)
+    S = random_qme_element(bv, R, random.Random(1)).scale(Fraction(1, 2))
+    seed = _closed_qme_seed(bvi, R, random.Random(1)).scale(Fraction(1, 2))
+    assert any(type(c) is Fraction for c in S.terms.values())
+    assert any(type(c) is Fraction for c in seed.terms.values())
+    for call in (lambda: bvinfty_qme_residual(bvi, R, S).is_zero() is False,
+                 lambda: conjugation_identity_check(bv, R, S).ok,
+                 lambda: qme_solve_perturbative(bv, R, seed).status == "solved"):
+        seen.clear()
+        assert call()
+        assert seen and all(seen)
 
 
 def test_qme_exp_check_equivalence_battery():

@@ -394,6 +394,21 @@ def test_solver_rows_carry_their_time():
             assert cert.timing_ms > 0, (command, algebra, cert.name)
 
 
+def test_morphism_unimodular_ring_and_derived_bracket_rows_carry_their_time():
+    # the last rows built in the CLI are timed where they are computed; a fast
+    # row may still print 0.00 ms, so the time is read on the objects
+    for argv, rows in ((["compose-morphisms", *(str(FIXTURES / f"ring-t{M}.alg") for M in (4, 3, 2))], 5),
+                       (["identity-check", "unimodular-poisson"], 5),
+                       (["check", str(FIXTURES / "ring-st.alg")], 1),
+                       (["identity-check", "derived-brackets", str(FIXTURES / "ce-l3demo.alg"),
+                         "--ring", str(FIXTURES / "ring-t3.alg")], 1)):
+        args = cli.build_parser().parse_args(argv)
+        report = args.handler(args)
+        assert len(report.certificates) == rows
+        for cert in report.certificates:
+            assert cert.timing_ms > 0, (argv[0], cert.name)
+
+
 def test_battery_tallies_hits_misses_and_skips():
     log = []
     certs = cli._battery("b", 4, _scripted("draw", [10, 11, 12, 13], log),

@@ -1,0 +1,83 @@
+"""Route-level negative controls: a "two routes agree" certificate must fail
+when one of its routes is wrong by one term.
+
+Each test first runs the certificate on an input it passes, then corrupts
+one route's inner function with `monkeypatch` and checks that the same input
+now fails, so the failure is the corruption's.  The two K_j cross-checks are
+listed here: `qme_exp_check` (dhat e^{S/hbar} against the K_j(1) residual)
+and `conjugation_identity_check` (multiplied-out exponentials against the
+K_j(x) sum).
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from mastereq import bv as bv_module
+from mastereq.artin import power_ring
+from mastereq.bv import conjugation_identity_check, qme_exp_check, qme_solve_perturbative
+from mastereq.cli import _closed_qme_seed
+from mastereq.constructions import ce_bv_from_dg_lie
+from mastereq.series import HbarSeries, SeriesContext
+
+from alg_fixtures import load
+
+
+def _solved_lift3():
+    """CE(lift3) at N = 5 as a BV-infinity algebra, k[t]/t^4 and a solved S,
+    so that dhat e^{S/hbar} = 0 holds on the exponential route."""
+    bv = ce_bv_from_dg_lie(load("lift3"), 5)
+    ring = power_ring(4)
+    result = qme_solve_perturbative(bv, ring, _closed_qme_seed(bv.as_bvinfty(3), ring, random.Random(1)))
+    assert result.status == "solved" and not result.element.is_zero()
+    return bv.as_bvinfty(3), ring, result.element
+
+
+def _k1_plus_one_term(monkeypatch):
+    chain = bv_module._commutator_chain
+
+    def corrupted(bvi, ctx, args, degs, x):
+        val = chain(bvi, ctx, args, degs, x)
+        if len(args) != 1:
+            return val
+        return val.add(HbarSeries({(bvi.algebra.unit, ctx.ring.ideal_labels[0], 0): 1}))
+
+    monkeypatch.setattr(bv_module, "_commutator_chain", corrupted)
+
+
+def _exp_minus_its_last_term(monkeypatch):
+    # e^{s/hbar} = sum_{n < M} (s/hbar)^n / n! without its last nonzero term
+    exp = SeriesContext.exp_over_hbar
+
+    def corrupted(self, s):
+        power, n = self.unit(), 0
+        while not (nxt := self.mul(power, s.shift_hbar(-1))).is_zero():
+            power, n = nxt, n + 1
+        return exp(self, s).sub(power.scale(Fraction(1, math.factorial(n))))
+
+    monkeypatch.setattr(SeriesContext, "exp_over_hbar", corrupted)
+
+
+CORRUPTIONS = {"K_1 plus one term": _k1_plus_one_term,
+               "exp_over_hbar minus its last term": _exp_minus_its_last_term}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_a_corrupted_route_fails_the_conjugation_identity_with_a_word(corruption, monkeypatch):
+    bvi, ring, S = _solved_lift3()
+    assert conjugation_identity_check(bvi, ring, S).ok
+    CORRUPTIONS[corruption](monkeypatch)
+    result = conjugation_identity_check(bvi, ring, S)
+    assert not result.ok
+    assert set(result.witness) == {"word"}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_a_corrupted_route_fails_the_qme_forms_check(corruption, monkeypatch):
+    bvi, ring, S = _solved_lift3()
+    report = qme_exp_check(bvi, ring, S)
+    assert report["ok"] and report["exp_zero"] and report["residual_zero"]
+    CORRUPTIONS[corruption](monkeypatch)
+    assert qme_exp_check(bvi, ring, S)["ok"] is False

@@ -6,6 +6,7 @@ here holds only `int` or `Fraction` coefficients, never a `float` or a
 operation, row reduction) a `Fraction` there has a denominator above 1.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,17 @@ def test_series_products_and_exponentials_are_exact(data):
         _assert_exact(S.scale(c).terms.values(), canonical=True)
     for total in (s1.add(s2), s1.add(s1)):  # doubling clears every denominator 2
         _assert_exact(total.terms.values(), canonical=True)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_cleared_series_is_an_int_numerator_over_the_least_denominator(data):
+    A = SymmetricWordAlgebra(SPACE, 4)
+    s = _series(data, power_ring(3), [w for w in A.words if len(w) <= 2], False)
+    num, den = s.cleared()
+    assert type(den) is int and den == math.lcm(1, *(Fraction(c).denominator for c in s.terms.values()))
+    assert all(type(c) is int for c in num.terms.values())
+    assert list(num.terms) == list(s.terms) and num.scale(Fraction(1, den)) == s
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
