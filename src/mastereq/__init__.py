@@ -47,7 +47,7 @@ from .diagnostics import (
     PreconditionError,
     StructureError,
 )
-from .graded import GradedLinearMap, GradedVector, GradedVectorSpace, koszul_sign
+from .graded import DegreeError, GradedVectorSpace, koszul_sign
 from .linfty import (
     DgLieAlgebra,
     LInftyAlgebra,

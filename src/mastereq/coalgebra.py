@@ -49,6 +49,7 @@ from .words import SymmetricWordAlgebra, Word, WordAlgebra, vec_add_into
 __all__ = [
     "Coderivation",
     "check_codifferential",
+    "corestriction_defect",
     "CoalgebraMorphism",
     "coproduct_defect",
     "intertwining_defect",
@@ -169,6 +170,27 @@ def check_codifferential(D: Coderivation, name: str = "codifferential") -> Check
             }
             return CheckResult(name, False, witness=witness, bound={"word_length": algebra.max_len})
     return CheckResult(name, True, bound={"word_length": algebra.max_len})
+
+
+def corestriction_defect(words, compositions) -> Word | None:
+    """The first of `words` on which the corestriction of the sum of A ∘ B
+    over the (A, B) pairs of coderivations is nonzero, or None.
+
+    The corestriction of A on a word is its table's value there, so a pair
+    costs one expansion B(w) and a table lookup per word of it.  A
+    coderivation such as D^2 or a graded commutator vanishes on the words of
+    length <= n exactly when its corestriction does.
+    """
+    for w in words:
+        acc: dict[Word, Scalar] = {}
+        for A, B in compositions:
+            table = A.table
+            for u, c in B.expand(w).items():
+                for t, v in table.get(u, {}).items():
+                    vec_add_into(acc, t, c * v)
+        if acc:
+            return w
+    return None
 
 
 # -- convolution --------------------------------------------------------------

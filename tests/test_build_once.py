@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from mastereq import cli, constructions, morphisms, words
+from mastereq import cli, constructions, linfty, morphisms, words
 from mastereq.constructions import (
     BiDgLieData,
     bv_from_bi_dg_lie,
@@ -24,7 +24,7 @@ from mastereq.constructions import (
 )
 from mastereq.diagnostics import StructureError
 from mastereq.graded import GradedVectorSpace
-from mastereq.linfty import DgLieAlgebra, coderivation_dg_lie
+from mastereq.linfty import DgLieAlgebra, LInftyAlgebra, coderivation_dg_lie
 
 from alg_fixtures import FIXTURES, load
 
@@ -125,7 +125,7 @@ def test_same_name_different_delta_not_shared():
     B, B0 = bidg4(), bidg4(delta={})
     assert B.name == B0.name
     assert bv_from_bi_dg_lie(B, 4)[0].delta.entries != bv_from_bi_dg_lie(B0, 4)[0].delta.entries
-    assert hbar_extended_dg_lie(B, 3).d.entries != hbar_extended_dg_lie(B0, 3).d.entries
+    assert hbar_extended_dg_lie(B, 3).d != hbar_extended_dg_lie(B0, 3).d
 
 
 def _dg_lie_work(monkeypatch, argv, instances):
@@ -188,10 +188,11 @@ def test_battery_unshuffles_each_word_once(monkeypatch, theorem):
                                   ["construct", "bi-dg", "bidg4.alg"]],
                          ids=["check-heis3", "check-bidg4", "check-inv3", "construct-bi-dg-bidg4"])
 def test_dg_lie_axioms_are_computed_once_per_algebra(monkeypatch, argv):
-    # parsing validates the dg-Lie algebra; the report shows those results
-    jacobi = _counted(monkeypatch, DgLieAlgebra, "_jacobi")
-    leibniz = _counted(monkeypatch, DgLieAlgebra, "_leibniz")
+    # parsing validates the dg-Lie algebra; the report shows those results:
+    # one set of D^2 rows, each row's words scanned once
+    reports = _counted(monkeypatch, LInftyAlgebra, "square_zero_rows")
+    rows = _counted(monkeypatch, linfty, "corestriction_defect")
     *command, name = argv
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([*command, str(FIXTURES / name), "--format", "machine"]) == 0
-    assert (len(jacobi), len(leibniz)) == (1, 1)
+    assert (len(reports), len(rows)) == (1, 3)

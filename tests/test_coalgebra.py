@@ -15,6 +15,7 @@ from mastereq.coalgebra import (
     conv_log,
     conv_unit,
     convolve,
+    corestriction_defect,
 )
 from mastereq.diagnostics import PreconditionError
 from mastereq.graded import GradedVectorSpace
@@ -66,6 +67,16 @@ def test_jacobi_violation_detected_with_witness():
     result = check_codifferential(D)
     assert not result.ok
     assert result.witness["word"] == "x·y·z"
+
+
+def test_corestriction_defect_finds_the_first_failing_word():
+    # the same violation read off the corestriction of D^2: it vanishes on
+    # letters and pairs, and the Jacobiator's word is the first failure
+    A = SymmetricWordAlgebra(HEIS1, 4)
+    D = Coderivation(A, 1, {("x", "y"): {("z",): -1}, ("x", "z"): {("x",): -1}})
+    assert corestriction_defect([w for w in A.words if len(w) <= 2], [(D, D)]) is None
+    assert corestriction_defect(A.words, [(D, D)]) == ("x", "y", "z")
+    assert corestriction_defect(A.words, []) is None
 
 
 def test_co_leibniz_random_corestrictions():

@@ -59,22 +59,22 @@ def _ce_delta_oracle(algebra, bracket_labels):
 
 
 def _derivation_oracle(algebra, d):
-    """The extension of a generator map `d` as a derivation, by its
-    definition: the value multiplied back in place through two
-    `WordAlgebra.mul` calls, after passing the prefix with its sign."""
+    """The extension of a generator map of degree one, the table `d`, as a
+    derivation, by its definition: the value multiplied back in place
+    through two `WordAlgebra.mul` calls, after passing the prefix with its sign."""
 
     def act(word):
         out = {}
         for i, x in enumerate(word):
             prefix_degree = sum(algebra.space.degree(u) for u in word[:i])
-            sign = -1 if (d.degree * prefix_degree) % 2 else 1
-            value = {(t,): c for t, c in d.apply_label(x).coeffs.items()}
+            sign = -1 if prefix_degree % 2 else 1
+            value = {(t,): c for (s, t), c in d.items() if s == x}
             mid = algebra.mul({word[:i]: ONE}, value)
             for w, c in algebra.mul(mid, {word[i + 1:]: ONE}).items():
                 vec_add_into(out, w, sign * c)
         return out
 
-    return Operator.from_function(algebra, d.degree, act, name="d")
+    return Operator.from_function(algebra, 1, act, name="d")
 
 
 def _ce_delta(algebra, bracket):
@@ -160,6 +160,17 @@ def test_ce_corrupted_constant_fails_with_witness():
     report = {r.name: r for r in bv.certify()}
     assert not report["delta-squared"].ok
     assert report["delta-squared"].witness is not None
+
+
+def test_bidg_rows_name_the_first_failing_word():
+    # delta(q) = -p alone: [delta, d](s) = delta(q) = -p, and delta[s,q] = p
+    # while [delta s, q] + [s, delta q] = 0; S(g[1]) lists s before q
+    B = load("bidg4")
+    bad = BiDgLieData(B.space.basis, B.lie.bracket, B.lie.d, {("q", "p"): -1}, name="bad")
+    rows = {r.name: (r.ok, r.witness) for r in bad.axiom_report()}
+    assert rows == {"d-squared": (True, None), "leibniz": (True, None), "jacobi": (True, None),
+                    "delta-squared": (True, None), "[delta,d]": (False, ("s",)),
+                    "delta-derivation": (False, ("s", "q"))}
 
 
 def test_ce_bvinfty_matches_explicit_delta():

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mastereq import linfty
+from mastereq import constructions, linfty
 from mastereq.artin import power_ring
 from mastereq.coalgebra import Coderivation
 from mastereq.diagnostics import PreconditionError, StructureError
-from mastereq.graded import ONE, GradedLinearMap, GradedVectorSpace
+from mastereq.graded import ONE, GradedVectorSpace
 from mastereq.linfty import (
     DgLieAlgebra,
+    LInftyAlgebra,
     chuang_lazarev_morphism_defect,
     chuang_lazarev_residual,
     coderivation_dg_lie,
@@ -116,7 +117,7 @@ def test_emce_equals_classical_formula_for_dg_lie():
     expect: dict = {}
     items = [((x, r), c) for (x, r), c in S_terms.items() if c]
     for (x, r), c in items:
-        for t, v in g.d.apply_label(x).coeffs.items():
+        for t, v in _image(g.d, x).items():
             key = (t, r, 0)
             expect[key] = expect.get(key, Fraction(0)) + v * c
     for (x, r1), c1 in items:
@@ -238,7 +239,7 @@ def test_coderivation_algebra_axioms():
 
 def test_coderivation_algebra_differential_squares():
     algebra, _ = coderivation_dg_lie(load("sl2"), max_len=2)
-    assert algebra.d.compose(algebra.d).is_zero()
+    assert not _square(algebra.d)
     assert all(r.ok for r in algebra.axiom_report())
 
 
@@ -427,7 +428,7 @@ def test_closed_form_coderivation_tables_match_composition(name, N):
     assert got_keys == want_keys
     assert got.space == want.space
     assert got.bracket == want.bracket
-    assert got.d.entries == want.d.entries
+    assert got.d == want.d
 
 
 def _random_graded_lie(rng):
@@ -446,56 +447,156 @@ def _random_graded_lie(rng):
             bracket[(a, b)] = {rng.choice(targets): rng.choice([-2, -1, 1, 2])}
 
     def random_map(degree):
-        return GradedLinearMap(space, space, degree, {
-            (s, t): rng.choice([-1, 1]) for s in labels for t in of_degree(space.degree(s) + degree)
-            if rng.random() < 0.4})
+        return {(s, t): rng.choice([-1, 1]) for s in labels for t in of_degree(space.degree(s) + degree)
+                if rng.random() < 0.4}
 
     return DgLieAlgebra(space, random_map(1), bracket, validate=False), random_map(-1)
 
 
+def _image(table, x):
+    """The value on x of a map given as a table {(source, target): c}."""
+    return {t: c for (s, t), c in table.items() if s == x}
+
+
+def _square(table):
+    """The table of a map composed with itself."""
+    out = {}
+    for (s, m), c in table.items():
+        for t, v in _image(table, m).items():
+            vec_add_into(out, (s, t), c * v)
+    return out
+
+
+def _jacobiator(g, x, y, z):
+    """[x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]], straight from the table."""
+    lhs = g.bracket_vec({x: ONE}, g.bracket_labels(y, z))
+    rhs = g.bracket_vec(g.bracket_labels(x, y), {z: ONE})
+    sxy = -ONE if (g.space.degree(x) * g.space.degree(y)) % 2 else ONE
+    for t, c in g.bracket_vec({y: ONE}, g.bracket_labels(x, z)).items():
+        vec_add_into(rhs, t, sxy * c)
+    for t, c in rhs.items():
+        vec_add_into(lhs, t, -c)
+    return lhs
+
+
+def _leibniz_defect(g, D, x, y):
+    """D[x,y] - [Dx,y] - (-1)^{|x|} [x,Dy] for a table D of odd degree."""
+    left = {}
+    for t, c in g.bracket_labels(x, y).items():
+        for u, v in _image(D, t).items():
+            vec_add_into(left, u, c * v)
+    for u, v in _image(D, x).items():
+        for t, c in g.bracket_labels(u, y).items():
+            vec_add_into(left, t, -c * v)
+    sx = -ONE if g.space.degree(x) % 2 else ONE
+    for u, v in _image(D, y).items():
+        for t, c in g.bracket_labels(x, u).items():
+            vec_add_into(left, t, -sx * c * v)
+    return left
+
+
+def _anticommutator(D, E, x):
+    """(DE + ED)(x) for tables D and E."""
+    out = {}
+    for first, second in ((E, D), (D, E)):
+        for m, c in _image(first, x).items():
+            for t, v in _image(second, m).items():
+                vec_add_into(out, t, c * v)
+    return out
+
+
 def _jacobi_product_witness(g):
     """The first failing triple of the full product of labels."""
-    deg = g.space.degree
     for x, y, z in itertools.product(g.space.labels, repeat=3):
-        lhs = g.bracket_vec({x: ONE}, g.bracket_labels(y, z))
-        rhs = g.bracket_vec(g.bracket_labels(x, y), {z: ONE})
-        sxy = -ONE if (deg(x) * deg(y)) % 2 else ONE
-        for t, c in g.bracket_vec({y: ONE}, g.bracket_labels(x, z)).items():
-            vec_add_into(rhs, t, sxy * c)
-        for t, c in rhs.items():
-            vec_add_into(lhs, t, -c)
-        if any(lhs.values()):
+        if _jacobiator(g, x, y, z):
             return x, y, z
     return None
 
 
 def _leibniz_loop_witness(g, D):
     """The first pair (x, y) in label order where D is not a derivation of
-    the bracket: the oracle for `derivation_witness`."""
+    the bracket."""
     for x in g.space.labels:
         for y in g.space.labels:
-            left = {}
-            for t, c in g.bracket_labels(x, y).items():
-                for u, v in D.apply_label(t).coeffs.items():
-                    vec_add_into(left, u, c * v)
-            for u, v in D.apply_label(x).coeffs.items():
-                for t, c in g.bracket_labels(u, y).items():
-                    vec_add_into(left, t, -c * v)
-            sx = -ONE if g.space.degree(x) % 2 else ONE
-            for u, v in D.apply_label(y).coeffs.items():
-                for t, c in g.bracket_labels(x, u).items():
-                    vec_add_into(left, t, -sx * c * v)
-            if any(left.values()):
+            if _leibniz_defect(g, D, x, y):
                 return x, y
     return None
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+def _first_word(g, n, fails):
+    """The first n-letter word of S(g[1]), in the order of its word list,
+    whose letters make `fails` true."""
+    return next((w for w in g.to_linfty().word_algebra(3).words if len(w) == n and fails(*w)), None)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.integers(0, 10**9))
-def test_sorted_triples_and_one_derivation_loop_keep_the_witnesses(seed):
+def test_square_zero_rows_match_the_axiom_loops(seed):
+    # the loops over labels decide each axiom; the rows of D^2 = 0 and of
+    # [delta-hat, D] must agree, and name the first failing word of S(g[1])
     g, delta = _random_graded_lie(random.Random(seed))
-    report = {r.name: r for r in g.axiom_report()}
-    assert report["jacobi"].witness == _jacobi_product_witness(g)
-    assert report["jacobi"].ok == (report["jacobi"].witness is None)
-    assert report["leibniz"].witness == _leibniz_loop_witness(g, g.d)
-    assert g.derivation_witness(delta) == _leibniz_loop_witness(g, delta)
+    report = {r.name: r for r in [*g.axiom_report(), *constructions._delta_rows(g, delta)]}
+    labels = g.space.labels
+    oracles = {
+        "d-squared": (1, lambda x: _image(_square(g.d), x)),
+        "leibniz": (2, lambda x, y: _leibniz_defect(g, g.d, x, y)),
+        "jacobi": (3, lambda x, y, z: _jacobiator(g, x, y, z)),
+        "delta-squared": (1, lambda x: _image(_square(delta), x)),
+        "[delta,d]": (1, lambda x: _anticommutator(delta, g.d, x)),
+        "delta-derivation": (2, lambda x, y: _leibniz_defect(g, delta, x, y)),
+    }
+    loops = {
+        "d-squared": not _square(g.d),
+        "leibniz": _leibniz_loop_witness(g, g.d) is None,
+        "jacobi": _jacobi_product_witness(g) is None,
+        "delta-squared": not _square(delta),
+        "[delta,d]": not any(_anticommutator(delta, g.d, x) for x in labels),
+        "delta-derivation": _leibniz_loop_witness(g, delta) is None,
+    }
+    for name, (n, fails) in oracles.items():
+        row = report[name]
+        assert row.ok == loops[name], name
+        assert row.witness == _first_word(g, n, fails), name
+        assert row.ok == (row.witness is None), name
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_square_zero_rows_agree_with_the_full_square(seed):
+    # random brackets of arities 1-3: the rows pass exactly when D^2 vanishes
+    # on every word of S(g[1]) cut at 3, and the first failing row names the
+    # first word on which it does not
+    rng = random.Random(seed)
+    space = GradedVectorSpace([(f"a{i}", rng.choice([0, 1, 2])) for i in range(rng.randint(2, 3))])
+    W = space.symmetric_algebra(1, 3)
+    brackets = {}
+    for w in W.words[1:]:
+        for t in W.space.labels:
+            if W.space.degree(t) == W.degree(w) + 1 and rng.random() < 0.7:
+                brackets.setdefault(len(w), {}).setdefault(w, {})[t] = rng.choice([-1, 1, 2])
+    gl = LInftyAlgebra(space, brackets)
+    rows = gl.square_zero_rows(("one", "two", "three"))
+    full = gl.validate(3)
+    assert all(rows) == full.ok
+    failing = [r for r in rows if not r.ok]
+    if failing:
+        assert W.label(failing[0].witness) == full.witness["word"]
+
+
+def test_delta_rows_decide_whether_the_hbar_extension_is_dg_lie():
+    # g[[h]]/h^3 with differential d + h delta is a dg-Lie algebra exactly
+    # when g is one and delta^2 = 0, [delta, d] = 0 and delta is a derivation
+    verdicts = []
+    for seed in range(200):
+        g, delta = _random_graded_lie(random.Random(seed))
+        if not all(g.axiom_report()):
+            continue
+        B = constructions.BiDgLieData(g.space.basis, g.bracket, g.d, delta)
+        try:
+            constructions.hbar_extended_dg_lie(B, 3)
+            extended = True
+        except StructureError:
+            extended = False
+        verdicts.append(all(B.axiom_report()))
+        assert verdicts[-1] == extended, seed
+    assert True in verdicts and False in verdicts

@@ -47,10 +47,10 @@ def _entry_blocks(doc):
 
 @pytest.mark.parametrize("fixture, tables", [
     ("heis3.alg", lambda g: g.bracket),
-    ("two-target.alg", lambda g: g.d.entries),
+    ("two-target.alg", lambda g: g.d),
     ("l3demo.alg", lambda g: g.brackets),
     ("noninv2.alg", lambda b: (b.lie.bracket, b.cobracket)),
-    ("bidg4.alg", lambda b: (b.lie.bracket, b.lie.d.entries, b.delta.entries)),
+    ("bidg4.alg", lambda b: (b.lie.bracket, b.lie.d, b.delta)),
     ("dual-numbers.alg", lambda a: a.product),
     ("ring-t3.alg", lambda r: r.table),
     ("ce-heis3.alg", lambda v: v.delta.entries),
@@ -137,6 +137,22 @@ def test_bracket_of_nonzero_degree_is_rejected_with_its_entry(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run_cli("check", str(path)) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("fixture, block, entry, message", [
+    ("heis3.alg", "differential", ("x", "z"), "d entry 'x' -> 'z' has degree 0, not 1"),
+    ("bidg4.alg", "delta", ("p", "s"), "delta entry 'p' -> 's' has degree 0, not -1"),
+    ("dual-numbers.alg", "differential", ("u", "eps"), "differential entry 'u' -> 'eps' has degree 0, not 1"),
+], ids=["dg-lie differential", "bi-dg delta", "associative differential"])
+def test_map_entry_of_wrong_degree_is_refused_with_its_entry(tmp_path, capsys, fixture, block, entry, message):
+    doc = json.loads((FIXTURES / fixture).read_text())
+    doc["structure"].setdefault(block, []).append(
+        {"inputs": [entry[0]], "outputs": [entry[1]], "coeff": "1"})
+    path = tmp_path / fixture
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("check", str(path)) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_syntax_error_carries_location():

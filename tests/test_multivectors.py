@@ -1,10 +1,13 @@
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mastereq import multivectors
+from mastereq import cli, multivectors
+from mastereq.diagnostics import timed
 from mastereq.bv import BVAlgebra, antibracket
 from mastereq.cli import _unimodular_examples
 from mastereq.coalgebra import Coderivation
@@ -174,3 +177,22 @@ def test_a_corrupted_route_disagrees_on_the_nonzero_example(monkeypatch, corrupt
     bad = corrupt(polyvector_fields(3))
     monkeypatch.setattr(multivectors, "polyvector_fields", lambda dim: bad)
     assert not unimodular_poisson_check(S0, S1)["routes_agree"]
+
+
+def test_unimodular_rows_build_no_polyvector_fields(monkeypatch):
+    # the one-time build of each dimension's algebra happens before the rows
+    # are timed, so no row carries it
+    polyvector_fields.cache_clear()
+    misses = []
+
+    def counted(check):
+        before = polyvector_fields.cache_info().misses
+        result = timed(check)
+        misses.append(polyvector_fields.cache_info().misses - before)
+        return result
+
+    monkeypatch.setattr(cli, "timed", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["identity-check", "unimodular-poisson", "--format", "machine"]) == 0
+    assert misses == [0] * len(_unimodular_examples())
+    assert polyvector_fields.cache_info().misses == 2  # d = 2 and d = 3
