@@ -1,13 +1,15 @@
 """dg-BV and BV-infinity algebras: operator orders, antibrackets, the QME.
 
-A dg-BV algebra is a truncated word algebra with a square-zero derivation d
-of degree +1 and a square-zero second-order operator Delta of degree -1 that
-kills 1 and graded-commutes with d; [Delta, d] is the graded commutator, so
-"commutes" means the anticommutator of the two odd operators vanishes.
-
 A BV-infinity algebra carries operators Delta_n of order <= n and degree
 3 - 2n, assembled into dhat = sum_n hbar^{n-1} Delta_n of total degree one
-(|hbar| = 2), with dhat(1) = 0 and dhat^2 = 0 modulo the hbar cutoff.
+(|hbar| = 2), with dhat(1) = 0 and dhat^2 = 0 modulo the hbar cutoff K: its
+hbar^k parts D_k = sum_{n+m=k+2} Delta_n Delta_m vanish for k < K.
+
+A dg-BV algebra is the BV-infinity algebra with hbar window 3, Delta_1 = d
+(a derivation of degree +1) and Delta_2 = Delta (second order, degree -1).
+Its axioms d^2 = 0, [Delta, d] = 0 and Delta^2 = 0 are the hbar^0, hbar^1
+and hbar^2 parts D_0, D_1, D_2 of dhat^2 = (d + hbar Delta)^2; [Delta, d] is
+the graded commutator, the anticommutator of the two odd operators.
 
 Everything QME-related reduces to iterated graded commutators of dhat with
 left multiplications: with K_0 = dhat and K_j = [K_{j-1}, L_S],
@@ -29,6 +31,7 @@ one division at the end leaves the integers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -60,60 +63,6 @@ __all__ = [
 HALF = Fraction(1, 2)
 
 
-class BVAlgebra:
-    def __init__(self, algebra: WordAlgebra, d: Operator, delta: Operator, name: str = "V"):
-        self.algebra = algebra
-        self.d = d
-        self.delta = delta
-        self.name = name
-        self._certificates: list[CheckResult] | None = None
-
-    def certify(self) -> list[CheckResult]:
-        """All defining identities, each as its own certificate, timed."""
-        if self._certificates is not None:
-            return self._certificates
-        A = self.algebra
-        bound = {"word_length": A.max_len}
-
-        def vanishes(name: str, op: Operator) -> CheckResult:
-            op.name = name
-            return op.is_zero_on_defined()
-
-        self._certificates = [timed(check) for check in (
-            lambda: CheckResult("d(1)=0", not self.d.entries.get((), {}), bound=bound),
-            lambda: CheckResult("delta(1)=0", not self.delta.entries.get((), {}), bound=bound),
-            lambda: vanishes("d-squared", self.d.compose(self.d)),
-            lambda: vanishes("delta-squared", self.delta.compose(self.delta)),
-            lambda: vanishes("[delta,d]", self.delta.graded_commutator(self.d)),
-            lambda: operator_order_check(A, self.d, 1, name="d order<=1"),
-            lambda: operator_order_check(A, self.delta, 2, name="delta order<=2"),
-            self._augmentation_check,
-        )]
-        return self._certificates
-
-    def _augmentation_check(self) -> CheckResult:
-        for op, label in ((self.d, "d"), (self.delta, "delta")):
-            for w, img in op.entries.items():
-                if img.get((), ZERO):
-                    return CheckResult("augmentation-compatibility", False,
-                                       witness={"operator": label, "word": self.algebra.label(w)})
-        return CheckResult("augmentation-compatibility", True)
-
-    def is_certified(self) -> bool:
-        return all(self.certify())
-
-    def as_bvinfty(self, hbar_cutoff: int = 3) -> "BVInftyAlgebra":
-        if not hasattr(self, "_bvinfty_cache"):
-            self._bvinfty_cache = {}
-        if hbar_cutoff not in self._bvinfty_cache:
-            self._bvinfty_cache[hbar_cutoff] = BVInftyAlgebra(
-                self.algebra, {1: self.d, 2: self.delta}, hbar_cutoff, name=self.name)
-        return self._bvinfty_cache[hbar_cutoff]
-
-    def __repr__(self):
-        return f"BVAlgebra({self.name}, words={len(self.algebra.words)})"
-
-
 class BVInftyAlgebra:
     def __init__(self, algebra: WordAlgebra, operators: Mapping[int, Operator],
                  hbar_cutoff: int = 3, name: str = "V"):
@@ -126,6 +75,8 @@ class BVInftyAlgebra:
         self.hbar_cutoff = int(hbar_cutoff)
         self.name = name
         self._certificates: list[CheckResult] | None = None
+        self._square_parts: dict[int, Operator] = {}
+        self._windows: dict[int, BVInftyAlgebra] = {}
 
     def context(self, ring: ArtinLocalAlgebra = TRIVIAL_RING) -> SeriesContext:
         return SeriesContext(self.algebra, ring, self.hbar_cutoff)
@@ -139,11 +90,12 @@ class BVInftyAlgebra:
         return HbarSeries(out)
 
     def as_bvinfty(self, hbar_cutoff: int | None = None) -> "BVInftyAlgebra":
-        """This algebra itself: it keeps its own hbar cutoff."""
-        return self
-
-    def dhat_word(self, w: Word) -> HbarSeries:
-        return self.dhat(HbarSeries({(w, "1", 0): ONE}))
+        """These operators at window `hbar_cutoff` (None: its own), built once per window."""
+        if hbar_cutoff is None or hbar_cutoff == self.hbar_cutoff:
+            return self
+        if hbar_cutoff not in self._windows:
+            self._windows[hbar_cutoff] = BVInftyAlgebra(self.algebra, self.operators, hbar_cutoff, self.name)
+        return self._windows[hbar_cutoff]
 
     def certify(self) -> list[CheckResult]:
         """All defining identities, each as its own certificate, timed."""
@@ -159,41 +111,89 @@ class BVInftyAlgebra:
             out.append(timed(lambda: operator_order_check(A, op, n, name=f"Delta_{n} order<={n}")))
         out.append(timed(lambda: CheckResult(
             "dhat(1)=0", all(not op.entries.get((), {}) for op in self.operators.values()), bound=bound)))
-        out.append(timed(lambda: self._square_check(bound)))
+        out.append(self.square)
         out.append(timed(lambda: CheckResult("augmentation-compatibility", all(
             not img.get((), ZERO) for op in self.operators.values() for img in op.entries.values()),
             bound=bound)))
         self._certificates = out
         return out
 
-    def _square_check(self, bound: dict) -> CheckResult:
-        """dhat(dhat(w)) = 0 on every word where both applications stay in the window."""
-        A = self.algebra
-        square_ok, witness = True, None
-        skipped: list[str] = []
-        common = set(A.words)
-        for op in self.operators.values():
-            common &= op.defined
-        for w in sorted(A.words, key=lambda u: (len(u), u)):
-            if w not in common:
-                skipped.append(A.label(w))
-                continue
-            try:
-                val = self.dhat(self.dhat_word(w))
-            except TruncationOverflow:
-                skipped.append(A.label(w))
-                continue
-            if not val.is_zero():
-                square_ok, witness = False, {"word": A.label(w)}
-                break
-        return CheckResult("dhat-squared", square_ok, witness=witness,
-                           bound=dict(bound, skipped=skipped))
-
     def is_certified(self) -> bool:
         return all(self.certify())
 
+    def square_part(self, k: int) -> Operator:
+        """D_k = sum_{n+m=k+2} Delta_n Delta_m, the hbar^k part of dhat^2, formed
+        once per algebra; the zero operator when no two arities sum to k + 2."""
+        if k not in self._square_parts:
+            ops = self.operators
+            terms = [ops[n].compose(ops[k + 2 - n]) for n in sorted(ops) if k + 2 - n in ops]
+            for term in terms:  # |dhat| = 1, |hbar| = 2; also where a degree row fails
+                term.degree = 2 - 2 * k
+            self._square_parts[k] = (functools.reduce(Operator.add, terms) if terms
+                                     else Operator.zero(self.algebra, 2 - 2 * k))
+        return self._square_parts[k]
+
+    @functools.cached_property
+    def square(self) -> CheckResult:
+        """The dhat-squared row, timed: D_k(w) = 0 for k < K on each word w,
+        in (length, word) order, where no operator and no D_k is undefined;
+        the first failing word is the witness, the words before it where one
+        is undefined are `skipped`."""
+        return timed(self._square_check)
+
+    def _square_check(self) -> CheckResult:
+        A = self.algebra
+        parts = [self.square_part(k) for k in range(self.hbar_cutoff)]
+        common = set(A.words).intersection(*(op.defined for op in (*self.operators.values(), *parts)))
+        square_ok, witness, skipped = True, None, []
+        for w in sorted(A.words, key=lambda u: (len(u), u)):
+            if w not in common:
+                skipped.append(A.label(w))
+            elif any(w in part.entries for part in parts):
+                square_ok, witness = False, {"word": A.label(w)}
+                break
+        return CheckResult("dhat-squared", square_ok, witness=witness,
+                           bound={"word_length": A.max_len, "hbar_cutoff": self.hbar_cutoff,
+                                  "skipped": skipped})
+
     def __repr__(self):
-        return f"BVInftyAlgebra({self.name}, operators={sorted(self.operators)}, K={self.hbar_cutoff})"
+        return f"{type(self).__name__}({self.name}, operators={sorted(self.operators)}, K={self.hbar_cutoff})"
+
+
+class BVAlgebra(BVInftyAlgebra):
+    """A dg-BV algebra: the BV-infinity algebra with Delta_1 = d, Delta_2 = delta, window 3."""
+
+    def __init__(self, algebra: WordAlgebra, d: Operator, delta: Operator, name: str = "V"):
+        super().__init__(algebra, {1: d, 2: delta}, 3, name)
+        self.d = d
+        self.delta = delta
+
+    def certify(self) -> list[CheckResult]:
+        """All defining identities, each as its own certificate, timed; d^2,
+        [delta,d] and delta^2 are the hbar^0, hbar^1 and hbar^2 parts of dhat^2."""
+        if self._certificates is not None:
+            return self._certificates
+        A = self.algebra
+        bound = {"word_length": A.max_len}
+        self._certificates = [timed(check) for check in (
+            lambda: CheckResult("d(1)=0", not self.d.entries.get((), {}), bound=bound),
+            lambda: CheckResult("delta(1)=0", not self.delta.entries.get((), {}), bound=bound),
+            lambda: self.square_part(0).is_zero_on_defined("d-squared"),
+            lambda: self.square_part(2).is_zero_on_defined("delta-squared"),
+            lambda: self.square_part(1).is_zero_on_defined("[delta,d]"),
+            lambda: operator_order_check(A, self.d, 1, name="d order<=1"),
+            lambda: operator_order_check(A, self.delta, 2, name="delta order<=2"),
+            self._augmentation_check,
+        )]
+        return self._certificates
+
+    def _augmentation_check(self) -> CheckResult:
+        for op, label in ((self.d, "d"), (self.delta, "delta")):
+            for w, img in op.entries.items():
+                if img.get((), ZERO):
+                    return CheckResult("augmentation-compatibility", False,
+                                       witness={"operator": label, "word": self.algebra.label(w)})
+        return CheckResult("augmentation-compatibility", True)
 
 
 # -- brackets -----------------------------------------------------------------
@@ -338,7 +338,7 @@ def derived_brackets_linfty_check(bvi: BVInftyAlgebra) -> CheckResult:
     reported once `derived_bracket`, the unshared definition, reproduces it.
     """
     A = bvi.algebra
-    square = next(r for r in bvi.certify() if r.name == "dhat-squared")
+    square = bvi.square
     if not square.ok:
         return CheckResult("derived-brackets", False, witness=square.witness)
     raise_bound = max((op.max_raise for op in bvi.operators.values()), default=0)
@@ -417,8 +417,7 @@ def _validate_qme_element(bvi: BVInftyAlgebra, ring: ArtinLocalAlgebra, S: HbarS
 def qme_residual(bv: BVAlgebra, ring: ArtinLocalAlgebra, S: HbarSeries,
                  hbar_cutoff: int = 3) -> HbarSeries:
     """dS + hbar Delta S + {S,S}/2 for a dg-BV algebra, exact mod hbar cutoff."""
-    bvi = bv.as_bvinfty(hbar_cutoff)
-    _validate_qme_element(bvi, ring, S)
+    _validate_qme_element(bv, ring, S)
     ctx = SeriesContext(bv.algebra, ring, hbar_cutoff)
     dS = ctx.apply_word_operator(bv.d, S)
     deltaS = ctx.apply_word_operator(bv.delta, S, hbar_shift=1)
@@ -458,7 +457,7 @@ def qme_exp_check(V, ring: ArtinLocalAlgebra, S: HbarSeries, hbar_cutoff: int | 
     meaningless, so failure of the axioms is reported as a precondition
     violation rather than folded into the boolean.
     """
-    bvi = V.as_bvinfty(3 if hbar_cutoff is None else hbar_cutoff)
+    bvi = V.as_bvinfty(hbar_cutoff)
     if not bvi.is_certified():
         bad = [r.name for r in bvi.certify() if not r.ok]
         raise PreconditionError(f"structure is not a certified BV algebra: {bad}")
@@ -469,10 +468,9 @@ def qme_exp_check(V, ring: ArtinLocalAlgebra, S: HbarSeries, hbar_cutoff: int | 
     exp_s = wide.exp_over_hbar(S)
     d_exp = ctx.truncate(bvi.dhat(exp_s, wide))
     exp_zero = d_exp.is_zero()
-    if isinstance(V, BVAlgebra):
-        residual = qme_residual(V, ring, S, bvi.hbar_cutoff)
-    else:
-        residual = bvinfty_qme_residual(bvi, ring, S)
+    # a dg-BV algebra has a closed-form residual, far cheaper than the K_j route
+    residual = (qme_residual(V, ring, S, bvi.hbar_cutoff) if isinstance(V, BVAlgebra)
+                else bvinfty_qme_residual(bvi, ring, S))
     residual_zero = residual.is_zero()
     return {
         "exp_zero": exp_zero,
@@ -499,7 +497,7 @@ def conjugation_identity_check(V, ring: ArtinLocalAlgebra, S: HbarSeries,
     an adapted ring basis makes every ring-nonzero product K_M(x) makes, so a
     word raises TruncationOverflow, and is skipped, exactly as with K_M.
     """
-    bvi = V.as_bvinfty(3 if hbar_cutoff is None else hbar_cutoff)
+    bvi = V.as_bvinfty(hbar_cutoff)
     _validate_qme_element(bvi, ring, S)
     M = ring.nilpotency
     K = bvi.hbar_cutoff
@@ -563,7 +561,7 @@ def qme_solve_perturbative(V, ring: ArtinLocalAlgebra, seed: HbarSeries,
     words every Delta_n is defined on; representatives pick the earliest
     coordinates in canonical word-then-power order.
     """
-    bvi = V.as_bvinfty(3 if hbar_cutoff is None else hbar_cutoff)
+    bvi = V.as_bvinfty(hbar_cutoff)
     if not ring.adapted:
         raise PreconditionError("ring basis is not adapted to the m-adic filtration")
     _validate_qme_element(bvi, ring, seed)

@@ -75,10 +75,11 @@ class GradedVectorSpace:
     """Finite ordered basis of labeled homogeneous vectors.
 
     Declaration order is canonical and is used (together with the degree) to
-    normalize symmetric words built on top of this space.
+    normalize symmetric words built on top of this space: `sort_key` maps each
+    label to (degree, declaration index).
     """
 
-    __slots__ = ("basis", "_index", "_degree", "_symmetric_algebras")
+    __slots__ = ("basis", "sort_key", "_index", "_degree", "_symmetric_algebras")
 
     def __init__(self, basis: Iterable[tuple[str, int]]):
         self.basis = tuple((str(label), int(deg)) for label, deg in basis)
@@ -89,6 +90,7 @@ class GradedVectorSpace:
                 raise ValueError(f"duplicate basis label {label!r}")
             self._index[label] = i
             self._degree[label] = deg
+        self.sort_key = {label: (deg, i) for i, (label, deg) in enumerate(self.basis)}
         self._symmetric_algebras = {}
 
     @property

@@ -30,7 +30,7 @@ from .coalgebra import (Coderivation, check_codifferential, conv_exp, coproduct_
 from .diagnostics import CheckResult, PreconditionError, StructureError, timed
 from .graded import ONE, ZERO, GradedVectorSpace, Scalar, as_scalar
 from .series import HbarSeries, LinearPart, SeriesContext, SolveResult, lift_perturbative
-from .words import SymmetricWordAlgebra, Word, vec_add_into
+from .words import SymmetricWordAlgebra, Word, normal_form, vec_add_into
 
 if TYPE_CHECKING:
     from .bv import BVInftyAlgebra
@@ -131,10 +131,9 @@ class DgLieAlgebra:
         brackets: dict[int, dict[Word, dict[str, Scalar]]] = {1: {}, 2: {}}
         for (s, t), c in self.d.items():
             brackets[1].setdefault((s,), {})[t] = c
-        helper = SymmetricWordAlgebra(shifted, 2)
         seen = set()
         for (a, b) in self.bracket:
-            word, sign = helper.normalize([a, b])
+            word, sign = normal_form(shifted, [a, b])
             if word is None or word in seen:
                 continue
             seen.add(word)

@@ -23,7 +23,7 @@ from .diagnostics import ManifestError, PreconditionError, StructureError
 from .graded import ONE, ZERO, GradedVectorSpace, Scalar, as_scalar
 from .linfty import DgLieAlgebra, LInftyAlgebra
 from .operators import Operator
-from .words import SymmetricWordAlgebra
+from .words import SymmetricWordAlgebra, normal_form
 
 __all__ = ["parse_manifest", "parse_manifest_text", "emit_manifest", "Manifest", "KINDS"]
 
@@ -173,10 +173,9 @@ def _build_linfty(name, basis, structure, truncation) -> LInftyAlgebra:
     _check_blocks(structure, {"brackets"})
     space = GradedVectorSpace(basis)
     shifted = space.shift(1)
-    helper = SymmetricWordAlgebra(shifted, max(truncation.get("word_length", 4), 1))
     brackets: dict = {}
     for inputs, outputs, coeff in _entries(_block(structure, "brackets", required=True), arity=None):
-        word, sign = helper.normalize(list(inputs))
+        word, sign = normal_form(shifted, list(inputs))
         if word is None:
             raise ManifestError(f"bracket entry on a collapsing word {inputs}")
         _add(brackets.setdefault(len(word), {}).setdefault(word, {}), outputs[0], sign * coeff)

@@ -15,7 +15,7 @@ import itertools
 from typing import Callable, Mapping
 
 from .diagnostics import CheckResult, InternalError, PreconditionError
-from .graded import ONE, Scalar
+from .graded import ONE
 from .words import TruncationOverflow, WordAlgebra, vec_add_into, word_tuples_within
 
 __all__ = ["Operator", "operator_order_check", "iterated_commutator_apply", "prefix_commutators"]
@@ -114,25 +114,17 @@ class Operator:
                 entries[w] = out
         return Operator._adopt(self.algebra, self.degree, entries, defined, f"{self.name}+{other.name}")
 
-    def scale(self, c: Scalar) -> "Operator":
-        # stored coefficients are nonzero, so only c = 0 empties an image
-        entries = {w: {u: c * v for u, v in img.items()} for w, img in self.entries.items()} if c else {}
-        return Operator._adopt(self.algebra, self.degree, entries, self.defined, self.name)
-
-    def graded_commutator(self, other: "Operator") -> "Operator":
-        """[self, other] = self other - (-1)^{|self||other|} other self."""
-        sign = -ONE if (self.degree * other.degree) % 2 else ONE
-        return self.compose(other).add(other.compose(self).scale(-sign))
-
-    def is_zero_on_defined(self) -> CheckResult:
-        """Vanishing on the defined set; the witness is the first defined word
-        in (length, word) order with a nonzero image.  Stored images are
-        nonzero, so only the defined keys of `entries` can be witnesses."""
+    def is_zero_on_defined(self, name: str = "") -> CheckResult:
+        """Vanishing on the defined set, as the row `name` or the operator's name;
+        the witness is the first defined word in (length, word) order with a
+        nonzero image.  Stored images are nonzero, so only defined keys of
+        `entries` can be witnesses."""
+        name = name or self.name or "operator"
         w = min((u for u in self.entries if u in self.defined), key=lambda u: (len(u), u), default=None)
         if w is None:
-            return CheckResult(self.name or "operator", True)
+            return CheckResult(name, True)
         witness_val = {self.algebra.label(u): str(c) for u, c in sorted(self.entries[w].items())}
-        return CheckResult(self.name or "operator", False,
+        return CheckResult(name, False,
                            witness={"word": self.algebra.label(w), "value": witness_val})
 
     def __repr__(self):

@@ -52,8 +52,7 @@ def random_qme_element(V, ring: ArtinLocalAlgebra, rng: random.Random,
     The word-length cap keeps e^{S/hbar} inside the truncation: products of
     up to M-1 supports appear, so cap * (M-1) must fit in the window.
     """
-    bvi = V.as_bvinfty()
-    A = bvi.algebra
+    A = V.algebra
     M = ring.nilpotency
     if word_len_cap is None:
         word_len_cap = max(1, A.max_len // max(M - 1, 1))
@@ -61,7 +60,7 @@ def random_qme_element(V, ring: ArtinLocalAlgebra, rng: random.Random,
     for w in A.words:
         if len(w) > word_len_cap:
             continue
-        for h in range(bvi.hbar_cutoff):
+        for h in range(V.hbar_cutoff):
             if A.degree(w) + 2 * h != 2:
                 continue
             for r in ring.ideal_labels:

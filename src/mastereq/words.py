@@ -32,6 +32,7 @@ __all__ = [
     "TensorWordAlgebra",
     "vec_add_into",
     "word_tuples_within",
+    "normal_form",
 ]
 
 Word = tuple[str, ...]
@@ -99,6 +100,22 @@ def word_tuples_within(words: Sequence[Word], n: int, budget: int) -> Iterator[t
         yield from extend(0, n, budget, [])
 
 
+def normal_form(space: GradedVectorSpace, labels: Sequence[str]) -> tuple[Word | None, int]:
+    """Canonical form of an unordered word on `space`; (None, 0) if it collapses:
+    the word sorted by `space.sort_key` and the Koszul sign of the sorting
+    permutation, which only inversions of two odd factors flip.  No word basis
+    is needed, so bracket tables are normalized without a window."""
+    key = space.sort_key  # label -> (degree, declaration index)
+    order = sorted(range(len(labels)), key=lambda i: key[labels[i]])
+    odd = [i for i in order if key[labels[i]][0] % 2]
+    # equal factors sort next to each other
+    for i, j in zip(odd, odd[1:]):
+        if labels[i] == labels[j]:
+            return None, ZERO
+    inversions = sum(1 for k, i in enumerate(odd) for j in odd[k + 1:] if i > j)
+    return tuple(labels[i] for i in order), (-ONE if inversions % 2 else ONE)
+
+
 class WordAlgebra:
     """Shared interface of the symmetric and tensor word algebras."""
 
@@ -110,7 +127,7 @@ class WordAlgebra:
                 f"word-length truncation N = {max_len} is below 1: the window holds no letter")
         self.space = space
         self.max_len = max_len
-        self._sort_key = {label: (space.degree(label), i) for i, (label, _) in enumerate(space.basis)}
+        self._sort_key = space.sort_key
         # listed by length, shortest first: the words of length <= L are a prefix
         self.words: tuple[Word, ...] = tuple(self._enumerate_words())
         self._word_set = set(self.words)
@@ -232,22 +249,8 @@ class SymmetricWordAlgebra(WordAlgebra):
         super().__init__(space, max_len)
 
     def normalize(self, labels: Sequence[str]) -> tuple[Word | None, int]:
-        """Canonical form of an unordered word; (None, 0) if it collapses.
-
-        Returns the sorted word and the Koszul sign of the sorting
-        permutation: only inversions of two odd factors flip it.  `order` is
-        a permutation by construction, so `graded.koszul_sign` and its
-        validation are not needed here.
-        """
-        key = self._sort_key  # label -> (degree, declaration index)
-        order = sorted(range(len(labels)), key=lambda i: key[labels[i]])
-        odd = [i for i in order if key[labels[i]][0] % 2]
-        # equal factors sort next to each other
-        for i, j in zip(odd, odd[1:]):
-            if labels[i] == labels[j]:
-                return None, ZERO
-        inversions = sum(1 for k, i in enumerate(odd) for j in odd[k + 1:] if i > j)
-        return tuple(labels[i] for i in order), (-ONE if inversions % 2 else ONE)
+        """`normal_form` on this algebra's space."""
+        return normal_form(self.space, labels)
 
     def _enumerate_words(self) -> Iterable[Word]:
         letters = sorted(self.space.labels, key=self._sort_key.__getitem__)
@@ -266,7 +269,7 @@ class SymmetricWordAlgebra(WordAlgebra):
         """The product of two basis words of this algebra, by merging them.
 
         Precondition: `w1` and `w2` are basis words, that is normal forms
-        (sorted by `_sort_key`, no odd letter twice); `normalize` handles
+        (sorted by `space.sort_key`, no odd letter twice); `normalize` handles
         arbitrary label lists.  One forward scan of `w2` puts each letter of
         `w1` after the letters of `w2` that sort below it; on a tie the
         letter of `w1` goes first, as in the stable sort of `normalize`.

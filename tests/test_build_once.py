@@ -15,7 +15,8 @@ import random
 
 import pytest
 
-from mastereq import cli, constructions, linfty, morphisms, words
+from mastereq import bv, cli, constructions, linfty, morphisms, words
+from mastereq.artin import power_ring
 from mastereq.constructions import (
     BiDgLieData,
     bv_from_bi_dg_lie,
@@ -25,6 +26,7 @@ from mastereq.constructions import (
 from mastereq.diagnostics import StructureError
 from mastereq.graded import GradedVectorSpace
 from mastereq.linfty import DgLieAlgebra, LInftyAlgebra, coderivation_dg_lie
+from mastereq.series import HbarSeries
 
 from alg_fixtures import FIXTURES, load
 
@@ -196,3 +198,20 @@ def test_dg_lie_axioms_are_computed_once_per_algebra(monkeypatch, argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([*command, str(FIXTURES / name), "--format", "machine"]) == 0
     assert (len(reports), len(rows)) == (1, 3)
+
+
+def test_a_dg_bv_algebra_is_certified_once(monkeypatch):
+    # the QME check reads the algebra's own certificates: no BV-infinity copy
+    # of the same operators is certified again
+    names = []
+    order_check = bv.operator_order_check
+
+    def spy(*args, **kwargs):
+        names.append(kwargs["name"])
+        return order_check(*args, **kwargs)
+
+    monkeypatch.setattr(bv, "operator_order_check", spy)
+    V = constructions.ce_bv_from_dg_lie(load("sl2"), 4)
+    assert all(V.certify())
+    assert bv.qme_exp_check(V, power_ring(3), HbarSeries())["ok"]
+    assert names == ["d order<=1", "delta order<=2"]

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from mastereq import bv as bv_module
 from mastereq.artin import power_ring
 from mastereq.bv import (
     QMESolveResult,
+    BVAlgebra,
     BVInftyAlgebra,
     _shared_derived_brackets,
     _commutator_chain,
@@ -27,13 +29,13 @@ from mastereq.bv import (
 )
 from mastereq.cli import _closed_qme_seed
 from mastereq.constructions import bv_from_bi_dg_lie, ce_bv_from_dg_lie, ce_bvinfty_from_linfty, qm_bidg_residual, corollary_bidg_check
-from mastereq.diagnostics import InternalError, PreconditionError, StructureError
+from mastereq.diagnostics import CheckResult, InternalError, PreconditionError, StructureError
 from mastereq.graded import GradedVectorSpace
 from mastereq.linfty import DgLieAlgebra, MCSolveResult
 from mastereq.operators import Operator, iterated_commutator_apply, operator_order_check
 from mastereq.sampling import random_qme_element
 from mastereq.series import HbarSeries, SeriesContext, SolveResult
-from mastereq.words import SymmetricWordAlgebra, word_tuples_within
+from mastereq.words import SymmetricWordAlgebra, TruncationOverflow, word_tuples_within
 
 from alg_fixtures import load
 
@@ -500,6 +502,127 @@ def test_qme_exp_check_zero_solution():
     bv = ce("heis3", 4)
     report = qme_exp_check(bv, power_ring(3), HbarSeries())
     assert report["exp_zero"] and report["residual_zero"] and report["ok"]
+
+
+# -- dhat^2 = 0 by hbar parts D_k against the series definition ------------------
+
+
+def _series_square(bvi):
+    """The dhat-squared row by its definition: dhat(dhat(w)) as hbar series
+    on each word in (length, word) order, skipping a word where an operator is
+    undefined on it or an application leaves the window."""
+    A = bvi.algebra
+    common = set(A.words).intersection(*(op.defined for op in bvi.operators.values()))
+    skipped = []
+    for w in sorted(A.words, key=lambda u: (len(u), u)):
+        try:
+            if w not in common:
+                raise TruncationOverflow(w, (), A.max_len)
+            value = bvi.dhat(bvi.dhat(HbarSeries({(w, "1", 0): 1})))
+        except TruncationOverflow:
+            skipped.append(A.label(w))
+            continue
+        if not value.is_zero():
+            return False, {"word": A.label(w)}, skipped
+    return True, None, skipped
+
+
+def _commutator_rows(d, delta):
+    """The dg-BV square rows as compositions: d d, delta delta and the graded
+    commutator [delta, d] = delta d - (-1)^{|delta||d|} d delta."""
+    sign = -1 if (delta.degree * d.degree) % 2 else 1
+    dd = d.compose(delta)
+    minus = Operator(dd.algebra, dd.degree, {w: {u: -sign * c for u, c in img.items()}
+                                             for w, img in dd.entries.items()}, dd.defined)
+    rows = {"d-squared": d.compose(d), "delta-squared": delta.compose(delta),
+            "[delta,d]": delta.compose(d).add(minus)}
+    return {name: (op.is_zero_on_defined().ok, op.is_zero_on_defined().witness)
+            for name, op in rows.items()}
+
+
+@st.composite
+def operator_families(draw):
+    """Delta_n for a random set of arities in 1..3 on a small symmetric word
+    algebra: random sparse images of any length, each operator undefined on
+    about a tenth of the words."""
+    degrees = draw(st.lists(st.sampled_from((0, 1, 2)), min_size=1, max_size=3))
+    A = SymmetricWordAlgebra(GradedVectorSpace((f"x{i}", d) for i, d in enumerate(degrees)),
+                             draw(st.integers(1, 3)))
+    words = list(A.words)
+    ops = {}
+    for n in sorted(draw(st.sets(st.integers(1, 3), min_size=1))):
+        defined = {w for w in words if draw(st.integers(0, 9))}
+        entries = {w: {u: draw(st.sampled_from((-1, 1, 2)))
+                       for u in draw(st.lists(st.sampled_from(words), max_size=2))}
+                   for w in words if draw(st.booleans())}
+        ops[n] = Operator(A, 3 - 2 * n, entries, defined, f"Delta_{n}")
+    return A, ops
+
+
+def _without_order_checks():
+    # undefined words inside the budget make the order rows refuse the
+    # family; the rows compared here do not depend on them
+    return mock.patch.object(bv_module, "operator_order_check",
+                             lambda *args, name: CheckResult(name, True))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(operator_families(), st.integers(1, 4))
+def test_dhat_squared_by_hbar_parts_equals_the_series_route(family, K):
+    A, ops = family
+    bvi = BVInftyAlgebra(A, ops, K)
+    with _without_order_checks():
+        row = next(r for r in bvi.certify() if r.name == "dhat-squared")
+    assert row is bvi.square
+    assert (row.ok, row.witness, row.bound["skipped"]) == _series_square(bvi)
+    assert row.bound == {"word_length": A.max_len, "hbar_cutoff": K, "skipped": row.bound["skipped"]}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(operator_families())
+def test_dg_bv_rows_are_the_hbar_parts_of_dhat_squared(family):
+    A, ops = family
+    d = ops.get(1, Operator.zero(A, 1))
+    delta = ops.get(2, Operator.zero(A, -1))
+    bv = BVAlgebra(A, d, delta)
+    with _without_order_checks():
+        rows = {r.name: (r.ok, r.witness) for r in bv.certify()}
+    assert {name: rows[name] for name in ("d-squared", "delta-squared", "[delta,d]")} == \
+        _commutator_rows(d, delta)
+    assert (bv.square.ok, bv.square.witness, bv.square.bound["skipped"]) == _series_square(bv)
+
+
+def test_a_family_of_wrong_degree_fails_its_degree_row_and_still_squares():
+    # Delta_1 Delta_3 and Delta_2 Delta_2 have different degrees here, and
+    # both are terms of D_2
+    A = ce_bvinfty_from_linfty(load("heis3").to_linfty(), 3).algebra
+    x, y, z = (w for w in A.words if len(w) == 1)
+    ops = {1: Operator(A, 1, {x: {x: 1}}), 2: Operator(A, 0, {x: {y: 1}, y: {z: 1}}),
+           3: Operator(A, -3, {y: {z: 1}})}
+    bvi = BVInftyAlgebra(A, ops, 3)
+    with _without_order_checks():
+        rows = {r.name: r for r in bvi.certify()}
+    assert [name for name, r in rows.items() if not r.ok][:1] == ["degree(Delta_2)=-1"]
+    square = rows["dhat-squared"]
+    assert (square.ok, square.witness, square.bound["skipped"]) == _series_square(bvi)
+
+
+@pytest.mark.parametrize("name", ["ce-l3demo", "ce-heis3"])
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_fixture_windows_square_to_zero_on_both_routes(name, K):
+    bvi = load(name).as_bvinfty(K)
+    assert bvi.hbar_cutoff == K
+    assert (bvi.square.ok, bvi.square.witness, bvi.square.bound["skipped"]) == _series_square(bvi)
+    assert bvi.square.ok
+
+
+def test_qme_exp_check_honours_the_window_it_is_given():
+    V = load("ce-l3demo")
+    R = power_ring(3)
+    S = random_qme_element(V, R, random.Random(0))
+    assert qme_exp_check(V, R, S)["bound"]["hbar_cutoff"] == V.hbar_cutoff == 3
+    assert qme_exp_check(V, R, S, 5)["bound"]["hbar_cutoff"] == 5
+    assert V.as_bvinfty(5) is V.as_bvinfty(5) and V.as_bvinfty(3) is V.as_bvinfty() is V
 
 
 def test_qme_exp_check_rejects_corrupted_structure():

@@ -1,15 +1,19 @@
 import argparse
 import contextlib
 import copy
+import functools
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import mastereq
 from mastereq import cli
 from mastereq.bv import QMESolveResult, derived_brackets_linfty_check
 from mastereq.certify import run_battery
@@ -526,24 +530,19 @@ def test_operation_coverage_registry():
     sub = next(a for a in parser._actions if hasattr(a, "choices") and a.choices)
     commands = set(sub.choices)
     assert set(cli.OPERATION_COMMANDS.values()) <= commands
-    spec_operations = {
-        "shift", "dual", "koszul_sign", "graded_linear_map_calculus",
-        "shuffle_coproduct", "coderivation_expand", "check_codifferential",
-        "convolution", "conv_exp", "conv_log",
-        "from_dg_lie", "emce_residual", "mc_is_solution", "deformed_bracket_check",
-        "quillen_bijection_check", "chuang_lazarev_residual", "mc_solve_perturbative",
-        "operator_order_check", "antibracket", "derived_bracket",
-        "derived_brackets_linfty_check", "qme_residual", "qme_exp_check",
-        "conjugation_identity_check", "bvinfty_qme_residual", "qme_solve_perturbative",
-        "unimodular_poisson_check",
-        "ce_bv_from_dg_lie", "ce_bv_from_ibl", "bv_from_bi_dg_lie",
-        "bar_bv_from_associative", "qm_bidg_residual",
-        "check_bv_morphism", "compose_bv_morphisms", "clalg_embed",
-        "ring_map_to_bv_morphism", "theorem_first_bijection_check",
-        "theorem_second_bijection_check", "linfty_morphism_to_bvinfty",
-        "parse_manifest", "run_command",
-    }
-    assert set(cli.OPERATION_COMMANDS) == spec_operations
+    # every key names a function, or Class.method, of some mastereq module
+    modules = [importlib.import_module(f"mastereq.{info.name}")
+               for info in pkgutil.iter_modules(mastereq.__path__) if info.name != "__main__"]
+
+    def resolves(key, module):
+        try:
+            return callable(functools.reduce(getattr, key.split("."), module))
+        except AttributeError:
+            return False
+
+    stale = [key for key in cli.OPERATION_COMMANDS
+             if not any(resolves(key, module) for module in modules)]
+    assert not stale
     # exactly one command per operation is what a dict enforces; spot check a few
     assert cli.OPERATION_COMMANDS["qme_exp_check"] == "identity-check"
     assert cli.OPERATION_COMMANDS["compose_bv_morphisms"] == "compose-morphisms"
@@ -639,3 +638,22 @@ def test_bv_infty_manifest_refuses_an_hbar_cutoff_below_one():
     doc["truncation"]["hbar_cutoff"] = 0
     with pytest.raises(ManifestError, match="hbar cutoff must be >= 1"):
         parse_manifest_text(json.dumps(doc), "no-hbar")
+
+
+def _solve_qme_window(tmp_path, algebra, *flags) -> int:
+    out = tmp_path / "report.json"
+    assert run_cli("solve-qme", str(algebra), str(FIXTURES / "ring-t3.alg"), "--seed", "1",
+                   "--format", "machine", "--out", str(out), *flags) == 0
+    certs = json.loads(out.read_text())["certificates"]
+    return next(c for c in certs if c["name"] == "solution-verified")["bounds"]["hbar_cutoff"]
+
+
+def test_a_bv_infty_window_is_the_flag_else_the_declared_one(tmp_path):
+    doc = json.loads((FIXTURES / "ce-l3demo.alg").read_text())
+    doc["truncation"]["hbar_cutoff"] = 2
+    declared = tmp_path / "ce-l3demo-k2.alg"
+    declared.write_text(json.dumps(doc))
+    assert _solve_qme_window(tmp_path, declared) == 2
+    assert _solve_qme_window(tmp_path, declared, "--hbar-cutoff", "4") == 4
+    assert _solve_qme_window(tmp_path, FIXTURES / "ce-l3demo.alg", "--hbar-cutoff", "4") == 4
+    assert _solve_qme_window(tmp_path, FIXTURES / "sl2.alg") == 3

@@ -6,7 +6,8 @@ one route's inner function with `monkeypatch` and checks that the same input
 now fails, so the failure is the corruption's.  The two K_j cross-checks are
 listed here: `qme_exp_check` (dhat e^{S/hbar} against the K_j(1) residual)
 and `conjugation_identity_check` (multiplied-out exponentials against the
-K_j(x) sum).
+K_j(x) sum).  On a dg-BV algebra `qme_exp_check` compares dhat e^{S/hbar}
+with the closed-form `qme_residual` instead, and has its own control.
 """
 
 import math
@@ -17,7 +18,7 @@ import pytest
 
 from mastereq import bv as bv_module
 from mastereq.artin import power_ring
-from mastereq.bv import conjugation_identity_check, qme_exp_check, qme_solve_perturbative
+from mastereq.bv import BVInftyAlgebra, conjugation_identity_check, qme_exp_check, qme_solve_perturbative
 from mastereq.cli import _closed_qme_seed
 from mastereq.constructions import ce_bv_from_dg_lie
 from mastereq.series import HbarSeries, SeriesContext
@@ -25,14 +26,21 @@ from mastereq.series import HbarSeries, SeriesContext
 from alg_fixtures import load
 
 
-def _solved_lift3():
-    """CE(lift3) at N = 5 as a BV-infinity algebra, k[t]/t^4 and a solved S,
-    so that dhat e^{S/hbar} = 0 holds on the exponential route."""
+def _solved_lift3_dg_bv():
+    """CE(lift3) at N = 5, k[t]/t^4 and a solved S, so that dhat e^{S/hbar} = 0
+    holds on the exponential route."""
     bv = ce_bv_from_dg_lie(load("lift3"), 5)
     ring = power_ring(4)
-    result = qme_solve_perturbative(bv, ring, _closed_qme_seed(bv.as_bvinfty(3), ring, random.Random(1)))
+    result = qme_solve_perturbative(bv, ring, _closed_qme_seed(bv, ring, random.Random(1)))
     assert result.status == "solved" and not result.element.is_zero()
-    return bv.as_bvinfty(3), ring, result.element
+    return bv, ring, result.element
+
+
+def _solved_lift3():
+    """`_solved_lift3_dg_bv` with the dg-BV algebra's operators in a plain
+    BV-infinity algebra, whose QME residual is the K_j route."""
+    bv, ring, S = _solved_lift3_dg_bv()
+    return BVInftyAlgebra(bv.algebra, bv.operators, 3), ring, S
 
 
 def _k1_plus_one_term(monkeypatch):
@@ -81,3 +89,18 @@ def test_a_corrupted_route_fails_the_qme_forms_check(corruption, monkeypatch):
     assert report["ok"] and report["exp_zero"] and report["residual_zero"]
     CORRUPTIONS[corruption](monkeypatch)
     assert qme_exp_check(bvi, ring, S)["ok"] is False
+
+
+def test_a_corrupted_closed_form_residual_fails_the_qme_forms_check_on_a_dg_bv_algebra(monkeypatch):
+    bv, ring, S = _solved_lift3_dg_bv()
+    report = qme_exp_check(bv, ring, S)
+    assert report["ok"] and report["exp_zero"] and report["residual_zero"]
+    residual = bv_module.qme_residual
+
+    def plus_one_term(bv, ring, S, hbar_cutoff=3):
+        return residual(bv, ring, S, hbar_cutoff).add(
+            HbarSeries({(bv.algebra.unit, ring.ideal_labels[0], 0): 1}))
+
+    monkeypatch.setattr(bv_module, "qme_residual", plus_one_term)
+    report = qme_exp_check(bv, ring, S)
+    assert report["ok"] is False and report["exp_zero"] and not report["residual_zero"]
