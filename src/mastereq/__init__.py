@@ -22,7 +22,6 @@ from .bv import (
 from .coalgebra import (
     CoalgebraMorphism,
     Coderivation,
-    check_codifferential,
     conv_exp,
     conv_log,
     convolve,

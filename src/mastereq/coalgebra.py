@@ -48,7 +48,6 @@ from .words import SymmetricWordAlgebra, Word, WordAlgebra, vec_add_into
 
 __all__ = [
     "Coderivation",
-    "check_codifferential",
     "corestriction_defect",
     "CoalgebraMorphism",
     "coproduct_defect",
@@ -154,22 +153,6 @@ class Coderivation:
 
     def __repr__(self):
         return f"Coderivation(degree={self.degree}, arities={self._arities})"
-
-
-def check_codifferential(D: Coderivation, name: str = "codifferential") -> CheckResult:
-    """D^2 = 0 on every word of the window."""
-    if D.degree != 1:
-        raise PreconditionError("a codifferential must have degree 1")
-    algebra = D.algebra
-    for w in algebra.words:
-        square = D.apply(D.expand(w))
-        if any(square.values()):
-            witness = {
-                "word": algebra.label(w),
-                "value": {algebra.label(u): str(c) for u, c in sorted(square.items()) if c},
-            }
-            return CheckResult(name, False, witness=witness, bound={"word_length": algebra.max_len})
-    return CheckResult(name, True, bound={"word_length": algebra.max_len})
 
 
 def corestriction_defect(words, compositions) -> Word | None:

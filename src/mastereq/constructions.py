@@ -63,9 +63,8 @@ def ce_bv_from_dg_lie(L: DgLieAlgebra, max_len: int = 4) -> BVAlgebra:
     Delta^2 = 0 re-proves Jacobi and is certified, not assumed.
     """
     algebra = L.space.symmetric_algebra(-1, max_len)
-    gl = L.to_linfty()
-    d_op = _extension(algebra, 1, gl.coderivation_table(1), "d")
-    delta_op = _extension(algebra, -1, gl.coderivation_table(2), "Delta")
+    d_op = _extension(algebra, 1, L.coderivation_table(1), "d")
+    delta_op = _extension(algebra, -1, L.coderivation_table(2), "Delta")
     return BVAlgebra(algebra, d_op, delta_op, name=f"CE({L.name})")
 
 
@@ -210,7 +209,7 @@ def ce_bv_from_ibl(B: LieBialgebraData, max_len: int = 4) -> tuple[BVAlgebra, di
     d_table = {(x,): {_pair_word(algebra, a, b): c for (a, b), c in val.items()}
                for x, val in B.cobracket.items()}
     d_op = _extension(algebra, 1, d_table, "d(cobracket)")
-    delta_op = _extension(algebra, -1, B.lie.to_linfty().coderivation_table(2), "Delta")
+    delta_op = _extension(algebra, -1, B.lie.coderivation_table(2), "Delta")
     bv = BVAlgebra(algebra, d_op, delta_op, name=f"CE({B.name})")
     involutive = B.involutive()
     commutes = next(r for r in bv.certify() if r.name == "[delta,d]")
@@ -254,10 +253,9 @@ def _delta_rows(lie: DgLieAlgebra, delta) -> list[CheckResult]:
     timed, through the coderivation δ̂ of S(g[1]) with the table of delta on
     letters: δ̂^2 on letters, and the corestriction of [δ̂, D] = δ̂D + Dδ̂ on
     one- and two-letter words.  Each witness is the first failing word."""
-    gl = lie.to_linfty()
     # the cut of the dg-Lie rows, whose expansions of D on letters and pairs are kept
-    W = gl.word_algebra(3)
-    D = gl.codifferential(3)
+    W = lie.word_algebra(3)
+    D = lie.codifferential(3)
     hat = Coderivation(W, -1, _letter_table(delta))
     letters = [w for w in W.words if len(w) == 1]
     pairs = [w for w in W.words if len(w) == 2]
@@ -306,10 +304,9 @@ def _build_bv_from_bi_dg_lie(B: BiDgLieData, max_len: int) -> tuple[BVAlgebra, d
     if bad:
         raise StructureError(f"{B.name}: axiom {bad[0].name} fails", witness=bad[0].witness)
     algebra = B.space.symmetric_algebra(-1, max_len)
-    gl = B.lie.to_linfty()
-    d_op = _extension(algebra, 1, gl.coderivation_table(1), "d")
+    d_op = _extension(algebra, 1, B.lie.coderivation_table(1), "d")
     # delta on letters and the bracket on pairs: one table, one extension
-    delta_op = _extension(algebra, -1, {**gl.coderivation_table(2), **_letter_table(B.delta)}, "Delta")
+    delta_op = _extension(algebra, -1, {**B.lie.coderivation_table(2), **_letter_table(B.delta)}, "Delta")
     bv = BVAlgebra(algebra, d_op, delta_op, name=f"S({B.name}[-1])")
     inclusion = _inclusion_report(bv, B)
     return bv, {"axioms": axioms, "inclusion": inclusion}

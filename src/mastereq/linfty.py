@@ -3,14 +3,15 @@
 An L-infinity structure on g is stored as structure constants of the brackets
 l_n : S^n(g[1]) -> g[1] of degree one, equivalently the corestriction of a
 square-zero degree-one coderivation D on the truncated coalgebra S(g[1]).
-A dg-Lie algebra embeds with l_1 = d and l_2(x, y) = (-1)^{|x|} [x, y] for
-x, y in g[1], all higher brackets zero.  Its axioms are the low-arity
+A dg-Lie algebra is the L-infinity algebra with l_1 = d and
+l_2(x, y) = (-1)^{|x|} [x, y] for x, y in g[1], all higher brackets zero:
+`DgLieAlgebra` subclasses `LInftyAlgebra`.  Its axioms are the low-arity
 components of D^2 = 0: the corestriction of D^2 on one-, two- and
 three-letter words is d^2, the Leibniz defect and the Jacobiator (Lada and
 Stasheff, Int. J. Theor. Phys. 32, 1993), so `DgLieAlgebra.axiom_report`
 reads them off `LInftyAlgebra.square_zero_rows`.
 
-Over a local parameter ring (R, m) with m^M = 0 the completed tensor g âŠ— m is
+Over a local parameter ring (R, m) with m^M = 0 the completed tensor g ⊗ m is
 plain g (x) m, and the extended Maurer-Cartan residual sum_n l_n(S,..,S)/n! is
 a finite sum.  Elements of degree one in g (x) m are even in g[1] (x) m, so all
 powers are sign-free and the residual is the corestriction applied to
@@ -25,8 +26,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .artin import ArtinLocalAlgebra
-from .coalgebra import (Coderivation, check_codifferential, conv_exp, coproduct_defect,
-                        corestriction_defect, corestriction_series, intertwining_defect)
+from .coalgebra import (Coderivation, conv_exp, coproduct_defect, corestriction_defect,
+                        corestriction_series, intertwining_defect)
 from .diagnostics import CheckResult, PreconditionError, StructureError, timed
 from .graded import ONE, ZERO, GradedVectorSpace, Scalar, as_scalar
 from .series import HbarSeries, LinearPart, SeriesContext, SolveResult, lift_perturbative
@@ -53,102 +54,6 @@ __all__ = [
 ]
 
 
-class DgLieAlgebra:
-    """Graded Lie algebra with a degree-one differential.
-
-    `d` is the table {(source, target): coefficient}.  The bracket table is
-    completed by graded antisymmetry [y, x] = -(-1)^{|x||y|} [x, y]; for
-    even x the diagonal [x, x] must vanish.
-    """
-
-    def __init__(self, space: GradedVectorSpace, d, bracket: Mapping, name: str = "g", validate: bool = True):
-        self.space = space
-        self.name = name
-        self.d = space.map_table(d, 1, "d")
-        table: dict[tuple[str, str], dict[str, Scalar]] = {}
-        for (a, b), val in (bracket or {}).items():
-            clean = {c: as_scalar(v) for c, v in val.items() if as_scalar(v) != 0}
-            for c in clean:
-                # the bracket has degree zero, so l_2 is a degree-one table on S(g[1])
-                if space.degree(c) != space.degree(a) + space.degree(b):
-                    raise StructureError(f"{name}: [{a},{b}] has a term {c} of degree "
-                                         f"{space.degree(c)}, not |{a}|+|{b}|", witness=(a, b, c))
-            table[(a, b)] = clean
-        for (a, b), val in list(table.items()):
-            sign = -ONE if (space.degree(a) * space.degree(b)) % 2 == 0 else ONE
-            flipped = {c: sign * v for c, v in val.items()}
-            if (b, a) in table and (b, a) not in ((a, b),):
-                if table[(b, a)] != flipped and (b, a) != (a, b):
-                    raise StructureError(f"{name}: bracket table not graded antisymmetric", witness=(a, b))
-            elif (b, a) != (a, b):
-                table[(b, a)] = flipped
-            else:
-                # diagonal: for even generators [x, x] is forced to vanish
-                if space.degree(a) % 2 == 0 and val:
-                    raise StructureError(f"{name}: [x,x] must vanish for even x", witness=a)
-        self.bracket = {k: v for k, v in table.items() if v}
-        self._linfty: LInftyAlgebra | None = None
-        self._axioms: list[CheckResult] | None = None
-        if validate:
-            report = self.axiom_report()
-            bad = [r for r in report if not r.ok]
-            if bad:
-                raise StructureError(f"{name}: {bad[0].name} fails", witness=bad[0].witness)
-
-    def bracket_labels(self, a: str, b: str) -> dict[str, Scalar]:
-        return self.bracket.get((a, b), {})
-
-    def bracket_vec(self, v1: Mapping[str, Scalar], v2: Mapping[str, Scalar]) -> dict[str, Scalar]:
-        out: dict[str, Scalar] = {}
-        for a, c1 in v1.items():
-            for b, c2 in v2.items():
-                for t, s in self.bracket_labels(a, b).items():
-                    vec_add_into(out, t, s * c1 * c2)
-        return out
-
-    def axiom_report(self) -> list[CheckResult]:
-        """d^2 = 0, the Leibniz rule and graded Jacobi, each timed: the rows
-        of D^2 = 0 on the one-, two- and three-letter words of S(g[1]).
-
-        Computed once per algebra, when it is validated or on the first call,
-        and shared between callers; treat the results as read-only."""
-        if self._axioms is None:
-            self._axioms = self.to_linfty().square_zero_rows(("d-squared", "leibniz", "jacobi"))
-        return list(self._axioms)
-
-    def to_linfty(self) -> "LInftyAlgebra":
-        """The L-infinity algebra with l_1 = d and l_2 the shifted bracket.
-
-        Built once per algebra and shared between callers, together with the
-        word algebras and codifferentials it caches; treat it as read-only.
-        """
-        if self._linfty is None:
-            self._linfty = self._build_linfty()
-        return self._linfty
-
-    def _build_linfty(self) -> "LInftyAlgebra":
-        shifted = self.space.shift(1)
-        brackets: dict[int, dict[Word, dict[str, Scalar]]] = {1: {}, 2: {}}
-        for (s, t), c in self.d.items():
-            brackets[1].setdefault((s,), {})[t] = c
-        seen = set()
-        for (a, b) in self.bracket:
-            word, sign = normal_form(shifted, [a, b])
-            if word is None or word in seen:
-                continue
-            seen.add(word)
-            x = word[0]
-            sx = -ONE if shifted.degree(x) % 2 else ONE
-            val = {t: sx * sign0 for t, sign0 in self.bracket_labels(word[0], word[1]).items()}
-            # `sign` is 1 here since word is already canonical from (a, b) sorted
-            if val:
-                brackets[2][word] = val
-        return LInftyAlgebra(self.space, brackets, name=self.name)
-
-    def __repr__(self):
-        return f"DgLieAlgebra({self.name}, dim={self.space.dim})"
-
-
 class LInftyAlgebra:
     """L-infinity algebra as bracket structure constants on S(g[1])."""
 
@@ -172,11 +77,6 @@ class LInftyAlgebra:
         self._coderivation_algebras: dict[int, tuple[DgLieAlgebra, dict]] = {}
         self._ce_bvinfty: dict[tuple[int, int], BVInftyAlgebra] = {}
 
-    def to_linfty(self) -> "LInftyAlgebra":
-        """The algebra itself, so that a dg-Lie or an L-infinity input reads
-        as one through the same call."""
-        return self
-
     def word_algebra(self, max_len: int) -> SymmetricWordAlgebra:
         """S(g[1]) cut at `max_len`, shared by every structure on `space`."""
         return self.space.symmetric_algebra(1, max_len)
@@ -197,7 +97,19 @@ class LInftyAlgebra:
         return self.brackets.get(len(word), {}).get(word, {})
 
     def validate(self, max_len: int = 4) -> CheckResult:
-        return check_codifferential(self.codifferential(max_len), name=f"{self.name}: D-squared")
+        """D^2 = 0 on S(g[1]) cut at `max_len`.  D^2 is a coderivation, so
+        its first failing word in `words` order (shortest first) is the
+        first word its corestriction fails on, and there D^2 is that
+        corestriction: the witness names the word and the value."""
+        W = self.word_algebra(max_len)
+        D = self.codifferential(max_len)
+        bound = {"word_length": max_len}
+        w = corestriction_defect(W.words, [(D, D)])
+        if w is None:
+            return CheckResult(f"{self.name}: D-squared", True, bound=bound)
+        value = {W.label(u): str(c) for u, c in sorted(D.apply(D.expand(w)).items()) if c}
+        return CheckResult(f"{self.name}: D-squared", False,
+                           witness={"word": W.label(w), "value": value}, bound=bound)
 
     def square_zero_rows(self, names: Sequence[str]) -> list[CheckResult]:
         """D^2 = 0 on S(g[1]) cut at len(names): row n, timed and named
@@ -228,12 +140,93 @@ class LInftyAlgebra:
         return f"LInftyAlgebra({self.name}, dim={self.space.dim}, arities={sorted(self.brackets)})"
 
 
+class DgLieAlgebra(LInftyAlgebra):
+    """Graded Lie algebra with a degree-one differential: the L-infinity
+    algebra with l_1 = d and l_2 the shifted bracket.
+
+    `d` is the table {(source, target): coefficient}.  The bracket table is
+    completed by graded antisymmetry [y, x] = -(-1)^{|x||y|} [x, y]; for
+    even x the diagonal [x, x] must vanish.
+    """
+
+    def __init__(self, space: GradedVectorSpace, d, bracket: Mapping, name: str = "g", validate: bool = True):
+        self.d = space.map_table(d, 1, "d")
+        table: dict[tuple[str, str], dict[str, Scalar]] = {}
+        for (a, b), val in (bracket or {}).items():
+            clean = {c: as_scalar(v) for c, v in val.items() if as_scalar(v) != 0}
+            for c in clean:
+                # the bracket has degree zero, so l_2 is a degree-one table on S(g[1])
+                if space.degree(c) != space.degree(a) + space.degree(b):
+                    raise StructureError(f"{name}: [{a},{b}] has a term {c} of degree "
+                                         f"{space.degree(c)}, not |{a}|+|{b}|", witness=(a, b, c))
+            table[(a, b)] = clean
+        for (a, b), val in list(table.items()):
+            sign = -ONE if (space.degree(a) * space.degree(b)) % 2 == 0 else ONE
+            flipped = {c: sign * v for c, v in val.items()}
+            if (b, a) in table and (b, a) not in ((a, b),):
+                if table[(b, a)] != flipped and (b, a) != (a, b):
+                    raise StructureError(f"{name}: bracket table not graded antisymmetric", witness=(a, b))
+            elif (b, a) != (a, b):
+                table[(b, a)] = flipped
+            else:
+                # diagonal: for even generators [x, x] is forced to vanish
+                if space.degree(a) % 2 == 0 and val:
+                    raise StructureError(f"{name}: [x,x] must vanish for even x", witness=a)
+        self.bracket = {k: v for k, v in table.items() if v}
+        super().__init__(space, self._linfty_brackets(space), name=name)
+        self._axioms: list[CheckResult] | None = None
+        if validate:
+            report = self.axiom_report()
+            bad = [r for r in report if not r.ok]
+            if bad:
+                raise StructureError(f"{name}: {bad[0].name} fails", witness=bad[0].witness)
+
+    def _linfty_brackets(self, space: GradedVectorSpace) -> dict[int, dict[Word, dict[str, Scalar]]]:
+        """l_1 = d on letters and l_2(x, y) = (-1)^{|x|} [x, y] on the
+        normal-form pairs of S(g[1]), with |x| the degree in g[1]."""
+        shifted = space.shift(1)
+        brackets: dict[int, dict[Word, dict[str, Scalar]]] = {1: {}, 2: {}}
+        for (s, t), c in self.d.items():
+            brackets[1].setdefault((s,), {})[t] = c
+        for (a, b) in self.bracket:
+            word, _ = normal_form(shifted, [a, b])
+            if word is None or word in brackets[2]:
+                continue
+            sx = -ONE if shifted.degree(word[0]) % 2 else ONE
+            brackets[2][word] = {t: sx * c for t, c in self.bracket_labels(*word).items()}
+        return brackets
+
+    def bracket_labels(self, a: str, b: str) -> dict[str, Scalar]:
+        return self.bracket.get((a, b), {})
+
+    def bracket_vec(self, v1: Mapping[str, Scalar], v2: Mapping[str, Scalar]) -> dict[str, Scalar]:
+        out: dict[str, Scalar] = {}
+        for a, c1 in v1.items():
+            for b, c2 in v2.items():
+                for t, s in self.bracket_labels(a, b).items():
+                    vec_add_into(out, t, s * c1 * c2)
+        return out
+
+    def axiom_report(self) -> list[CheckResult]:
+        """d^2 = 0, the Leibniz rule and graded Jacobi, each timed: the rows
+        of D^2 = 0 on the one-, two- and three-letter words of S(g[1]).
+
+        Computed once per algebra, when it is validated or on the first call,
+        and shared between callers; treat the results as read-only."""
+        if self._axioms is None:
+            self._axioms = self.square_zero_rows(("d-squared", "leibniz", "jacobi"))
+        return list(self._axioms)
+
+    def __repr__(self):
+        return f"DgLieAlgebra({self.name}, dim={self.space.dim})"
+
+
 class MaurerCartanElement(HbarSeries):
     """Degree-one element of g (x) m, keyed by (label, ring label, 0)."""
 
     def __init__(self, g, ring: ArtinLocalAlgebra, terms: Mapping):
         super().__init__(terms)
-        space = g.to_linfty().space
+        space = g.space
         for (x, r, h) in self.terms:
             if h != 0:
                 raise PreconditionError("Maurer-Cartan elements carry no hbar powers")
@@ -249,17 +242,16 @@ def mc_element(g, ring: ArtinLocalAlgebra, terms: Mapping[tuple[str, str], objec
 
 def emce_residual(g, ring: ArtinLocalAlgebra, S: HbarSeries, max_len: int | None = None) -> HbarSeries:
     """sum_{n>=1} l_n(S,...,S)/n! in g (x) m; finite since m is nilpotent."""
-    gl = g.to_linfty()
     for (x, r, h) in S.terms:
-        if gl.space.degree(x) + 2 * h != 1:
+        if g.space.degree(x) + 2 * h != 1:
             raise PreconditionError(
                 f"Maurer-Cartan elements have total degree 1; component on {x!r} has "
-                f"degree {gl.space.degree(x) + 2 * h}")
+                f"degree {g.space.degree(x) + 2 * h}")
         if r not in ring.ideal_labels:
             raise PreconditionError(f"coefficient {r!r} is not in the maximal ideal")
     M = ring.nilpotency
     N = max_len or max(M - 1, 1)
-    algebra = gl.word_algebra(N)
+    algebra = g.word_algebra(N)
     ctx = SeriesContext(algebra, ring)
     S_words = HbarSeries({((x,), r, h): c for (x, r, h), c in S.terms.items()})
     acc = HbarSeries()
@@ -271,7 +263,7 @@ def emce_residual(g, ring: ArtinLocalAlgebra, S: HbarSeries, max_len: int | None
         term = ctx.mul(term, S_words).scale(Fraction(1, n))
     out: dict = {}
     for (w, r, h), c in acc.terms.items():
-        for t, v in gl.corestriction_value(w).items():
+        for t, v in g.corestriction_value(w).items():
             vec_add_into(out, (t, r, h), v * c)
     return HbarSeries(out)
 
@@ -300,22 +292,21 @@ def quillen_bijection_check(g, ring: ArtinLocalAlgebra, S: HbarSeries,
     vanishes), and that exp(S) is a coaugmented coalgebra morphism.  The
     tuple of booleans is returned so corrupted instances can be inspected.
     """
-    gl = g.to_linfty()
     M = ring.nilpotency
     N = max_len or M
     if N < M:
         raise PreconditionError(
             f"word truncation {N} is smaller than the nilpotency order {M}; "
             "exp(S) would be cut off, refusing")
-    algebra = gl.word_algebra(N)
-    D = gl.codifferential(N)
+    algebra = g.word_algebra(N)
+    D = g.codifferential(N)
     dual, F = _exp_map_from_element(ring, S, algebra)
     if corrupt is not None:
         key, word, delta = corrupt
         F[key] = F.get(key, HbarSeries()).add(HbarSeries({(tuple(word), "1", 0): delta}))
     morphism_ok = coproduct_defect(dual, algebra, F) is None
     d_exp_zero = intertwining_defect(dual.basis_keys, F, [(D, 0)], []) is None
-    residual_zero = emce_residual(gl, ring, S).is_zero()
+    residual_zero = emce_residual(g, ring, S).is_zero()
     equivalence = d_exp_zero == residual_zero
     return {
         "morphism": morphism_ok,
@@ -336,15 +327,14 @@ def chuang_lazarev_residual(target, source, S: Mapping[Word, Mapping[str, object
     S applied to the source codifferential.  Zero exactly when S corestricts
     an L-infinity morphism source -> target.
     """
-    tl, sl = target.to_linfty(), source.to_linfty()
-    Wsrc = sl.word_algebra(max_len)
-    Dsrc = sl.codifferential(max_len)
-    Wt = tl.word_algebra(max_len)
+    Wsrc = source.word_algebra(max_len)
+    Dsrc = source.codifferential(max_len)
+    Wt = target.word_algebra(max_len)
     S_clean: dict[Word, dict[str, Scalar]] = {}
     for w, val in S.items():
         clean = {t: as_scalar(c) for t, c in val.items() if as_scalar(c) != 0}
         for t in clean:
-            if tl.shifted.degree(t) != Wsrc.degree(tuple(w)):
+            if target.shifted.degree(t) != Wsrc.degree(tuple(w)):
                 raise PreconditionError(f"component {w} -> {t} is not a degree-one element of hom")
         if clean:
             S_clean[tuple(w)] = clean
@@ -358,7 +348,7 @@ def chuang_lazarev_residual(target, source, S: Mapping[Word, Mapping[str, object
         Fw = F.get(w)
         if Fw is not None:
             for (u, _, _), c in Fw.terms.items():
-                for t, v in tl.corestriction_value(u).items():
+                for t, v in target.corestriction_value(u).items():
                     vec_add_into(acc, t, v * c)
         for u, c in Dsrc.expand(w).items():
             for t, v in S_clean.get(u, {}).items():
@@ -371,13 +361,12 @@ def chuang_lazarev_residual(target, source, S: Mapping[Word, Mapping[str, object
 def chuang_lazarev_morphism_defect(target, source, S: Mapping[Word, Mapping[str, object]],
                                    max_len: int = 4) -> CheckResult:
     """Independent route: D_target ∘ exp(S) - exp(S) ∘ D_source on every word."""
-    tl, sl = target.to_linfty(), source.to_linfty()
-    Wsrc = sl.word_algebra(max_len)
-    Dsrc = sl.codifferential(max_len)
-    Dt = tl.codifferential(max_len)
+    Wsrc = source.word_algebra(max_len)
+    Dsrc = source.codifferential(max_len)
+    Dt = target.codifferential(max_len)
     S_series = corestriction_series({tuple(w): {t: as_scalar(c) for t, c in val.items()}
                                      for w, val in S.items()})
-    ctx = SeriesContext(tl.word_algebra(max_len))
+    ctx = SeriesContext(target.word_algebra(max_len))
     F = conv_exp(Wsrc, ctx, S_series)
     w = intertwining_defect(Wsrc.words, F, [(Dt, 0)], [(Dsrc, 0)])
     if w is not None:
@@ -388,11 +377,11 @@ def chuang_lazarev_morphism_defect(target, source, S: Mapping[Word, Mapping[str,
 MCSolveResult = SolveResult
 
 
-def mc_linear_part(gl: LInftyAlgebra) -> LinearPart:
+def mc_linear_part(g: LInftyAlgebra) -> LinearPart:
     """l_1 from degree one to degree two, keyed (label, 0) for `lift_perturbative`."""
-    l1 = gl.brackets.get(1, {})
-    unknowns = [(x, 0) for x in gl.space.labels if gl.space.degree(x) == 1]
-    equations = [(x, 0) for x in gl.space.labels if gl.space.degree(x) == 2]
+    l1 = g.brackets.get(1, {})
+    unknowns = [(x, 0) for x in g.space.labels if g.space.degree(x) == 1]
+    equations = [(x, 0) for x in g.space.labels if g.space.degree(x) == 2]
     rows = [[l1.get((x,), {}).get(e, ZERO) for x, _ in unknowns] for e, _ in equations]
     return unknowns, equations, rows
 
@@ -405,14 +394,13 @@ def mc_solve_perturbative(g, ring: ArtinLocalAlgebra, seed: HbarSeries) -> MCSol
     obstruction together with the residual representative.  Any returned
     solution satisfies the Maurer-Cartan equation exactly.
     """
-    gl = g.to_linfty()
     if not ring.adapted:
         raise PreconditionError("ring basis is not adapted to the m-adic filtration")
     for (x, r, h) in seed.terms:
-        if h != 0 or ring.order(r) != 1 or gl.space.degree(x) != 1:
+        if h != 0 or ring.order(r) != 1 or g.space.degree(x) != 1:
             raise PreconditionError("seed must be a degree-one element of g (x) m/m^2")
     start = time.perf_counter()
-    l1 = gl.brackets.get(1, {})
+    l1 = g.brackets.get(1, {})
     img: dict = {}  # l_1 of every ring layer of the seed at once
     for (x, r, _), c in seed.terms.items():
         for t, v in l1.get((x,), {}).items():
@@ -421,10 +409,10 @@ def mc_solve_perturbative(g, ring: ArtinLocalAlgebra, seed: HbarSeries) -> MCSol
         raise PreconditionError("seed is not closed under l_1")
     closed_ms = (time.perf_counter() - start) * 1000.0
     start = time.perf_counter()
-    result = lift_perturbative(ring, seed, lambda R, S: emce_residual(gl, R, S),
-                               mc_linear_part(gl), {"nilpotency": ring.nilpotency})
+    result = lift_perturbative(ring, seed, lambda R, S: emce_residual(g, R, S),
+                               mc_linear_part(g), {"nilpotency": ring.nilpotency})
     if result.status == "solved":
-        final = emce_residual(gl, ring, result.element)
+        final = emce_residual(g, ring, result.element)
         if not final.is_zero():
             raise StructureError("perturbative lift left a nonzero residual", witness=final)
     result.timing_ms = {"seed-closed": closed_ms, "solution-verified": (time.perf_counter() - start) * 1000.0}
@@ -439,32 +427,30 @@ def coderivation_dg_lie(h, max_len: int = 3) -> tuple[DgLieAlgebra, dict]:
     is the bracket with the codifferential of h.  Returns the algebra and the
     label map {(word, target): basis label}.
 
-    The pair is built once per L-infinity algebra of h (a dg-Lie input shares
-    it with its `to_linfty()`), keyed by max_len, and shared between
-    callers; treat it as read-only.  The build does not validate the
+    The pair is built once per algebra h, keyed by max_len, and shared
+    between callers; treat it as read-only.  The build does not validate the
     algebra; `axiom_report()` certifies it on demand.
     """
-    hl = h.to_linfty()
-    if max_len not in hl._coderivation_algebras:
-        hl._coderivation_algebras[max_len] = _build_coderivation_dg_lie(hl, max_len)
-    return hl._coderivation_algebras[max_len]
+    if max_len not in h._coderivation_algebras:
+        h._coderivation_algebras[max_len] = _build_coderivation_dg_lie(h, max_len)
+    return h._coderivation_algebras[max_len]
 
 
-def _build_coderivation_dg_lie(hl: LInftyAlgebra, max_len: int) -> tuple[DgLieAlgebra, dict]:
+def _build_coderivation_dg_lie(h: LInftyAlgebra, max_len: int) -> tuple[DgLieAlgebra, dict]:
     """The tables in closed form.  e_{w1->t1} ∘ ê_{w2->t2} has at most one
     term: on w = w2·r with r = w1 minus one t2 (so t2 must occur in w1), with
     coefficient the coproduct coefficient of w2 ⊗ r in Δ(w) times the sign
     of t2·r = w1.  The differential [mu, e] is linear in mu's entries."""
-    W = hl.word_algebra(max_len)
+    W = h.word_algebra(max_len)
     space_entries = []
     key_of: dict[tuple[Word, str], str] = {}
     for w in W.words:
         if not w:
             continue
-        for t in hl.shifted.labels:
+        for t in h.shifted.labels:
             label = f"{W.label(w)}>{t}"
             key_of[(w, t)] = label
-            space_entries.append((label, hl.shifted.degree(t) - W.degree(w)))
+            space_entries.append((label, h.shifted.degree(t) - W.degree(w)))
     space_c = GradedVectorSpace(space_entries)
     split: dict[tuple[Word, Word], tuple[Word, Scalar]] = {}  # (w2, r) -> (w, coefficient in Δ(w))
     for w in W.words:
@@ -481,7 +467,7 @@ def _build_coderivation_dg_lie(hl: LInftyAlgebra, max_len: int) -> tuple[DgLieAl
         w, c = split.get((w2, rest), (None, ZERO))
         return {(w, t1): c * W.mul_words((t2,), rest)[w1]} if c else {}
 
-    mu = hl.codifferential(max_len).table
+    mu = h.codifferential(max_len).table
     bracket_table: dict[tuple[str, str], dict[str, Scalar]] = {}
     d_entries: dict[tuple[str, str], Scalar] = {}
     basis_keys = list(key_of)  # in basis order
@@ -508,7 +494,7 @@ def _build_coderivation_dg_lie(hl: LInftyAlgebra, max_len: int) -> tuple[DgLieAl
             if br:
                 bracket_table[(lab1, lab2)] = {key_of[key]: c for key, c in br.items()}
     algebra = DgLieAlgebra(space_c, d_entries, bracket_table,
-                           name=f"Coder({hl.name},N={max_len})", validate=False)
+                           name=f"Coder({h.name},N={max_len})", validate=False)
     return algebra, key_of
 
 
@@ -567,10 +553,9 @@ def deformed_bracket_check(h: DgLieAlgebra, ring: ArtinLocalAlgebra,
             break
 
     coder, key_of = coderivation_dg_lie(h, max_len=3)
-    helper = h.to_linfty().word_algebra(2)
     terms: dict = {}
     for (a, b), entry in S.items():
-        word, sign = helper.normalize([a, b])
+        word, sign = normal_form(h.shifted, [a, b])
         if word is None:
             continue
         # encode with the same shift sign as the codifferential: -S(a,b) classically

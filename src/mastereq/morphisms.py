@@ -306,9 +306,8 @@ def linfty_morphism_to_bvinfty(g, h, table: Mapping[Word, Mapping[str, object]],
     words of S(g[1]), as the morphism sum_n hbar^n phi_n of the desuspension
     algebras."""
     from .constructions import ce_bvinfty_from_linfty
-    gl, hl = g.to_linfty(), h.to_linfty()
-    source = ce_bvinfty_from_linfty(gl, max_len, hbar_cutoff)
-    target = ce_bvinfty_from_linfty(hl, max_len, hbar_cutoff)
+    source = ce_bvinfty_from_linfty(g, max_len, hbar_cutoff)
+    target = ce_bvinfty_from_linfty(h, max_len, hbar_cutoff)
     components = _components_by_weight({w: {(t,): c for t, c in val.items()} for w, val in table.items()})
     return BVMorphism(source, target, components, name="L-infinity phi")
 
@@ -327,9 +326,8 @@ def theorem_second_bijection_check(V, g, S_components: Mapping[Word, Mapping[str
     not yet independent of the morphism side and reads its result.
     """
     from .constructions import ce_bvinfty_from_linfty
-    gl = g.to_linfty()
     bvi = V.as_bvinfty(hbar_cutoff)
-    source = ce_bvinfty_from_linfty(gl, max_len, hbar_cutoff)
+    source = ce_bvinfty_from_linfty(g, max_len, hbar_cutoff)
     phi = BVMorphism(source, bvi, _components_by_weight(S_components), name="S")
     morphism = check_bv_morphism(phi)
     # convolution-QME route: Dhat e^{S/hbar} = dhat_V ∘ E - E ∘ dhat_g = 0
@@ -364,9 +362,8 @@ def twisted_linfty_morphism(g, rng: random.Random, max_len: int = 3):
     induced BV-infinity morphism passes every condition.
     """
     from .sampling import random_corestriction_twist
-    gl = g.to_linfty()
-    W = gl.word_algebra(max_len)
-    cor = random_corestriction_twist(gl, rng, max_len)
+    W = g.word_algebra(max_len)
+    cor = random_corestriction_twist(g, rng, max_len)
     F = conv_exp(W, SeriesContext(W), corestriction_series(cor))
 
     # D' = F^{-1} D F needs only the letter part g = pi F^{-1}.  F = id + N
@@ -381,7 +378,7 @@ def twisted_linfty_morphism(g, rng: random.Random, max_len: int = 3):
                 for t, v in letter_part[u].items():
                     vec_add_into(acc, t, -c * v)
         letter_part[w] = acc
-    D = gl.codifferential(max_len)
+    D = g.codifferential(max_len)
 
     twisted_cor: dict[int, dict] = {}
     for w in W.words:
@@ -393,5 +390,5 @@ def twisted_linfty_morphism(g, rng: random.Random, max_len: int = 3):
                 vec_add_into(letters, t, c * v)
         if letters:
             twisted_cor.setdefault(len(w), {})[w] = letters
-    g_twisted = LInftyAlgebra(gl.space, twisted_cor, name=f"{gl.name}-twisted")
+    g_twisted = LInftyAlgebra(g.space, twisted_cor, name=f"{g.name}-twisted")
     return g_twisted, cor

@@ -31,10 +31,9 @@ def random_rational(rng: random.Random) -> Scalar:
 
 def random_mc_element(g, ring: ArtinLocalAlgebra, rng: random.Random) -> HbarSeries:
     """Random degree-one element of g (x) m, on about 40% of the slots."""
-    gl = g.to_linfty()
     terms = {}
-    for x in gl.space.labels:
-        if gl.space.degree(x) != 1:
+    for x in g.space.labels:
+        if g.space.degree(x) != 1:
             continue
         for r in ring.ideal_labels:
             if rng.random() < 0.4:
@@ -75,14 +74,13 @@ def random_corestriction_twist(g, rng: random.Random, max_len: int = 3) -> dict:
     """Corestriction of a coalgebra automorphism of S(g[1]): identity in
     arity one plus a random degree-zero arity-two part on about half of the
     slots."""
-    gl = g.to_linfty()
-    W = gl.word_algebra(max_len)
-    cor = {(x,): {x: ONE} for x in gl.shifted.labels}
+    W = g.word_algebra(max_len)
+    cor = {(x,): {x: ONE} for x in g.shifted.labels}
     for w in W.words:
         if len(w) != 2:
             continue
-        for t in gl.shifted.labels:
-            if gl.shifted.degree(t) == W.degree(w) and rng.random() < 0.5:
+        for t in g.shifted.labels:
+            if g.shifted.degree(t) == W.degree(w) and rng.random() < 0.5:
                 c = random_rational(rng)
                 if c:
                     cor.setdefault(w, {})[t] = c

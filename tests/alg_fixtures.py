@@ -11,7 +11,9 @@ tests that use them:
 
 - `jacobi-violator`: its manifest exists, but the loader rejects it on
   purpose (a manifest must build a valid algebra), so the test that needs the
-  broken algebra itself builds it with `validate=False`.
+  broken algebra itself builds it with `validate=False`.  Its brackets as
+  an L∞ manifest, `jacobi-violator-linfty`, do load (an L∞ manifest is not
+  validated on load), and `check` fails on them at the word x·y·z.
 - `ground-field` (k with u·u = u): the trivial associative algebra, a
   one-entry base case of the bar construction with no CLI use.
 - `abelian-zero`: the bi-dg-Lie algebra with bracket, d and delta all zero,

@@ -159,12 +159,11 @@ def test_criterion_04_representability():
     ok = True
     # Quillen over the coderivation algebra of heis3
     coder, _ = coderivation_dg_lie(load("heis3"), max_len=3)
-    gl = coder.to_linfty()
-    corrupt_word = next(w for w in gl.word_algebra(3).words if len(w) == 2)
+    corrupt_word = next(w for w in coder.word_algebra(3).words if len(w) == 2)
     for _ in range(20):
-        S = random_mc_element(gl, R3, rng)
-        ok &= quillen_bijection_check(gl, R3, S)["ok"]
-        bad = quillen_bijection_check(gl, R3, S, corrupt=("t", corrupt_word, Fraction(1)))
+        S = random_mc_element(coder, R3, rng)
+        ok &= quillen_bijection_check(coder, R3, S)["ok"]
+        bad = quillen_bijection_check(coder, R3, S, corrupt=("t", corrupt_word, Fraction(1)))
         ok &= not bad["morphism"]
     # theorem first over CE(sl2)
     bv = ce_bv_from_dg_lie(load("sl2"), 4)
@@ -189,7 +188,7 @@ def test_criterion_04_representability():
         ok &= found
     # theorem second and Chuang-Lazarev over twisted morphisms of bidg4
     g = load("bidg4-dglie")
-    V = ce_bvinfty_from_linfty(g.to_linfty(), 3, 3)
+    V = ce_bvinfty_from_linfty(g, 3, 3)
     for _ in range(20):
         g_tw, cor = twisted_linfty_morphism(g, rng, 3)
         table = {w: {(t,): c for t, c in val.items()} for w, val in cor.items()}
@@ -218,7 +217,7 @@ def test_criterion_04_representability():
     from mastereq.constructions import hbar_extended_dg_lie
     B = load("bidg4")
     gh = hbar_extended_dg_lie(B, 3)
-    gh_word = next(w for w in gh.to_linfty().word_algebra(3).words if len(w) == 2)
+    gh_word = next(w for w in gh.word_algebra(3).words if len(w) == 2)
     labels1 = [(x, h) for x, deg in B.space.basis for h in range(2) if deg + 2 * h == 1]
     for _ in range(20):
         terms = {}
@@ -270,7 +269,7 @@ def test_criterion_06_ttw_dichotomy():
 def test_criterion_07_derived_brackets():
     start = time.perf_counter()
     ok = True
-    bvis = [ce_bvinfty_from_linfty(load(n).to_linfty(), 4, 3)
+    bvis = [ce_bvinfty_from_linfty(load(n), 4, 3)
             for n in ("heis3", "sl2", "aff2", "bidg4-dglie")]
     bvis.append(ce_bvinfty_from_linfty(load("l3demo"), 4, 3))
     ok &= 3 in bvis[-1].operators  # the fixture genuinely has a third operator
@@ -301,7 +300,7 @@ def test_criterion_08_morphism_calculus():
     ok &= check_bv_morphism(composite)["ok"]
     for phi, psi in ((f43, f32), (f54, f43)):
         ok &= log_hbar_minus_one_coefficient(phi, psi) == {}
-    V = ce_bvinfty_from_linfty(load("heis3").to_linfty(), 3, 3)
+    V = ce_bvinfty_from_linfty(load("heis3"), 3, 3)
     ident = identity_bv_morphism(V)
     rng = random.Random(88)
     g_tw, cor = twisted_linfty_morphism(load("heis3"), rng, 3)

@@ -1,6 +1,6 @@
 """Input-only structures are built once per owner object and shared.
 
-`DgLieAlgebra.to_linfty` and `axiom_report`, `coderivation_dg_lie`,
+The codifferential and `axiom_report` of an algebra, `coderivation_dg_lie`,
 `hbar_extended_dg_lie`, `bv_from_bi_dg_lie`, `ce_bvinfty_from_linfty` and
 `BVMorphism.exp_map` depend only on their input, so batteries that call
 them once per instance must not rebuild them.  A build that raises is not
@@ -39,19 +39,20 @@ def bidg4(**changes):
     return BiDgLieData(**fields, name=B.name)
 
 
-def test_to_linfty_is_shared():
+def test_a_dg_lie_algebra_shares_its_codifferential():
+    # the algebra is its own L-infinity algebra: validation built D on
+    # S(g[1]) cut at 3, and every later caller gets that one
     g = load("heis3")
-    gl = g.to_linfty()
-    assert g.to_linfty() is gl
-    assert gl.word_algebra(3) is g.to_linfty().word_algebra(3)
+    assert isinstance(g, LInftyAlgebra)
+    D = g.codifferential(3)
+    assert g.codifferential(3) is D
+    assert D.algebra is g.word_algebra(3)
 
 
 def test_coderivation_dg_lie_built_once_per_parameters():
     g = load("heis3")
     first = coderivation_dg_lie(g, 3)
     assert coderivation_dg_lie(g, 3) is first
-    # a dg-Lie input and its L-infinity form own the same result
-    assert coderivation_dg_lie(g.to_linfty(), 3) is first
     assert coderivation_dg_lie(g, 2) is not first
     assert coderivation_dg_lie(load("heis3"), 3) is not first
     assert all(r.ok for r in first[0].axiom_report())
@@ -68,11 +69,11 @@ def test_bidg_builders_built_once_per_parameters():
 
 
 def test_ce_bvinfty_from_linfty_built_once_per_parameters():
-    gl = load("heis3").to_linfty()
-    V = ce_bvinfty_from_linfty(gl, 3, 3)
-    assert ce_bvinfty_from_linfty(gl, 3, 3) is V
-    others = [ce_bvinfty_from_linfty(gl, 2, 3), ce_bvinfty_from_linfty(gl, 3, 2),
-              ce_bvinfty_from_linfty(load("heis3").to_linfty(), 3, 3)]
+    g = load("heis3")
+    V = ce_bvinfty_from_linfty(g, 3, 3)
+    assert ce_bvinfty_from_linfty(g, 3, 3) is V
+    others = [ce_bvinfty_from_linfty(g, 2, 3), ce_bvinfty_from_linfty(g, 3, 2),
+              ce_bvinfty_from_linfty(load("heis3"), 3, 3)]
     assert all(other is not V for other in others)
 
 
@@ -90,7 +91,7 @@ def _counted(monkeypatch, module, name):
 
 def test_theorem_second_builds_its_source_and_exponential_once(monkeypatch):
     g = load("bidg4-dglie")
-    V = ce_bvinfty_from_linfty(g.to_linfty(), 3, 3)
+    V = ce_bvinfty_from_linfty(g, 3, 3)
     g_tw, cor = morphisms.twisted_linfty_morphism(g, random.Random(17), 3)
     table = {w: {(t,): c for t, c in val.items()} for w, val in cor.items()}
     exps = _counted(monkeypatch, morphisms, "conv_exp")
@@ -160,12 +161,12 @@ def test_input_only_work_does_not_grow_with_instances(monkeypatch, theorem, alge
 
 
 def test_twisted_algebra_shares_its_parents_word_algebras():
-    gl = load("heis3").to_linfty()
-    g_tw, _ = morphisms.twisted_linfty_morphism(gl, random.Random(3), 3)
-    assert ce_bvinfty_from_linfty(g_tw, 3, 3).algebra is ce_bvinfty_from_linfty(gl, 3, 3).algebra
-    assert g_tw.word_algebra(3) is gl.word_algebra(3)
+    g = load("heis3")
+    g_tw, _ = morphisms.twisted_linfty_morphism(g, random.Random(3), 3)
+    assert ce_bvinfty_from_linfty(g_tw, 3, 3).algebra is ce_bvinfty_from_linfty(g, 3, 3).algebra
+    assert g_tw.word_algebra(3) is g.word_algebra(3)
     # the space owns them: an equal space built elsewhere does not share
-    assert load("heis3").to_linfty().word_algebra(3) is not gl.word_algebra(3)
+    assert load("heis3").word_algebra(3) is not g.word_algebra(3)
 
 
 @pytest.mark.parametrize("theorem", ["theorem-second", "chuang-lazarev"])

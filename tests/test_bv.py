@@ -176,7 +176,7 @@ def test_antibracket_shifted_jacobi_on_word_triples():
 
 def test_derived_bracket_derivation_only():
     # dhat with only Delta_1 = d: all brackets of arity >= 2 vanish
-    bvi = ce_bvinfty_from_linfty(load("bidg4-dglie").to_linfty(), 4)
+    bvi = ce_bvinfty_from_linfty(load("bidg4-dglie"), 4)
     only_d = type(bvi)(bvi.algebra, {1: bvi.operators[1]}, 3, name="d-only")
     singles = [w for w in bvi.algebra.words if len(w) == 1]
     for a in singles[:3]:
@@ -213,7 +213,7 @@ def test_derived_bracket_arity3_matches_commutator_oracle():
 
 def test_derived_brackets_linfty_check_fixtures():
     for name in ("heis3", "sl2", "aff2", "bidg4-dglie"):
-        bvi = ce_bvinfty_from_linfty(load(name).to_linfty(), 4)
+        bvi = ce_bvinfty_from_linfty(load(name), 4)
         assert derived_brackets_linfty_check(bvi).ok, name
     bvi = ce_bvinfty_from_linfty(load("l3demo"), 4)
     assert derived_brackets_linfty_check(bvi).ok
@@ -238,7 +238,7 @@ def test_derived_brackets_corrupted_delta_detected():
     space = GradedVectorSpace([("x", 0), ("y", 0), ("z", 0)])
     bad = DgLieAlgebra(space, {}, {("x", "y"): {"z": 1}, ("x", "z"): {"x": 1}},
                        name="bad", validate=False)
-    bvi = ce_bvinfty_from_linfty(bad.to_linfty(), 4)
+    bvi = ce_bvinfty_from_linfty(bad, 4)
     result = derived_brackets_linfty_check(bvi)
     assert not result.ok
     assert result.witness is not None
@@ -262,7 +262,7 @@ def _random_operators(A, rng):
 @given(st.sampled_from(["heis3", "lift3", "l3demo", "aff2"]), st.integers(0, 10**6))
 def test_shared_derived_brackets_match_the_definition(name, seed):
     # every tuple, in the order the check passes them, against derived_bracket
-    A = ce_bvinfty_from_linfty(load(name) if name == "l3demo" else load(name).to_linfty(), 3).algebra
+    A = ce_bvinfty_from_linfty(load(name), 3).algebra
     rng = random.Random(seed)
     bvi = BVInftyAlgebra(A, _random_operators(A, rng), rng.choice([1, 2, 3]))
     letters = A.augmentation_ideal_words()
@@ -282,7 +282,7 @@ def test_shared_derived_brackets_match_the_definition(name, seed):
 def _order_three_delta2():
     # Delta_2 sends the one length-3 word to 1 and kills the rest: dhat^2 = 0,
     # but {x,y,z} = hbar^{-1} Delta_2(xyz) has a negative power
-    A = ce_bvinfty_from_linfty(load("heis3").to_linfty(), 3).algebra
+    A = ce_bvinfty_from_linfty(load("heis3"), 3).algebra
     top = next(w for w in A.words if len(w) == 3)
     return BVInftyAlgebra(A, {2: Operator(A, -1, {top: {(): 1}})}, 3, name="order3")
 
@@ -595,7 +595,7 @@ def test_dg_bv_rows_are_the_hbar_parts_of_dhat_squared(family):
 def test_a_family_of_wrong_degree_fails_its_degree_row_and_still_squares():
     # Delta_1 Delta_3 and Delta_2 Delta_2 have different degrees here, and
     # both are terms of D_2
-    A = ce_bvinfty_from_linfty(load("heis3").to_linfty(), 3).algebra
+    A = ce_bvinfty_from_linfty(load("heis3"), 3).algebra
     x, y, z = (w for w in A.words if len(w) == 1)
     ops = {1: Operator(A, 1, {x: {x: 1}}), 2: Operator(A, 0, {x: {y: 1}, y: {z: 1}}),
            3: Operator(A, -3, {y: {z: 1}})}

@@ -179,7 +179,7 @@ def test_ce_bvinfty_matches_explicit_delta():
         bv = ce_bv_from_dg_lie(L, 4)
         assert bv.delta.entries == _ce_delta_oracle(bv.algebra, L.bracket_labels).entries, name
         assert bv.d.entries == _derivation_oracle(bv.algebra, L.d).entries, name
-        bvi = ce_bvinfty_from_linfty(L.to_linfty(), 4)
+        bvi = ce_bvinfty_from_linfty(L, 4)
         assert bvi.operators.get(2, None) is None or \
             bvi.operators[2].entries == bv.delta.entries, name
         if 1 in bvi.operators:
@@ -196,7 +196,7 @@ def test_ce_d_keeps_every_target_of_a_generator():
 
 @pytest.mark.parametrize("build", [
     lambda: ce_bv_from_dg_lie(load("heis3"), 0),
-    lambda: ce_bvinfty_from_linfty(load("l3demo").to_linfty(), 0),
+    lambda: ce_bvinfty_from_linfty(load("l3demo"), 0),
     lambda: bar_bv_from_associative(load("dual-numbers"), 0),
 ], ids=["ce", "ce-bvinfty", "bar"])
 def test_a_word_length_below_one_names_the_window(build):

@@ -63,10 +63,10 @@ QUOTIENT_RINGS = sorted(set(RINGS) - {"t^2"})
 
 # lift3 and the coderivation algebra of sl2 lift; obst2 and that of heis3 obstruct
 MC_STRUCTURES = {
-    "lift3": lambda: load("lift3").to_linfty(),
-    "obst2": lambda: load("obst2").to_linfty(),
-    "coder-sl2": lambda: coderivation_dg_lie(load("sl2"), 2)[0].to_linfty(),
-    "coder-heis3": lambda: coderivation_dg_lie(load("heis3"), 3)[0].to_linfty(),
+    "lift3": lambda: load("lift3"),
+    "obst2": lambda: load("obst2"),
+    "coder-sl2": lambda: coderivation_dg_lie(load("sl2"), 2)[0],
+    "coder-heis3": lambda: coderivation_dg_lie(load("heis3"), 3)[0],
 }
 # the CE complexes of lift3 and obst2 lift and obstruct; sl2 and l3demo seeds already solve
 QME_STRUCTURES = {

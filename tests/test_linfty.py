@@ -28,6 +28,7 @@ from mastereq.series import HbarSeries
 from mastereq.words import vec_add_into
 
 from alg_fixtures import load
+from test_coalgebra import codifferential_oracle
 
 
 def test_fixture_axioms():
@@ -46,14 +47,14 @@ def test_jacobi_violator_caught():
 
 
 def test_from_dg_lie_signs_on_heis3():
-    g = load("heis3").to_linfty()
+    g = load("heis3")
     # l_2(x,y) = (-1)^{|x|} [x,y] with x of degree -1 in g[1]
     assert g.brackets[2][("x", "y")] == {"z": -1}
     assert g.validate(4).ok
 
 
 def test_from_dg_lie_abelian_is_zero():
-    g = load("abelian2").to_linfty()
+    g = load("abelian2")
     assert 2 not in g.brackets and 1 not in g.brackets
 
 
@@ -62,9 +63,9 @@ def test_codifferential_iff_axioms():
     space = GradedVectorSpace([("x", 0), ("y", 0), ("z", 0)])
     bad = DgLieAlgebra(space, {}, {("x", "y"): {"z": 1}, ("x", "z"): {"x": 1}},
                        name="bad", validate=False)
-    assert not bad.to_linfty().validate(4).ok
+    assert not bad.validate(4).ok
     for name in ("heis3", "sl2", "aff2", "lift3", "obst2", "bidg4-dglie"):
-        assert load(name).to_linfty().validate(4).ok, name
+        assert load(name).validate(4).ok, name
 
 
 def test_emce_zero_element():
@@ -163,11 +164,11 @@ def test_emce_l3_brackets():
 
 
 def test_mc_solver_returns_seed_for_abelian():
-    g = load("abelian2").to_linfty()
+    g = load("abelian2")
     R = power_ring(3)
     # abelian2 has no degree-1 elements; use the graded abelian variant
     space = GradedVectorSpace([("a", 1)])
-    g = DgLieAlgebra(space, {}, {}, name="abelian-deg1").to_linfty()
+    g = DgLieAlgebra(space, {}, {}, name="abelian-deg1")
     seed = HbarSeries({("a", "t", 0): 2})
     result = mc_solve_perturbative(g, R, seed)
     assert result.status == "solved"
@@ -193,7 +194,7 @@ def test_codifferential_detects_d_squared_corruption():
                        bracket, name="bad-dsq", validate=False)
     axioms = {r.name: r for r in bad.axiom_report()}
     assert not axioms["d-squared"].ok
-    assert not bad.to_linfty().validate(3).ok
+    assert not bad.validate(3).ok
 
 
 def test_codifferential_detects_leibniz_corruption():
@@ -205,7 +206,7 @@ def test_codifferential_detects_leibniz_corruption():
     axioms = {r.name: r for r in bad.axiom_report()}
     assert axioms["d-squared"].ok
     assert not axioms["leibniz"].ok
-    assert not bad.to_linfty().validate(3).ok
+    assert not bad.validate(3).ok
 
 
 def test_mc_solver_obstruction_matches_residual():
@@ -273,7 +274,7 @@ def test_quillen_graded_fixture_battery():
     g = load("lift3")
     R = power_ring(3)
     rng = random.Random(7)
-    for S in random_mc_in(g.to_linfty(), R, rng, count=10):
+    for S in random_mc_in(g, R, rng, count=10):
         report = quillen_bijection_check(g, R, S)
         assert report["ok"], report
 
@@ -299,13 +300,13 @@ def test_quillen_corrupted_exp_detected():
 
 
 def test_chuang_lazarev_zero():
-    g = load("heis3").to_linfty()
+    g = load("heis3")
     res = chuang_lazarev_residual(g, g, {}, max_len=3)
     assert res == {}
 
 
 def test_chuang_lazarev_identity_morphism():
-    g = load("heis3").to_linfty()
+    g = load("heis3")
     S = {(x,): {x: 1} for x in g.shifted.labels}
     res = chuang_lazarev_residual(g, g, S, max_len=3)
     assert res == {}
@@ -314,7 +315,7 @@ def test_chuang_lazarev_identity_morphism():
 
 def test_chuang_lazarev_random_perturbation_agreement():
     # bidg4-dglie has degree-(-2) words, so arity-2 perturbations exist
-    g = load("bidg4-dglie").to_linfty()
+    g = load("bidg4-dglie")
     rng = random.Random(19)
     Wsrc = g.word_algebra(3)
     for _ in range(10):
@@ -422,7 +423,7 @@ def _compose_based_coderivation_dg_lie(hl, max_len):
 @pytest.mark.parametrize("name", ["heis3", "sl2", "aff2", "lift3", "l3demo", "bidg4-dglie"])
 @pytest.mark.parametrize("N", [2, 3])
 def test_closed_form_coderivation_tables_match_composition(name, N):
-    hl = load(name).to_linfty()
+    hl = load(name)
     got, got_keys = linfty._build_coderivation_dg_lie(hl, N)
     want, want_keys = _compose_based_coderivation_dg_lie(hl, N)
     assert got_keys == want_keys
@@ -526,7 +527,7 @@ def _leibniz_loop_witness(g, D):
 def _first_word(g, n, fails):
     """The first n-letter word of S(g[1]), in the order of its word list,
     whose letters make `fails` true."""
-    return next((w for w in g.to_linfty().word_algebra(3).words if len(w) == n and fails(*w)), None)
+    return next((w for w in g.word_algebra(3).words if len(w) == n and fails(*w)), None)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -576,11 +577,56 @@ def test_square_zero_rows_agree_with_the_full_square(seed):
                 brackets.setdefault(len(w), {}).setdefault(w, {})[t] = rng.choice([-1, 1, 2])
     gl = LInftyAlgebra(space, brackets)
     rows = gl.square_zero_rows(("one", "two", "three"))
-    full = gl.validate(3)
+    full = codifferential_oracle(gl.codifferential(3))
     assert all(rows) == full.ok
     failing = [r for r in rows if not r.ok]
     if failing:
         assert W.label(failing[0].witness) == full.witness["word"]
+
+
+def _random_linfty(rng):
+    """1-3 letters of degrees -1..2 and brackets of a random subset of the
+    arities 1-3, each slot filled with probability 0.7, so that D^2 = 0
+    holds only by chance."""
+    space = GradedVectorSpace([(f"a{i}", rng.randint(-1, 2)) for i in range(rng.randint(1, 3))])
+    shifted = space.shift(1)
+    brackets = {}
+    for n in rng.sample([1, 2, 3], rng.randint(1, 3)):
+        W = space.symmetric_algebra(1, n)
+        for w in [w for w in W.words if len(w) == n]:
+            for t in shifted.labels:
+                if shifted.degree(t) == W.degree(w) + 1 and rng.random() < 0.7:
+                    brackets.setdefault(n, {}).setdefault(w, {})[t] = rng.choice([-2, -1, 1, 2])
+    return LInftyAlgebra(space, brackets, name="random")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 5))
+def test_validate_agrees_with_the_full_square(seed, N):
+    # the corestriction of D^2 decides D^2 = 0 and, at the first failing
+    # word, is D^2 of it: the same result as applying D twice on every word
+    g = _random_linfty(random.Random(seed))
+    got = g.validate(N)
+    want = codifferential_oracle(g.codifferential(N), name="random: D-squared")
+    assert (got.name, got.ok, got.witness, got.bound) == (want.name, want.ok, want.witness, want.bound)
+
+
+def test_random_linfty_algebras_pass_and_fail():
+    # the property above sees both verdicts, at every window
+    for N in range(1, 6):
+        verdicts = [_random_linfty(random.Random(seed)).validate(N).ok for seed in range(200)]
+        assert 0 < verdicts.count(False) < len(verdicts), N
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_the_axiom_rows_decide_the_full_square_of_a_dg_lie_algebra(seed):
+    # no bracket above arity 2, so the corestriction of D^2 vanishes above
+    # three letters: d^2, Leibniz and Jacobi decide D^2 = 0 on every window
+    g, _ = _random_graded_lie(random.Random(seed))
+    axioms = all(r.ok for r in g.axiom_report())
+    for N in (3, 4, 5):
+        assert codifferential_oracle(g.codifferential(N)).ok == axioms, N
 
 
 def test_delta_rows_decide_whether_the_hbar_extension_is_dg_lie():

@@ -89,7 +89,7 @@ def test_zero_morphism_between_zero_operators():
 
 
 def test_identity_morphism_is_exp_unit():
-    V = ce_bvinfty_from_linfty(load("heis3").to_linfty(), 3, 3)
+    V = ce_bvinfty_from_linfty(load("heis3"), 3, 3)
     ident = identity_bv_morphism(V)
     E = ident.exp_map()
     for w in V.algebra.words:
@@ -98,7 +98,7 @@ def test_identity_morphism_is_exp_unit():
 
 
 def test_compose_with_identity_is_unit():
-    V = ce_bvinfty_from_linfty(load("heis3").to_linfty(), 3, 3)
+    V = ce_bvinfty_from_linfty(load("heis3"), 3, 3)
     ident = identity_bv_morphism(V)
     rng = random.Random(5)
     g_tw, cor = twisted_linfty_morphism(load("heis3"), rng, 3)
@@ -166,7 +166,7 @@ def test_composite_log_window_is_wide_enough(monkeypatch, chain):
 
 
 def test_condition3_violation_flagged():
-    V = ce_bvinfty_from_linfty(load("heis3").to_linfty(), 3, 3)
+    V = ce_bvinfty_from_linfty(load("heis3"), 3, 3)
     # phi_1 supported on a length-3 word violates phi_1(m^3) = 0
     comp = {1: {("x", "y", "z"): {("x", "y", "z"): 1}}}
     phi = BVMorphism(V, V, comp, name="bad")
@@ -239,14 +239,14 @@ def test_exp_map_matches_element_exponential_termwise():
 
 def test_theorem_second_identity_and_twists():
     g = load("heis3")
-    V = ce_bvinfty_from_linfty(g.to_linfty(), 3, 3)
-    ident = {(x,): {(x,): 1} for x in g.to_linfty().shifted.labels}
+    V = ce_bvinfty_from_linfty(g, 3, 3)
+    ident = {(x,): {(x,): 1} for x in g.shifted.labels}
     report = theorem_second_bijection_check(V, g, ident, 3, 3)
     assert report["qme_zero"] and report["is_morphism"] and report["ok"], report
     rng = random.Random(17)
     for _ in range(5):
         g_tw, cor = twisted_linfty_morphism(load("bidg4-dglie"), rng, 3)
-        V = ce_bvinfty_from_linfty(load("bidg4-dglie").to_linfty(), 3, 3)
+        V = ce_bvinfty_from_linfty(load("bidg4-dglie"), 3, 3)
         table = {w: {(t,): c for t, c in val.items()} for w, val in cor.items()}
         report = theorem_second_bijection_check(V, g_tw, table, 3, 3)
         assert report["qme_zero"] and report["is_morphism"], report
@@ -260,7 +260,7 @@ def test_theorem_second_trivial_targets():
     from mastereq.constructions import ce_bvinfty_from_linfty
     ab = DgLieAlgebra(GradedVectorSpace([("a", 2)]), {}, {}, name="ab1")
     point = DgLieAlgebra(GradedVectorSpace([("v", 2)]), {}, {}, name="pt")
-    V = ce_bvinfty_from_linfty(point.to_linfty(), 3, 3)
+    V = ce_bvinfty_from_linfty(point, 3, 3)
     report = theorem_second_bijection_check(V, ab, {("a",): {("v",): 3}}, 3, 3)
     assert report["qme_zero"] and report["is_morphism"] and report["ok"]
     report = theorem_second_bijection_check(V, ab, {}, 3, 3)
@@ -269,15 +269,14 @@ def test_theorem_second_trivial_targets():
 
 def test_theorem_second_corrupted():
     g = load("heis3")
-    V = ce_bvinfty_from_linfty(g.to_linfty(), 3, 3)
-    gl = g.to_linfty()
+    V = ce_bvinfty_from_linfty(g, 3, 3)
     rng = random.Random(19)
     rejected = 0
     for _ in range(20):
-        table = {(x,): {(x,): 1} for x in gl.shifted.labels}
+        table = {(x,): {(x,): 1} for x in g.shifted.labels}
         # corrupt the arity-1 part
-        x = rng.choice(list(gl.shifted.labels))
-        y = rng.choice(list(gl.shifted.labels))
+        x = rng.choice(list(g.shifted.labels))
+        y = rng.choice(list(g.shifted.labels))
         table[(x,)] = {(y,): Fraction(rng.randint(1, 2))}
         report = theorem_second_bijection_check(V, g, table, 3, 3)
         assert report["equivalence"], report
@@ -288,8 +287,7 @@ def test_theorem_second_corrupted():
 
 def test_linfty_morphism_identity_valid():
     g = load("heis3")
-    gl = g.to_linfty()
-    phi = linfty_morphism_to_bvinfty(g, g, {(x,): {x: 1} for x in gl.shifted.labels}, 3, 3)
+    phi = linfty_morphism_to_bvinfty(g, g, {(x,): {x: 1} for x in g.shifted.labels}, 3, 3)
     assert check_bv_morphism(phi)["ok"]
 
 
@@ -323,7 +321,7 @@ def test_morphism_check_sees_third_operator():
     from mastereq.linfty import DgLieAlgebra
     V = ce_bvinfty_from_linfty(load("l3demo"), 4, 4)
     ab = DgLieAlgebra(GradedVectorSpace([("a", 2)]), {}, {}, name="ab1")
-    src = ce_bvinfty_from_linfty(ab.to_linfty(), 3, 4)
+    src = ce_bvinfty_from_linfty(ab, 3, 4)
     phi = BVMorphism(src, V, {1: {("a",): {("x1", "x2", "x3"): 1}}}, name="hits-delta3")
     report = check_bv_morphism(phi)
     assert not report["intertwining"].ok
@@ -360,9 +358,8 @@ def _compose(mapping, vec):
 def _twist_by_neumann_series(g, rng, max_len=3):
     """The twisted brackets of `twisted_linfty_morphism`, with F = exp(cor) by
     the power series and F^{-1} = sum_k (-N)^k over F = id + N."""
-    gl = g.to_linfty()
-    W = gl.word_algebra(max_len)
-    F = _conv_exp_series(W, SeriesContext(W), corestriction_series(random_corestriction_twist(gl, rng, max_len)))
+    W = g.word_algebra(max_len)
+    F = _conv_exp_series(W, SeriesContext(W), corestriction_series(random_corestriction_twist(g, rng, max_len)))
     nil = {}
     for w in W.words:
         img = word_vector(F, w)
@@ -377,14 +374,14 @@ def _twist_by_neumann_series(g, rng, max_len=3):
                 vec_add_into(inverse[w], u, sign * c)
         power = {w: v for w, v in ((w, _compose(nil, img)) for w, img in power.items()) if v}
         sign = -sign
-    D = gl.codifferential(max_len)
+    D = g.codifferential(max_len)
     twisted = {}
     for w in W.words[1:]:
         vec = _compose(inverse, D.apply(word_vector(F, w)))
         letters = {u[0]: c for u, c in vec.items() if len(u) == 1 and c}
         if letters:
             twisted.setdefault(len(w), {})[w] = letters
-    return LInftyAlgebra(gl.space, twisted).brackets
+    return LInftyAlgebra(g.space, twisted).brackets
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -422,13 +419,12 @@ def _bv_loop_key(phi):
 
 def _chuang_lazarev_loop_key(target, source, S, max_len):
     """First word where D_target∘exp(S) - exp(S)∘D_source is nonzero."""
-    tl, sl = target.to_linfty(), source.to_linfty()
-    Wsrc = sl.word_algebra(max_len)
-    Dsrc = sl.codifferential(max_len)
-    Dt = tl.codifferential(max_len)
+    Wsrc = source.word_algebra(max_len)
+    Dsrc = source.codifferential(max_len)
+    Dt = target.codifferential(max_len)
     S_series = corestriction_series({tuple(w): {t: as_scalar(c) for t, c in val.items()}
                                      for w, val in S.items()})
-    F = conv_exp(Wsrc, SeriesContext(tl.word_algebra(max_len)), S_series)
+    F = conv_exp(Wsrc, SeriesContext(target.word_algebra(max_len)), S_series)
     for w in Wsrc.words:
         lhs = Dt.apply(word_vector(F, w))
         rhs = {}
@@ -444,9 +440,8 @@ def _chuang_lazarev_loop_key(target, source, S, max_len):
 
 def _quillen_loop_zero(g, ring, S, corrupt=None):
     """Whether D∘exp(S) vanishes on every key of R*."""
-    gl = g.to_linfty()
-    algebra = gl.word_algebra(ring.nilpotency)
-    D = gl.codifferential(ring.nilpotency)
+    algebra = g.word_algebra(ring.nilpotency)
+    D = g.codifferential(ring.nilpotency)
     dual, F = linfty._exp_map_from_element(ring, S, algebra)
     if corrupt is not None:
         key, word, delta = corrupt
@@ -476,23 +471,22 @@ def test_call_sites_report_the_oracles_first_failing_key(name, seed, perturb):
     g_tw, cor = twisted_linfty_morphism(g, rng, 3)
     if perturb:
         cor = _bumped(cor, rng)
-    W = g_tw.to_linfty().word_algebra(3)
+    W = g_tw.word_algebra(3)
     key = _chuang_lazarev_loop_key(g, g_tw, cor, 3)
     assert chuang_lazarev_morphism_defect(g, g_tw, cor, 3).witness == \
         (None if key is None else {"word": W.label(key)})
 
-    V = ce_bvinfty_from_linfty(g.to_linfty(), 3, 3)
+    V = ce_bvinfty_from_linfty(g, 3, 3)
     table = {w: {(t,): c for t, c in val.items()} for w, val in cor.items()}
-    source = ce_bvinfty_from_linfty(g_tw.to_linfty(), 3, 3)
+    source = ce_bvinfty_from_linfty(g_tw, 3, 3)
     key = _bv_loop_key(BVMorphism(source, V, morphisms._components_by_weight(table)))
     report = theorem_second_bijection_check(V, g_tw, table, 3, 3)
     assert report["morphism"]["intertwining"].witness == \
         (None if key is None else {"key": source.algebra.label(key)})
     assert report["qme_zero"] == (key is None)
 
-    gl = g.to_linfty()
-    target = gl if any(gl.space.degree(x) == 1 for x in gl.space.labels) else \
-        coderivation_dg_lie(g, 3)[0].to_linfty()
+    target = g if any(g.space.degree(x) == 1 for x in g.space.labels) else \
+        coderivation_dg_lie(g, 3)[0]
     ring = power_ring(3)
     S = random_mc_element(target, ring, rng)
     corrupt = (rng.choice(ring.ideal_labels), rng.choice(target.word_algebra(3).words[1:]),
@@ -518,7 +512,7 @@ def test_routes_through_intertwining_defect_fail_on_one_more_term(monkeypatch):
     g = load("bidg4-dglie")
     g_tw, cor = twisted_linfty_morphism(g, random.Random(5), 3)
     phi = linfty_morphism_to_bvinfty(g_tw, g, cor, 3, 3)
-    V = ce_bvinfty_from_linfty(g.to_linfty(), 3, 3)
+    V = ce_bvinfty_from_linfty(g, 3, 3)
     table = {w: {(t,): c for t, c in val.items()} for w, val in cor.items()}
     lift = load("lift3")
     ring = power_ring(3)

@@ -8,6 +8,14 @@ listed here: `qme_exp_check` (dhat e^{S/hbar} against the K_j(1) residual)
 and `conjugation_identity_check` (multiplied-out exponentials against the
 K_j(x) sum).  On a dg-BV algebra `qme_exp_check` compares dhat e^{S/hbar}
 with the closed-form `qme_residual` instead, and has its own control.
+
+The classical cross-checks are listed too: `quillen_bijection_check`
+(D ∘ exp(S) against the Maurer-Cartan residual `emce_residual`),
+`deformed_bracket_check` (Jacobi of the deformed bracket against the
+Maurer-Cartan equation in the coderivation algebra, whose residual is
+`emce_residual` again) and `corollary_bidg_check` (the hbar-extended
+Quillen check and the direct residual against the ambient `qme_residual`),
+each with the residual of one route one term too many.
 """
 
 import math
@@ -17,10 +25,12 @@ from fractions import Fraction
 import pytest
 
 from mastereq import bv as bv_module
+from mastereq import constructions, linfty
 from mastereq.artin import power_ring
 from mastereq.bv import BVInftyAlgebra, conjugation_identity_check, qme_exp_check, qme_solve_perturbative
 from mastereq.cli import _closed_qme_seed
-from mastereq.constructions import ce_bv_from_dg_lie
+from mastereq.constructions import ce_bv_from_dg_lie, corollary_bidg_check
+from mastereq.linfty import deformed_bracket_check, mc_element, quillen_bijection_check
 from mastereq.series import HbarSeries, SeriesContext
 
 from alg_fixtures import load
@@ -104,3 +114,53 @@ def test_a_corrupted_closed_form_residual_fails_the_qme_forms_check_on_a_dg_bv_a
     monkeypatch.setattr(bv_module, "qme_residual", plus_one_term)
     report = qme_exp_check(bv, ring, S)
     assert report["ok"] is False and report["exp_zero"] and not report["residual_zero"]
+
+
+def _emce_plus_one_term(monkeypatch):
+    # read by `mc_is_solution` and the Quillen check through the module
+    residual = linfty.emce_residual
+
+    def corrupted(g, ring, S, max_len=None):
+        return residual(g, ring, S, max_len).add(
+            HbarSeries({(g.space.labels[0], ring.ideal_labels[0], 0): 1}))
+
+    monkeypatch.setattr(linfty, "emce_residual", corrupted)
+
+
+def test_a_corrupted_maurer_cartan_residual_fails_the_quillen_check(monkeypatch):
+    # S = x t - u t^2/2 solves the Maurer-Cartan equation of lift3 over k[t]/t^3
+    g, ring = load("lift3"), power_ring(3)
+    S = mc_element(g, ring, {("x", "t"): 1, ("u", "t^2"): Fraction(-1, 2)})
+    report = quillen_bijection_check(g, ring, S)
+    assert report["ok"] and report["d_exp_zero"] and report["residual_zero"]
+    _emce_plus_one_term(monkeypatch)
+    report = quillen_bijection_check(g, ring, S)
+    assert report["ok"] is False and report["d_exp_zero"] and not report["residual_zero"]
+
+
+def test_a_corrupted_maurer_cartan_route_fails_the_deformed_bracket_check(monkeypatch):
+    # [,] + t[,] = (1 + t)[,] satisfies Jacobi, so both routes pass
+    h, ring = load("sl2"), power_ring(3)
+    S = {("e", "f"): {"h": {"t": 1}}, ("h", "e"): {"e": {"t": 2}}, ("h", "f"): {"f": {"t": -2}}}
+    report = deformed_bracket_check(h, ring, S)
+    assert report["ok"] and report["jacobi"] and report["mc"]
+    _emce_plus_one_term(monkeypatch)
+    report = deformed_bracket_check(h, ring, S)
+    assert report["ok"] is False and report["jacobi"] and not report["mc"] and not report["agree"]
+
+
+def test_a_corrupted_ambient_residual_fails_the_bidg_corollary(monkeypatch):
+    B, ring = load("bidg4"), power_ring(3)
+    S = HbarSeries({("q", "t", 0): 1, ("r", "t^2", 1): 1})
+    report = corollary_bidg_check(B, ring, S)
+    assert report["ok"] and report["qm"]
+    residual = constructions.qme_residual
+
+    def plus_one_term(bv, ring, S, hbar_cutoff=3):
+        # on a one-letter word, so only the comparison with the direct residual fails
+        return residual(bv, ring, S, hbar_cutoff).add(
+            HbarSeries({(bv.algebra.words[1], ring.ideal_labels[0], 0): 1}))
+
+    monkeypatch.setattr(constructions, "qme_residual", plus_one_term)
+    report = corollary_bidg_check(B, ring, S)
+    assert report["ok"] is False and not report["qm"]
