@@ -139,7 +139,7 @@ def test_zero_morphism_on_bar_sources():
     # because the augmentation kills both operators
     from mastereq.constructions import bar_bv_from_associative
     from mastereq.morphisms import BVMorphism, check_bv_morphism
-    bv, _ = bar_bv_from_associative(load("dual-numbers"), 3)
+    bv = bar_bv_from_associative(load("dual-numbers"), 3)
     V = bv.as_bvinfty(3)
     phi = BVMorphism(V, V, {}, name="0")
     assert check_bv_morphism(phi)["ok"]

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -243,10 +244,170 @@ def test_ibl_involutive_fixture_full_certification():
 def test_ibl_bad_bialgebra_rejected():
     # heis3 bracket with delta(x) = x^y violates the cocycle condition:
     # delta([x,y]) = 0 but x.delta(y) - y.delta(x) = z^y != 0
-    with pytest.raises(StructureError):
-        B = LieBialgebraData([("x", 0), ("y", 0), ("z", 0)], {("x", "y"): {"z": 1}},
-                             {"x": {("x", "y"): 1}}, name="badbialg")
-        ce_bv_from_ibl(B, 4)
+    with pytest.raises(StructureError, match="bialgebra axiom cocycle fails") as err:
+        ce_bv_from_ibl(load("cocycle-violator-ibl"), 4)
+    assert err.value.witness["test_vectors"] == ["x", "y"]
+
+
+def _add_pair(space, acc, a, b, coeff):
+    if a == b or not coeff:
+        return
+    if space.index(a) > space.index(b):
+        a, b, coeff = b, a, -coeff
+    vec_add_into(acc, (a, b), coeff)
+
+
+def _wedge_action(B, x, pair_vec):
+    # x . (a ^ b) = [x,a] ^ b + a ^ [x,b], kept in canonical pair order
+    out = {}
+    for (a, b), c in pair_vec.items():
+        for t, v in B.lie.bracket_labels(x, a).items():
+            _add_pair(B.space, out, t, b, c * v)
+        for t, v in B.lie.bracket_labels(x, b).items():
+            _add_pair(B.space, out, a, t, c * v)
+    return out
+
+
+def cocycle_oracle(B):
+    """The cocycle condition delta[x, y] = x.delta(y) - y.delta(x) as a loop
+    over all ordered generator pairs; the first failing pair, or None."""
+    for x in B.space.labels:
+        for y in B.space.labels:
+            lhs = {}
+            for t, v in B.lie.bracket_labels(x, y).items():
+                for pair, c in B.delta_vec(t).items():
+                    vec_add_into(lhs, pair, c * v)
+            rhs = _wedge_action(B, x, B.delta_vec(y))
+            for pair, c in _wedge_action(B, y, B.delta_vec(x)).items():
+                vec_add_into(rhs, pair, -c)
+            for pair, c in rhs.items():
+                vec_add_into(lhs, pair, -c)
+            if any(lhs.values()):
+                return (x, y)
+    return None
+
+
+def co_jacobi_oracle(B):
+    """co-Jacobi as the alternation of (delta (x) id) delta on each generator,
+    a loop over tensor triples; the first failing generator, or None."""
+
+    def add_cyclic(acc, u, v, w, coeff):
+        # antisymmetrized tensor (u^v)(x)w summed over cyclic rotations
+        for (p, q, r) in ((u, v, w), (w, u, v), (v, w, u)):
+            vec_add_into(acc, (p, q, r), coeff)
+            vec_add_into(acc, (q, p, r), -coeff)
+
+    for x in B.space.labels:
+        acc = {}
+        for (a, b), c in B.delta_vec(x).items():
+            for (u, v), c2 in B.delta_vec(a).items():
+                add_cyclic(acc, u, v, b, c * c2)
+            for (u, v), c2 in B.delta_vec(b).items():
+                add_cyclic(acc, u, v, a, -c * c2)
+        if any(acc.values()):
+            return x
+    return None
+
+
+def associator_oracle(A):
+    """(ab)c - a(bc) over all generator triples; the first failing triple, or None."""
+    for a, b, c in itertools.product(A.space.labels, repeat=3):
+        left = {}
+        for t, v in A.mul_labels(a, b).items():
+            for u, v2 in A.mul_labels(t, c).items():
+                vec_add_into(left, u, v * v2)
+        for t, v in A.mul_labels(b, c).items():
+            for u, v2 in A.mul_labels(a, t).items():
+                vec_add_into(left, u, -v * v2)
+        if any(left.values()):
+            return (a, b, c)
+    return None
+
+
+def _lie_algebras():
+    """Degree-zero Lie algebras of dimension 2-5 as (basis, bracket): four
+    fixtures, the abelian one on four letters (where co-Jacobi can fail with
+    every other row passing), gl2 = sl2 + k c and sl2 acting on k^2 by p, q."""
+    out = {name: (load(name).space.basis, load(name).bracket)
+           for name in ("abelian2", "aff2", "heis3", "sl2")}
+    out["abelian4"] = (load("co-jacobi-violator-ibl").space.basis, {})
+    basis, bracket = out["sl2"]
+    out["gl2"] = ((*basis, ("c", 0)), bracket)
+    out["sl2-k2"] = ((*basis, ("p", 0), ("q", 0)),
+                     {**bracket, ("h", "p"): {"p": 1}, ("h", "q"): {"q": -1},
+                      ("e", "q"): {"p": 1}, ("f", "p"): {"q": 1}})
+    return out
+
+
+LIE_ALGEBRAS = _lie_algebras()
+
+
+def _random_bialgebra(rng):
+    """A random cobracket on one of `LIE_ALGEBRAS`: a sparse free one, a
+    coboundary delta(x) = x.r of a random r in g ^ g (a cocycle, with
+    co-Jacobi by chance), or a coboundary with one free term added."""
+    name = rng.choice(sorted(LIE_ALGEBRAS))
+    basis, bracket = LIE_ALGEBRAS[name]
+    B = LieBialgebraData(basis, bracket, {}, name=name)
+    pairs = list(itertools.combinations(B.space.labels, 2))
+    mode = rng.choice(("free", "coboundary", "perturbed"))
+    cobracket = {}
+    if mode != "free":
+        r = {pair: rng.choice((-1, 0, 0, 1, 2)) for pair in pairs}
+        for x in B.space.labels:
+            value = _wedge_action(B, x, r)
+            if value:
+                cobracket[x] = value
+    if mode == "free":
+        terms = [(x, pair) for x in B.space.labels for pair in pairs if rng.random() < 1 / len(pairs)]
+    elif mode == "perturbed":
+        terms = [(rng.choice(B.space.labels), rng.choice(pairs))]
+    else:
+        terms = []
+    for x, pair in terms:
+        vec_add_into(cobracket.setdefault(x, {}), pair, rng.choice((-1, 1, 2)))
+    return LieBialgebraData(basis, bracket, cobracket, name=name)
+
+
+def _bialgebra_rows(B):
+    rows = {r.name: r for r in B.axiom_report()}
+    return rows["co-jacobi"], rows["cocycle"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 10**9))
+def test_bialgebra_rows_agree_with_the_tensor_loops(seed):
+    # d^2 on letters is co-Jacobi, and the second-order part of [Delta, d]
+    # on letter pairs is the cocycle condition, with the same first pair
+    B = _random_bialgebra(random.Random(seed))
+    co_jacobi, cocycle = _bialgebra_rows(B)
+    assert co_jacobi.ok == (co_jacobi_oracle(B) is None)
+    witness = cocycle_oracle(B)
+    assert cocycle.ok == (witness is None)
+    if witness is not None:
+        assert tuple(cocycle.witness["test_vectors"]) == witness
+
+
+def test_random_bialgebras_reach_every_verdict():
+    # the property above sees every (co-jacobi, cocycle, involutive) combination
+    seen = set()
+    for seed in range(300):
+        B = _random_bialgebra(random.Random(seed))
+        seen.add((*(r.ok for r in _bialgebra_rows(B)), B.involutive()))
+    assert len(seen) == 8, seen
+
+
+@pytest.mark.parametrize("name,failing,witness", [
+    ("cocycle-violator-ibl", "cocycle", {"test_vectors": ["x", "y"], "value": {"y·z": "-1"}}),
+    ("co-jacobi-violator-ibl", "co-jacobi", {"word": "a", "value": {"a·b·d": "1"}}),
+])
+def test_bialgebra_violators_fail_one_row(name, failing, witness):
+    B = load(name)
+    rows = {r.name: r for r in B.axiom_report()}
+    assert [r.name for r in rows.values() if not r.ok] == [failing]
+    assert rows[failing].witness == witness
+    oracle = {"cocycle": cocycle_oracle, "co-jacobi": co_jacobi_oracle}
+    assert all((oracle[row](B) is None) == (row != failing) for row in oracle)
 
 
 def test_bidg_trivial():
@@ -339,8 +500,8 @@ def test_bidg_hbar_extension_is_dg_lie():
 
 def test_bar_ground_field():
     A = AssociativeAlgebraData([("u", 0)], {("u", "u"): {"u": 1}}, name="ground-field")
-    bv, info = bar_bv_from_associative(A, 4)
-    assert info["associator_witness"] is None
+    bv = bar_bv_from_associative(A, 4)
+    assert associator_oracle(A) is None and all(A.axiom_report())
     assert bv.is_certified()
     # Delta(u(x)u) = u·u = u with the sign (-1)^{|u|}
     assert bv.delta.entries.get(("u", "u")) == {("u",): -1}
@@ -348,8 +509,8 @@ def test_bar_ground_field():
 
 def test_bar_dual_numbers():
     A = load("dual-numbers")
-    bv, info = bar_bv_from_associative(A, 4)
-    assert info["associator_witness"] is None
+    bv = bar_bv_from_associative(A, 4)
+    assert associator_oracle(A) is None and all(A.axiom_report())
     assert bv.delta.entries.get(("eps", "eps"), {}) == {}
     cert = {r.name: r.ok for r in bv.certify()}
     assert all(cert.values()), cert
@@ -357,15 +518,47 @@ def test_bar_dual_numbers():
 
 def test_bar_nonassociative_witness():
     A = load("nonassoc3")
-    bv, info = bar_bv_from_associative(A, 4)
-    assert info["associator_witness"] == ("u", "u", "u")
+    bv = bar_bv_from_associative(A, 4)
+    assert associator_oracle(A) == ("u", "u", "u")
+    [row] = A.axiom_report()
+    assert (row.name, row.ok, row.witness) == ("associativity", False,
+                                               {"word": "u⊗u⊗u", "value": {"u": "-1"}})
     report = {r.name: r for r in bv.certify()}
     assert not report["delta-squared"].ok
     assert report["delta-squared"].witness["word"] == "u⊗u⊗u"
 
 
+def _random_associative(rng):
+    """1-3 letters of degrees -1..1 and a sparse product of degree zero, each
+    allowed (a, b, target) slot filled with probability 0.3."""
+    space = GradedVectorSpace([(f"u{i}", rng.randint(-1, 1)) for i in range(rng.randint(1, 3))])
+    product = {}
+    for a, b, t in itertools.product(space.labels, repeat=3):
+        if space.degree(t) == space.degree(a) + space.degree(b) and rng.random() < 0.3:
+            product.setdefault((a, b), {})[t] = rng.choice((-1, 1, 2))
+    return AssociativeAlgebraData(space.basis, product, name="random")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 10**9))
+def test_associativity_row_agrees_with_the_triple_loop(seed):
+    # Delta^2 on three-letter bar words is the associator up to sign, and
+    # the first failing word is the first failing triple
+    A = _random_associative(random.Random(seed))
+    [row] = A.axiom_report()
+    witness = associator_oracle(A)
+    assert row.ok == (witness is None)
+    if witness is not None:
+        assert row.witness["word"] == "⊗".join(witness)
+
+
+def test_random_products_pass_and_fail():
+    verdicts = [all(_random_associative(random.Random(seed)).axiom_report()) for seed in range(300)]
+    assert 0 < verdicts.count(False) < len(verdicts)
+
+
 def test_bar_delta_order_two():
     A = load("dual-numbers")
-    bv, _ = bar_bv_from_associative(A, 4)
+    bv = bar_bv_from_associative(A, 4)
     from mastereq.operators import operator_order_check
     assert operator_order_check(bv.algebra, bv.delta, 2).ok

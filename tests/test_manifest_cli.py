@@ -616,6 +616,27 @@ def test_a_window_below_one_is_a_usage_error_naming_the_flag(argv, flag, capsys)
     assert f"argument {name}: expected an integer >= 1, got '{value}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,kind", [
+    ("heis3", "dg-lie"), ("inv3", "lie-bialgebra"), ("bidg4", "bi-dg-lie"),
+    ("nonassoc3", "associative"), ("ring-t3", "artin-ring"), ("ce-heis3", "bv"),
+    ("ce-l3demo", "bv-infty"),
+])
+def test_check_refuses_trunc_words_for_a_kind_that_does_not_read_it(name, kind, capsys):
+    # only an L-infinity manifest's D-squared row has a word-length window
+    assert run_cli("check", str(FIXTURES / f"{name}.alg"), "--trunc-words", "2") == 1
+    err = capsys.readouterr().err
+    assert "check --trunc-words is read only by linfty manifests" in err
+    assert f"is a {kind} manifest" in err
+
+
+def test_check_reads_trunc_words_of_an_linfty_manifest(tmp_path):
+    argv = ["check", str(FIXTURES / "l3demo.alg"), "--format", "machine", "--out"]
+    default, cut = tmp_path / "default.json", tmp_path / "cut.json"
+    assert run_cli(*argv, str(default)) == 0
+    assert run_cli(*argv, str(cut), "--trunc-words", "2") == 0
+    assert '"word_length": 2' in cut.read_text() and '"word_length": 2' not in default.read_text()
+
+
 @pytest.mark.parametrize("flavor", ["tensor", ["tensor"]], ids=["string", "list"])
 def test_bv_manifest_refuses_a_flavor_block(flavor):
     doc = json.loads((FIXTURES / "ce-heis3.alg").read_text())

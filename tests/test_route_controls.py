@@ -16,8 +16,13 @@ Maurer-Cartan equation in the coderivation algebra, whose residual is
 `emce_residual` again) and `corollary_bidg_check` (the hbar-extended
 Quillen check and the direct residual against the ambient `qme_residual`),
 each with the residual of one route one term too many.
+
+`construct ibl`'s `involutivity-dichotomy` (bracket∘delta = 0 on generators,
+`LieBialgebraData.involutive`, against [Delta, d] = 0 on the CE complex) has
+its control with `involutive` returning the opposite answer.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -25,7 +30,7 @@ from fractions import Fraction
 import pytest
 
 from mastereq import bv as bv_module
-from mastereq import constructions, linfty
+from mastereq import cli, constructions, linfty
 from mastereq.artin import power_ring
 from mastereq.bv import BVInftyAlgebra, conjugation_identity_check, qme_exp_check, qme_solve_perturbative
 from mastereq.cli import _closed_qme_seed
@@ -33,7 +38,7 @@ from mastereq.constructions import ce_bv_from_dg_lie, corollary_bidg_check
 from mastereq.linfty import deformed_bracket_check, mc_element, quillen_bijection_check
 from mastereq.series import HbarSeries, SeriesContext
 
-from alg_fixtures import load
+from alg_fixtures import FIXTURES, load
 
 
 def _solved_lift3_dg_bv():
@@ -164,3 +169,17 @@ def test_a_corrupted_ambient_residual_fails_the_bidg_corollary(monkeypatch):
     monkeypatch.setattr(constructions, "qme_residual", plus_one_term)
     report = corollary_bidg_check(B, ring, S)
     assert report["ok"] is False and not report["qm"]
+
+
+def test_a_flipped_involutivity_fails_the_ibl_dichotomy(monkeypatch, capsys):
+    def dichotomy():
+        cli.main(["construct", "ibl", str(FIXTURES / "noninv2.alg"), "--format", "machine"])
+        certs = json.loads(capsys.readouterr().out)["certificates"]
+        return next(c for c in certs if c["name"] == "involutivity-dichotomy")
+
+    passed = dichotomy()
+    assert passed["status"] == "pass" and passed["bounds"] == {"involutive": False}
+    involutive = constructions.LieBialgebraData.involutive
+    monkeypatch.setattr(constructions.LieBialgebraData, "involutive", lambda B: not involutive(B))
+    failed = dichotomy()
+    assert failed["status"] == "fail" and failed["bounds"] == {"involutive": True}
