@@ -57,7 +57,6 @@ __all__ = [
     "conjugation_identity_check",
     "qme_linear_part",
     "qme_solve_perturbative",
-    "QMESolveResult",
 ]
 
 HALF = Fraction(1, 2)
@@ -534,9 +533,6 @@ def conjugation_identity_check(V, ring: ArtinLocalAlgebra, S: HbarSeries,
                               "tested": tested, "skipped": skipped})
 
 
-QMESolveResult = SolveResult
-
-
 def qme_linear_part(bvi: BVInftyAlgebra, unknown_word: Callable[[Word], bool]) -> LinearPart:
     """The banded system sum_n Delta_n u_{j-(n-1)} from total degree two to
     three, keyed (word, hbar power) for `lift_perturbative`; the unknowns are
@@ -553,7 +549,7 @@ def qme_linear_part(bvi: BVInftyAlgebra, unknown_word: Callable[[Word], bool]) -
 
 
 def qme_solve_perturbative(V, ring: ArtinLocalAlgebra, seed: HbarSeries,
-                           hbar_cutoff: int | None = None) -> QMESolveResult:
+                           hbar_cutoff: int | None = None) -> SolveResult:
     """Order-by-order lift of a first-order QME solution along the m-adic
     filtration, with dhat = d + hbar Delta (+ higher) as the linear part.
 

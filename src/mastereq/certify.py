@@ -1,70 +1,42 @@
-"""Certificates and deterministic report assembly.
+"""Deterministic report assembly.
 
-A certificate is one named check with a pass/fail status, the truncation
-bounds it was verified under, and an optional witness.  Machine-format
-reports are byte-identical across runs for fixed inputs and seed: fields are
-ordered, certificates sorted by name, and wall-clock timing is reported only
-in the human format.
+A certificate is a `diagnostics.CheckResult`: one named check with its
+verdict `ok`, the truncation `bound` it was verified under, an optional
+witness and the time it took.  Kernel results reach the report as they are.
+Machine-format reports are byte-identical across runs for fixed inputs and
+seed: fields are ordered, certificates sorted by name, and wall-clock timing
+is reported only in the human format.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .diagnostics import CheckResult
 
-__all__ = ["Certificate", "Report", "run_battery"]
+__all__ = ["Report", "run_battery"]
 
 FORMAT_VERSION = 1
 
 
-@dataclass
-class Certificate:
-    name: str
-    status: str  # "pass" | "fail"
-    bounds: dict = field(default_factory=dict)
-    witness: object = None
-    timing_ms: float = 0.0
-
-    @classmethod
-    def from_check(cls, result: CheckResult, timing_ms: float | None = None,
-                   name: str | None = None) -> "Certificate":
-        """Certificate of `result`, named `name` if given and timed `timing_ms`
-        if given, else by the time stamped on `result`; `result` is left as it is."""
-        name = result.name if name is None else name
-        return cls(name=name, status="pass" if result.ok else "fail",
-                   bounds=dict(result.bound or {}), witness=result.witness,
-                   timing_ms=result.timing_ms if timing_ms is None else timing_ms)
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "pass"
-
-
-def run_battery(tasks: Iterable[tuple[str, Callable[[], CheckResult]]]) -> list[Certificate]:
-    """Run named checks in order; results sorted by name.
-
-    Each certificate takes its task's name.  The check results are not
-    renamed: a task may hand back a result that its algebra caches.
-    """
-
-    def run_one(item):
-        name, fn = item
+def run_battery(tasks: Iterable[tuple[str, Callable[[], CheckResult]]]) -> list[CheckResult]:
+    """Run named checks in order: a copy of each result, named after its task
+    and timed by the clock around it.  A task may hand back a result that its
+    algebra caches, so the result itself is left as it is."""
+    out = []
+    for name, fn in tasks:
         start = time.perf_counter()
         result = fn()
-        elapsed = (time.perf_counter() - start) * 1000.0
-        if not isinstance(result, CheckResult):
-            result = CheckResult(name, bool(result))
-        return Certificate.from_check(result, timing_ms=elapsed, name=name)
-
-    return sorted(map(run_one, tasks), key=lambda c: c.name)
+        out.append(dataclasses.replace(result, name=name,
+                                       timing_ms=(time.perf_counter() - start) * 1000.0))
+    return out
 
 
 class Report:
-    def __init__(self, command: str, certificates: list[Certificate], inputs: dict | None = None):
+    def __init__(self, command: str, certificates: list[CheckResult], inputs: dict | None = None):
         self.command = command
         self.certificates = sorted(certificates, key=lambda c: c.name)
         self.inputs = inputs or {}
@@ -82,8 +54,8 @@ class Report:
             "certificates": [
                 {
                     "name": c.name,
-                    "status": c.status,
-                    "bounds": {k: c.bounds[k] for k in sorted(c.bounds)},
+                    "status": "pass" if c.ok else "fail",
+                    "bounds": {k: c.bound[k] for k in sorted(c.bound)},
                     "witness": _jsonable(c.witness),
                 }
                 for c in self.certificates
@@ -98,7 +70,7 @@ class Report:
         width = max((len(c.name) for c in self.certificates), default=0)
         for c in self.certificates:
             status = "PASS" if c.ok else "FAIL"
-            bounds = " ".join(f"{k}={v}" for k, v in sorted(c.bounds.items())
+            bounds = " ".join(f"{k}={v}" for k, v in sorted(c.bound.items())
                               if not isinstance(v, (list, dict)))
             line = f"  {c.name.ljust(width)}  {status}  [{c.timing_ms:8.2f} ms]"
             if bounds:

@@ -13,6 +13,7 @@ byte-identical for identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import random
@@ -31,7 +32,7 @@ from .bv import (
     qme_linear_part,
     qme_solve_perturbative,
 )
-from .certify import Certificate, Report, run_battery
+from .certify import Report, run_battery
 from .constructions import (
     AssociativeAlgebraData,
     BiDgLieData,
@@ -111,6 +112,14 @@ OPERATION_COMMANDS = {
     "theorem_second_bijection_check": "verify-representability",
     "linfty_morphism_to_bvinfty": "verify-representability",
     "parse_manifest": "check",
+}
+
+# The theorems of verify-representability that read each flag; each of the
+# others fixes its own window or needs no ring, and refuses the flag.
+VERIFY_FLAG_READERS = {
+    "--trunc-words": ("theorem-first",),
+    "--hbar-cutoff": ("theorem-first", "theorem-second", "corollary-bidg"),
+    "--ring": ("quillen", "theorem-first", "corollary-bidg"),
 }
 
 DEFAULT_INSTANCES = 20
@@ -261,6 +270,14 @@ def _hbar_cutoff(args, manifest: Manifest | None = None) -> int:
     return declared if args.hbar_cutoff is None else args.hbar_cutoff
 
 
+def _refuse_unread(args, flag: str, read_by: str, given: str) -> None:
+    """Refuse `flag` where this variant of the command does not read it: the
+    report would be the same without it.  `read_by` names the variants that
+    read it, `given` the one that was run."""
+    if getattr(args, flag[2:].replace("-", "_")) is not None:
+        raise PreconditionError(f"{args.command} {flag} is read only by {read_by}; {given}")
+
+
 def _as_bv(manifest: Manifest, N: int, K: int):
     """A BV(-infinity) algebra from any manifest that supports one."""
     obj = manifest.obj
@@ -279,16 +296,15 @@ def _as_bv(manifest: Manifest, N: int, K: int):
 
 
 def cmd_check(args) -> Report:
-    certs: list[Certificate] = []
+    certs: list[CheckResult] = []
     inputs = {}
     for path in args.files:
         m = _load(path)
         inputs[path] = f"{m.kind}:{m.name}"
         prefix = f"{m.name}: "
-        if args.trunc_words is not None and m.kind != "linfty":
+        if m.kind != "linfty":
             # only the D-squared row of an L-infinity manifest has a word-length window
-            raise PreconditionError(f"check --trunc-words is read only by linfty manifests; "
-                                    f"{path} is a {m.kind} manifest")
+            _refuse_unread(args, "--trunc-words", "linfty manifests", f"{path} is a {m.kind} manifest")
         obj = m.obj
         results: list[CheckResult] = []
         tasks = []  # checks that compute when run, so their rows carry a timing
@@ -303,7 +319,7 @@ def cmd_check(args) -> Report:
                                    bound={"nilpotency": obj.nilpotency, "adapted": obj.adapted})]
         elif isinstance(obj, BVInftyAlgebra):
             results = obj.certify()
-        certs.extend(Certificate.from_check(r, name=prefix + r.name) for r in results)
+        certs.extend(dataclasses.replace(r, name=prefix + r.name) for r in results)
         certs.extend(run_battery(tasks))
     return Report("check", certs, inputs)
 
@@ -313,8 +329,11 @@ def cmd_check(args) -> Report:
 
 def cmd_construct(args) -> Report:
     m = _load(args.file)
+    if not (args.recipe == "ce" and m.kind == "linfty"):
+        _refuse_unread(args, "--hbar-cutoff", "ce on linfty manifests",
+                       f"this is {args.recipe} on {args.file}, of kind {m.kind}")
     N = _word_length(args, m)
-    certs: list[Certificate] = []
+    certs: list[CheckResult] = []
     if args.recipe == "ce":
         if isinstance(m.obj, DgLieAlgebra):
             built = ce_bv_from_dg_lie(m.obj, N)
@@ -329,11 +348,9 @@ def cmd_construct(args) -> Report:
         built, info = ce_bv_from_ibl(m.obj, N)
         # [delta,d] = 0 is expected only of an involutive bialgebra
         results = [r for r in built.certify() if info["involutive"] or r.name != "[delta,d]"]
-        certs.append(Certificate(
-            name="involutivity-dichotomy",
-            status="pass" if info["involutive"] == info["commutator_vanishes"] else "fail",
-            bounds={"involutive": info["involutive"]},
-            witness=info["witness"]))
+        certs.append(CheckResult("involutivity-dichotomy",
+                                 info["involutive"] == info["commutator_vanishes"],
+                                 witness=info["witness"], bound={"involutive": info["involutive"]}))
     elif args.recipe == "bi-dg":
         if not isinstance(m.obj, BiDgLieData):
             raise ManifestError("construct bi-dg expects a bi-dg-lie manifest")
@@ -344,7 +361,7 @@ def cmd_construct(args) -> Report:
             raise ManifestError("construct ttw expects an associative manifest")
         built = bar_bv_from_associative(m.obj, N)
         results = built.certify()
-    certs.extend(map(Certificate.from_check, results))
+    certs.extend(results)
     if args.emit:
         _emit_bv_manifest(built, args.emit)
     return Report(f"construct {args.recipe}", certs, {"file": args.file, "word_length": N})
@@ -428,18 +445,17 @@ def _solve_report(command: str, args, m: Manifest, ring: ArtinLocalAlgebra, seed
     ring, while the solver computed it over a quotient.  The solver's rows
     carry the times it measured."""
     timing = result.timing_ms
-    certs = [Certificate("seed-closed", "pass", bounds={"support": len(seed.terms)},
+    certs = [CheckResult("seed-closed", True, bound={"support": len(seed.terms)},
                          timing_ms=timing["seed-closed"])]
     if result.status == "solved":
-        certs.append(Certificate("solution-verified", "pass", bounds=result.bound,
+        certs.append(CheckResult("solution-verified", True, bound=result.bound,
                                  timing_ms=timing["solution-verified"]))
     else:
         k = result.obstruction_order
-        consistent = timed(lambda: CheckResult(
+        certs.append(timed(lambda: CheckResult(
             "obstruction-consistent",
-            residual(result.partial).ring_project(ring, k) == result.obstruction, bound=result.bound))
-        certs.append(Certificate.from_check(consistent))
-        certs.append(Certificate("solution-verified", "fail", bounds={"obstruction_order": k},
+            residual(result.partial).ring_project(ring, k) == result.obstruction, bound=result.bound)))
+        certs.append(CheckResult("solution-verified", False, bound={"obstruction_order": k},
                                  witness={"order": k, "residual": result.obstruction},
                                  timing_ms=timing["solution-verified"]))
     return Report(command, certs, {"algebra": m.name, "ring": ring.name, "seed": args.seed})
@@ -451,8 +467,11 @@ def _solve_report(command: str, args, m: Manifest, ring: ArtinLocalAlgebra, seed
 def cmd_verify(args) -> Report:
     rng = random.Random(args.seed)
     count = args.instances
-    certs: list[Certificate] = []
+    certs: list[CheckResult] = []
     inputs = {"file": args.file, "seed": args.seed, "instances": count}
+    for flag, theorems in VERIFY_FLAG_READERS.items():
+        if args.theorem not in theorems:
+            _refuse_unread(args, flag, ", ".join(theorems), f"{args.theorem} does not read it")
     m = _load(args.file, {"theorem-first": None, "corollary-bidg": ("bi-dg-lie",)}.get(
         args.theorem, ("dg-lie", "linfty")))
     K = _hbar_cutoff(args, m)
@@ -544,7 +563,7 @@ def cmd_verify(args) -> Report:
 
 def _battery(name: str, count: int, draw: Callable[[], object],
              valid: Callable[[object], bool | None],
-             corrupted: Callable[[object], bool | None] | None = None) -> list[Certificate]:
+             corrupted: Callable[[object], bool | None] | None = None) -> list[CheckResult]:
     """`{name}-valid` and `{name}-corrupted-detected`, or `name` alone without
     `corrupted`: the `_tally` certificates of `count` drawn instances.
 
@@ -587,7 +606,7 @@ def _rejected(routes_agree: bool, still_valid: bool) -> bool | None:
 
 
 def _tally(name: str, counted: str, hits: int, skipped: int, total: int,
-           seconds: float) -> Certificate:
+           seconds: float) -> CheckResult:
     """The certificate of an instance battery that ran for `seconds`.
 
     Instances that have nothing to test (an obstructed seed, no
@@ -596,8 +615,7 @@ def _tally(name: str, counted: str, hits: int, skipped: int, total: int,
     bounds = {counted: hits, "total": total}
     if skipped:
         bounds["skipped"] = skipped
-    return Certificate(name, "pass" if _passes(hits, skipped, total) else "fail", bounds=bounds,
-                       timing_ms=seconds * 1000.0)
+    return CheckResult(name, _passes(hits, skipped, total), bound=bounds, timing_ms=seconds * 1000.0)
 
 
 def _passes(hits: int, skipped: int, total: int) -> bool:
@@ -662,7 +680,7 @@ def cmd_compose(args) -> Report:
     checks.append(timed(lambda: CheckResult("functoriality", composite.components == _truncation_morphism(
         rings[0], rings[2], K).components)))
     checks.append(timed(lambda: CheckResult("composite-valid", check_bv_morphism(composite)["ok"])))
-    return Report("compose-morphisms", list(map(Certificate.from_check, checks)),
+    return Report("compose-morphisms", checks,
                   {"rings": [r.name for r in rings], "hbar_cutoff": K})
 
 
@@ -680,7 +698,7 @@ def _truncation_morphism(big: ArtinLocalAlgebra, small: ArtinLocalAlgebra, K: in
 
 def cmd_identity(args) -> Report:
     rng = random.Random(args.seed)
-    certs: list[Certificate] = []
+    certs: list[CheckResult] = []
     inputs = {"seed": args.seed, "instances": args.instances}
     if args.identity == "unimodular-poisson":
         def example(name: str, S0: Polyvector, S1: Polyvector, expected: bool) -> CheckResult:
@@ -692,7 +710,7 @@ def cmd_identity(args) -> Report:
         # each dimension's algebra is built once per process: not inside a timed row
         for dim in sorted({S0.dim for S0, _, _ in examples.values()}):
             polyvector_fields(dim)
-        certs = [Certificate.from_check(timed(lambda: example(name, S0, S1, expected)))
+        certs = [timed(lambda: example(name, S0, S1, expected))
                  for name, (S0, S1, expected) in examples.items()]
         return Report("identity-check unimodular-poisson", certs, inputs)
     if args.file is None:
@@ -712,8 +730,7 @@ def cmd_identity(args) -> Report:
                           lambda: random_qme_element(V, ring, rng),
                           lambda S: qme_exp_check(V, ring, S, K)["ok"])
     else:  # derived-brackets
-        certs.append(Certificate.from_check(timed(
-            lambda: derived_brackets_linfty_check(V.as_bvinfty(K)))))
+        certs.append(timed(lambda: derived_brackets_linfty_check(V.as_bvinfty(K))))
     return Report(f"identity-check {args.identity}", certs, inputs)
 
 

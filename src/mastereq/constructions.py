@@ -357,12 +357,21 @@ class AssociativeAlgebraData:
         return self.product.get((a, b), {})
 
     def axiom_report(self) -> list[CheckResult]:
-        """Associativity, timed: Delta^2 = 0 on the bar construction cut at
-        three letters, where Delta^2 of a_1 (x) a_2 (x) a_3 is the associator
-        up to sign and Delta^2 vanishes on shorter words.  The witness is the
-        first failing word and the associator's value on it."""
-        return [timed(lambda: bar_bv_from_associative(self, 3).square_part(2)
-                      .is_zero_on_defined("associativity"))]
+        """Associativity, and with a differential d-squared and Leibniz, each
+        timed, on the bar construction cut at three letters.  Associativity
+        is Delta^2 = 0: Delta^2 of a_1 (x) a_2 (x) a_3 is the associator up
+        to sign, and Delta^2 vanishes on shorter words.  d-squared is d^2 = 0
+        on letters and so on words.  Leibniz is [Delta, d] = 0: on a_1 (x) a_2
+        it is d(a_1 a_2) - d(a_1) a_2 - (-1)^{|a_1|} a_1 d(a_2) up to sign, and
+        it vanishes on letters and on longer words when it does on pairs, so
+        its witness is a pair.  Each witness is the first failing word and
+        the operator's value on it."""
+        bar = bar_bv_from_associative(self, 3)
+        rows = [timed(lambda: bar.square_part(2).is_zero_on_defined("associativity"))]
+        if self.d:
+            rows += [timed(lambda: bar.square_part(0).is_zero_on_defined("d-squared")),
+                     timed(lambda: bar.square_part(1).is_zero_on_defined("leibniz"))]
+        return rows
 
 
 def bar_bv_from_associative(A: AssociativeAlgebraData, max_len: int = 4) -> BVAlgebra:

@@ -50,7 +50,8 @@ class ManifestError(MasterEqError):
 
 @dataclass
 class CheckResult:
-    """Outcome of one certified check, with an explicit truncation bound.
+    """Outcome of one certified check, with an explicit truncation bound: the
+    certificate that `certify.Report` renders.
 
     `witness` is a small JSON-able structure pinpointing a failure; `bound`
     records the truncation the certificate is valid up to (word length,

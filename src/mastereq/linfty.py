@@ -48,7 +48,6 @@ __all__ = [
     "chuang_lazarev_morphism_defect",
     "mc_linear_part",
     "mc_solve_perturbative",
-    "MCSolveResult",
     "coderivation_dg_lie",
     "deformed_bracket_check",
 ]
@@ -374,9 +373,6 @@ def chuang_lazarev_morphism_defect(target, source, S: Mapping[Word, Mapping[str,
     return CheckResult("intertwining", True)
 
 
-MCSolveResult = SolveResult
-
-
 def mc_linear_part(g: LInftyAlgebra) -> LinearPart:
     """l_1 from degree one to degree two, keyed (label, 0) for `lift_perturbative`."""
     l1 = g.brackets.get(1, {})
@@ -386,7 +382,7 @@ def mc_linear_part(g: LInftyAlgebra) -> LinearPart:
     return unknowns, equations, rows
 
 
-def mc_solve_perturbative(g, ring: ArtinLocalAlgebra, seed: HbarSeries) -> MCSolveResult:
+def mc_solve_perturbative(g, ring: ArtinLocalAlgebra, seed: HbarSeries) -> SolveResult:
     """Lift a first-order solution along the m-adic filtration.
 
     `lift_perturbative` solves l_1(s_k) = -(residual at order k) one ring

@@ -260,8 +260,7 @@ class SeriesContext:
 @dataclass
 class SolveResult:
     """What `lift_perturbative` returns for either equation: the solution, or
-    the first obstructed order with its residual and the lift so far.  Bound
-    as `MCSolveResult` and `QMESolveResult`.
+    the first obstructed order with its residual and the lift so far.
 
     `timing_ms` holds the milliseconds a solver spent on its seed check
     ("seed-closed") and on the lift with its validation

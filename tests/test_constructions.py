@@ -324,6 +324,42 @@ def associator_oracle(A):
     return None
 
 
+def _d_image(A, x):
+    return {t: c for (s, t), c in A.d.items() if s == x}
+
+
+def d_squared_oracle(A):
+    """d(d(x)) over all generators; the first failing one, or None."""
+    for x in A.space.labels:
+        out = {}
+        for t, c in _d_image(A, x).items():
+            for u, c2 in _d_image(A, t).items():
+                vec_add_into(out, u, c * c2)
+        if any(out.values()):
+            return x
+    return None
+
+
+def leibniz_oracle(A):
+    """d(ab) - d(a)b - (-1)^|a| a d(b) over all generator pairs; the first
+    failing pair, or None."""
+    for a, b in itertools.product(A.space.labels, repeat=2):
+        out = {}
+        for t, v in A.mul_labels(a, b).items():
+            for u, c in _d_image(A, t).items():
+                vec_add_into(out, u, v * c)
+        for t, c in _d_image(A, a).items():
+            for u, v in A.mul_labels(t, b).items():
+                vec_add_into(out, u, -c * v)
+        sign = -1 if A.space.degree(a) % 2 else 1
+        for t, c in _d_image(A, b).items():
+            for u, v in A.mul_labels(a, t).items():
+                vec_add_into(out, u, -sign * c * v)
+        if any(out.values()):
+            return (a, b)
+    return None
+
+
 def _lie_algebras():
     """Degree-zero Lie algebras of dimension 2-5 as (basis, bracket): four
     fixtures, the abelian one on four letters (where co-Jacobi can fail with
@@ -550,6 +586,60 @@ def test_associativity_row_agrees_with_the_triple_loop(seed):
     assert row.ok == (witness is None)
     if witness is not None:
         assert row.witness["word"] == "⊗".join(witness)
+
+
+def _random_dg_associative(rng):
+    """`_random_associative` with a sparse differential of degree one, each
+    allowed (source, target) slot filled with probability 0.4; one draw in
+    four drops the product, so that d alone decides both rows."""
+    A = _random_associative(rng)
+    d = {(s, t): rng.choice((-1, 1, 2)) for s, t in itertools.product(A.space.labels, repeat=2)
+         if A.space.degree(t) == A.space.degree(s) + 1 and rng.random() < 0.4}
+    product = A.product if rng.random() < 0.75 else {}
+    return AssociativeAlgebraData(A.space.basis, product, d, name="random-dg")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 10**9))
+def test_differential_rows_agree_with_the_generator_loops(seed):
+    # d^2 on bar words vanishes where it does on letters, and [Delta, d] on
+    # two-letter bar words is the Leibniz defect up to sign, with the same
+    # first failing pair; without a differential neither row is reported
+    A = _random_dg_associative(random.Random(seed))
+    rows = {r.name: r for r in A.axiom_report()}
+    if not A.d:
+        assert list(rows) == ["associativity"]
+        return
+    assert list(rows) == ["associativity", "d-squared", "leibniz"]
+    witness = d_squared_oracle(A)
+    assert rows["d-squared"].ok == (witness is None)
+    if witness is not None:
+        assert rows["d-squared"].witness["word"] == witness
+    witness = leibniz_oracle(A)
+    assert rows["leibniz"].ok == (witness is None)
+    if witness is not None:
+        assert rows["leibniz"].witness["word"] == "⊗".join(witness)
+
+
+def test_random_differentials_reach_every_verdict():
+    # the property above sees each (d-squared, leibniz) pair of verdicts, and
+    # both verdicts of associativity
+    rows = [A.axiom_report() for A in map(_random_dg_associative, map(random.Random, range(300)))
+            if A.d]
+    assert len({(r[1].ok, r[2].ok) for r in rows}) == 4
+    assert {r[0].ok for r in rows} == {True, False}
+
+
+def test_leibniz_violator_fails_one_row():
+    # y·y = y and d x = y: d(x·y) = 0, but d(x)·y = y
+    A = load("leibniz-violator-assoc")
+    rows = {r.name: r for r in A.axiom_report()}
+    assert [name for name, r in rows.items() if not r.ok] == ["leibniz"]
+    assert rows["leibniz"].witness == {"word": "x⊗y", "value": {"y": "-1"}}
+    assert leibniz_oracle(A) == ("x", "y") and d_squared_oracle(A) is None
+    # construct ttw certifies the same operator as [delta,d]
+    report = {r.name: r for r in bar_bv_from_associative(A, 4).certify()}
+    assert report["[delta,d]"].witness == rows["leibniz"].witness
 
 
 def test_random_products_pass_and_fail():

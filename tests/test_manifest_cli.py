@@ -15,12 +15,13 @@ import pytest
 
 import mastereq
 from mastereq import cli
-from mastereq.bv import QMESolveResult, derived_brackets_linfty_check
+from mastereq.bv import derived_brackets_linfty_check
 from mastereq.certify import run_battery
 from mastereq.constructions import BiDgLieData, bv_from_bi_dg_lie
 from mastereq.diagnostics import ManifestError
 from mastereq.linfty import DgLieAlgebra
 from mastereq.manifest import emit_manifest, parse_manifest, parse_manifest_text
+from mastereq.series import SolveResult
 
 from alg_fixtures import FIXTURES, ROOT
 
@@ -172,14 +173,22 @@ def test_check_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_run_battery_leaves_cached_certificates_named():
+def test_run_battery_leaves_cached_certificates_named(monkeypatch):
     # BV(inf)-algebras hand out their cached certificate list; prefixing the
-    # task names, as `check` does, must not rename the cached results
-    obj = parse_manifest(str(FIXTURES / "ce-l3demo.alg")).obj
-    names = [r.name for r in obj.certify()]
+    # task names and timing the tasks, as `run_battery` does, or prefixing the
+    # rows, as `check` does, must neither rename nor re-time the cached results
+    path = str(FIXTURES / "ce-l3demo.alg")
+    manifest = parse_manifest(path)
+    obj = manifest.obj
+    cached = [(r.name, r.timing_ms) for r in obj.certify()]
+    names = [name for name, _ in cached]
     certs = run_battery([(f"ce-l3demo: {r.name}", lambda r=r: r) for r in obj.certify()])
     assert sorted(c.name for c in certs) == sorted(f"ce-l3demo: {n}" for n in names)
-    assert [r.name for r in obj.certify()] == names
+    assert [(r.name, r.timing_ms) for r in obj.certify()] == cached
+    monkeypatch.setattr(cli, "parse_manifest", lambda _: manifest)
+    report = cli.cmd_check(cli.build_parser().parse_args(["check", path]))
+    assert sorted(c.name for c in report.certificates) == sorted(f"{manifest.name}: {n}" for n in names)
+    assert [(r.name, r.timing_ms) for r in obj.certify()] == cached
     assert derived_brackets_linfty_check(obj).ok
 
 
@@ -294,7 +303,7 @@ def _theorem_first_valid(tmp_path, monkeypatch, obstructed_calls):
     def solver(V, ring, seed, hbar_cutoff=None):
         calls.append(seed)
         if len(calls) - 1 in obstructed_calls:
-            return QMESolveResult(status="obstructed", obstruction_order=2, partial=seed)
+            return SolveResult(status="obstructed", obstruction_order=2, partial=seed)
         return solve(V, ring, seed, hbar_cutoff)
 
     monkeypatch.setattr(cli, "qme_solve_perturbative", solver)
@@ -358,7 +367,7 @@ def _scripted(tag, verdicts, log):
 
 
 def _bounds(certs):
-    return {c.name: (c.status, c.bounds) for c in certs}
+    return {c.name: ("pass" if c.ok else "fail", c.bound) for c in certs}
 
 
 def test_battery_rows_show_their_time(capsys):
@@ -627,6 +636,50 @@ def test_check_refuses_trunc_words_for_a_kind_that_does_not_read_it(name, kind, 
     err = capsys.readouterr().err
     assert "check --trunc-words is read only by linfty manifests" in err
     assert f"is a {kind} manifest" in err
+
+
+# (argv, a flag that variant of the command does not read, the variants that read it)
+REFUSED_FLAGS = [
+    *[(["verify-representability", theorem, algebra, *ring], "--trunc-words", "theorem-first")
+      for theorem, algebra, ring in (("quillen", "heis3.alg", ["--ring", "ring-t3.alg"]),
+                                     ("chuang-lazarev", "sl2.alg", []),
+                                     ("theorem-second", "bidg4-dglie.alg", []),
+                                     ("corollary-bidg", "bidg4.alg", ["--ring", "ring-t3.alg"]))],
+    *[(["verify-representability", theorem, algebra], "--ring",
+       "quillen, theorem-first, corollary-bidg")
+      for theorem, algebra in (("chuang-lazarev", "sl2.alg"), ("theorem-second", "bidg4-dglie.alg"))],
+    *[(["verify-representability", theorem, "heis3.alg", *ring], "--hbar-cutoff",
+       "theorem-first, theorem-second, corollary-bidg")
+      for theorem, ring in (("quillen", ["--ring", "ring-t3.alg"]), ("chuang-lazarev", []))],
+    *[(["construct", recipe, algebra], "--hbar-cutoff", "ce on linfty manifests")
+      for recipe, algebra in (("ce", "sl2.alg"), ("ibl", "noninv2.alg"), ("bi-dg", "bidg4.alg"),
+                              ("ttw", "nonassoc3.alg"))],
+]
+
+
+@pytest.mark.parametrize("argv,flag,read_by", REFUSED_FLAGS,
+                         ids=[f"{argv[1]}{flag}" for argv, flag, _ in REFUSED_FLAGS])
+def test_a_flag_the_variant_does_not_read_is_refused(argv, flag, read_by, capsys):
+    # the report would be the same without the flag; the error names the
+    # flag, the variants that read it and the one that was run
+    value = str(FIXTURES / "ring-t4.alg") if flag == "--ring" else "2"
+    assert run_cli(*_fixture_argv(argv), flag, value, "--format", "machine") == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert f"error: {argv[0]} {flag} is read only by {read_by}; " in err
+    assert argv[1] in err.split("; ")[1]
+
+
+def test_the_variants_that_read_a_flag_accept_it(tmp_path):
+    # theorem-first reads all three verify flags; construct ce reads --hbar-cutoff on L-infinity
+    argv = ["verify-representability", "theorem-first", "sl2.alg", "--ring", "ring-t3.alg",
+            "--instances", "2", "--seed", "3"]
+    assert run_cli(*_fixture_argv(argv), "--trunc-words", "4", "--hbar-cutoff", "3",
+                   "--out", str(tmp_path / "a.txt")) == 0
+    out = tmp_path / "ce.json"
+    assert run_cli("construct", "ce", str(FIXTURES / "l3demo.alg"), "--hbar-cutoff", "2",
+                   "--format", "machine", "--out", str(out)) == 0
+    assert '"hbar_cutoff": 2' in out.read_text()
 
 
 def test_check_reads_trunc_words_of_an_linfty_manifest(tmp_path):

@@ -17,6 +17,10 @@ Maurer-Cartan equation in the coderivation algebra, whose residual is
 Quillen check and the direct residual against the ambient `qme_residual`),
 each with the residual of one route one term too many.
 
+`theorem_first_bijection_check` (the QME of S against the intertwining of
+the morphism R* -> V[[hbar]] that S induces) has its control with one term
+too many in the morphism's exponential, on a word whose dhat is not zero.
+
 `construct ibl`'s `involutivity-dichotomy` (bracket∘delta = 0 on generators,
 `LieBialgebraData.involutive`, against [Delta, d] = 0 on the CE complex) has
 its control with `involutive` returning the opposite answer.
@@ -30,12 +34,13 @@ from fractions import Fraction
 import pytest
 
 from mastereq import bv as bv_module
-from mastereq import cli, constructions, linfty
+from mastereq import cli, constructions, linfty, morphisms
 from mastereq.artin import power_ring
 from mastereq.bv import BVInftyAlgebra, conjugation_identity_check, qme_exp_check, qme_solve_perturbative
 from mastereq.cli import _closed_qme_seed
 from mastereq.constructions import ce_bv_from_dg_lie, corollary_bidg_check
 from mastereq.linfty import deformed_bracket_check, mc_element, quillen_bijection_check
+from mastereq.morphisms import theorem_first_bijection_check
 from mastereq.series import HbarSeries, SeriesContext
 
 from alg_fixtures import FIXTURES, load
@@ -169,6 +174,24 @@ def test_a_corrupted_ambient_residual_fails_the_bidg_corollary(monkeypatch):
     monkeypatch.setattr(constructions, "qme_residual", plus_one_term)
     report = corollary_bidg_check(B, ring, S)
     assert report["ok"] is False and not report["qm"]
+
+
+def test_a_corrupted_exponential_fails_theorem_first_on_its_key(monkeypatch):
+    bv, ring, S = _solved_lift3_dg_bv()
+    report = theorem_first_bijection_check(bv, ring, S)
+    assert report["ok"] and report["solves_qme"] and report["is_morphism"]
+    exp_map = morphisms.BVMorphism.exp_map
+
+    def plus_one_term(phi):
+        # d u = w in lift3, so dhat u is not zero and the key t stops intertwining
+        out = dict(exp_map(phi))
+        out["t"] = out["t"].add(HbarSeries({(("u",), "1", 0): 1}))
+        return out
+
+    monkeypatch.setattr(morphisms.BVMorphism, "exp_map", plus_one_term)
+    report = theorem_first_bijection_check(bv, ring, S)
+    assert report["ok"] is False and report["solves_qme"] and not report["is_morphism"]
+    assert report["morphism"]["intertwining"].witness == {"key": "t"}
 
 
 def test_a_flipped_involutivity_fails_the_ibl_dichotomy(monkeypatch, capsys):
