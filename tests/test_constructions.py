@@ -329,20 +329,21 @@ def _d_image(A, x):
 
 
 def d_squared_oracle(A):
-    """d(d(x)) over all generators; the first failing one, or None."""
+    """d(d(x)) over all generators; the first failing one with its nonzero
+    value, or None."""
     for x in A.space.labels:
         out = {}
         for t, c in _d_image(A, x).items():
             for u, c2 in _d_image(A, t).items():
                 vec_add_into(out, u, c * c2)
         if any(out.values()):
-            return x
+            return (x,), {u: c for u, c in out.items() if c}
     return None
 
 
 def leibniz_oracle(A):
     """d(ab) - d(a)b - (-1)^|a| a d(b) over all generator pairs; the first
-    failing pair, or None."""
+    failing pair with the nonzero defect, or None."""
     for a, b in itertools.product(A.space.labels, repeat=2):
         out = {}
         for t, v in A.mul_labels(a, b).items():
@@ -356,7 +357,7 @@ def leibniz_oracle(A):
             for u, v in A.mul_labels(a, t).items():
                 vec_add_into(out, u, -sign * c * v)
         if any(out.values()):
-            return (a, b)
+            return (a, b), {u: c for u, c in out.items() if c}
     return None
 
 
@@ -603,22 +604,23 @@ def _random_dg_associative(rng):
 @given(st.integers(0, 10**9))
 def test_differential_rows_agree_with_the_generator_loops(seed):
     # d^2 on bar words vanishes where it does on letters, and [Delta, d] on
-    # two-letter bar words is the Leibniz defect up to sign, with the same
-    # first failing pair; without a differential neither row is reported
+    # a two-letter bar word a (x) b is the Leibniz defect times -(-1)^|a|,
+    # with the same first failing pair; without a differential neither row
+    # is reported
     A = _random_dg_associative(random.Random(seed))
     rows = {r.name: r for r in A.axiom_report()}
     if not A.d:
         assert list(rows) == ["associativity"]
         return
     assert list(rows) == ["associativity", "d-squared", "leibniz"]
-    witness = d_squared_oracle(A)
-    assert rows["d-squared"].ok == (witness is None)
-    if witness is not None:
-        assert rows["d-squared"].witness["word"] == witness
-    witness = leibniz_oracle(A)
-    assert rows["leibniz"].ok == (witness is None)
-    if witness is not None:
-        assert rows["leibniz"].witness["word"] == "⊗".join(witness)
+    for name, failure, sign in (("d-squared", d_squared_oracle(A), lambda word: 1),
+                                ("leibniz", leibniz_oracle(A),
+                                 lambda word: 1 if A.space.degree(word[0]) % 2 else -1)):
+        assert rows[name].ok == (failure is None)
+        if failure is not None:
+            word, value = failure
+            assert rows[name].witness == {"word": "⊗".join(word),
+                                          "value": {u: str(sign(word) * c) for u, c in value.items()}}
 
 
 def test_random_differentials_reach_every_verdict():
@@ -636,7 +638,7 @@ def test_leibniz_violator_fails_one_row():
     rows = {r.name: r for r in A.axiom_report()}
     assert [name for name, r in rows.items() if not r.ok] == ["leibniz"]
     assert rows["leibniz"].witness == {"word": "x⊗y", "value": {"y": "-1"}}
-    assert leibniz_oracle(A) == ("x", "y") and d_squared_oracle(A) is None
+    assert leibniz_oracle(A) == (("x", "y"), {"y": -1}) and d_squared_oracle(A) is None
     # construct ttw certifies the same operator as [delta,d]
     report = {r.name: r for r in bar_bv_from_associative(A, 4).certify()}
     assert report["[delta,d]"].witness == rows["leibniz"].witness
