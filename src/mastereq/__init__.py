@@ -57,6 +57,7 @@ from .linfty import (
     deformed_bracket_check,
     emce_residual,
     mc_element,
+    mc_exp_map,
     mc_is_solution,
     mc_solve_perturbative,
     quillen_bijection_check,

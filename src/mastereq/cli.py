@@ -33,6 +33,7 @@ from .bv import (
     qme_solve_perturbative,
 )
 from .certify import Report, run_battery
+from .coalgebra import coproduct_defect
 from .constructions import (
     AssociativeAlgebraData,
     BiDgLieData,
@@ -54,6 +55,7 @@ from .linfty import (
     coderivation_dg_lie,
     deformed_bracket_check,
     emce_residual,
+    mc_exp_map,
     mc_linear_part,
     mc_solve_perturbative,
     quillen_bijection_check,
@@ -87,6 +89,7 @@ OPERATION_COMMANDS = {
     "mc_is_solution": "solve-mc",
     "deformed_bracket_check": "verify-representability",
     "quillen_bijection_check": "verify-representability",
+    "mc_exp_map": "verify-representability",
     "chuang_lazarev_residual": "verify-representability",
     "mc_solve_perturbative": "solve-mc",
     "operator_order_check": "check",
@@ -350,7 +353,8 @@ def cmd_construct(args) -> Report:
         results = [r for r in built.certify() if info["involutive"] or r.name != "[delta,d]"]
         certs.append(CheckResult("involutivity-dichotomy",
                                  info["involutive"] == info["commutator_vanishes"],
-                                 witness=info["witness"], bound={"involutive": info["involutive"]}))
+                                 witness=info["witness"], bound={"involutive": info["involutive"]},
+                                 timing_ms=info["timing_ms"]))
     elif args.recipe == "bi-dg":
         if not isinstance(m.obj, BiDgLieData):
             raise ManifestError("construct bi-dg expects a bi-dg-lie manifest")
@@ -484,12 +488,22 @@ def cmd_verify(args) -> Report:
             target, _ = coderivation_dg_lie(m.obj, max_len=3)
             certs.extend(run_battery([("deformed-bracket-agreement",
                                        lambda: _deformed_bracket_battery(m.obj, ring, rng, count))]))
-        certs += _battery(
-            "quillen", count, lambda: random_mc_element(target, ring, rng),
-            lambda S: quillen_bijection_check(target, ring, S)["ok"],
-            # one corrupted exp map decides: one still read as a morphism is a miss
-            lambda S: not quillen_bijection_check(
-                target, ring, S, corrupt=_corruption(target, ring))["morphism"])
+        W = target.word_algebra(ring.nilpotency)
+
+        def draw():
+            S = random_mc_element(target, ring, rng)
+            return S, mc_exp_map(target, ring, S)
+
+        def corrupted(inst):
+            # exp(S) plus the first two-letter word on the first key of m, read
+            # by the coproduct check alone: a map still read as a morphism is a miss
+            word, key = next(w for w in W.words if len(w) == 2), ring.ideal_labels[0]
+            bad = dict(inst[1])
+            bad[key] = bad.get(key, HbarSeries()).add(HbarSeries({(word, "1", 0): ONE}))
+            return coproduct_defect(ring.dual_coalgebra(), W, bad) is not None
+
+        certs += _battery("quillen", count, draw,
+                          lambda inst: quillen_bijection_check(target, ring, *inst)["ok"], corrupted)
     elif args.theorem == "chuang-lazarev":
         g = m.obj
 
@@ -632,11 +646,6 @@ def _perturbed(table: dict, rng: random.Random) -> dict:
     t = sorted(bad[key])[rng.randrange(len(bad[key]))]
     bad[key][t] = bad[key][t] + rng.choice([1, -1, 2])
     return bad
-
-
-def _corruption(g, ring):
-    target = next(w for w in g.word_algebra(ring.nilpotency).words if len(w) == 2)
-    return (ring.ideal_labels[0], target, ONE)
 
 
 def _deformed_bracket_battery(h: DgLieAlgebra, ring, rng: random.Random, count: int) -> CheckResult:

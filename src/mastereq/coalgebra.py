@@ -350,14 +350,15 @@ class CoalgebraMorphism:
 def coproduct_defect(source, target, F: MapSeries):
     """The first basis key of `source` on which Δ_target ∘ F ≠ (F ⊗ F) ∘ Δ_source,
     or None; F maps source keys to plain series over target words, as `conv_exp` does."""
-    for key in _basis_keys(source):
+    vectors = {key: word_vector(F, key) for key in _basis_keys(source)}
+    for key, vector in vectors.items():
         diff: dict[tuple[Word, Word], Scalar] = {}
-        for u, c in word_vector(F, key).items():
+        for u, c in vector.items():
             for l, r, s in target.coproduct(u):
                 vec_add_into(diff, (l, r), c * s)
         for a, b, s in source.coproduct(key):
-            for u1, c1 in word_vector(F, a).items():
-                for u2, c2 in word_vector(F, b).items():
+            for u1, c1 in vectors[a].items():
+                for u2, c2 in vectors[b].items():
                     vec_add_into(diff, (u1, u2), -s * c1 * c2)
         if diff:
             return key

@@ -14,8 +14,9 @@ reads them off `LInftyAlgebra.square_zero_rows`.
 Over a local parameter ring (R, m) with m^M = 0 the completed tensor g ⊗ m is
 plain g (x) m, and the extended Maurer-Cartan residual sum_n l_n(S,..,S)/n! is
 a finite sum.  Elements of degree one in g (x) m are even in g[1] (x) m, so all
-powers are sign-free and the residual is the corestriction applied to
-exp(S) - 1 computed in the word algebra.
+powers are sign-free: the coefficient of a word in exp(S) is a product of
+divided powers of the coefficients of S, and the residual is read off the
+bracket table without multiplying exp(S) out.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .artin import ArtinLocalAlgebra
-from .coalgebra import (Coderivation, conv_exp, coproduct_defect, corestriction_defect,
+from .coalgebra import (Coderivation, MapSeries, conv_exp, coproduct_defect, corestriction_defect,
                         corestriction_series, intertwining_defect)
 from .diagnostics import CheckResult, PreconditionError, StructureError, timed
 from .graded import ONE, ZERO, GradedVectorSpace, Scalar, as_scalar
@@ -43,6 +44,7 @@ __all__ = [
     "mc_element",
     "emce_residual",
     "mc_is_solution",
+    "mc_exp_map",
     "quillen_bijection_check",
     "chuang_lazarev_residual",
     "chuang_lazarev_morphism_defect",
@@ -239,57 +241,95 @@ def mc_element(g, ring: ArtinLocalAlgebra, terms: Mapping[tuple[str, str], objec
     return MaurerCartanElement(g, ring, {(x, r, 0): c for (x, r), c in terms.items()})
 
 
-def emce_residual(g, ring: ArtinLocalAlgebra, S: HbarSeries, max_len: int | None = None) -> HbarSeries:
-    """sum_{n>=1} l_n(S,...,S)/n! in g (x) m; finite since m is nilpotent."""
-    for (x, r, h) in S.terms:
+def emce_residual(g, ring: ArtinLocalAlgebra, S: HbarSeries) -> HbarSeries:
+    """sum_{n>=1} l_n(S,...,S)/n! in g (x) m; finite since m is nilpotent.
+
+    Read off the bracket table.  S has total degree one, so its letter x at
+    hbar power h has degree 1 - 2h in g and -2h in g[1]: every letter of S is
+    even, and exp(S) = prod_x exp(s_x x) with s_x in m[hbar] the coefficient
+    of x.  The coefficient of a word x_1^{m_1}...x_k^{m_k} in exp(S) is
+    prod_i s_{x_i}^{m_i}/m_i!, and the residual is l_n(word) times it,
+    summed over the words on the letters of S.  These are built level by
+    level, as `SymmetricWordAlgebra` builds its basis: a word extends one a
+    letter shorter, and its coefficient is that word's times s_x/m, with m
+    the new multiplicity of the letter x.  A word whose coefficient
+    vanishes (m^M = 0) is not extended, and none is longer than the
+    longest bracket.
+    """
+    coefficient: dict[str, dict[tuple[str, int], Scalar]] = {}  # x -> s_x as {(r, h): c}
+    for (x, r, h), c in S.terms.items():
         if g.space.degree(x) + 2 * h != 1:
             raise PreconditionError(
                 f"Maurer-Cartan elements have total degree 1; component on {x!r} has "
                 f"degree {g.space.degree(x) + 2 * h}")
         if r not in ring.ideal_labels:
             raise PreconditionError(f"coefficient {r!r} is not in the maximal ideal")
-    M = ring.nilpotency
-    N = max_len or max(M - 1, 1)
-    algebra = g.word_algebra(N)
-    ctx = SeriesContext(algebra, ring)
-    S_words = HbarSeries({((x,), r, h): c for (x, r, h), c in S.terms.items()})
-    acc = HbarSeries()
-    term = S_words
-    n = 1
-    while not term.is_zero():
-        acc = acc.add(term)
-        n += 1
-        term = ctx.mul(term, S_words).scale(Fraction(1, n))
+        coefficient.setdefault(x, {})[(r, h)] = c
+
+    def mul(a: dict, b: dict, k: int) -> dict:
+        """a * b / k in R[hbar]."""
+        out: dict[tuple[str, int], Scalar] = {}
+        for (r1, h1), c1 in a.items():
+            for (r2, h2), c2 in b.items():
+                for r, rc in ring.mul_labels(r1, r2).items():
+                    vec_add_into(out, (r, h1 + h2), c1 * c2 * rc)
+        return out if k == 1 else {key: as_scalar(Fraction(v, k)) for key, v in out.items()}
+
+    # sorted, the words on even letters are normal forms, as the bracket keys are
+    letters = sorted(coefficient, key=g.shifted.sort_key.__getitem__)
     out: dict = {}
-    for (w, r, h), c in acc.terms.items():
-        for t, v in g.corestriction_value(w).items():
-            vec_add_into(out, (t, r, h), v * c)
+    # (word, its coefficient in exp(S), index of its last letter, multiplicity of that letter)
+    level: list[tuple[Word, dict, int, int]] = [((), {}, 0, 0)]
+    for n in range(1, max(g.brackets, default=0) + 1):
+        table = g.brackets.get(n, {})
+        extended = []
+        for word, c, last, m in level:
+            for i in range(last, len(letters)):
+                x = letters[i]
+                k = m + 1 if word and i == last else 1
+                cx = mul(c, coefficient[x], k) if word else coefficient[x]
+                if not cx:
+                    continue
+                longer = word + (x,)
+                extended.append((longer, cx, i, k))
+                for t, v in table.get(longer, {}).items():
+                    for (r, h), a in cx.items():
+                        vec_add_into(out, (t, r, h), v * a)
+        level = extended
     return HbarSeries(out)
 
 
-def mc_is_solution(g, ring: ArtinLocalAlgebra, S: HbarSeries, max_len: int | None = None) -> bool:
-    return emce_residual(g, ring, S, max_len).is_zero()
+def mc_is_solution(g, ring: ArtinLocalAlgebra, S: HbarSeries) -> bool:
+    return emce_residual(g, ring, S).is_zero()
 
 
-def _exp_map_from_element(ring: ArtinLocalAlgebra, S: HbarSeries, algebra: SymmetricWordAlgebra):
-    """S in (g (x) m)^1 as a map R* -> S(g[1]), then its convolution exponential."""
+def mc_exp_map(g, ring: ArtinLocalAlgebra, S: HbarSeries) -> MapSeries:
+    """exp(S): R* -> S(g[1]).  S in (g (x) m)^1 is read as a map R* -> g[1],
+    and exp(S) is its convolution exponential.  Its values are words shorter
+    than the nilpotency order M, computed in g.word_algebra(M)."""
     if any(h for (_, _, h) in S.terms):
         raise PreconditionError("classical Maurer-Cartan elements carry no hbar powers")
     by_label: dict[str, dict] = {}
     for (x, r, _), c in S.terms.items():
         by_label.setdefault(r, {})[((x,), "1", 0)] = c
-    dual = ring.dual_coalgebra()
-    return dual, conv_exp(dual, SeriesContext(algebra), {r: HbarSeries(t) for r, t in by_label.items()})
+    return conv_exp(ring.dual_coalgebra(), SeriesContext(g.word_algebra(ring.nilpotency)),
+                    {r: HbarSeries(t) for r, t in by_label.items()})
 
 
 def quillen_bijection_check(g, ring: ArtinLocalAlgebra, S: HbarSeries,
-                            max_len: int | None = None, corrupt=None) -> dict:
+                            exp_map: MapSeries | None = None, max_len: int | None = None) -> dict:
     """Representability instance check over Spec R.
 
-    Builds exp(S): R* -> S(g[1]) by the convolution exponential and verifies
-    independently that (D ∘ exp(S) = 0) <=> (the Maurer-Cartan residual of S
-    vanishes), and that exp(S) is a coaugmented coalgebra morphism.  The
-    tuple of booleans is returned so corrupted instances can be inspected.
+    `exp_map` is exp(S) = `mc_exp_map(g, ring, S)`, built here when not
+    given; a caller that also needs the map (a battery and its control)
+    builds it once.  Checks that exp(S) is a coaugmented coalgebra morphism,
+    and, independently, that (D ∘ exp(S) = 0) <=> (the Maurer-Cartan
+    residual of S vanishes), the residual read off the bracket table by
+    `emce_residual`.  Returns the verdicts and `witness`: the first key of
+    R* on which the coproduct check fails (`coproduct`) and on which
+    D ∘ exp(S) is not zero (`d_exp`), and the first nonzero residual term
+    as (letter, ring label, hbar power) in basis order (`curvature`); each
+    None where there is none.
     """
     M = ring.nilpotency
     N = max_len or M
@@ -297,15 +337,16 @@ def quillen_bijection_check(g, ring: ArtinLocalAlgebra, S: HbarSeries,
         raise PreconditionError(
             f"word truncation {N} is smaller than the nilpotency order {M}; "
             "exp(S) would be cut off, refusing")
-    algebra = g.word_algebra(N)
-    D = g.codifferential(N)
-    dual, F = _exp_map_from_element(ring, S, algebra)
-    if corrupt is not None:
-        key, word, delta = corrupt
-        F[key] = F.get(key, HbarSeries()).add(HbarSeries({(tuple(word), "1", 0): delta}))
-    morphism_ok = coproduct_defect(dual, algebra, F) is None
-    d_exp_zero = intertwining_defect(dual.basis_keys, F, [(D, 0)], []) is None
-    residual_zero = emce_residual(g, ring, S).is_zero()
+    F = mc_exp_map(g, ring, S) if exp_map is None else exp_map
+    dual = ring.dual_coalgebra()
+    coproduct_key = coproduct_defect(dual, g.word_algebra(N), F)
+    d_exp_key = intertwining_defect(dual.basis_keys, F, [(g.codifferential(N), 0)], [])
+    residual = emce_residual(g, ring, S)
+    curvature = min(residual.terms, default=None,
+                    key=lambda k: (g.space.index(k[0]), ring.labels.index(k[1]), k[2]))
+    morphism_ok = coproduct_key is None
+    d_exp_zero = d_exp_key is None
+    residual_zero = curvature is None
     equivalence = d_exp_zero == residual_zero
     return {
         "morphism": morphism_ok,
@@ -313,6 +354,7 @@ def quillen_bijection_check(g, ring: ArtinLocalAlgebra, S: HbarSeries,
         "residual_zero": residual_zero,
         "equivalence": equivalence,
         "ok": morphism_ok and equivalence,
+        "witness": {"coproduct": coproduct_key, "d_exp": d_exp_key, "curvature": curvature},
         "bound": {"word_length": N, "nilpotency": M},
     }
 

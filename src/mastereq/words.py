@@ -19,7 +19,7 @@ the counit is the coefficient of the empty word.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .diagnostics import PreconditionError
 from .graded import ONE, ZERO, GradedVectorSpace, Scalar, koszul_sign
@@ -129,9 +129,8 @@ class WordAlgebra:
         self.max_len = max_len
         self._sort_key = space.sort_key
         # listed by length, shortest first: the words of length <= L are a prefix
-        self.words: tuple[Word, ...] = tuple(self._enumerate_words())
-        self._word_set = set(self.words)
-        self._degree = {w: sum(space.degree(x) for x in w) for w in self.words}
+        self._degree: dict[Word, int] = self._basis()
+        self.words: tuple[Word, ...] = tuple(self._degree)
         self._coproduct_cache: dict[Word, tuple[list, list]] = {}
 
     # -- basis ----------------------------------------------------------
@@ -139,7 +138,7 @@ class WordAlgebra:
     unit: Word = ()
 
     def __contains__(self, word: Word) -> bool:
-        return word in self._word_set
+        return word in self._degree
 
     def degree(self, word: Word) -> int:
         return self._degree[word]
@@ -228,7 +227,8 @@ class WordAlgebra:
         return ([(l, r, c) for (l, r), c in full.items() if c],
                 [(l, r, c) for (l, r), c in first.items() if c])
 
-    def _enumerate_words(self) -> Iterable[Word]:
+    def _basis(self) -> dict[Word, int]:
+        """The basis words, shortest first, each with its degree."""
         raise NotImplementedError
 
     _joiner = "?"
@@ -252,14 +252,22 @@ class SymmetricWordAlgebra(WordAlgebra):
         """`normal_form` on this algebra's space."""
         return normal_form(self.space, labels)
 
-    def _enumerate_words(self) -> Iterable[Word]:
+    def _basis(self) -> dict[Word, int]:
+        """The normal forms, level by level: a word of length n extends one
+        of length n - 1 by a letter that sorts at or after its last letter,
+        strictly after an odd one, and adds that letter's degree.  Each level
+        lists its words in `itertools.combinations_with_replacement` order
+        of the sorted letters."""
         letters = sorted(self.space.labels, key=self._sort_key.__getitem__)
-        odd = self._odd_letters
-        for n in range(self.max_len + 1):
-            for combo in itertools.combinations_with_replacement(letters, n):
-                if any(a == b and a in odd for a, b in zip(combo, combo[1:])):
-                    continue
-                yield combo
+        degrees = [self.space.degree(x) for x in letters]
+        basis = {(): 0}
+        # (word, degree, index of the first letter it may be extended by)
+        level: list[tuple[Word, int, int]] = [((), 0, 0)]
+        for _ in range(self.max_len):
+            level = [(w + (letters[i],), d + degrees[i], i + degrees[i] % 2)
+                     for w, d, start in level for i in range(start, len(letters))]
+            basis.update((w, d) for w, d, _ in level)
+        return basis
 
     def generator_words(self) -> tuple[Word, ...]:
         """The letters: the free graded-commutative algebra is generated by V."""
@@ -316,10 +324,10 @@ class TensorWordAlgebra(WordAlgebra):
     symmetric = False
     _joiner = "⊗"  # tensor sign
 
-    def _enumerate_words(self) -> Iterable[Word]:
+    def _basis(self) -> dict[Word, int]:
         letters = self.space.labels
-        for n in range(self.max_len + 1):
-            yield from itertools.product(letters, repeat=n)
+        return {w: sum(map(self.space.degree, w))
+                for n in range(self.max_len + 1) for w in itertools.product(letters, repeat=n)}
 
     def generator_words(self) -> tuple[Word, ...]:
         """Every word of the augmentation ideal.

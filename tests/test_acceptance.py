@@ -35,6 +35,7 @@ from mastereq.linfty import (
     chuang_lazarev_residual,
     coderivation_dg_lie,
     emce_residual,
+    mc_exp_map,
     mc_solve_perturbative,
     quillen_bijection_check,
 )
@@ -55,6 +56,7 @@ from mastereq.series import HbarSeries
 
 from alg_fixtures import load
 from test_constructions import associator_oracle
+from test_linfty import with_term
 
 R3 = power_ring(3)
 
@@ -163,8 +165,9 @@ def test_criterion_04_representability():
     corrupt_word = next(w for w in coder.word_algebra(3).words if len(w) == 2)
     for _ in range(20):
         S = random_mc_element(coder, R3, rng)
-        ok &= quillen_bijection_check(coder, R3, S)["ok"]
-        bad = quillen_bijection_check(coder, R3, S, corrupt=("t", corrupt_word, Fraction(1)))
+        F = mc_exp_map(coder, R3, S)
+        ok &= quillen_bijection_check(coder, R3, S, F)["ok"]
+        bad = quillen_bijection_check(coder, R3, S, with_term(F, "t", corrupt_word))
         ok &= not bad["morphism"]
     # theorem first over CE(sl2)
     bv = ce_bv_from_dg_lie(load("sl2"), 4)
@@ -231,7 +234,7 @@ def test_criterion_04_representability():
         S = HbarSeries(terms)
         ok &= corollary_bidg_check(B, R3, S, 3)["ok"]
         S_mc = HbarSeries({(f"{x}@h{h}", r, 0): c for (x, r, h), c in S.terms.items()})
-        bad = quillen_bijection_check(gh, R3, S_mc, corrupt=("t", gh_word, Fraction(1)))
+        bad = quillen_bijection_check(gh, R3, S_mc, with_term(mc_exp_map(gh, R3, S_mc), "t", gh_word))
         ok &= not bad["morphism"]
     report(4, "representability bijections", ok, time.perf_counter() - start, 60.0)
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -20,11 +21,13 @@ from mastereq.linfty import (
     deformed_bracket_check,
     emce_residual,
     mc_element,
+    mc_exp_map,
     mc_is_solution,
     mc_solve_perturbative,
     quillen_bijection_check,
 )
-from mastereq.series import HbarSeries
+from mastereq.sampling import random_mc_element, random_rational
+from mastereq.series import HbarSeries, SeriesContext
 from mastereq.words import vec_add_into
 
 from alg_fixtures import load
@@ -132,6 +135,75 @@ def test_emce_equals_classical_formula_for_dg_lie():
     assert emce_residual(g, R, S) == HbarSeries(expect)
 
 
+def multiplied_out_emce_residual(g, ring, S):
+    """The oracle of `emce_residual`: exp(S) - 1 multiplied out in S(g[1])
+    cut at M - 1 letters, term by term as S^n/n!, and the corestriction read
+    on every word of it."""
+    ctx = SeriesContext(g.word_algebra(max(ring.nilpotency - 1, 1)), ring)
+    S_words = HbarSeries({((x,), r, h): c for (x, r, h), c in S.terms.items()})
+    acc, term, n = HbarSeries(), S_words, 1
+    while not term.is_zero():
+        acc = acc.add(term)
+        n += 1
+        term = ctx.mul(term, S_words).scale(Fraction(1, n))
+    out: dict = {}
+    for (w, r, h), c in acc.terms.items():
+        for t, v in g.corestriction_value(w).items():
+            vec_add_into(out, (t, r, h), v * c)
+    return HbarSeries(out)
+
+
+def random_mc_element_with_hbar(g, ring, rng):
+    """A random element of total degree one with hbar powers: the letter x at
+    hbar^h where |x| + 2h = 1, h >= 0, on about 40% of the slots."""
+    terms = {}
+    for x in g.space.labels:
+        h, odd = divmod(1 - g.space.degree(x), 2)
+        if odd or h < 0:
+            continue
+        for r in ring.ideal_labels:
+            if rng.random() < 0.4:
+                c = random_rational(rng)
+                if c:
+                    terms[(x, r, h)] = c
+    return HbarSeries(terms)
+
+
+CURVATURE_CASES = [*((name, M, random_mc_element) for name in ("lift3", "obst2") for M in (3, 4, 5)),
+                   ("Coder(heis3)", 3, random_mc_element), ("l3demo", 4, random_mc_element),
+                   ("hbar-bidg4", 3, random_mc_element),
+                   # letters of degree -1 at hbar^1
+                   ("bidg4-dglie", 4, random_mc_element_with_hbar),
+                   ("l3demo", 4, random_mc_element_with_hbar)]
+
+
+@functools.cache
+def _curvature_algebra(name):
+    if name == "Coder(heis3)":
+        return coderivation_dg_lie(load("heis3"), 3)[0]
+    if name == "hbar-bidg4":
+        return constructions.hbar_extended_dg_lie(load("bidg4"), 3)
+    return load(name)
+
+
+def test_curvature_from_the_bracket_table_matches_the_multiplied_out_exponential():
+    nonzero = []
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.sampled_from(CURVATURE_CASES), st.integers(0, 10**6))
+    def agrees(case, seed):
+        name, M, draw = case
+        g, ring = _curvature_algebra(name), power_ring(M)
+        S = draw(g, ring, random.Random(seed))
+        residual = emce_residual(g, ring, S)
+        assert residual == multiplied_out_emce_residual(g, ring, S)
+        nonzero.append(not residual.is_zero())
+
+    agrees()
+    # the draws test something: over a third of the residuals are not zero
+    assert sum(nonzero) > len(nonzero) // 3, (sum(nonzero), len(nonzero))
+
+
 def test_emce_rejects_wrong_degree():
     g = load("lift3")
     R = power_ring(3)
@@ -161,6 +233,16 @@ def test_emce_l3_brackets():
     S = mc_element(g, R, {("x", "t"): 1})
     res = emce_residual(g, R, S)
     assert res == HbarSeries({("w", "t^3", 0): Fraction(1, 6)})
+
+
+def test_emce_leaves_out_l0_as_exp_minus_one_does():
+    # a curved algebra: l_0 = w is no part of the residual sum over n >= 1
+    space = GradedVectorSpace([("x", 1), ("w", 2)])
+    g = LInftyAlgebra(space, {0: {(): {"w": 1}}, 2: {("x", "x"): {"w": 1}}}, name="curved")
+    R = power_ring(3)
+    S = mc_element(g, R, {("x", "t"): 1})
+    assert emce_residual(g, R, S) == multiplied_out_emce_residual(g, R, S) == \
+        HbarSeries({("w", "t^2", 0): Fraction(1, 2)})
 
 
 def test_mc_solver_returns_seed_for_abelian():
@@ -289,14 +371,33 @@ def test_quillen_refuses_small_truncation():
         quillen_bijection_check(load("heis3"), power_ring(3), HbarSeries(), max_len=2)
 
 
+def with_term(F, key, word, delta=1):
+    """A copy of the map F: R* -> S(g[1]) with delta * word added on `key`."""
+    bad = dict(F)
+    bad[key] = bad.get(key, HbarSeries()).add(HbarSeries({(tuple(word), "1", 0): delta}))
+    return bad
+
+
 def test_quillen_corrupted_exp_detected():
     algebra, _ = coder_heis3()
     R = power_ring(3)
     rng = random.Random(3)
     S = random_mc_in(algebra, R, rng)[0]
     label = next(x for x in algebra.space.labels if algebra.space.degree(x) == 0)
-    report = quillen_bijection_check(algebra, R, S, corrupt=("t", (label, label), Fraction(1)))
+    report = quillen_bijection_check(algebra, R, S, with_term(mc_exp_map(algebra, R, S), "t", (label, label)))
     assert not report["morphism"]
+
+
+def test_quillen_witnesses_name_the_first_failing_key_and_term():
+    # obst2 over k[t]/t^3: S = x t has residual w t^2/2, seen by D ∘ exp(S) on t^2 only
+    g, R = load("obst2"), power_ring(3)
+    S = mc_element(g, R, {("x", "t"): 1})
+    report = quillen_bijection_check(g, R, S)
+    assert report["ok"] and not report["d_exp_zero"] and not report["residual_zero"]
+    assert report["witness"] == {"coproduct": None, "d_exp": "t^2", "curvature": ("w", "t^2", 0)}
+    # x·x added on t: Δ(x·x) has 2 x ⊗ x, which F ⊗ F misses on Δ(t) = 1 ⊗ t + t ⊗ 1
+    report = quillen_bijection_check(g, R, S, with_term(mc_exp_map(g, R, S), "t", ("x", "x")))
+    assert not report["morphism"] and report["witness"]["coproduct"] == "t"
 
 
 def test_chuang_lazarev_zero():

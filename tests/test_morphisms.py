@@ -14,7 +14,7 @@ from mastereq.constructions import ce_bv_from_dg_lie, ce_bvinfty_from_linfty
 from mastereq.diagnostics import PreconditionError
 from mastereq.graded import as_scalar
 from mastereq.linfty import (LInftyAlgebra, chuang_lazarev_morphism_defect, chuang_lazarev_residual,
-                             coderivation_dg_lie, emce_residual, quillen_bijection_check)
+                             coderivation_dg_lie, emce_residual, mc_exp_map, quillen_bijection_check)
 from mastereq.morphisms import (
     BVMorphism,
     check_bv_morphism,
@@ -34,6 +34,7 @@ from mastereq.series import HbarSeries, SeriesContext
 from mastereq.words import vec_add_into
 
 from alg_fixtures import load
+from test_linfty import with_term
 
 
 def truncation_map(a: int, b: int):
@@ -438,18 +439,13 @@ def _chuang_lazarev_loop_key(target, source, S, max_len):
     return None
 
 
-def _quillen_loop_zero(g, ring, S, corrupt=None):
-    """Whether D∘exp(S) vanishes on every key of R*."""
-    algebra = g.word_algebra(ring.nilpotency)
+def _quillen_loop_key(g, ring, F):
+    """The first key of R* on which D∘F does not vanish, or None."""
     D = g.codifferential(ring.nilpotency)
-    dual, F = linfty._exp_map_from_element(ring, S, algebra)
-    if corrupt is not None:
-        key, word, delta = corrupt
-        F[key] = F.get(key, HbarSeries()).add(HbarSeries({(tuple(word), "1", 0): delta}))
-    for key in dual.basis_keys:
+    for key in ring.dual_coalgebra().basis_keys:
         if any(D.apply(word_vector(F, key)).values()):
-            return False
-    return True
+            return key
+    return None
 
 
 def _bumped(table, rng):
@@ -489,10 +485,14 @@ def test_call_sites_report_the_oracles_first_failing_key(name, seed, perturb):
         coderivation_dg_lie(g, 3)[0]
     ring = power_ring(3)
     S = random_mc_element(target, ring, rng)
-    corrupt = (rng.choice(ring.ideal_labels), rng.choice(target.word_algebra(3).words[1:]),
-               rng.choice([-1, 1])) if perturb else None
-    assert quillen_bijection_check(target, ring, S, corrupt=corrupt)["d_exp_zero"] == \
-        _quillen_loop_zero(target, ring, S, corrupt)
+    F = mc_exp_map(target, ring, S)
+    if perturb:
+        F = with_term(F, rng.choice(ring.ideal_labels), rng.choice(target.word_algebra(3).words[1:]),
+                      rng.choice([-1, 1]))
+    report = quillen_bijection_check(target, ring, S, F)
+    key = _quillen_loop_key(target, ring, F)
+    assert report["d_exp_zero"] == (key is None)
+    assert report["witness"]["d_exp"] == key
 
 
 def _one_more_term(monkeypatch):

@@ -130,8 +130,8 @@ def _emce_plus_one_term(monkeypatch):
     # read by `mc_is_solution` and the Quillen check through the module
     residual = linfty.emce_residual
 
-    def corrupted(g, ring, S, max_len=None):
-        return residual(g, ring, S, max_len).add(
+    def corrupted(g, ring, S):
+        return residual(g, ring, S).add(
             HbarSeries({(g.space.labels[0], ring.ideal_labels[0], 0): 1}))
 
     monkeypatch.setattr(linfty, "emce_residual", corrupted)
@@ -143,9 +143,12 @@ def test_a_corrupted_maurer_cartan_residual_fails_the_quillen_check(monkeypatch)
     S = mc_element(g, ring, {("x", "t"): 1, ("u", "t^2"): Fraction(-1, 2)})
     report = quillen_bijection_check(g, ring, S)
     assert report["ok"] and report["d_exp_zero"] and report["residual_zero"]
+    assert report["witness"] == {"coproduct": None, "d_exp": None, "curvature": None}
     _emce_plus_one_term(monkeypatch)
     report = quillen_bijection_check(g, ring, S)
-    assert report["ok"] is False and report["d_exp_zero"] and not report["residual_zero"]
+    assert report["ok"] is False
+    # the added term is the residual's only one: the first letter x on t
+    assert report["witness"] == {"coproduct": None, "d_exp": None, "curvature": ("x", "t", 0)}
 
 
 def test_a_corrupted_maurer_cartan_route_fails_the_deformed_bracket_check(monkeypatch):

@@ -66,6 +66,36 @@ def test_word_enumeration_excludes_odd_squares():
     assert len(A.words) == 8
 
 
+def _basis_oracle(A):
+    """The normal forms by filtering `itertools.combinations_with_replacement`
+    of the sorted letters for repeated odd letters, length by length."""
+    letters = sorted(A.space.labels, key=A.space.sort_key.__getitem__)
+    odd = {x for x in letters if A.space.degree(x) % 2}
+    return [combo for n in range(A.max_len + 1)
+            for combo in itertools.combinations_with_replacement(letters, n)
+            if not any(a == b and a in odd for a, b in zip(combo, combo[1:]))]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(degrees=st.lists(st.integers(-3, 3), min_size=1, max_size=5), n=st.integers(1, 5))
+def test_level_wise_basis_is_the_filtered_combinations(degrees, n):
+    space = GradedVectorSpace((f"x{i}", d) for i, d in enumerate(degrees))
+    A = SymmetricWordAlgebra(space, n)
+    assert list(A.words) == _basis_oracle(A)
+    assert all(A.degree(w) == sum(space.degree(x) for x in w) for w in A.words)
+    assert all(w in A for w in A.words) and ("x0",) * (n + 1) not in A
+
+
+def test_level_wise_basis_on_mixed_letters_and_every_length():
+    for n in range(1, 6):
+        A = SymmetricWordAlgebra(MIXED, n)
+        assert list(A.words) == _basis_oracle(A)
+        assert all(A.degree(w) == sum(MIXED.degree(x) for x in w) for w in A.words)
+    T = TensorWordAlgebra(MIXED, 3)
+    assert list(T.words) == [w for k in range(4) for w in itertools.product(MIXED.labels, repeat=k)]
+    assert all(T.degree(w) == sum(MIXED.degree(x) for x in w) for w in T.words)
+
+
 def test_coproduct_counit_word():
     A = sym()
     assert A.coproduct(()) == [((), (), 1)]
