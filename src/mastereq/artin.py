@@ -59,6 +59,7 @@ class ArtinLocalAlgebra:
         self.table = table
         self._orders: dict[str, int] | None = None
         self._quotients: dict[int, ArtinLocalAlgebra] = {}
+        self._duals: dict[type, DualRingCoalgebra] = {}
         self.nilpotency = 0
         start = time.perf_counter()
         self._compute_filtration()
@@ -154,10 +155,17 @@ class ArtinLocalAlgebra:
     # -- dual structures -----------------------------------------------------
 
     def dual_coalgebra(self) -> "DualRingCoalgebra":
-        return DualRingCoalgebra(self)
+        """R* as a coalgebra, built once per ring and kept on it."""
+        return self._dual(DualRingCoalgebra)
 
     def dual_algebra(self) -> "DualRingAlgebra":
-        return DualRingAlgebra(self)
+        """R* as a square-zero algebra, built once per ring and kept on it."""
+        return self._dual(DualRingAlgebra)
+
+    def _dual(self, kind: type) -> "DualRingCoalgebra":
+        if kind not in self._duals:
+            self._duals[kind] = kind(self)
+        return self._duals[kind]
 
     def __repr__(self):
         return f"ArtinLocalAlgebra({self.name}, dim={len(self.labels)}, M={self.nilpotency})"

@@ -111,9 +111,8 @@ class BVInftyAlgebra:
         out.append(timed(lambda: CheckResult(
             "dhat(1)=0", all(not op.entries.get((), {}) for op in self.operators.values()), bound=bound)))
         out.append(self.square)
-        out.append(timed(lambda: CheckResult("augmentation-compatibility", all(
-            not img.get((), ZERO) for op in self.operators.values() for img in op.entries.values()),
-            bound=bound)))
+        out.append(timed(lambda: _augmentation_row(
+            A, [(f"Delta_{n}", op) for n, op in sorted(self.operators.items())], bound)))
         self._certificates = out
         return out
 
@@ -182,17 +181,21 @@ class BVAlgebra(BVInftyAlgebra):
             lambda: self.square_part(1).is_zero_on_defined("[delta,d]"),
             lambda: operator_order_check(A, self.d, 1, name="d order<=1"),
             lambda: operator_order_check(A, self.delta, 2, name="delta order<=2"),
-            self._augmentation_check,
+            lambda: _augmentation_row(A, [("d", self.d), ("delta", self.delta)], {}),
         )]
         return self._certificates
 
-    def _augmentation_check(self) -> CheckResult:
-        for op, label in ((self.d, "d"), (self.delta, "delta")):
-            for w, img in op.entries.items():
-                if img.get((), ZERO):
-                    return CheckResult("augmentation-compatibility", False,
-                                       witness={"operator": label, "word": self.algebra.label(w)})
-        return CheckResult("augmentation-compatibility", True)
+
+def _augmentation_row(A: WordAlgebra, operators: Sequence[tuple[str, Operator]],
+                      bound: dict) -> CheckResult:
+    """augmentation-compatibility: no named operator has a unit component in
+    the image of a word; the witness names the first operator and word that do."""
+    for label, op in operators:
+        for w, img in op.entries.items():
+            if img.get((), ZERO):
+                return CheckResult("augmentation-compatibility", False, bound=bound,
+                                   witness={"operator": label, "word": A.label(w)})
+    return CheckResult("augmentation-compatibility", True, bound=bound)
 
 
 # -- brackets -----------------------------------------------------------------

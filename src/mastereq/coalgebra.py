@@ -155,9 +155,10 @@ class Coderivation:
         return f"Coderivation(degree={self.degree}, arities={self._arities})"
 
 
-def corestriction_defect(words, compositions) -> Word | None:
+def corestriction_defect(words, compositions) -> tuple[Word, dict[Word, Scalar]] | None:
     """The first of `words` on which the corestriction of the sum of A ∘ B
-    over the (A, B) pairs of coderivations is nonzero, or None.
+    over the (A, B) pairs of coderivations is nonzero, with that value, or
+    None.
 
     The corestriction of A on a word is its table's value there, so a pair
     costs one expansion B(w) and a table lookup per word of it.  A
@@ -172,7 +173,7 @@ def corestriction_defect(words, compositions) -> Word | None:
                 for t, v in table.get(u, {}).items():
                     vec_add_into(acc, t, c * v)
         if acc:
-            return w
+            return w, acc
     return None
 
 

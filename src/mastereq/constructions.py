@@ -250,8 +250,8 @@ def _delta_rows(lie: DgLieAlgebra, delta) -> list[CheckResult]:
 
     def row(name, words, *compositions):
         def check():
-            witness = corestriction_defect(words, compositions)
-            return CheckResult(name, witness is None, witness=witness)
+            found = corestriction_defect(words, compositions)
+            return CheckResult(name, found is None, witness=found and found[0])
         return timed(check)
 
     return [row("delta-squared", letters, (hat, hat)),

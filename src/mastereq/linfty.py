@@ -97,25 +97,11 @@ class LInftyAlgebra:
     def corestriction_value(self, word: Word) -> dict[str, Scalar]:
         return self.brackets.get(len(word), {}).get(word, {})
 
-    def validate(self, max_len: int = 4) -> CheckResult:
-        """D^2 = 0 on S(g[1]) cut at `max_len`.  D^2 is a coderivation, so
-        its first failing word in `words` order (shortest first) is the
-        first word its corestriction fails on, and there D^2 is that
-        corestriction: the witness names the word and the value."""
-        W = self.word_algebra(max_len)
-        D = self.codifferential(max_len)
-        bound = {"word_length": max_len}
-        w = corestriction_defect(W.words, [(D, D)])
-        if w is None:
-            return CheckResult(f"{self.name}: D-squared", True, bound=bound)
-        value = {W.label(u): str(c) for u, c in sorted(D.apply(D.expand(w)).items()) if c}
-        return CheckResult(f"{self.name}: D-squared", False,
-                           witness={"word": W.label(w), "value": value}, bound=bound)
-
     def square_zero_rows(self, names: Sequence[str]) -> list[CheckResult]:
         """D^2 = 0 on S(g[1]) cut at len(names): row n, timed and named
-        `names[n - 1]`, is the corestriction of D^2 on the n-letter words,
-        and its witness is the first word on which it fails.
+        `names[n - 1]`, is the corestriction of D^2 on the n-letter words.
+        Its witness is the first word on which it fails and the value there,
+        which is D^2 of that word when the shorter words pass.
 
         D^2 is a coderivation, so it vanishes up to length n exactly when
         rows 1..n pass.  On an n-letter word the corestriction is
@@ -132,8 +118,12 @@ class LInftyAlgebra:
             needed = [j for j in acting if n + 1 - j in self.brackets]
             # D itself when every part that acts is needed: its expansions are kept
             inner = D if needed == acting else Coderivation(W, 1, self.coderivation_table(*needed))
-            witness = corestriction_defect([w for w in W.words if len(w) == n], [(D, inner)])
-            return CheckResult(name, witness is None, witness=witness)
+            found = corestriction_defect([w for w in W.words if len(w) == n], [(D, inner)])
+            if found is None:
+                return CheckResult(name, True)
+            w, value = found
+            return CheckResult(name, False, witness={
+                "word": W.label(w), "value": {W.label(u): str(c) for u, c in sorted(value.items())}})
 
         return [timed(lambda name=name, n=n: row(name, n)) for n, name in enumerate(names, 1)]
 

@@ -156,15 +156,29 @@ def compose_bv_morphisms(phi: BVMorphism, psi: BVMorphism) -> BVMorphism:
 def compose_with_log_residue(phi: BVMorphism, psi: BVMorphism) -> tuple[BVMorphism, dict]:
     """phi ∘ psi and the hbar^{-1} coefficient of its log, from one log.
 
-    The composite is `compose_bv_morphisms(phi, psi)` and the coefficient is
-    `log_hbar_minus_one_coefficient(phi, psi)`; a certificate that needs both
-    computes the convolution log once.
+    The composite is `compose_bv_morphisms(phi, psi)`; the coefficient, by
+    source key, is what a certificate of finiteness of hbar·log reads.
     """
     if not _same_algebra(psi.target.algebra, phi.source.algebra):
         raise PreconditionError("composition mismatch: target(psi) != source(phi)")
-    log = _composite_log(phi, psi)
+    # log(exp(phi/hbar) ∘ exp(psi/hbar)) in the convolution algebra of psi's source
+    window = phi.target.hbar_cutoff + _conilpotency(psi.source.algebra) + _conilpotency(phi.source.algebra) + 2
+    ctx = SeriesContext(phi.target.algebra, hbar_cutoff=window)
+    E_phi = phi.exp_map()
+    product: dict = {}
+    for key, series in psi.exp_map().items():
+        acc = HbarSeries()
+        for (u, r, h), c in series.terms.items():
+            acc = acc.add(E_phi.get(u, HbarSeries()).shift_hbar(h).scale(c))
+        if not acc.is_zero():
+            product[key] = acc
+    log = conv_log(psi.source.algebra, ctx, product)
     components: dict[int, dict] = {}
+    residue: dict = {}
     for key, series in log.items():
+        coeff = series.hbar_coefficient(-1)
+        if coeff:
+            residue[key] = coeff
         for (t, r, h), c in series.terms.items():
             if h < -1:
                 raise StructureError(
@@ -176,39 +190,7 @@ def compose_with_log_residue(phi: BVMorphism, psi: BVMorphism) -> tuple[BVMorphi
             components.setdefault(n, {}).setdefault(key, {})[t] = \
                 components.get(n, {}).get(key, {}).get(t, ZERO) + c
     composite = BVMorphism(psi.source, phi.target, components, name=f"{phi.name}∘{psi.name}")
-    return composite, _hbar_minus_one_part(log)
-
-
-def _composite_log(phi: BVMorphism, psi: BVMorphism) -> dict:
-    """log(exp(phi/hbar) ∘ exp(psi/hbar)) in the convolution algebra of psi's source."""
-    window = phi.target.hbar_cutoff + _conilpotency(psi.source.algebra) + _conilpotency(phi.source.algebra) + 2
-    ctx = SeriesContext(phi.target.algebra, hbar_cutoff=window)
-    E_phi = phi.exp_map()
-    composite: dict = {}
-    for key, series in psi.exp_map().items():
-        acc = HbarSeries()
-        for (u, r, h), c in series.terms.items():
-            acc = acc.add(E_phi.get(u, HbarSeries()).shift_hbar(h).scale(c))
-        if not acc.is_zero():
-            composite[key] = acc
-    return conv_log(psi.source.algebra, ctx, composite)
-
-
-def _hbar_minus_one_part(log: dict) -> dict:
-    out = {}
-    for key, series in log.items():
-        coeff = series.hbar_coefficient(-1)
-        if coeff:
-            out[key] = coeff
-    return out
-
-
-def log_hbar_minus_one_coefficient(phi: BVMorphism, psi: BVMorphism) -> dict:
-    """The hbar^{-1} log coefficient of the composite, for certification."""
-    return _hbar_minus_one_part(_composite_log(phi, psi))
-
-
-__all__.append("log_hbar_minus_one_coefficient")
+    return composite, residue
 
 
 def clalg_embed(ring: ArtinLocalAlgebra, hbar_cutoff: int = 3) -> BVInftyAlgebra:
@@ -304,32 +286,32 @@ def linfty_morphism_to_bvinfty(g, h, table: Mapping[Word, Mapping[str, object]],
                                max_len: int = 4, hbar_cutoff: int = 4) -> BVMorphism:
     """An L-infinity morphism g -> h, given by corestriction components on
     words of S(g[1]), as the morphism sum_n hbar^n phi_n of the desuspension
-    algebras."""
+    algebras: a word of length n carries weight n (the L-infinity dictionary)."""
     from .constructions import ce_bvinfty_from_linfty
     source = ce_bvinfty_from_linfty(g, max_len, hbar_cutoff)
     target = ce_bvinfty_from_linfty(h, max_len, hbar_cutoff)
-    components = _components_by_weight({w: {(t,): c for t, c in val.items()} for w, val in table.items()})
+    components: dict[int, dict] = {}
+    for w, val in table.items():
+        components.setdefault(len(w), {})[tuple(w)] = {(t,): c for t, c in val.items()}
     return BVMorphism(source, target, components, name="L-infinity phi")
 
 
-def theorem_second_bijection_check(V, g, S_components: Mapping[Word, Mapping[str, object]],
+def theorem_second_bijection_check(h, g, S_components: Mapping[Word, Mapping[str, object]],
                                    max_len: int = 4, hbar_cutoff: int = 4) -> dict:
     """QME in the convolution algebra hom(S(g[-1]), V)  <=>  S is a morphism
-    S(g[-1]) -> V.
+    S(g[-1]) -> V, for V the desuspension algebra of the L-infinity algebra h.
 
-    S is given by its hbar^n components on words of length n, so S_n
-    vanishes on words longer than n+1 by construction; the degree 2-2n is
-    enforced by the morphism constructor.  The convolution-QME side applies
-    Dhat(Phi) = dhat_V ∘ Phi - (-1)^{|Phi|} Phi ∘ dhat_g to Phi = exp(S/hbar)
-    computed in Hom(S(g[-1]), V((hbar))).  That is the same
-    `intertwining_defect` call as `check_bv_morphism` makes, so this route is
-    not yet independent of the morphism side and reads its result.
+    S is the letter-valued corestriction of an L-infinity morphism g -> h,
+    made a morphism by `linfty_morphism_to_bvinfty`: its hbar^n component
+    lives on words of length n, so S_n vanishes on words longer than n+1 by
+    construction; the degree 2-2n is enforced by the morphism constructor.
+    The convolution-QME side applies Dhat(Phi) = dhat_V ∘ Phi - (-1)^{|Phi|}
+    Phi ∘ dhat_g to Phi = exp(S/hbar) computed in Hom(S(g[-1]), V((hbar))).
+    That is the same `intertwining_defect` call as `check_bv_morphism` makes,
+    so this route is not yet independent of the morphism side and reads its
+    result.
     """
-    from .constructions import ce_bvinfty_from_linfty
-    bvi = V.as_bvinfty(hbar_cutoff)
-    source = ce_bvinfty_from_linfty(g, max_len, hbar_cutoff)
-    phi = BVMorphism(source, bvi, _components_by_weight(S_components), name="S")
-    morphism = check_bv_morphism(phi)
+    morphism = check_bv_morphism(linfty_morphism_to_bvinfty(g, h, S_components, max_len, hbar_cutoff))
     # convolution-QME route: Dhat e^{S/hbar} = dhat_V ∘ E - E ∘ dhat_g = 0
     qme_zero = morphism["intertwining"].ok
     return {
@@ -339,18 +321,6 @@ def theorem_second_bijection_check(V, g, S_components: Mapping[Word, Mapping[str
         "ok": qme_zero == morphism["ok"],
         "morphism": morphism,
     }
-
-
-def _components_by_weight(table: Mapping) -> dict[int, dict]:
-    """Split a word-indexed table into hbar components: a word of length n
-    carries weight n (the L-infinity dictionary).  Values are keyed by target
-    basis keys already."""
-    components: dict[int, dict] = {}
-    for w, val in table.items():
-        clean = {t: as_scalar(c) for t, c in val.items() if as_scalar(c) != 0}
-        if clean:
-            components.setdefault(len(w), {})[tuple(w)] = clean
-    return components
 
 
 def twisted_linfty_morphism(g, rng: random.Random, max_len: int = 3):

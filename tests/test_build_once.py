@@ -1,12 +1,12 @@
 """Input-only structures are built once per owner object and shared.
 
 The codifferential and `axiom_report` of an algebra, `coderivation_dg_lie`,
-`hbar_extended_dg_lie`, `bv_from_bi_dg_lie`, `ce_bvinfty_from_linfty` and
-`BVMorphism.exp_map` depend only on their input, so batteries that call
-them once per instance must not rebuild them.  A build that raises is not
-kept.  The word algebras S(V[1]) and S(V[-1]) belong to the space V, so every
-algebra built on V (a twisted algebra is built on its parent's) shares one
-word basis and one coproduct table.
+`hbar_extended_dg_lie`, `bv_from_bi_dg_lie`, `ce_bvinfty_from_linfty`,
+`BVMorphism.exp_map` and the duals of a parameter ring depend only on their
+input, so batteries that call them once per instance must not rebuild them.
+A build that raises is not kept.  The word algebras S(V[1]) and S(V[-1])
+belong to the space V, so every algebra built on V (a twisted algebra is
+built on its parent's) shares one word basis and one coproduct table.
 """
 
 import contextlib
@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from mastereq import bv, cli, constructions, linfty, morphisms, words
+from mastereq import artin, bv, cli, constructions, linfty, morphisms, words
 from mastereq.artin import power_ring
 from mastereq.constructions import (
     BiDgLieData,
@@ -91,22 +91,21 @@ def _counted(monkeypatch, module, name):
 
 def test_theorem_second_builds_its_source_and_exponential_once(monkeypatch):
     g = load("bidg4-dglie")
-    V = ce_bvinfty_from_linfty(g, 3, 3)
     g_tw, cor = morphisms.twisted_linfty_morphism(g, random.Random(17), 3)
-    table = {w: {(t,): c for t, c in val.items()} for w, val in cor.items()}
     exps = _counted(monkeypatch, morphisms, "conv_exp")
     builds = _counted(monkeypatch, constructions, "_build_ce_bvinfty_from_linfty")
-    report = morphisms.theorem_second_bijection_check(V, g_tw, table, 3, 3)
+    report = morphisms.theorem_second_bijection_check(g, g_tw, cor, 3, 3)
     assert report["qme_zero"] and report["is_morphism"]
-    # one exp(S/hbar) serves the intertwining check and the convolution-QME route
-    assert (len(exps), len(builds)) == (1, 1)
-    key = sorted(table)[-1]
-    bad = dict(table)
-    bad[key] = {t: c + 1 for t, c in table[key].items()}
-    report = morphisms.theorem_second_bijection_check(V, g_tw, bad, 3, 3)
+    # one exp(S/hbar) serves the intertwining check and the convolution-QME
+    # route; the source S(g_tw[-1]) and the target S(g[-1]) are built once each
+    assert (len(exps), len(builds)) == (1, 2)
+    key = sorted(cor)[-1]
+    bad = dict(cor)
+    bad[key] = {t: c + 1 for t, c in cor[key].items()}
+    report = morphisms.theorem_second_bijection_check(g, g_tw, bad, 3, 3)
     assert report["equivalence"] and not report["is_morphism"]
-    # a corrupted attempt on the same twisted algebra reuses its S(g[-1])
-    assert (len(exps), len(builds)) == (2, 1)
+    # a corrupted attempt on the same twisted algebra reuses both
+    assert (len(exps), len(builds)) == (2, 2)
 
 
 def test_failed_builds_raise_on_every_call():
@@ -158,6 +157,24 @@ def test_input_only_work_does_not_grow_with_instances(monkeypatch, theorem, alge
     argv = ["verify-representability", theorem, str(FIXTURES / algebra),
             "--ring", str(FIXTURES / "ring-t3.alg")]
     assert _dg_lie_work(monkeypatch, argv, 2) == _dg_lie_work(monkeypatch, argv, 20)
+
+
+def test_a_ring_builds_its_duals_once(monkeypatch):
+    # exp(S), the coproduct check and its control all read R*: one dual per
+    # ring and kind in a whole battery, however many instances it draws
+    built = []
+    init = artin.DualRingCoalgebra.__init__
+
+    def counted(self, ring):
+        built.append((type(self), ring))
+        init(self, ring)
+
+    monkeypatch.setattr(artin.DualRingCoalgebra, "__init__", counted)
+    argv = ["verify-representability", "quillen", str(FIXTURES / "heis3.alg"),
+            "--ring", str(FIXTURES / "ring-t3.alg"), "--instances", "5", "--seed", "5", "--format", "machine"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert built and len(built) == len({(kind, id(ring)) for kind, ring in built})
 
 
 def test_twisted_algebra_shares_its_parents_word_algebras():

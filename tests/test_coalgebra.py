@@ -27,8 +27,9 @@ ABELIAN2 = GradedVectorSpace([("x", -1), ("y", -1)])
 
 def codifferential_oracle(D, name="codifferential"):
     """D^2 = 0 on every word of the window by applying D twice, word by
-    word: the full D∘D loop, the oracle of `LInftyAlgebra.validate`, which
-    reads the corestriction of D^2 instead.  The witness is the first
+    word: the full D∘D loop, the oracle of
+    `LInftyAlgebra.square_zero_rows`, which reads the corestriction of D^2
+    instead.  The witness is the first
     failing word and D^2 of it."""
     algebra = D.algebra
     bound = {"word_length": algebra.max_len}
@@ -90,7 +91,8 @@ def test_corestriction_defect_finds_the_first_failing_word():
     A = SymmetricWordAlgebra(HEIS1, 4)
     D = Coderivation(A, 1, {("x", "y"): {("z",): -1}, ("x", "z"): {("x",): -1}})
     assert corestriction_defect([w for w in A.words if len(w) <= 2], [(D, D)]) is None
-    assert corestriction_defect(A.words, [(D, D)]) == ("x", "y", "z")
+    # and the corestriction there is the Jacobiator's value, on the letter z
+    assert corestriction_defect(A.words, [(D, D)]) == (("x", "y", "z"), {("z",): -1})
     assert corestriction_defect(A.words, []) is None
 
 

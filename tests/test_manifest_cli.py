@@ -554,7 +554,51 @@ def test_operation_coverage_registry():
     assert not stale
     # exactly one command per operation is what a dict enforces; spot check a few
     assert cli.OPERATION_COMMANDS["qme_exp_check"] == "identity-check"
-    assert cli.OPERATION_COMMANDS["compose_bv_morphisms"] == "compose-morphisms"
+    assert cli.OPERATION_COMMANDS["compose_with_log_residue"] == "compose-morphisms"
+
+
+def _spy_operations(monkeypatch, keys, record):
+    """Wrap each operation so that a call runs `record(key)` first: a method
+    on the class that defines it, a function in every mastereq namespace that
+    binds it, as the benchmark's tracer wraps its layer functions."""
+    modules = [m for name, m in sorted(sys.modules.items())
+               if m is not None and (name == "mastereq" or name.startswith("mastereq."))]
+
+    def spy(key, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            record(key)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for key in keys:
+        if "." in key:
+            cls_name, attr = key.split(".")
+            cls = next(getattr(m, cls_name) for m in modules if hasattr(m, cls_name))
+            monkeypatch.setattr(cls, attr, spy(key, cls.__dict__[attr]))
+            continue
+        original = next(getattr(m, key) for m in modules if callable(getattr(m, key, None)))
+        wrapper = spy(key, original)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
+def test_every_listed_operation_is_called_by_its_command(monkeypatch, tmp_path):
+    # the registry is a claim: the golden invocations of each command, run
+    # with every listed operation spied, call each operation listed under it
+    from test_golden_reports import COMMANDS, run_case
+    monkeypatch.chdir(ROOT)
+    called: set[str] = set()
+    _spy_operations(monkeypatch, cli.OPERATION_COMMANDS, called.add)
+    reached = set()
+    for _, argv in COMMANDS:
+        called.clear()
+        run_case(argv, tmp_path / "emitted.alg")
+        reached |= {(key, argv[0]) for key in called}
+    missing = sorted(key for key, cmd in cli.OPERATION_COMMANDS.items() if (key, cmd) not in reached)
+    assert not missing
 
 
 def Frac(n):

@@ -20,6 +20,11 @@ each with the residual of one route one term too many.
 `theorem_first_bijection_check` (the QME of S against the intertwining of
 the morphism R* -> V[[hbar]] that S induces) has its control with one term
 too many in the morphism's exponential, on a word whose dhat is not zero.
+So has `theorem_second_bijection_check` (the convolution QME of an
+L-infinity morphism against the intertwining of the BV-infinity morphism it
+gives): one letter too many in the exponential on one source word.  Both of
+its sides read one intertwining check, so the corruption fails both and
+`equivalence` still holds; the control pins the morphism side's witness.
 
 `construct ibl`'s `involutivity-dichotomy` (bracket∘delta = 0 on generators,
 `LieBialgebraData.involutive`, against [Delta, d] = 0 on the CE complex) has
@@ -40,7 +45,8 @@ from mastereq.bv import BVInftyAlgebra, conjugation_identity_check, qme_exp_chec
 from mastereq.cli import _closed_qme_seed
 from mastereq.constructions import ce_bv_from_dg_lie, corollary_bidg_check
 from mastereq.linfty import deformed_bracket_check, mc_element, quillen_bijection_check
-from mastereq.morphisms import theorem_first_bijection_check
+from mastereq.morphisms import (theorem_first_bijection_check, theorem_second_bijection_check,
+                                twisted_linfty_morphism)
 from mastereq.series import HbarSeries, SeriesContext
 
 from alg_fixtures import FIXTURES, load
@@ -195,6 +201,26 @@ def test_a_corrupted_exponential_fails_theorem_first_on_its_key(monkeypatch):
     report = theorem_first_bijection_check(bv, ring, S)
     assert report["ok"] is False and report["solves_qme"] and not report["is_morphism"]
     assert report["morphism"]["intertwining"].witness == {"key": "t"}
+
+
+def test_a_corrupted_exponential_fails_theorem_second_on_its_key(monkeypatch):
+    g = load("bidg4-dglie")
+    g_tw, cor = twisted_linfty_morphism(g, random.Random(14), 3)
+    report = theorem_second_bijection_check(g, g_tw, cor, 3, 3)
+    assert report["ok"] and report["qme_zero"] and report["is_morphism"]
+    exp_map = morphisms.BVMorphism.exp_map
+
+    def plus_one_letter(phi):
+        # d r = p in bidg4-dglie, so dhat r is not zero and the source key r,
+        # the first letter of S(g[-1]), stops intertwining
+        out = dict(exp_map(phi))
+        out[("r",)] = out[("r",)].add(HbarSeries({(("r",), "1", 0): 1}))
+        return out
+
+    monkeypatch.setattr(morphisms.BVMorphism, "exp_map", plus_one_letter)
+    report = theorem_second_bijection_check(g, g_tw, cor, 3, 3)
+    assert not report["is_morphism"] and not report["qme_zero"]
+    assert report["morphism"]["intertwining"].witness == {"key": "r"}
 
 
 def test_a_flipped_involutivity_fails_the_ibl_dichotomy(monkeypatch, capsys):
