@@ -310,7 +310,9 @@ class CoalgebraMorphism:
 
     Determined by its corestriction: a degree-zero map from source words of
     positive length to the target cogenerators.  The induced map on words is
-    the convolution exponential of the corestriction.
+    the convolution exponential of the corestriction, built on the first
+    `induced()` and shared by every check that reads it: this is the one
+    route to the exponential of a corestriction.
     """
 
     def __init__(self, source: SymmetricWordAlgebra, target: SymmetricWordAlgebra,
@@ -331,7 +333,8 @@ class CoalgebraMorphism:
         self._induced: MapSeries | None = None
 
     def induced(self) -> MapSeries:
-        """The full morphism, as a map from source words to target-word series."""
+        """The full morphism, as a map from source words to target-word series;
+        treat it as read-only."""
         if self._induced is None:
             self._induced = conv_exp(self.source, SeriesContext(self.target),
                                      corestriction_series(self.corestriction))

@@ -27,8 +27,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .artin import ArtinLocalAlgebra
-from .coalgebra import (Coderivation, MapSeries, conv_exp, coproduct_defect, corestriction_defect,
-                        corestriction_series, intertwining_defect)
+from .coalgebra import (CoalgebraMorphism, Coderivation, MapSeries, conv_exp, coproduct_defect,
+                        corestriction_defect, intertwining_defect)
 from .diagnostics import CheckResult, PreconditionError, StructureError, timed
 from .graded import ONE, ZERO, GradedVectorSpace, Scalar, as_scalar
 from .series import HbarSeries, LinearPart, SeriesContext, SolveResult, lift_perturbative
@@ -307,7 +307,7 @@ def mc_exp_map(g, ring: ArtinLocalAlgebra, S: HbarSeries) -> MapSeries:
 
 
 def quillen_bijection_check(g, ring: ArtinLocalAlgebra, S: HbarSeries,
-                            exp_map: MapSeries | None = None, max_len: int | None = None) -> dict:
+                            exp_map: MapSeries | None = None) -> dict:
     """Representability instance check over Spec R.
 
     `exp_map` is exp(S) = `mc_exp_map(g, ring, S)`, built here when not
@@ -315,22 +315,17 @@ def quillen_bijection_check(g, ring: ArtinLocalAlgebra, S: HbarSeries,
     builds it once.  Checks that exp(S) is a coaugmented coalgebra morphism,
     and, independently, that (D ∘ exp(S) = 0) <=> (the Maurer-Cartan
     residual of S vanishes), the residual read off the bracket table by
-    `emce_residual`.  Returns the verdicts and `witness`: the first key of
-    R* on which the coproduct check fails (`coproduct`) and on which
-    D ∘ exp(S) is not zero (`d_exp`), and the first nonzero residual term
-    as (letter, ring label, hbar power) in basis order (`curvature`); each
-    None where there is none.
+    `emce_residual`.  Returns the verdicts, that `residual`, and `witness`:
+    the first key of R* on which the coproduct check fails (`coproduct`) and
+    on which D ∘ exp(S) is not zero (`d_exp`), and the first nonzero
+    residual term as (letter, ring label, hbar power) in basis order
+    (`curvature`); each None where there is none.
     """
     M = ring.nilpotency
-    N = max_len or M
-    if N < M:
-        raise PreconditionError(
-            f"word truncation {N} is smaller than the nilpotency order {M}; "
-            "exp(S) would be cut off, refusing")
     F = mc_exp_map(g, ring, S) if exp_map is None else exp_map
     dual = ring.dual_coalgebra()
-    coproduct_key = coproduct_defect(dual, g.word_algebra(N), F)
-    d_exp_key = intertwining_defect(dual.basis_keys, F, [(g.codifferential(N), 0)], [])
+    coproduct_key = coproduct_defect(dual, g.word_algebra(M), F)
+    d_exp_key = intertwining_defect(dual.basis_keys, F, [(g.codifferential(M), 0)], [])
     residual = emce_residual(g, ring, S)
     curvature = min(residual.terms, default=None,
                     key=lambda k: (g.space.index(k[0]), ring.labels.index(k[1]), k[2]))
@@ -344,64 +339,48 @@ def quillen_bijection_check(g, ring: ArtinLocalAlgebra, S: HbarSeries,
         "residual_zero": residual_zero,
         "equivalence": equivalence,
         "ok": morphism_ok and equivalence,
+        "residual": residual,
         "witness": {"coproduct": coproduct_key, "d_exp": d_exp_key, "curvature": curvature},
-        "bound": {"word_length": N, "nilpotency": M},
+        "bound": {"word_length": M, "nilpotency": M},
     }
 
 
-def chuang_lazarev_residual(target, source, S: Mapping[Word, Mapping[str, object]],
-                            max_len: int = 4) -> dict[Word, dict[str, Scalar]]:
-    """DS + [S,S]/2 in the convolution algebra hom(S(g'[1]), g).
+def chuang_lazarev_residual(target, source, F: CoalgebraMorphism) -> dict[Word, dict[str, Scalar]]:
+    """DS + [S,S]/2 in the convolution algebra hom(S(g'[1]), g), for S the
+    corestriction of F, on the words of `F.source`.
 
-    Computed as the corestriction of the intertwining defect of the coalgebra
-    morphism extending S: the target codifferential applied to exp(S), minus
-    S applied to the source codifferential.  Zero exactly when S corestricts
-    an L-infinity morphism source -> target.
+    Computed as the corestriction of the intertwining defect of F = exp(S):
+    the target brackets applied to `F.induced()`, minus S applied to the
+    source codifferential.  Zero exactly when S corestricts an L-infinity
+    morphism source -> target.
     """
-    Wsrc = source.word_algebra(max_len)
-    Dsrc = source.codifferential(max_len)
-    Wt = target.word_algebra(max_len)
-    S_clean: dict[Word, dict[str, Scalar]] = {}
-    for w, val in S.items():
-        clean = {t: as_scalar(c) for t, c in val.items() if as_scalar(c) != 0}
-        for t in clean:
-            if target.shifted.degree(t) != Wsrc.degree(tuple(w)):
-                raise PreconditionError(f"component {w} -> {t} is not a degree-one element of hom")
-        if clean:
-            S_clean[tuple(w)] = clean
-    ctx = SeriesContext(Wt)
-    F = conv_exp(Wsrc, ctx, corestriction_series(S_clean))
+    Dsrc = source.codifferential(F.source.max_len)
+    E, S = F.induced(), F.corestriction
     residual: dict[Word, dict[str, Scalar]] = {}
-    for w in Wsrc.words:
-        if not w:
-            continue
+    for w in F.source.augmentation_ideal_words():
         acc: dict[str, Scalar] = {}
-        Fw = F.get(w)
-        if Fw is not None:
-            for (u, _, _), c in Fw.terms.items():
+        Ew = E.get(w)
+        if Ew is not None:
+            for (u, _, _), c in Ew.terms.items():
                 for t, v in target.corestriction_value(u).items():
                     vec_add_into(acc, t, v * c)
         for u, c in Dsrc.expand(w).items():
-            for t, v in S_clean.get(u, {}).items():
+            for t, v in S.get(u, {}).items():
                 vec_add_into(acc, t, -v * c)
         if acc:
             residual[w] = acc
     return residual
 
 
-def chuang_lazarev_morphism_defect(target, source, S: Mapping[Word, Mapping[str, object]],
-                                   max_len: int = 4) -> CheckResult:
-    """Independent route: D_target ∘ exp(S) - exp(S) ∘ D_source on every word."""
-    Wsrc = source.word_algebra(max_len)
-    Dsrc = source.codifferential(max_len)
-    Dt = target.codifferential(max_len)
-    S_series = corestriction_series({tuple(w): {t: as_scalar(c) for t, c in val.items()}
-                                     for w, val in S.items()})
-    ctx = SeriesContext(target.word_algebra(max_len))
-    F = conv_exp(Wsrc, ctx, S_series)
-    w = intertwining_defect(Wsrc.words, F, [(Dt, 0)], [(Dsrc, 0)])
+def chuang_lazarev_morphism_defect(target, source, F: CoalgebraMorphism) -> CheckResult:
+    """The whole defect D_target ∘ F - F ∘ D_source on every word of
+    `F.source`, through the same `F.induced()`; the residual above is its
+    corestriction."""
+    N = F.source.max_len
+    w = intertwining_defect(F.source.words, F.induced(), [(target.codifferential(N), 0)],
+                            [(source.codifferential(N), 0)])
     if w is not None:
-        return CheckResult("intertwining", False, witness={"word": Wsrc.label(w)})
+        return CheckResult("intertwining", False, witness={"word": F.source.label(w)})
     return CheckResult("intertwining", True)
 
 

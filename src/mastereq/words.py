@@ -156,9 +156,6 @@ class WordAlgebra:
             return ()
         return tuple(label.split(self._joiner))
 
-    def counit(self, vec: Mapping[Word, Scalar]) -> Scalar:
-        return vec.get((), ZERO)
-
     def augmentation_ideal_words(self) -> tuple[Word, ...]:
         return tuple(w for w in self.words if w)
 

@@ -4,6 +4,9 @@ The codifferential and `axiom_report` of an algebra, `coderivation_dg_lie`,
 `hbar_extended_dg_lie`, `bv_from_bi_dg_lie`, `ce_bvinfty_from_linfty`,
 `BVMorphism.exp_map` and the duals of a parameter ring depend only on their
 input, so batteries that call them once per instance must not rebuild them.
+An L-infinity morphism is one `CoalgebraMorphism`, whose one exponential
+both Chuang-Lazarev routes read, and the corollary's two comparisons read
+one Maurer-Cartan residual.
 A build that raises is not kept.  The word algebras S(V[1]) and S(V[-1])
 belong to the space V, so every algebra built on V (a twisted algebra is
 built on its parent's) shares one word basis and one coproduct table.
@@ -15,8 +18,9 @@ import random
 
 import pytest
 
-from mastereq import artin, bv, cli, constructions, linfty, morphisms, words
+from mastereq import artin, bv, cli, coalgebra, constructions, linfty, morphisms, words
 from mastereq.artin import power_ring
+from mastereq.coalgebra import CoalgebraMorphism
 from mastereq.constructions import (
     BiDgLieData,
     bv_from_bi_dg_lie,
@@ -91,21 +95,45 @@ def _counted(monkeypatch, module, name):
 
 def test_theorem_second_builds_its_source_and_exponential_once(monkeypatch):
     g = load("bidg4-dglie")
-    g_tw, cor = morphisms.twisted_linfty_morphism(g, random.Random(17), 3)
+    g_tw, F = morphisms.twisted_linfty_morphism(g, random.Random(17), 3)
     exps = _counted(monkeypatch, morphisms, "conv_exp")
     builds = _counted(monkeypatch, constructions, "_build_ce_bvinfty_from_linfty")
-    report = morphisms.theorem_second_bijection_check(g, g_tw, cor, 3, 3)
-    assert report["qme_zero"] and report["is_morphism"]
-    # one exp(S/hbar) serves the intertwining check and the convolution-QME
-    # route; the source S(g_tw[-1]) and the target S(g[-1]) are built once each
+    assert morphisms.theorem_second_bijection_check(g, g_tw, F, 3)["ok"]
+    # one exp(S/hbar) serves the intertwining check; the source S(g_tw[-1])
+    # and the target S(g[-1]) are built once each
     assert (len(exps), len(builds)) == (1, 2)
-    key = sorted(cor)[-1]
-    bad = dict(cor)
-    bad[key] = {t: c + 1 for t, c in cor[key].items()}
-    report = morphisms.theorem_second_bijection_check(g, g_tw, bad, 3, 3)
-    assert report["equivalence"] and not report["is_morphism"]
+    key = sorted(F.corestriction)[-1]
+    table = dict(F.corestriction)
+    table[key] = {t: c + 1 for t, c in table[key].items()}
+    bad = CoalgebraMorphism(F.source, F.target, table)
+    assert not morphisms.theorem_second_bijection_check(g, g_tw, bad, 3)["ok"]
     # a corrupted attempt on the same twisted algebra reuses both
     assert (len(exps), len(builds)) == (2, 2)
+
+
+def _quiet(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main([*argv, "--format", "machine"])
+
+
+@pytest.mark.parametrize("theorem, algebra, built", [("chuang-lazarev", "sl2.alg", 40),
+                                                     ("theorem-second", "bidg4-dglie.alg", 64)])
+def test_an_l_infinity_morphism_builds_its_exponential_once(monkeypatch, theorem, algebra, built):
+    # chuang-lazarev: one exp(S) per twisted instance and per corrupted
+    # attempt, which both of its routes read; theorem-second adds exp(S/hbar)
+    # of the BV-infinity morphism to each
+    exps = [_counted(monkeypatch, module, "conv_exp") for module in (coalgebra, linfty, morphisms)]
+    assert _quiet(["verify-representability", theorem, str(FIXTURES / algebra), "--seed", "5"]) == 0
+    assert sum(map(len, exps)) == built
+
+
+def test_corollary_computes_one_maurer_cartan_residual_per_instance(monkeypatch):
+    # the Quillen check and the comparison with the direct residual read one
+    residuals = [_counted(monkeypatch, module, "emce_residual") for module in (linfty, constructions)]
+    argv = ["verify-representability", "corollary-bidg", str(FIXTURES / "bidg4.alg"),
+            "--ring", str(FIXTURES / "ring-t3.alg")]
+    assert _quiet(argv) == 0
+    assert sum(map(len, residuals)) == 20
 
 
 def test_failed_builds_raise_on_every_call():

@@ -165,13 +165,15 @@ def test_ce_corrupted_constant_fails_with_witness():
 
 def test_bidg_rows_name_the_first_failing_word():
     # delta(q) = -p alone: [delta, d](s) = delta(q) = -p, and delta[s,q] = p
-    # while [delta s, q] + [s, delta q] = 0; S(g[1]) lists s before q
+    # while [delta s, q] + [s, delta q] = 0; S(g[1]) lists s before q.  Each
+    # witness carries its row's corestriction there, with the signs of S(g[1])
     B = load("bidg4")
     bad = BiDgLieData(B.space.basis, B.lie.bracket, B.lie.d, {("q", "p"): -1}, name="bad")
     rows = {r.name: (r.ok, r.witness) for r in bad.axiom_report()}
     assert rows == {"d-squared": (True, None), "leibniz": (True, None), "jacobi": (True, None),
-                    "delta-squared": (True, None), "[delta,d]": (False, ("s",)),
-                    "delta-derivation": (False, ("s", "q"))}
+                    "delta-squared": (True, None),
+                    "[delta,d]": (False, {"word": "s", "value": {"p": "-1"}}),
+                    "delta-derivation": (False, {"word": "s·q", "value": {"p": "-1"}})}
 
 
 def test_ce_bvinfty_matches_explicit_delta():

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from mastereq import cli, coalgebra, linfty, morphisms
 from mastereq.artin import power_ring, square_zero_ring
 from mastereq.bv import qme_exp_check, qme_solve_perturbative
-from mastereq.coalgebra import _conv_exp_series, conv_exp, corestriction_series, word_vector
+from mastereq.coalgebra import (CoalgebraMorphism, _conv_exp_series, conv_exp, corestriction_series,
+                                word_vector)
 from mastereq.constructions import ce_bv_from_dg_lie, ce_bvinfty_from_linfty
 from mastereq.diagnostics import PreconditionError
-from mastereq.graded import as_scalar
 from mastereq.linfty import (LInftyAlgebra, chuang_lazarev_morphism_defect, chuang_lazarev_residual,
                              coderivation_dg_lie, emce_residual, mc_exp_map, quillen_bijection_check)
 from mastereq.morphisms import (
@@ -34,6 +34,16 @@ from mastereq.words import vec_add_into
 
 from alg_fixtures import load
 from test_linfty import with_term
+
+
+def coalgebra_morphism(source, target, table, max_len=3):
+    """The coalgebra morphism S(source[1]) -> S(target[1]), cut at `max_len`,
+    with corestriction `table`."""
+    return CoalgebraMorphism(source.word_algebra(max_len), target.word_algebra(max_len), table)
+
+
+def identity_morphism(g, max_len=3):
+    return coalgebra_morphism(g, g, {(x,): {x: 1} for x in g.shifted.labels}, max_len)
 
 
 def truncation_map(a: int, b: int):
@@ -101,8 +111,8 @@ def test_compose_with_identity_is_unit():
     V = ce_bvinfty_from_linfty(load("heis3"), 3, 3)
     ident = identity_bv_morphism(V)
     rng = random.Random(5)
-    g_tw, cor = twisted_linfty_morphism(load("heis3"), rng, 3)
-    phi = linfty_morphism_to_bvinfty(g_tw, load("heis3"), cor, 3, 3)
+    g_tw, F = twisted_linfty_morphism(load("heis3"), rng, 3)
+    phi = linfty_morphism_to_bvinfty(g_tw, load("heis3"), F, 3)
     left = compose_bv_morphisms(ident, phi)
     assert left.components == phi.components
     ident_src = identity_bv_morphism(phi.source)
@@ -239,15 +249,14 @@ def test_exp_map_matches_element_exponential_termwise():
 
 def test_theorem_second_identity_and_twists():
     g = load("heis3")
-    ident = {(x,): {x: 1} for x in g.shifted.labels}
-    report = theorem_second_bijection_check(g, g, ident, 3, 3)
-    assert report["qme_zero"] and report["is_morphism"] and report["ok"], report
+    report = theorem_second_bijection_check(g, g, identity_morphism(g), 3)
+    assert report["ok"], report
     rng = random.Random(17)
     h = load("bidg4-dglie")
     for _ in range(5):
-        g_tw, cor = twisted_linfty_morphism(h, rng, 3)
-        report = theorem_second_bijection_check(h, g_tw, cor, 3, 3)
-        assert report["qme_zero"] and report["is_morphism"], report
+        g_tw, F = twisted_linfty_morphism(h, rng, 3)
+        report = theorem_second_bijection_check(h, g_tw, F, 3)
+        assert report["ok"], report
 
 
 def test_theorem_second_trivial_targets():
@@ -257,9 +266,9 @@ def test_theorem_second_trivial_targets():
     from mastereq.linfty import DgLieAlgebra
     ab = DgLieAlgebra(GradedVectorSpace([("a", 2)]), {}, {}, name="ab1")
     point = DgLieAlgebra(GradedVectorSpace([("v", 2)]), {}, {}, name="pt")
-    report = theorem_second_bijection_check(point, ab, {("a",): {"v": 3}}, 3, 3)
-    assert report["qme_zero"] and report["is_morphism"] and report["ok"]
-    report = theorem_second_bijection_check(point, ab, {}, 3, 3)
+    report = theorem_second_bijection_check(point, ab, coalgebra_morphism(ab, point, {("a",): {"v": 3}}), 3)
+    assert report["ok"]
+    report = theorem_second_bijection_check(point, ab, coalgebra_morphism(ab, point, {}), 3)
     assert report["ok"]
 
 
@@ -273,16 +282,14 @@ def test_theorem_second_corrupted():
         x = rng.choice(list(g.shifted.labels))
         y = rng.choice(list(g.shifted.labels))
         table[(x,)] = {y: Fraction(rng.randint(1, 2))}
-        report = theorem_second_bijection_check(g, g, table, 3, 3)
-        assert report["equivalence"], report
-        if not report["is_morphism"]:
+        if not theorem_second_bijection_check(g, g, coalgebra_morphism(g, g, table), 3)["ok"]:
             rejected += 1
     assert rejected >= 10
 
 
 def test_linfty_morphism_identity_valid():
     g = load("heis3")
-    phi = linfty_morphism_to_bvinfty(g, g, {(x,): {x: 1} for x in g.shifted.labels}, 3, 3)
+    phi = linfty_morphism_to_bvinfty(g, g, identity_morphism(g), 3)
     assert check_bv_morphism(phi)["ok"]
 
 
@@ -291,8 +298,9 @@ def test_linfty_morphism_abelian_subalgebra_inclusion():
     from mastereq.graded import GradedVectorSpace
     from mastereq.linfty import DgLieAlgebra
     sub = DgLieAlgebra(GradedVectorSpace([("x", 0), ("z", 0)]), {}, {}, name="ab-xz")
-    phi = linfty_morphism_to_bvinfty(sub, load("heis3"),
-                                     {("x",): {"x": 1}, ("z",): {"z": 1}}, 3, 3)
+    heis3 = load("heis3")
+    phi = linfty_morphism_to_bvinfty(sub, heis3,
+                                     coalgebra_morphism(sub, heis3, {("x",): {"x": 1}, ("z",): {"z": 1}}), 3)
     assert check_bv_morphism(phi)["ok"]
 
 
@@ -301,8 +309,9 @@ def test_linfty_non_morphism_flagged():
     from mastereq.graded import GradedVectorSpace
     from mastereq.linfty import DgLieAlgebra
     ab = DgLieAlgebra(GradedVectorSpace([("x", 0), ("y", 0)]), {}, {}, name="ab2")
-    phi = linfty_morphism_to_bvinfty(ab, load("heis3"),
-                                     {("x",): {"x": 1}, ("y",): {"y": 1}}, 3, 3)
+    heis3 = load("heis3")
+    phi = linfty_morphism_to_bvinfty(ab, heis3,
+                                     coalgebra_morphism(ab, heis3, {("x",): {"x": 1}, ("y",): {"y": 1}}), 3)
     report = check_bv_morphism(phi)
     assert not report["ok"]
     assert not report["intertwining"].ok
@@ -328,17 +337,17 @@ def test_twisted_morphisms_validate_against_chuang_lazarev():
     rng = random.Random(23)
     g = load("bidg4-dglie")
     for _ in range(5):
-        g_tw, cor = twisted_linfty_morphism(g, rng, 3)
+        g_tw, F = twisted_linfty_morphism(g, rng, 3)
         assert all(g_tw.square_zero_rows(("1", "2", "3")))
-        res = chuang_lazarev_residual(g, g_tw, cor, 3)
+        res = chuang_lazarev_residual(g, g_tw, F)
         assert res == {}, res
-        assert chuang_lazarev_morphism_defect(g, g_tw, cor, 3).ok
+        assert chuang_lazarev_morphism_defect(g, g_tw, F).ok
         # corrupting one component breaks it
-        bad = {w: dict(v) for w, v in cor.items()}
+        bad = {w: dict(v) for w, v in F.corestriction.items()}
         key = next(iter(bad))
         t = next(iter(bad[key]))
         bad[key][t] = bad[key][t] + 1
-        res_bad = chuang_lazarev_residual(g, g_tw, bad, 3)
+        res_bad = chuang_lazarev_residual(g, g_tw, CoalgebraMorphism(F.source, F.target, bad))
         assert res_bad != {}
 
 
@@ -413,13 +422,12 @@ def _bv_loop_key(phi):
 
 
 def _chuang_lazarev_loop_key(target, source, S, max_len):
-    """First word where D_target∘exp(S) - exp(S)∘D_source is nonzero."""
+    """First word where D_target∘exp(S) - exp(S)∘D_source is nonzero, with
+    exp(S) built here from the corestriction table S."""
     Wsrc = source.word_algebra(max_len)
     Dsrc = source.codifferential(max_len)
     Dt = target.codifferential(max_len)
-    S_series = corestriction_series({tuple(w): {t: as_scalar(c) for t, c in val.items()}
-                                     for w, val in S.items()})
-    F = conv_exp(Wsrc, SeriesContext(target.word_algebra(max_len)), S_series)
+    F = conv_exp(Wsrc, SeriesContext(target.word_algebra(max_len)), corestriction_series(S))
     for w in Wsrc.words:
         lhs = Dt.apply(word_vector(F, w))
         rhs = {}
@@ -458,20 +466,17 @@ def test_call_sites_report_the_oracles_first_failing_key(name, seed, perturb):
     # twisted instances are morphisms; a perturbed one usually is not
     g = load(name)
     rng = random.Random(seed)
-    g_tw, cor = twisted_linfty_morphism(g, rng, 3)
+    g_tw, F = twisted_linfty_morphism(g, rng, 3)
     if perturb:
-        cor = _bumped(cor, rng)
-    W = g_tw.word_algebra(3)
-    key = _chuang_lazarev_loop_key(g, g_tw, cor, 3)
-    assert chuang_lazarev_morphism_defect(g, g_tw, cor, 3).witness == \
-        (None if key is None else {"word": W.label(key)})
+        F = CoalgebraMorphism(F.source, F.target, _bumped(F.corestriction, rng))
+    key = _chuang_lazarev_loop_key(g, g_tw, F.corestriction, 3)
+    assert chuang_lazarev_morphism_defect(g, g_tw, F).witness == \
+        (None if key is None else {"word": F.source.label(key)})
 
-    phi = linfty_morphism_to_bvinfty(g_tw, g, cor, 3, 3)
+    phi = linfty_morphism_to_bvinfty(g_tw, g, F, 3)
     key = _bv_loop_key(phi)
-    report = theorem_second_bijection_check(g, g_tw, cor, 3, 3)
-    assert report["morphism"]["intertwining"].witness == \
+    assert theorem_second_bijection_check(g, g_tw, F, 3)["intertwining"].witness == \
         (None if key is None else {"key": phi.source.algebra.label(key)})
-    assert report["qme_zero"] == (key is None)
 
     target = g if any(g.space.degree(x) == 1 for x in g.space.labels) else \
         coderivation_dg_lie(g, 3)[0]
@@ -502,8 +507,8 @@ def _one_more_term(monkeypatch):
 
 def test_routes_through_intertwining_defect_fail_on_one_more_term(monkeypatch):
     g = load("bidg4-dglie")
-    g_tw, cor = twisted_linfty_morphism(g, random.Random(5), 3)
-    phi = linfty_morphism_to_bvinfty(g_tw, g, cor, 3, 3)
+    g_tw, F = twisted_linfty_morphism(g, random.Random(5), 3)
+    phi = linfty_morphism_to_bvinfty(g_tw, g, F, 3)
     lift = load("lift3")
     ring = power_ring(3)
     S_mc = random_mc_element(lift, ring, random.Random(7))
@@ -513,18 +518,18 @@ def test_routes_through_intertwining_defect_fail_on_one_more_term(monkeypatch):
     def routes():
         return {
             "morphism": check_bv_morphism(phi)["intertwining"],
-            "chuang-lazarev": chuang_lazarev_morphism_defect(g, g_tw, cor, 3),
+            "chuang-lazarev": chuang_lazarev_morphism_defect(g, g_tw, F),
             "quillen": quillen_bijection_check(lift, ring, S_mc)["d_exp_zero"],
-            "theorem-second": theorem_second_bijection_check(g, g_tw, cor, 3, 3),
+            "theorem-second": theorem_second_bijection_check(g, g_tw, F, 3),
         }
 
     def independent():
-        return (qme_exp_check(bv, ring, S_qme), chuang_lazarev_residual(g, g_tw, cor, 3),
+        return (qme_exp_check(bv, ring, S_qme), chuang_lazarev_residual(g, g_tw, F),
                 emce_residual(lift, ring, S_mc))
 
     before, untouched = routes(), independent()
     assert before["morphism"].ok and before["chuang-lazarev"].ok
-    assert before["theorem-second"]["qme_zero"] and before["theorem-second"]["is_morphism"]
+    assert before["theorem-second"]["ok"]
     quillen_before = before["quillen"]
 
     _one_more_term(monkeypatch)
@@ -533,7 +538,7 @@ def test_routes_through_intertwining_defect_fail_on_one_more_term(monkeypatch):
     assert not after["morphism"].ok and after["morphism"].witness == {"key": "1"}
     assert not after["chuang-lazarev"].ok and after["chuang-lazarev"].witness == {"word": "1"}
     assert after["quillen"] is False
-    # the convolution-QME route moves with the morphism side: not yet independent
-    assert not after["theorem-second"]["qme_zero"] and not after["theorem-second"]["is_morphism"]
+    # theorem-second reports the morphism side, so it moves with it
+    assert not after["theorem-second"]["ok"]
     assert independent() == untouched
     assert quillen_before == (emce_residual(lift, ring, S_mc).is_zero())

@@ -20,11 +20,16 @@ each with the residual of one route one term too many.
 `theorem_first_bijection_check` (the QME of S against the intertwining of
 the morphism R* -> V[[hbar]] that S induces) has its control with one term
 too many in the morphism's exponential, on a word whose dhat is not zero.
-So has `theorem_second_bijection_check` (the convolution QME of an
-L-infinity morphism against the intertwining of the BV-infinity morphism it
-gives): one letter too many in the exponential on one source word.  Both of
-its sides read one intertwining check, so the corruption fails both and
-`equivalence` still holds; the control pins the morphism side's witness.
+`theorem_second_bijection_check` reports the intertwining of the
+BV-infinity morphism that an L-infinity morphism gives (its convolution-QME
+side is that same check, so it is not computed twice): its control has one
+letter too many in the exponential on one source word, and pins the
+morphism's witness.
+
+The Chuang-Lazarev routes (the convolution residual DS + [S,S]/2 against
+the whole defect D ∘ exp(S) - exp(S) ∘ D) read one exponential; their
+control has the target's bracket table one letter too many on one word,
+which only the residual reads, so the routes disagree.
 
 `construct ibl`'s `involutivity-dichotomy` (bracket∘delta = 0 on generators,
 `LieBialgebraData.involutive`, against [Delta, d] = 0 on the CE complex) has
@@ -44,7 +49,8 @@ from mastereq.artin import power_ring
 from mastereq.bv import BVInftyAlgebra, conjugation_identity_check, qme_exp_check, qme_solve_perturbative
 from mastereq.cli import _closed_qme_seed
 from mastereq.constructions import ce_bv_from_dg_lie, corollary_bidg_check
-from mastereq.linfty import deformed_bracket_check, mc_element, quillen_bijection_check
+from mastereq.linfty import (LInftyAlgebra, chuang_lazarev_morphism_defect, chuang_lazarev_residual,
+                             deformed_bracket_check, mc_element, quillen_bijection_check)
 from mastereq.morphisms import (theorem_first_bijection_check, theorem_second_bijection_check,
                                 twisted_linfty_morphism)
 from mastereq.series import HbarSeries, SeriesContext
@@ -205,9 +211,8 @@ def test_a_corrupted_exponential_fails_theorem_first_on_its_key(monkeypatch):
 
 def test_a_corrupted_exponential_fails_theorem_second_on_its_key(monkeypatch):
     g = load("bidg4-dglie")
-    g_tw, cor = twisted_linfty_morphism(g, random.Random(14), 3)
-    report = theorem_second_bijection_check(g, g_tw, cor, 3, 3)
-    assert report["ok"] and report["qme_zero"] and report["is_morphism"]
+    g_tw, F = twisted_linfty_morphism(g, random.Random(14), 3)
+    assert theorem_second_bijection_check(g, g_tw, F, 3)["ok"]
     exp_map = morphisms.BVMorphism.exp_map
 
     def plus_one_letter(phi):
@@ -218,9 +223,36 @@ def test_a_corrupted_exponential_fails_theorem_second_on_its_key(monkeypatch):
         return out
 
     monkeypatch.setattr(morphisms.BVMorphism, "exp_map", plus_one_letter)
-    report = theorem_second_bijection_check(g, g_tw, cor, 3, 3)
-    assert not report["is_morphism"] and not report["qme_zero"]
-    assert report["morphism"]["intertwining"].witness == {"key": "r"}
+    report = theorem_second_bijection_check(g, g_tw, F, 3)
+    assert not report["ok"]
+    assert report["intertwining"].witness == {"key": "r"}
+
+
+def test_a_corrupted_bracket_value_splits_the_chuang_lazarev_routes(monkeypatch, capsys):
+    g = load("bidg4-dglie")
+    g_tw, F = twisted_linfty_morphism(g, random.Random(14), 3)
+    assert chuang_lazarev_residual(g, g_tw, F) == {}
+    assert chuang_lazarev_morphism_defect(g, g_tw, F).ok
+    value = LInftyAlgebra.corestriction_value
+
+    def plus_one_letter(g, word):
+        # d r = p in bidg4-dglie: l_1 on the word r gains one more p
+        out = dict(value(g, word))
+        if word == ("r",):
+            out["p"] = out.get("p", 0) + 1
+        return out
+
+    monkeypatch.setattr(LInftyAlgebra, "corestriction_value", plus_one_letter)
+    # F is the identity on letters, so the residual gains p on r (and on
+    # the longer words whose exponential has r); the defect applies the
+    # codifferential, which does not read the table
+    assert chuang_lazarev_residual(g, g_tw, F)[("r",)] == {"p": 1}
+    assert chuang_lazarev_morphism_defect(g, g_tw, F).ok
+    cli.main(["verify-representability", "chuang-lazarev", str(FIXTURES / "bidg4-dglie.alg"),
+              "--instances", "2", "--seed", "5", "--format", "machine"])
+    valid = next(c for c in json.loads(capsys.readouterr().out)["certificates"]
+                 if c["name"] == "chuang-lazarev-valid")
+    assert valid["status"] == "fail" and valid["bounds"] == {"passed": 0, "total": 2}
 
 
 def test_a_flipped_involutivity_fails_the_ibl_dichotomy(monkeypatch, capsys):
