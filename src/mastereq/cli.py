@@ -88,7 +88,6 @@ OPERATION_COMMANDS = {
     "CoalgebraMorphism.induced": "verify-representability",
     "conv_log": "compose-morphisms",
     "emce_residual": "solve-mc",
-    "mc_is_solution": "verify-representability",
     "deformed_bracket_check": "verify-representability",
     "quillen_bijection_check": "verify-representability",
     "mc_exp_map": "verify-representability",

@@ -41,7 +41,7 @@ import itertools
 from fractions import Fraction
 from typing import Mapping
 
-from .diagnostics import CheckResult, PreconditionError
+from .diagnostics import PreconditionError
 from .graded import ONE, ZERO, Scalar, as_scalar
 from .series import HbarSeries, SeriesContext
 from .words import SymmetricWordAlgebra, Word, WordAlgebra, vec_add_into
@@ -339,16 +339,6 @@ class CoalgebraMorphism:
             self._induced = conv_exp(self.source, SeriesContext(self.target),
                                      corestriction_series(self.corestriction))
         return self._induced
-
-    def apply_word(self, w: Word) -> dict[Word, Scalar]:
-        return word_vector(self.induced(), w)
-
-    def respects_coproducts(self) -> CheckResult:
-        """Δ_target ∘ F = (F ⊗ F) ∘ Δ_source on every basis word."""
-        w = coproduct_defect(self.source, self.target, self.induced())
-        if w is not None:
-            return CheckResult("coalgebra-morphism", False, witness={"word": self.source.label(w)})
-        return CheckResult("coalgebra-morphism", True)
 
 
 def coproduct_defect(source, target, F: MapSeries):

@@ -512,7 +512,8 @@ def deformed_bracket_check(h: DgLieAlgebra, ring: ArtinLocalAlgebra,
 
     `S[(a, b)][c]` is a ring element (dict ring label -> coefficient) in m.
     Only classical inputs (everything in degree zero, d = 0) are supported,
-    matching a deformation of an honest Lie algebra.
+    matching a deformation of an honest Lie algebra.  The witness is the first
+    failing Jacobi triple, else the first Maurer-Cartan residual term.
     """
     if any(deg != 0 for _, deg in h.space.basis) or h.d:
         raise PreconditionError("deformed-bracket check expects a classical Lie algebra")
@@ -573,8 +574,11 @@ def deformed_bracket_check(h: DgLieAlgebra, ring: ArtinLocalAlgebra,
                 cur = terms.get(key, ZERO) + (-ONE) * sign * as_scalar(v)
                 if cur:
                     terms[key] = cur
-    sigma = HbarSeries(terms)
-    mc_ok = mc_is_solution(coder, ring, sigma)
+    residual = emce_residual(coder, ring, HbarSeries(terms))
+    mc_ok = residual.is_zero()
+    if witness is None and not mc_ok:  # (coderivation label, ring label), in basis order
+        witness = min(((lab, r) for lab, r, _ in residual.terms),
+                      key=lambda t: (coder.space.index(t[0]), ring.labels.index(t[1])))
     return {
         "jacobi": jacobi_ok,
         "mc": mc_ok,

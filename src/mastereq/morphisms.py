@@ -286,7 +286,10 @@ def linfty_morphism_to_bvinfty(g, h, F: CoalgebraMorphism, hbar_cutoff: int = 4)
     """An L-infinity morphism g -> h, the coalgebra morphism F of S(g[1]) to
     S(h[1]) cut at `F.source.max_len`, as the morphism sum_n hbar^n phi_n of
     the desuspension algebras: F's corestriction on a word of length n is
-    phi_n there (the L-infinity dictionary)."""
+    phi_n there (the L-infinity dictionary).  The structure constants carry
+    over unchanged, so exp(phi/hbar) is `F.induced()` with hbar counting the
+    letters a term drops (hbar^{len(w) - k} on a partition of w into k
+    blocks): the morphism reads it and builds no second exponential."""
     from .constructions import ce_bvinfty_from_linfty
     N = F.source.max_len
     source = ce_bvinfty_from_linfty(g, N, hbar_cutoff)
@@ -294,7 +297,10 @@ def linfty_morphism_to_bvinfty(g, h, F: CoalgebraMorphism, hbar_cutoff: int = 4)
     components: dict[int, dict] = {}
     for w, val in F.corestriction.items():
         components.setdefault(len(w), {})[w] = {(t,): c for t, c in val.items()}
-    return BVMorphism(source, target, components, name="L-infinity phi")
+    phi = BVMorphism(source, target, components, name="L-infinity phi")
+    phi._exp = {w: HbarSeries({(u, r, len(w) - len(u)): c for (u, r, _), c in series.terms.items()})
+                for w, series in F.induced().items()}
+    return phi
 
 
 def theorem_second_bijection_check(h, g, F: CoalgebraMorphism, hbar_cutoff: int = 4) -> dict:
@@ -305,13 +311,13 @@ def theorem_second_bijection_check(h, g, F: CoalgebraMorphism, hbar_cutoff: int 
     S is the corestriction of the L-infinity morphism F: g -> h, made a
     morphism by `linfty_morphism_to_bvinfty`: its hbar^n component lives on
     words of length n, so S_n vanishes on words longer than n+1 by
-    construction; the degree 2-2n is enforced by the morphism constructor.
-    The convolution-QME side would apply Dhat(Phi) = dhat_V ∘ Phi -
-    (-1)^{|Phi|} Phi ∘ dhat_g to Phi = exp(S/hbar) in Hom(S(g[-1]),
-    V((hbar))).  That is the same `intertwining_defect` call as
-    `check_bv_morphism` makes, so it is not computed a second time; until
-    the QME side is read off the convolution brackets (the curvature route)
-    the report holds the one check.
+    construction; the degree 2-2n is enforced by the morphism constructor,
+    and exp(S/hbar) is F's own exponential, re-graded.  The convolution-QME
+    side would apply Dhat(Phi) = dhat_V ∘ Phi - (-1)^{|Phi|} Phi ∘ dhat_g to
+    Phi = exp(S/hbar) in Hom(S(g[-1]), V((hbar))).  That is the same
+    `intertwining_defect` call as `check_bv_morphism` makes, so it is not
+    computed a second time; until the QME side is read off the convolution
+    brackets (the curvature route) the report holds the one check.
     """
     return check_bv_morphism(linfty_morphism_to_bvinfty(g, h, F, hbar_cutoff))
 

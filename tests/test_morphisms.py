@@ -492,6 +492,25 @@ def test_call_sites_report_the_oracles_first_failing_key(name, seed, perturb):
     assert report["witness"]["d_exp"] == key
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(["sl2", "heis3", "bidg4-dglie", "l3demo"]), st.integers(2, 4),
+       st.integers(2, 4), st.integers(0, 10**6), st.booleans())
+def test_the_l_infinity_exponential_is_the_bv_infinity_one(name, max_len, K, seed, perturb):
+    # exp(phi/hbar) read off F, hbar counting dropped letters, against
+    # conv_exp of phi/hbar at the morphism's window, term for term; a
+    # perturbed F is a coalgebra morphism too, though not an L-infinity one
+    g = load(name)
+    rng = random.Random(seed)
+    g_tw, F = twisted_linfty_morphism(g, rng, max_len)
+    if perturb:
+        F = CoalgebraMorphism(F.source, F.target, _bumped(F.corestriction, rng))
+    phi = linfty_morphism_to_bvinfty(g_tw, g, F, K)
+    ctx = SeriesContext(phi.target.algebra, hbar_cutoff=phi._window())
+    reference = conv_exp(phi.source.algebra, ctx, {w: v.shift_hbar(-1) for w, v in phi.as_map().items()})
+    assert {w: E.terms for w, E in phi.exp_map().items()} == \
+        {w: E.terms for w, E in reference.items()}
+
+
 def _one_more_term(monkeypatch):
     """Patch `intertwining_defect` wherever it is bound so that every defect
     gains one term, E(key) itself."""

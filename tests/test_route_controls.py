@@ -22,9 +22,10 @@ the morphism R* -> V[[hbar]] that S induces) has its control with one term
 too many in the morphism's exponential, on a word whose dhat is not zero.
 `theorem_second_bijection_check` reports the intertwining of the
 BV-infinity morphism that an L-infinity morphism gives (its convolution-QME
-side is that same check, so it is not computed twice): its control has one
-letter too many in the exponential on one source word, and pins the
-morphism's witness.
+side is that same check, so it is not computed twice).  That morphism's
+exponential is the L-infinity morphism's own, re-graded; one control has one
+letter too many in the BV-infinity exponential, the other in the L-infinity
+one, each on one source word, and both pin the morphism's witness.
 
 The Chuang-Lazarev routes (the convolution residual DS + [S,S]/2 against
 the whole defect D ∘ exp(S) - exp(S) ∘ D) read one exponential; their
@@ -48,6 +49,7 @@ from mastereq import cli, constructions, linfty, morphisms
 from mastereq.artin import power_ring
 from mastereq.bv import BVInftyAlgebra, conjugation_identity_check, qme_exp_check, qme_solve_perturbative
 from mastereq.cli import _closed_qme_seed
+from mastereq.coalgebra import CoalgebraMorphism
 from mastereq.constructions import ce_bv_from_dg_lie, corollary_bidg_check
 from mastereq.linfty import (LInftyAlgebra, chuang_lazarev_morphism_defect, chuang_lazarev_residual,
                              deformed_bracket_check, mc_element, quillen_bijection_check)
@@ -168,10 +170,23 @@ def test_a_corrupted_maurer_cartan_route_fails_the_deformed_bracket_check(monkey
     h, ring = load("sl2"), power_ring(3)
     S = {("e", "f"): {"h": {"t": 1}}, ("h", "e"): {"e": {"t": 2}}, ("h", "f"): {"f": {"t": -2}}}
     report = deformed_bracket_check(h, ring, S)
-    assert report["ok"] and report["jacobi"] and report["mc"]
+    assert report["ok"] and report["jacobi"] and report["mc"] and report["witness"] is None
     _emce_plus_one_term(monkeypatch)
     report = deformed_bracket_check(h, ring, S)
     assert report["ok"] is False and report["jacobi"] and not report["mc"] and not report["agree"]
+    # the added term is the residual's only one: the first coderivation
+    # letter e>e on t
+    assert report["witness"] == ("e>e", "t")
+    monkeypatch.undo()
+    residual = linfty.emce_residual
+
+    def two_terms_late_first(g, ring, S):
+        # the witness is the first term in basis order, not the first stored
+        return residual(g, ring, S).add(HbarSeries({(g.space.labels[2], "t^2", 0): 1,
+                                                    (g.space.labels[1], "t^2", 0): 1}))
+
+    monkeypatch.setattr(linfty, "emce_residual", two_terms_late_first)
+    assert deformed_bracket_check(h, ring, S)["witness"] == ("e>f", "t^2")
 
 
 def test_a_corrupted_ambient_residual_fails_the_bidg_corollary(monkeypatch):
@@ -226,6 +241,25 @@ def test_a_corrupted_exponential_fails_theorem_second_on_its_key(monkeypatch):
     report = theorem_second_bijection_check(g, g_tw, F, 3)
     assert not report["ok"]
     assert report["intertwining"].witness == {"key": "r"}
+
+
+def test_a_corrupted_l_infinity_exponential_fails_theorem_second_on_its_word(monkeypatch):
+    # the BV-infinity exponential is read off F: one letter too many in F of
+    # the word s·q reaches the check as a term at hbar^1
+    g = load("bidg4-dglie")
+    g_tw, F = twisted_linfty_morphism(g, random.Random(14), 3)
+    assert theorem_second_bijection_check(g, g_tw, F, 3)["ok"]
+    induced = CoalgebraMorphism.induced
+
+    def plus_one_letter(F):
+        out = dict(induced(F))
+        out[("s", "q")] = out[("s", "q")].add(HbarSeries({(("s",), "1", 0): 1}))
+        return out
+
+    monkeypatch.setattr(CoalgebraMorphism, "induced", plus_one_letter)
+    report = theorem_second_bijection_check(g, g_tw, F, 3)
+    assert not report["ok"]
+    assert report["intertwining"].witness == {"key": "s·q"}
 
 
 def test_a_corrupted_bracket_value_splits_the_chuang_lazarev_routes(monkeypatch, capsys):
